@@ -189,7 +189,8 @@ class AdaptState:
         phi = self._check_phi(phi)
         base = self.effective_estimate()
         z0 = float(np.dot(base, phi))
-        return self._advance(phi, float(x) - z0, base, z0)
+        e0 = float(x) - z0
+        return PredictionPair(z0, e0, self._step(phi, e0, base))
 
     def update_from_error(self, phi, e0: float) -> PredictionPair:
         """One adaptation step driven by an externally measured error.
@@ -200,25 +201,28 @@ class AdaptState:
         phi = self._check_phi(phi)
         base = self.effective_estimate()
         z0 = float(np.dot(base, phi))
-        return self._advance(phi, float(e0), base, z0)
+        e0 = float(e0)
+        return PredictionPair(z0, e0, self._step(phi, e0, base))
 
-    def _advance(self, phi, e0: float, base, z0: float) -> PredictionPair:
+    def _step(self, phi: np.ndarray, e0: float, base: np.ndarray) -> float | None:
+        """Add the correction for ``e0`` to ``base`` (this step's effective
+        estimate) in place, making it the new estimate; returns ``e_post``."""
         self.t += 1
-        mu_t = step_size(self.policy, phi)
+        if self.policy.kind == "posterior":
+            scale = 1.0 + self.policy.mu * float(np.dot(phi, phi))
+            mu_t, e_post = self.policy.mu / scale, e0 / scale
+        else:
+            mu_t, e_post = step_size(self.policy, phi), None
         corr = (mu_t * e0) * phi
-        theta_new = base
-        theta_new += corr
-        norm = float(np.linalg.norm(theta_new))
+        base += corr
+        norm = math.sqrt(float(np.dot(base, base)))
         if not math.isfinite(norm) or norm > self.divergence_limit:
             raise DivergenceError(self.t, norm)
         if self.theta_hist.shape[0] > 1:
             self.theta_hist[1:] = self.theta_hist[:-1]
-        self.theta_hist[0] = theta_new
+        self.theta_hist[0] = base
         if self.corr_hist.shape[0] > 1:
             self.corr_hist[1:] = self.corr_hist[:-1]
         if self.corr_hist.shape[0]:
             self.corr_hist[0] = corr
-        e_post = None
-        if self.policy.kind == "posterior":
-            e_post = e0 / (1.0 + self.policy.mu * float(np.dot(phi, phi)))
-        return PredictionPair(z0, e0, e_post)
+        return e_post

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import re
 import sys
 from pathlib import Path
 
@@ -42,6 +43,12 @@ DEFAULT_SAMPLE_RATE = 2500.0
 
 class ConfigError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # usage errors exit 3: argparse's 2 means "diverged" here
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
 def _fmt(value) -> str:
@@ -284,57 +291,57 @@ def make_policy(algorithm: str, options) -> StepSizePolicy:
     return StepSizePolicy.plms(mu)
 
 
+_TRACE_BLOCK_ROWS = 4096
+
+
+def _float_fields(values: np.ndarray) -> list[str]:
+    # what _fmt writes for each float: repr, and NaN as an empty field
+    return ["" if v != v else repr(v) for v in values.tolist()]
+
+
 def _write_trace_csv(path: Path, trace: sim.RunTrace) -> None:
-    fs = trace.sample_rate_hz
-    prefix = trace.open_loop_prefix_samples
-    win = trace.atten_window_samples
-    atten = trace.atten_db
-
-    def atten_at(t: int):
-        if atten is None or win is None or t < prefix:
-            return None
-        k = (t - prefix) // win
-        return atten[k] if k < atten.size else None
-
+    # formatted by column, in blocks of rows so memory stays flat; each atten_db
+    # value once, and residual only where its bits differ from e0's
+    prefix, win = trace.open_loop_prefix_samples, trace.atten_window_samples
+    shown = trace.atten_db is not None and win is not None
+    atten_fields = (_float_fields(trace.atten_db) if shown else []) + [""]
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "time_s", "e0", "e_post", "residual", "param_err", "atten_db"])
-        for t in range(trace.residual.size):
-            writer.writerow(
-                [
-                    t,
-                    _fmt(t / fs),
-                    _fmt(trace.e0[t]),
-                    _fmt(trace.e_post[t]),
-                    _fmt(trace.residual[t]),
-                    _fmt(trace.param_err[t]),
-                    _fmt(atten_at(t)),
-                ]
+        fh.write("step,time_s,e0,e_post,residual,param_err,atten_db\r\n")
+        for start in range(0, trace.residual.size, _TRACE_BLOCK_ROWS):
+            block = slice(start, min(start + _TRACE_BLOCK_ROWS, trace.residual.size))
+            steps = np.arange(block.start, block.stop)
+            k = (steps - prefix) // (win or 1)
+            k[(steps < prefix) | (k >= len(atten_fields) - 1)] = -1  # the empty field
+            e0, residual = trace.e0[block], trace.residual[block]
+            e0_fields = _float_fields(e0)
+            residual_fields = e0_fields.copy()
+            own = np.flatnonzero(e0.view(np.int64) != residual.view(np.int64))
+            for i, field in zip(own.tolist(), _float_fields(residual[own])):
+                residual_fields[i] = field
+            columns = (
+                map(str, steps.tolist()), _float_fields(steps / trace.sample_rate_hz), e0_fields,
+                _float_fields(trace.e_post[block]), residual_fields,
+                _float_fields(trace.param_err[block]), map(atten_fields.__getitem__, k.tolist()),
             )
+            fh.write("".join(",".join(row) + "\r\n" for row in zip(*columns)))
 
 
 def _run_one(scenario, algorithm: str, preset: str, options):
-    policy = make_policy(algorithm, options)
-    cfg = make_preset(preset)
-    diverged = False
+    run = sim.run_sysid if scenario.kind == "sysid" else sim.run_feedforward
+    try:
+        trace = run(scenario, make_policy(algorithm, options), make_preset(preset))
+    except sim.RunDiverged as exc:
+        return exc.trace, True
     if scenario.kind == "sysid":
+        return trace, False
+    if trace.atten_db is None:
         try:
-            trace = sim.run_sysid(scenario, policy, cfg)
-        except sim.RunDiverged as exc:
-            trace, diverged = exc.trace, True
-    else:
-        try:
-            trace = sim.run_feedforward(scenario, policy, cfg)
-        except sim.RunDiverged as exc:
-            trace, diverged = exc.trace, True
-        if not diverged and trace.atten_db is None:
-            try:
-                sim.attenuation_db(trace, options["window_seconds"])
-            except ValueError:
-                pass
-        elif not diverged and options["window_seconds"] != sim.DEFAULT_ATTEN_WINDOW_S:
             sim.attenuation_db(trace, options["window_seconds"])
-    return trace, diverged
+        except ValueError:
+            pass
+    elif options["window_seconds"] != sim.DEFAULT_ATTEN_WINDOW_S:
+        sim.attenuation_db(trace, options["window_seconds"])
+    return trace, False
 
 
 def _sweep(scenario, options, out: Path) -> int:
@@ -403,7 +410,7 @@ def cmd_compare(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="daglms", description=__doc__)
+    parser = _Parser(prog="daglms", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="verdict table for the named gain-filter presets")
@@ -412,6 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quad", type=int, default=DEFAULT_QUAD_POINTS)
     p.add_argument("--expect", default=None, help="CSV of expected verdicts; mismatch exits 1")
     p.add_argument("--custom", action="append", metavar="C1,C2,D1P")
+    # read "--custom -1.5,0.2,0.5" as a value, as argparse reads "-1.5"
+    p._negative_number_matcher = re.compile(r"^-\.?\d")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("contour", help="SPR/PR flags over a (c1, c2) grid")
@@ -457,10 +466,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

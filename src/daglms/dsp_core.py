@@ -172,7 +172,7 @@ class TransferOperator:
         """Filter a whole signal, advancing the same state as filter_step."""
         x = np.asarray(x, dtype=float)
         if not self._state:
-            return self._b[0] * x
+            return self._b[0] * x + 0.0  # + 0.0: -0.0 becomes 0.0, as in filter_step
         zi = np.asarray(self._state, dtype=float)
         y, zf = scipy.signal.lfilter(self._b, self._a, x, zi=zi)
         self._state = zf.tolist()

@@ -114,6 +114,64 @@ def _empty_trace(scn: ScenarioConfig, record_theta: bool) -> RunTrace:
     return trace
 
 
+def _measured(scn: ScenarioConfig, x: np.ndarray) -> np.ndarray:
+    """The signal at the sensor, plus the scenario's measurement noise."""
+    if scn.measurement_noise_rms > 0.0:
+        rng = np.random.default_rng([scn.noise.seed, _MEAS_NOISE_STREAM])
+        x = x + scn.measurement_noise_rms * rng.standard_normal(scn.duration_samples)
+    return x
+
+
+def _adapt_loop(trace, state, desired, regressor, regressor_f, path_step, prefix, target) -> None:
+    """The per-sample loop of both scenarios; fills ``trace``.
+
+    The output ``effective_estimate . phi`` over the delay line of ``regressor``
+    passes through ``path_step`` and is subtracted from ``desired``; the update
+    uses the delay line of ``regressor_f``. Nothing adapts in the first
+    ``prefix`` samples; ``param_err`` is filled when ``target`` is given.
+    """
+    n, T = state.n_params, desired.size
+    # r[T-1-t:][:n] is (v[t], v[t-1], ..., v[t-n+1]) with zeros before the start:
+    # a contiguous forward slice, which BLAS sums in the order of a delay line
+    pad = np.zeros(n - 1)
+    rev, rev_f = (np.concatenate((pad, v))[::-1].copy() for v in (regressor, regressor_f))
+    x = desired.tolist()
+    estimate, step = state.effective_estimate, state._step
+    errors, posts, param_errs = [], [], []
+    started = time.perf_counter()
+    trace.residual[:prefix] = desired[:prefix]
+    if trace.theta_path is not None:
+        trace.theta_path[:prefix] = state.theta
+    try:
+        for t in range(prefix, T):
+            k = T - 1 - t
+            # the compensator runs the same effective estimate the update
+            # law predicts with, so the measured residual is its a-priori error
+            base = estimate()
+            y = float(np.dot(base, rev[k:k + n]))
+            e0 = x[t] - path_step(y)
+            posts.append(step(rev_f[k:k + n], e0, base))
+            errors.append(e0)
+            if target is not None:
+                diff = target - state.theta
+                param_errs.append(math.sqrt(float(np.dot(diff, diff))))
+            if trace.theta_path is not None:
+                trace.theta_path[t] = state.theta
+    except DivergenceError as exc:
+        trace.diverged = True
+        trace.divergence_step = exc.step
+        raise RunDiverged(exc.step, trace) from exc
+    finally:
+        trace.wall_time_s = time.perf_counter() - started
+        trace.theta_final = state.theta.copy()
+        stop = prefix + len(errors)
+        trace.e0[prefix:stop] = trace.residual[prefix:stop] = errors
+        if state.policy.kind == "posterior":
+            trace.e_post[prefix:stop] = posts
+        if target is not None:
+            trace.param_err[prefix:stop] = param_errs
+
+
 def run_sysid(
     scn: ScenarioConfig,
     policy: StepSizePolicy,
@@ -129,40 +187,11 @@ def run_sysid(
     """
     if scn.kind != "sysid":
         raise ValueError("scenario kind must be 'sysid'")
-    theta_true = scn.true_params
-    n = scn.n_adaptive_params
-    T = scn.duration_samples
-    d = gen_noise(scn.noise, T)
-    x = scipy.signal.lfilter(theta_true, [1.0], d)
-    if scn.measurement_noise_rms > 0.0:
-        rng = np.random.default_rng([scn.noise.seed, _MEAS_NOISE_STREAM])
-        x = x + scn.measurement_noise_rms * rng.standard_normal(T)
-
+    d = gen_noise(scn.noise, scn.duration_samples)
+    x = _measured(scn, scipy.signal.lfilter(scn.true_params, [1.0], d))
     trace = _empty_trace(scn, record_theta)
-    state = AdaptState(n, policy, cfg)
-    phi = np.zeros(n)
-    started = time.perf_counter()
-    for t in range(T):
-        if n > 1:
-            phi[1:] = phi[:-1]
-        phi[0] = d[t]
-        try:
-            pair = state.update(phi, x[t])
-        except DivergenceError as exc:
-            trace.diverged = True
-            trace.divergence_step = exc.step
-            trace.wall_time_s = time.perf_counter() - started
-            trace.theta_final = state.theta.copy()
-            raise RunDiverged(exc.step, trace) from exc
-        trace.e0[t] = pair.e0
-        if pair.e_post is not None:
-            trace.e_post[t] = pair.e_post
-        trace.residual[t] = pair.e0
-        trace.param_err[t] = float(np.linalg.norm(theta_true - state.theta))
-        if record_theta:
-            trace.theta_path[t] = state.theta
-    trace.wall_time_s = time.perf_counter() - started
-    trace.theta_final = state.theta.copy()
+    state = AdaptState(scn.n_adaptive_params, policy, cfg)
+    _adapt_loop(trace, state, x, d, d, float, 0, scn.true_params)  # float: no path
     return trace
 
 
@@ -201,59 +230,20 @@ def run_feedforward(
     """
     if scn.kind != "feedforward":
         raise ValueError("scenario kind must be 'feedforward'")
-    n = scn.n_adaptive_params
     T = scn.duration_samples
     prefix = scn.open_loop_prefix_samples
-
     w = gen_noise(scn.noise, T)
-    x = scn.primary_path.fresh().filter_signal(w)
-    if scn.measurement_noise_rms > 0.0:
-        rng = np.random.default_rng([scn.noise.seed, _MEAS_NOISE_STREAM])
-        x = x + scn.measurement_noise_rms * rng.standard_normal(T)
-    g = scn.secondary_path.fresh()
+    x = _measured(scn, scn.primary_path.fresh().filter_signal(w))
     g_model = scn.secondary_model if scn.secondary_model is not None else scn.secondary_path
-    reg_filter = (scn.regressor_filter if scn.regressor_filter is not None else g_model).fresh()
+    reg_filter = scn.regressor_filter if scn.regressor_filter is not None else g_model
 
     trace = _empty_trace(scn, record_theta)
     trace.spr_ok = _screen_path_ratio(scn.secondary_path, g_model)
-    state = AdaptState(n, policy, cfg)
-    phi = np.zeros(n)
-    phi_f = np.zeros(n)
-    started = time.perf_counter()
-    for t in range(T):
-        v = w[t]
-        vf = reg_filter.filter_step(v)
-        if n > 1:
-            phi[1:] = phi[:-1]
-            phi_f[1:] = phi_f[:-1]
-        phi[0] = v
-        phi_f[0] = vf
-        if t < prefix:
-            g.filter_step(0.0)
-            trace.residual[t] = x[t]
-            if record_theta:
-                trace.theta_path[t] = state.theta
-            continue
-        # the compensator runs the same effective estimate the update law
-        # predicts with, so the measured residual is its a-priori error
-        y = float(np.dot(state.effective_estimate(), phi))
-        e_meas = float(x[t]) - g.filter_step(y)
-        try:
-            pair = state.update_from_error(phi_f, e_meas)
-        except DivergenceError as exc:
-            trace.diverged = True
-            trace.divergence_step = exc.step
-            trace.wall_time_s = time.perf_counter() - started
-            trace.theta_final = state.theta.copy()
-            raise RunDiverged(exc.step, trace) from exc
-        trace.e0[t] = e_meas
-        if pair.e_post is not None:
-            trace.e_post[t] = pair.e_post
-        trace.residual[t] = e_meas
-        if record_theta:
-            trace.theta_path[t] = state.theta
-    trace.wall_time_s = time.perf_counter() - started
-    trace.theta_final = state.theta.copy()
+    state = AdaptState(scn.n_adaptive_params, policy, cfg)
+    g = scn.secondary_path.fresh()
+    g.filter_signal(np.zeros(prefix))  # silence while the compensator is disconnected
+    w_f = reg_filter.fresh().filter_signal(w)
+    _adapt_loop(trace, state, x, w, w_f, g.filter_step, prefix, None)
 
     win = int(round(DEFAULT_ATTEN_WINDOW_S * scn.noise.sample_rate_hz))
     if prefix >= win and T - prefix >= win:

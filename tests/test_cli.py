@@ -1,11 +1,24 @@
 """Command-line front end tests: verdict tables, exports, runs, exit codes."""
 
 import csv
+import hashlib
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
+from daglms import (
+    NoiseSpec,
+    RunDiverged,
+    RunTrace,
+    ScenarioConfig,
+    StepSizePolicy,
+    cli,
+    run_feedforward,
+    run_sysid,
+)
 from daglms.cli import CHECK_HEADER, main
+from daglms.sim import default_feedforward_scenario
 from daglms.spr_design import dag_transfer, is_spr_numeric, is_pr_unit_pole, integrated_dag
 from daglms.adapt import PRESET_ORDER, make_preset
 
@@ -70,6 +83,11 @@ class TestCheck:
         rows = read_csv(tmp_path / "check.csv")
         assert rows[-1]["name"] == "custom0"
         assert rows[-1]["dag_spr"] == "N"
+
+    def test_negative_custom_value(self, tmp_path):
+        assert main(["check", "--out", str(tmp_path), "--custom", "-1.5,0.2,0.5"]) == 0
+        row = read_csv(tmp_path / "check.csv")[-1]
+        assert (row["name"], row["c1"], row["c2"], row["d1p"]) == ("custom0", "-1.5", "0.2", "0.5")
 
     def test_expect_match_and_mismatch(self, tmp_path):
         out1 = tmp_path / "a"
@@ -202,6 +220,13 @@ class TestRunCompare:
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.ini"), "--out", str(tmp_path)]) == 3
 
+    def test_usage_error_exit_code(self, capsys):
+        # exit 2 would claim that a run diverged
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--no-such-option"])
+        assert exc.value.code == 3
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_divergence_exit_code(self, ff_config, tmp_path):
         cfg = ff_config.read_text().replace("mu_nlms = 0.0002", "mu_nlms = 0.0002\nmu_lms = 80000")
         cfg = cfg.replace("algorithms = nlms", "algorithms = lms")
@@ -236,3 +261,174 @@ mu_lms = 0.1
         assert main(["run", "--config", str(path), "--out", str(out)]) == 0
         rows = read_csv(out / "trace_lms_integral.csv")
         assert float(rows[-1]["param_err"]) < 1e-3
+
+
+def row_wise_trace_csv(path, trace):
+    """The row-by-row ``csv.writer`` trace writer: the byte oracle."""
+    fs = trace.sample_rate_hz
+    prefix = trace.open_loop_prefix_samples
+    win = trace.atten_window_samples
+    atten = trace.atten_db
+
+    def atten_at(t):
+        if atten is None or win is None or t < prefix:
+            return None
+        k = (t - prefix) // win
+        return atten[k] if k < atten.size else None
+
+    fmt = cli._fmt
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["step", "time_s", "e0", "e_post", "residual", "param_err", "atten_db"])
+        for t in range(trace.residual.size):
+            writer.writerow([
+                t, fmt(t / fs), fmt(trace.e0[t]), fmt(trace.e_post[t]),
+                fmt(trace.residual[t]), fmt(trace.param_err[t]), fmt(atten_at(t)),
+            ])
+
+
+def synthetic_trace(n, prefix, window=None):
+    """Trace with NaN, signed zeros, infinities and extreme magnitudes."""
+    rng = np.random.default_rng(17)
+    trace = RunTrace(
+        sample_rate_hz=2500.0,
+        open_loop_prefix_samples=prefix,
+        e0=rng.standard_normal(n),
+        e_post=rng.standard_normal(n),
+        residual=rng.standard_normal(n) * 1e-3,
+        param_err=np.abs(rng.standard_normal(n)),
+    )
+    trace.e0[:prefix] = np.nan
+    trace.e_post[::3] = -0.0
+    trace.e_post[1::5] = np.nan
+    special = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, 1e300, 1e-7, 1e16, 123456789.0]
+    trace.residual[prefix:prefix + len(special)] = special
+    trace.param_err[-50:] = np.nan
+    if window is not None:
+        # two windows short of the controlled span: the last rows have no value
+        atten = rng.uniform(-5.0, 40.0, (n - prefix) // window - 2)
+        atten[:3] = (-0.0, 120.0, np.nan)
+        trace.atten_db, trace.atten_window_samples = atten, window
+    return trace
+
+
+def diverged_trace():
+    scn = default_feedforward_scenario(duration_s=1.0, prefix_s=0.2, n_taps=8, amplitude=1.0)
+    with pytest.raises(RunDiverged) as err:
+        run_feedforward(scn, StepSizePolicy.lms(500.0))
+    return err.value.trace
+
+
+def sysid_trace():
+    scn = ScenarioConfig(
+        kind="sysid",
+        noise=NoiseSpec(kind="white", seed=4),
+        n_adaptive_params=3,
+        duration_samples=1000,
+        true_params=[0.5, -0.3, 0.2],
+    )
+    return run_sysid(scn, StepSizePolicy.plms(0.05))
+
+
+class TestTraceWriter:
+    @pytest.mark.parametrize(
+        "make, block_rows",
+        [
+            (lambda: synthetic_trace(2 * cli._TRACE_BLOCK_ROWS + 37, 301, window=100), None),
+            (lambda: synthetic_trace(1000, 150, window=None), 64),
+            (lambda: synthetic_trace(1000, 0, window=7), 64),
+            (diverged_trace, 64),
+            (sysid_trace, 96),
+        ],
+        ids=["blocks_with_atten", "no_atten", "no_prefix", "diverged", "sysid"],
+    )
+    def test_bytes_match_row_wise_writer(self, tmp_path, monkeypatch, make, block_rows):
+        if block_rows is not None:
+            monkeypatch.setattr(cli, "_TRACE_BLOCK_ROWS", block_rows)
+        trace = make()
+        assert trace.residual.size % cli._TRACE_BLOCK_ROWS != 0
+        cli._write_trace_csv(tmp_path / "columnar.csv", trace)
+        row_wise_trace_csv(tmp_path / "rows.csv", trace)
+        assert (tmp_path / "columnar.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+GOLDEN_FEEDFORWARD_CONFIG = """
+[scenario]
+kind = feedforward
+noise_kind = white
+seed = 23
+amplitude = 0.1
+n_adaptive_params = 12
+duration_samples = 6000
+open_loop_prefix_samples = 1500
+primary_path = resonant_primary
+secondary_path = resonant_secondary
+secondary_model = mismatched
+
+[run]
+algorithms = lms, nlms, plms
+presets = integral, arima2
+mu_lms = 0.2
+mu_nlms = 0.0002
+mu_plms = 0.22
+"""
+
+GOLDEN_SYSID_CONFIG = """
+[scenario]
+kind = sysid
+noise_kind = white
+seed = 3
+true_params = 0.5, -0.3, 0.2, 0.1
+measurement_noise_rms = 0.01
+duration_samples = 3000
+
+[run]
+algorithms = lms, nlms, plms
+presets = integral, ip
+mu_lms = 0.05
+mu_nlms = 0.2
+mu_plms = 0.05
+"""
+
+GOLDEN_SHA256 = {
+    "feedforward": {
+        "summary.csv": "c5321da54d872ae1deff086476a241b8a788b3971303a41687cf4f84b86034d9",
+        "trace_lms_arima2.csv": "cefd95b8ce1806c9741fb8dd9c6e55abbcacf718566264e25da1c5b531639377",
+        "trace_lms_integral.csv": "d59deb8e03954e8b816902f112bad4d64cf54474d5666d588f6799e0b740baaf",
+        "trace_nlms_arima2.csv": "c7a6304b8a6db5f716cb29d2b99d16167931253da488ab094690e94629bd603d",
+        "trace_nlms_integral.csv": "0331d70841503839bd3d8ca61b59458fe20eee89a3973018dccf791930cac0f0",
+        "trace_plms_arima2.csv": "7bd0416a0d90c63caa8d2d8e9c965fe40316a91b00e18bdebeeae65e93b6385f",
+        "trace_plms_integral.csv": "ef0cf8c5a79361fdf63e1f1ce61d278aa0e6320e20d2cbe15638371e7f18f7b6",
+    },
+    "sysid": {
+        "summary.csv": "a81500fe25e70b1535b6d75b805a88c53fd3446e9140afb2215fbd501572fde0",
+        "trace_lms_integral.csv": "f5e00bd55a6eb90ec4e4c6478cceb0db13f2a319a16e6c1cf925d3492670ccb9",
+        "trace_lms_ip.csv": "c66a3c79116ed445ed59d238d6e26140effaeb9b6b0cca9f29621bd6843bf421",
+        "trace_nlms_integral.csv": "6573aaaec8fc3766fd50095d6b5d97065cd56172c950d35d2c5a2bcd344ffa7f",
+        "trace_nlms_ip.csv": "76611fa12ee7dba4dcfd41ace6eec6fbfc5ee02bd68e72f979351e93ad352704",
+        "trace_plms_integral.csv": "3298c0e898596843902d4d49ee3fe1433abab6c92fa03f0d08af9f19238dbf05",
+        "trace_plms_ip.csv": "f34898128cb425022bf06b686baa5e0028cc3d82b75193ad9eb71abbf2428a15",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "kind, config, exit_code",
+    [("feedforward", GOLDEN_FEEDFORWARD_CONFIG, 2), ("sysid", GOLDEN_SYSID_CONFIG, 0)],
+)
+def test_golden_output_bytes(tmp_path, kind, config, exit_code):
+    """``daglms compare`` output bytes are pinned across versions.
+
+    In the feedforward sweep lms and plms with arima2 diverge (steps 3094
+    and 2760) and leave partial traces. White noise, fewer than 16 taps and
+    no attenuation window keep the bytes clear of long BLAS dot products
+    and of vectorized log10, whose last bits can depend on the host CPU.
+    A change that moves these bytes must say why.
+    """
+    path = tmp_path / "golden.ini"
+    path.write_text(config)
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning) if kind == "feedforward" else nullcontext():
+        assert main(["compare", "--config", str(path), "--out", str(out)]) == exit_code
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == GOLDEN_SHA256[kind]
