@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import re
 import sys
@@ -66,12 +67,26 @@ def _fmt(value) -> str:
     return repr(value)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _fields(column) -> list[str]:
+    # what _fmt writes for each value; a numeric array by repr over tolist(),
+    # with NaN as an empty field
+    if isinstance(column, np.ndarray) and column.dtype.kind in "fi":
+        return ["" if v != v else repr(v) for v in column.tolist()]
+    return [_fmt(v) for v in column]
+
+
+def _columns(rows) -> list[list[str]]:
+    """One block of formatted columns from rows of values."""
+    return [_fields(column) for column in zip(*rows)]
+
+
+def _write_csv(path: Path, header: list[str], blocks) -> None:
+    # each block is a list of columns, iterables of formatted fields; rows end in "\r\n",
+    # as csv.writer wrote them (no field here needs quoting)
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write(",".join(header) + "\r\n")
+        for columns in blocks:
+            fh.write("".join(",".join(row) + "\r\n" for row in zip(*columns)))
 
 
 def _preset_row(name: str, cfg: DagConfig, triple, grid: int, quad: int) -> dict:
@@ -110,7 +125,7 @@ def cmd_check(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "check.csv"
-    _write_csv(path, CHECK_HEADER, ([r[k] for k in CHECK_HEADER] for r in rows))
+    _write_csv(path, CHECK_HEADER, [_columns([r[k] for k in CHECK_HEADER] for r in rows)])
     for r in rows:
         print(
             f"{r['name']:>14}: dag_spr={_fmt(r['dag_spr'])} integrated_pr={_fmt(r['integrated_pr'])} "
@@ -153,14 +168,15 @@ def cmd_contour(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"contour_d1p_{args.d1p:g}.csv"
-    rows = []
-    for i, c1 in enumerate(c1_values):
-        for j, c2 in enumerate(c2_values):
-            cfg = DagConfig((float(c1), float(c2)), (args.d1p,))
-            pr = is_pr_unit_pole(integrated_dag(cfg), args.grid).is_pr
-            rows.append((c1, c2, int(spr_flags[i, j]), int(pr)))
-    _write_csv(path, ["c1", "c2", "spr_dag", "pr_integrated"], rows)
-    print(f"wrote {path} ({len(rows)} cells)")
+    c1 = np.repeat(c1_values, c2_values.size)  # c1-major, as spr_flags is laid out
+    c2 = np.tile(c2_values, c1_values.size)
+    pr = [
+        int(is_pr_unit_pole(integrated_dag(DagConfig((a, b), (args.d1p,))), args.grid).is_pr)
+        for a, b in zip(c1.tolist(), c2.tolist())
+    ]
+    columns = [_fields(c1), _fields(c2), _fields(spr_flags.ravel().astype(int)), _fields(pr)]
+    _write_csv(path, ["c1", "c2", "spr_dag", "pr_integrated"], [columns])
+    print(f"wrote {path} ({len(pr)} cells)")
     return EXIT_OK
 
 
@@ -173,11 +189,8 @@ def cmd_bode(args) -> int:
         h = dag_transfer(cfg)
         freq, omega, gain_db, phase_deg = bode_points(h, args.grid, args.fs)
         path = out / f"bode_{name}.csv"
-        _write_csv(
-            path,
-            ["freq_hz", "omega_rad", "gain_db", "phase_deg"],
-            zip(freq, omega, gain_db, phase_deg),
-        )
+        columns = [_fields(c) for c in (freq, omega, gain_db, phase_deg)]
+        _write_csv(path, ["freq_hz", "omega_rad", "gain_db", "phase_deg"], [columns])
         spr = is_spr_numeric(h, args.grid)
         phase_ok = bool(np.all(np.abs(phase_deg) < 90.0))
         mean_log_gain = log_gain_integral(h, args.quad) / np.pi if spr.is_stable else float("nan")
@@ -186,7 +199,9 @@ def cmd_bode(args) -> int:
             f"{name:>14}: spr={_fmt(spr.is_spr)} phase_within_90deg={_fmt(phase_ok)} "
             f"mean_log_gain={mean_log_gain:.3g} ({path})"
         )
-    _write_csv(out / "bode_summary.csv", ["name", "spr", "phase_within_90deg", "mean_log_gain"], summary)
+    _write_csv(
+        out / "bode_summary.csv", ["name", "spr", "phase_within_90deg", "mean_log_gain"], [_columns(summary)]
+    )
     return EXIT_OK
 
 
@@ -206,13 +221,15 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.replace(",", " ").split())
 
 
-def _path_from_config(section, key: str, fs: float) -> TransferOperator | None:
-    name = section.get(key, fallback=None)
-    num_key, den_key = f"{key}_num", f"{key}_den"
-    if section.get(num_key, fallback=None) is not None:
-        num = Polynomial(_parse_floats(section[num_key]))
-        den = Polynomial(_parse_floats(section.get(den_key, fallback="1.0")))
-        return TransferOperator(num, den)
+def _names(text: str) -> list[str]:
+    return [v.strip() for v in text.split(",") if v.strip()]
+
+
+def _path_from_config(section: dict, key: str, fs: float) -> TransferOperator | None:
+    name = section.pop(key, None)
+    num, den = section.pop(f"{key}_num", None), section.pop(f"{key}_den", "1.0")
+    if num is not None:
+        return TransferOperator(Polynomial(_parse_floats(num)), Polynomial(_parse_floats(den)))
     if name is None:
         return None
     if name not in _PATHS:
@@ -221,8 +238,8 @@ def _path_from_config(section, key: str, fs: float) -> TransferOperator | None:
 
 
 def load_scenario(path: Path, seed_override: int | None = None):
-    """Parse a scenario + run-options INI file."""
-    parser = configparser.ConfigParser()
+    """Parse a scenario + run-options INI file; a key it does not read is an error."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     try:
         read = parser.read(path)
     except configparser.Error as exc:
@@ -231,127 +248,116 @@ def load_scenario(path: Path, seed_override: int | None = None):
         raise ConfigError(f"config file not found: {path}")
     if "scenario" not in parser:
         raise ConfigError(f"{path}: missing [scenario] section")
-    sc = parser["scenario"]
     try:
-        fs = sc.getfloat("sample_rate_hz", DEFAULT_SAMPLE_RATE)
-        kind = sc.get("kind", "feedforward")
+        # each read pops its key, so the keys left over are the unknown ones
+        sc = dict(parser["scenario"])
+        run = dict(parser["run"]) if "run" in parser else {}
+        fs = float(sc.pop("sample_rate_hz", DEFAULT_SAMPLE_RATE))
+        kind = sc.pop("kind", "feedforward")
+        seed = int(sc.pop("seed", 0))
         noise = NoiseSpec(
-            kind=sc.get("noise_kind", "bandpass"),
+            kind=sc.pop("noise_kind", "bandpass"),
             sample_rate_hz=fs,
-            band_low_hz=sc.getfloat("band_low_hz", 70.0),
-            band_high_hz=sc.getfloat("band_high_hz", 170.0),
-            seed=seed_override if seed_override is not None else sc.getint("seed", 0),
+            band_low_hz=float(sc.pop("band_low_hz", 70.0)),
+            band_high_hz=float(sc.pop("band_high_hz", 170.0)),
+            seed=seed_override if seed_override is not None else seed,
             # feedforward default is the calibrated disturbance level;
             # identification runs default to unit-power input
-            amplitude=sc.getfloat("amplitude", 0.006 if kind == "feedforward" else 1.0),
+            amplitude=float(sc.pop("amplitude", 0.006 if kind == "feedforward" else 1.0)),
         )
-        true_params = _parse_floats(sc["true_params"]) if "true_params" in sc else None
+        true_params = _parse_floats(sc.pop("true_params")) if "true_params" in sc else None
         scenario = sim.ScenarioConfig(
             kind=kind,
             noise=noise,
-            n_adaptive_params=sc.getint(
-                "n_adaptive_params", len(true_params) if true_params else 60
-            ),
-            duration_samples=sc.getint("duration_samples", 150000),
+            n_adaptive_params=int(sc.pop("n_adaptive_params", len(true_params) if true_params else 60)),
+            duration_samples=int(sc.pop("duration_samples", 150000)),
             true_params=true_params,
             primary_path=_path_from_config(sc, "primary_path", fs),
             secondary_path=_path_from_config(sc, "secondary_path", fs),
             secondary_model=_path_from_config(sc, "secondary_model", fs),
             regressor_filter=_path_from_config(sc, "regressor_filter", fs),
-            measurement_noise_rms=sc.getfloat("measurement_noise_rms", 0.0),
-            open_loop_prefix_samples=sc.getint("open_loop_prefix_samples", 0),
+            measurement_noise_rms=float(sc.pop("measurement_noise_rms", 0.0)),
+            open_loop_prefix_samples=int(sc.pop("open_loop_prefix_samples", 0)),
         )
-    except (ValueError, KeyError) as exc:
+        options = {
+            "algorithms": _names(run.pop("algorithms", "nlms")),
+            "presets": _names(run.pop("presets", "integral")),
+            # all three, so an invalid gain is rejected even for an algorithm not swept
+            "policies": {
+                "lms": StepSizePolicy.lms(float(run.pop("mu_lms", 0.2))),
+                "nlms": StepSizePolicy.nlms(
+                    float(run.pop("mu_nlms", 0.0002)), float(run.pop("delta_nlms", 1e-16))
+                ),
+                "plms": StepSizePolicy.plms(float(run.pop("mu_plms", 0.22))),
+            },
+            "threshold_db": float(run.pop("threshold_db", 20.0)),
+            "window_seconds": float(run.pop("window_seconds", sim.DEFAULT_ATTEN_WINDOW_S)),
+        }
+        if not options["window_seconds"] > 0.0:
+            raise ValueError("window_seconds must be positive")
+        for name, unread in (("scenario", sc), ("run", run)):
+            if unread:
+                raise ValueError(f"unknown key(s) in [{name}]: {', '.join(unread)}")
+    except (ValueError, KeyError, configparser.Error) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-
-    run = parser["run"] if "run" in parser else {}
-    options = {
-        "algorithms": [a.strip() for a in run.get("algorithms", "nlms").split(",") if a.strip()],
-        "presets": [p.strip() for p in run.get("presets", "integral").split(",") if p.strip()],
-        "mu": {
-            "lms": float(run.get("mu_lms", 0.2)),
-            "nlms": float(run.get("mu_nlms", 0.0002)),
-            "plms": float(run.get("mu_plms", 0.22)),
-        },
-        "delta_nlms": float(run.get("delta_nlms", 1e-16)),
-        "threshold_db": float(run.get("threshold_db", 20.0)),
-        "window_seconds": float(run.get("window_seconds", sim.DEFAULT_ATTEN_WINDOW_S)),
-    }
     return scenario, options
-
-
-def make_policy(algorithm: str, options) -> StepSizePolicy:
-    mu = options["mu"].get(algorithm)
-    if mu is None:
-        raise ConfigError(f"unknown algorithm {algorithm!r} (known: lms, nlms, plms)")
-    if algorithm == "lms":
-        return StepSizePolicy.lms(mu)
-    if algorithm == "nlms":
-        return StepSizePolicy.nlms(mu, options["delta_nlms"])
-    return StepSizePolicy.plms(mu)
 
 
 _TRACE_BLOCK_ROWS = 4096
 
 
-def _float_fields(values: np.ndarray) -> list[str]:
-    # what _fmt writes for each float: repr, and NaN as an empty field
-    return ["" if v != v else repr(v) for v in values.tolist()]
-
-
-def _write_trace_csv(path: Path, trace: sim.RunTrace) -> None:
+def _trace_blocks(trace: sim.RunTrace):
     # formatted by column, in blocks of rows so memory stays flat; each atten_db
     # value once, and residual only where its bits differ from e0's
     prefix, win = trace.open_loop_prefix_samples, trace.atten_window_samples
     shown = trace.atten_db is not None and win is not None
-    atten_fields = (_float_fields(trace.atten_db) if shown else []) + [""]
-    with path.open("w", newline="") as fh:
-        fh.write("step,time_s,e0,e_post,residual,param_err,atten_db\r\n")
-        for start in range(0, trace.residual.size, _TRACE_BLOCK_ROWS):
-            block = slice(start, min(start + _TRACE_BLOCK_ROWS, trace.residual.size))
-            steps = np.arange(block.start, block.stop)
-            k = (steps - prefix) // (win or 1)
-            k[(steps < prefix) | (k >= len(atten_fields) - 1)] = -1  # the empty field
-            e0, residual = trace.e0[block], trace.residual[block]
-            e0_fields = _float_fields(e0)
-            residual_fields = e0_fields.copy()
-            own = np.flatnonzero(e0.view(np.int64) != residual.view(np.int64))
-            for i, field in zip(own.tolist(), _float_fields(residual[own])):
-                residual_fields[i] = field
-            columns = (
-                map(str, steps.tolist()), _float_fields(steps / trace.sample_rate_hz), e0_fields,
-                _float_fields(trace.e_post[block]), residual_fields,
-                _float_fields(trace.param_err[block]), map(atten_fields.__getitem__, k.tolist()),
-            )
-            fh.write("".join(",".join(row) + "\r\n" for row in zip(*columns)))
+    atten_fields = (_fields(trace.atten_db) if shown else []) + [""]
+    for start in range(0, trace.residual.size, _TRACE_BLOCK_ROWS):
+        block = slice(start, min(start + _TRACE_BLOCK_ROWS, trace.residual.size))
+        steps = np.arange(block.start, block.stop)
+        k = (steps - prefix) // (win or 1)
+        k[(steps < prefix) | (k >= len(atten_fields) - 1)] = -1  # the empty field
+        e0, residual = trace.e0[block], trace.residual[block]
+        e0_fields = _fields(e0)
+        residual_fields = e0_fields.copy()
+        own = np.flatnonzero(e0.view(np.int64) != residual.view(np.int64))
+        for i, field in zip(own.tolist(), _fields(residual[own])):
+            residual_fields[i] = field
+        yield [
+            map(str, steps.tolist()), _fields(steps / trace.sample_rate_hz), e0_fields,
+            _fields(trace.e_post[block]), residual_fields,
+            _fields(trace.param_err[block]), map(atten_fields.__getitem__, k.tolist()),
+        ]
 
 
-def _run_one(scenario, algorithm: str, preset: str, options):
+def _write_trace_csv(path: Path, trace: sim.RunTrace) -> None:
+    header = ["step", "time_s", "e0", "e_post", "residual", "param_err", "atten_db"]
+    _write_csv(path, header, _trace_blocks(trace))
+
+
+def _run_one(scenario, policy: StepSizePolicy, preset: str, window_seconds: float) -> sim.RunTrace:
     run = sim.run_sysid if scenario.kind == "sysid" else sim.run_feedforward
     try:
-        trace = run(scenario, make_policy(algorithm, options), make_preset(preset))
+        trace = run(scenario, policy, make_preset(preset))
     except sim.RunDiverged as exc:
-        return exc.trace, True
-    if scenario.kind == "sysid":
-        return trace, False
-    if trace.atten_db is None:
-        try:
-            sim.attenuation_db(trace, options["window_seconds"])
-        except ValueError:
-            pass
-    elif options["window_seconds"] != sim.DEFAULT_ATTEN_WINDOW_S:
-        sim.attenuation_db(trace, options["window_seconds"])
-    return trace, False
+        return exc.trace
+    if scenario.kind == "feedforward" and window_seconds != sim.DEFAULT_ATTEN_WINDOW_S:
+        # a series only at the configured window, and only where one full window fits
+        trace.atten_db = trace.atten_clamped = trace.atten_window_samples = None
+        with contextlib.suppress(ValueError):
+            sim.attenuation_db(trace, window_seconds)
+    return trace
 
 
 def _sweep(scenario, options, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
     summary_rows = []
-    any_diverged = False
     for algorithm in options["algorithms"]:
+        policy = options["policies"].get(algorithm)
+        if policy is None:
+            raise ConfigError(f"unknown algorithm {algorithm!r} (known: {', '.join(options['policies'])})")
         for preset in options["presets"]:
-            trace, diverged = _run_one(scenario, algorithm, preset, options)
-            any_diverged |= diverged
+            trace = _run_one(scenario, policy, preset, options["window_seconds"])
             trace_path = out / f"trace_{algorithm}_{preset}.csv"
             _write_trace_csv(trace_path, trace)
             final = None
@@ -363,67 +369,50 @@ def _sweep(scenario, options, out: Path) -> int:
                 if tt_idx is not None:
                     tt_s = (tt_idx + 1) * trace.atten_window_samples / trace.sample_rate_hz
             summary_rows.append(
-                (algorithm, preset, diverged, trace.divergence_step, trace.spr_ok, final, tt_idx, tt_s)
+                (algorithm, preset, trace.diverged, trace.divergence_step, trace.spr_ok, final, tt_idx, tt_s)
             )
-            status = f"diverged at {trace.divergence_step}" if diverged else (
+            status = f"diverged at {trace.divergence_step}" if trace.diverged else (
                 f"final_atten={final:.2f} dB, t20_idx={tt_idx}" if final is not None else "done"
             )
             print(f"{algorithm}+{preset}: {status} ({trace.wall_time_s:.2f}s wall) -> {trace_path}")
-    _write_csv(
-        out / "summary.csv",
-        [
-            "algorithm",
-            "preset",
-            "diverged",
-            "divergence_step",
-            "spr_ok",
-            "final_atten_db",
-            "time_to_threshold_idx",
-            "time_to_threshold_s",
-        ],
-        summary_rows,
-    )
+    header = ["algorithm", "preset", "diverged", "divergence_step", "spr_ok",
+              "final_atten_db", "time_to_threshold_idx", "time_to_threshold_s"]
+    _write_csv(out / "summary.csv", header, [_columns(summary_rows)])
     print(f"wrote {out / 'summary.csv'}")
-    return EXIT_DIVERGED if any_diverged else EXIT_OK
-
-
-def cmd_run(args) -> int:
-    scenario, options = load_scenario(Path(args.config), args.seed)
-    if args.algorithm:
-        options["algorithms"] = [args.algorithm]
-    else:
-        options["algorithms"] = options["algorithms"][:1]
-    if args.preset:
-        options["presets"] = [args.preset]
-    else:
-        options["presets"] = options["presets"][:1]
-    return _sweep(scenario, options, Path(args.out))
+    return EXIT_DIVERGED if any(row[2] for row in summary_rows) else EXIT_OK  # the diverged column
 
 
 def cmd_compare(args) -> int:
+    """``compare``, and ``run``: one algorithm x one preset, the config's first by default."""
     scenario, options = load_scenario(Path(args.config), args.seed)
-    if args.algorithms:
-        options["algorithms"] = [a.strip() for a in args.algorithms.split(",")]
-    if args.presets:
-        options["presets"] = [p.strip() for p in args.presets.split(",")]
+    for key in ("algorithms", "presets"):
+        if getattr(args, key):
+            options[key] = getattr(args, key)
+        elif args.command == "run":
+            options[key] = options[key][:1]
     return _sweep(scenario, options, Path(args.out))
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="daglms", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    out, grid, quad, config = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    out.add_argument("--out", default="out")
+    grid.add_argument("--grid", type=int, default=DEFAULT_SPR_GRID)
+    quad.add_argument("--quad", type=int, default=DEFAULT_QUAD_POINTS)
+    config.add_argument("--config", required=True)
+    config.add_argument("--seed", type=int, default=None)
 
-    p = sub.add_parser("check", help="verdict table for the named gain-filter presets")
-    p.add_argument("--out", default="out")
-    p.add_argument("--grid", type=int, default=DEFAULT_SPR_GRID)
-    p.add_argument("--quad", type=int, default=DEFAULT_QUAD_POINTS)
+    p = sub.add_parser(
+        "check", parents=[out, grid, quad], help="verdict table for the named gain-filter presets"
+    )
     p.add_argument("--expect", default=None, help="CSV of expected verdicts; mismatch exits 1")
     p.add_argument("--custom", action="append", metavar="C1,C2,D1P")
     # read "--custom -1.5,0.2,0.5" as a value, as argparse reads "-1.5"
     p._negative_number_matcher = re.compile(r"^-\.?\d")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("contour", help="SPR/PR flags over a (c1, c2) grid")
+    p = sub.add_parser("contour", parents=[out, grid], help="SPR/PR flags over a (c1, c2) grid")
     p.add_argument("--d1p", type=float, required=True)
     p.add_argument("--c1-min", type=float, default=-2.0)
     p.add_argument("--c1-max", type=float, default=2.0)
@@ -431,32 +420,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c2-min", type=float, default=-1.0)
     p.add_argument("--c2-max", type=float, default=1.0)
     p.add_argument("--c2-step", type=float, default=0.05)
-    p.add_argument("--grid", type=int, default=DEFAULT_SPR_GRID)
-    p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_contour)
 
-    p = sub.add_parser("bode", help="gain/phase tables for the presets")
+    p = sub.add_parser("bode", parents=[out, grid, quad], help="gain/phase tables for the presets")
     p.add_argument("--presets", nargs="*", default=list(PRESET_ORDER))
-    p.add_argument("--grid", type=int, default=DEFAULT_SPR_GRID)
-    p.add_argument("--quad", type=int, default=DEFAULT_QUAD_POINTS)
     p.add_argument("--fs", type=float, default=DEFAULT_SAMPLE_RATE)
-    p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_bode)
 
-    p = sub.add_parser("run", help="single experiment run from a config file")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", default="out")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--algorithm", default=None)
-    p.add_argument("--preset", default=None)
-    p.set_defaults(func=cmd_run)
+    p = sub.add_parser("run", parents=[out, config], help="one algorithm x one preset from a config file")
+    p.add_argument("--algorithm", dest="algorithms", type=lambda name: [name], metavar="NAME")
+    p.add_argument("--preset", dest="presets", type=lambda name: [name], metavar="NAME")
+    p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("compare", help="sweep algorithms x presets from a config file")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", default="out")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--algorithms", default=None, help="comma list overriding the config")
-    p.add_argument("--presets", default=None, help="comma list overriding the config")
+    p = sub.add_parser("compare", parents=[out, config], help="sweep algorithms x presets from a config file")
+    p.add_argument("--algorithms", type=_names, help="comma list overriding the config")
+    p.add_argument("--presets", type=_names, help="comma list overriding the config")
     p.set_defaults(func=cmd_compare)
     return parser
 

@@ -9,6 +9,7 @@ Runs are deterministic given the scenario, policy, configuration and seed.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import time
 import warnings
@@ -65,6 +66,10 @@ class ScenarioConfig:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         if self.n_adaptive_params < 1:
             raise ValueError("n_adaptive_params must be at least 1")
+        if self.open_loop_prefix_samples < 0:
+            raise ValueError("open_loop_prefix_samples must be non-negative")
+        if not self.measurement_noise_rms >= 0.0:  # NaN included
+            raise ValueError("measurement_noise_rms must be non-negative")
         if self.duration_samples <= self.open_loop_prefix_samples:
             raise ValueError("duration must exceed the open-loop prefix")
         if self.kind == "sysid":
@@ -225,8 +230,8 @@ def run_feedforward(
     subtracted at the error point; the update uses the regressor filtered
     through the regressor filter (defaulting to the secondary-path model).
     During the open-loop prefix the compensator is disconnected and no
-    adaptation happens. A block attenuation series is attached when a full
-    window fits the prefix and the controlled span.
+    adaptation happens. A block attenuation series at the default window is
+    attached when one full window fits the prefix and the controlled span.
     """
     if scn.kind != "feedforward":
         raise ValueError("scenario kind must be 'feedforward'")
@@ -244,9 +249,7 @@ def run_feedforward(
     g.filter_signal(np.zeros(prefix))  # silence while the compensator is disconnected
     w_f = reg_filter.fresh().filter_signal(w)
     _adapt_loop(trace, state, x, w, w_f, g.filter_step, prefix, None)
-
-    win = int(round(DEFAULT_ATTEN_WINDOW_S * scn.noise.sample_rate_hz))
-    if prefix >= win and T - prefix >= win:
+    with contextlib.suppress(ValueError):  # no full window fits
         attenuation_db(trace, DEFAULT_ATTEN_WINDOW_S)
     return trace
 
@@ -262,7 +265,8 @@ def attenuation_db(
     the controlled span, with the open-loop variance taken over the whole
     open-loop prefix. Zero controlled variance clamps at +120 dB with the
     companion ``atten_clamped`` mask set; a silent run (both variances
-    zero) reads 0 dB. The series is stored on the trace and returned.
+    zero) reads 0 dB. The series is stored on the trace and returned; a window
+    that does not fit both the prefix and the controlled span raises ValueError.
     """
     fs = float(sample_rate_hz if sample_rate_hz is not None else trace.sample_rate_hz)
     win = int(round(window_seconds * fs))

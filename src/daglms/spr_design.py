@@ -216,6 +216,8 @@ def is_pr_unit_pole(
     ``omega in (pi/grid_size, pi]`` and the residue of the pole at z = 1
     is positive.
     """
+    if grid_size < 256:
+        raise ValueError("grid_size must be at least 256")
     a = np.asarray(h.denominator.coeffs, dtype=float)
     if abs(a.sum()) > 1e-9 * np.abs(a).sum():
         raise ValueError("denominator has no root at z = 1")

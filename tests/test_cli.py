@@ -2,7 +2,9 @@
 
 import csv
 import hashlib
+import re
 from contextlib import nullcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,6 +144,17 @@ class TestContour:
         assert len(rows) == 15
         assert {"c1", "c2", "spr_dag", "pr_integrated"} <= set(rows[0].keys())
 
+    def test_grid_floor(self, tmp_path, capsys):
+        # the PR flags need the grid that check needs
+        code = main([
+            "contour", "--d1p", "0", "--out", str(tmp_path),
+            "--c1-min", "0", "--c1-max", "0", "--c1-step", "1",
+            "--c2-min", "0", "--c2-max", "0", "--c2-step", "1",
+            "--grid", "10",
+        ])
+        assert code == 3
+        assert "grid_size must be at least 256" in capsys.readouterr().err
+
 
 class TestBode:
     def test_integral_flat(self, tmp_path):
@@ -241,6 +254,119 @@ class TestRunCompare:
         assert (out / "trace_lms_integral.csv").exists()
 
 
+def write_config(tmp_path, text):
+    path = tmp_path / "scenario.ini"
+    path.write_text(text)
+    return path
+
+
+def readme_ini():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    return re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+
+
+class TestConfigBoundary:
+    @pytest.mark.parametrize(
+        "line, field",
+        [
+            ("open_loop_prefix_samples = -50", "open_loop_prefix_samples"),
+            ("measurement_noise_rms = -1", "measurement_noise_rms"),
+            ("measurement_noise_rms = nan", "measurement_noise_rms"),
+        ],
+    )
+    def test_scenario_bounds(self, tmp_path, capsys, line, field):
+        path = write_config(tmp_path, SMALL_FEEDFORWARD_CONFIG.replace("open_loop_prefix_samples = 5000", line))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "old, new, named",
+        [
+            ("algorithms = nlms", "algoritms = lms", ["algoritms"]),
+            ("mu_nlms = 0.0002", "mu_nlm = 5", ["mu_nlm"]),
+            ("seed = 11", "seed = 11\nsample_rate = 8000\nprefix = 10", ["sample_rate", "prefix"]),
+        ],
+    )
+    def test_unknown_keys_named(self, tmp_path, capsys, old, new, named):
+        path = write_config(tmp_path, SMALL_FEEDFORWARD_CONFIG.replace(old, new))
+        assert main(["compare", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "unknown key" in err and all(name in err for name in named)
+
+    def test_invalid_gain_of_unswept_algorithm(self, tmp_path, capsys):
+        # every policy is built from the config, not only the swept ones
+        path = write_config(tmp_path, SMALL_FEEDFORWARD_CONFIG.replace("threshold_db", "mu_plms = -1\nthreshold_db"))
+        assert main(["compare", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert "mu must be a positive finite gain" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("window", ["0", "-1", "nan"])
+    def test_window_must_be_positive(self, tmp_path, capsys, window):
+        path = write_config(
+            tmp_path, SMALL_FEEDFORWARD_CONFIG.replace("window_seconds = 1.0", f"window_seconds = {window}")
+        )
+        assert main(["compare", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert "window_seconds" in capsys.readouterr().err
+
+    def test_unknown_algorithm(self, ff_config, tmp_path, capsys):
+        code = main(["compare", "--config", str(ff_config), "--out", str(tmp_path), "--algorithms", "xlms"])
+        assert code == 3
+        assert "unknown algorithm 'xlms'" in capsys.readouterr().err
+
+    def test_readme_example_loads(self, tmp_path):
+        # its values carry inline "; ..." comments
+        scenario, options = cli.load_scenario(write_config(tmp_path, readme_ini()))
+        assert scenario.kind == "feedforward" and scenario.noise.kind == "bandpass"
+        assert scenario.noise.amplitude == 0.006
+        assert scenario.open_loop_prefix_samples == 37500
+        assert scenario.secondary_model is None
+        assert options["algorithms"] == ["lms", "nlms", "plms"]
+        assert options["presets"] == ["integral", "arima2"]
+        assert options["window_seconds"] == 3.0
+
+
+WINDOW_CONFIG = """
+[scenario]
+kind = feedforward
+noise_kind = bandpass
+seed = 5
+n_adaptive_params = 4
+duration_samples = 20000
+open_loop_prefix_samples = {prefix}
+primary_path = resonant_primary
+secondary_path = resonant_secondary
+
+[run]
+presets = integral
+window_seconds = {window}
+"""
+
+
+class TestAttenuationWindow:
+    @pytest.mark.parametrize("prefix", [5000, 8000])
+    def test_window_longer_than_prefix_gives_no_series(self, tmp_path, prefix):
+        # a 4 s window (10000 samples) fits neither prefix; the 8000-sample one
+        # fits the 3 s default window, whose series must not leak through
+        path = write_config(tmp_path, WINDOW_CONFIG.format(prefix=prefix, window=4.0))
+        out = tmp_path / "out"
+        assert main(["compare", "--config", str(path), "--out", str(out)]) == 0
+        assert read_csv(out / "summary.csv")[0]["final_atten_db"] == ""
+        rows = read_csv(out / "trace_nlms_integral.csv")
+        assert len(rows) == 20000
+        assert {r["atten_db"] for r in rows} == {""}
+
+    def test_window_that_fits_keeps_its_series(self, tmp_path):
+        path = write_config(tmp_path, WINDOW_CONFIG.format(prefix=8000, window=2.0))
+        out = tmp_path / "out"
+        assert main(["compare", "--config", str(path), "--out", str(out)]) == 0
+        assert read_csv(out / "summary.csv")[0]["final_atten_db"] != ""
+        rows = read_csv(out / "trace_nlms_integral.csv")
+        # 2 s is 5000 samples: two full windows in the 12000 controlled
+        # samples, and none for the last 2000 rows
+        filled = [r["atten_db"] != "" for r in rows]
+        assert filled == [False] * 8000 + [True] * 10000 + [False] * 2000
+
+
 class TestSysidConfig:
     def test_sysid_from_config(self, tmp_path):
         path = tmp_path / "sysid.ini"
@@ -261,6 +387,77 @@ mu_lms = 0.1
         assert main(["run", "--config", str(path), "--out", str(out)]) == 0
         rows = read_csv(out / "trace_lms_integral.csv")
         assert float(rows[-1]["param_err"]) < 1e-3
+
+
+SYSID_TWO_BY_TWO = """
+[scenario]
+kind = sysid
+noise_kind = white
+seed = 3
+true_params = 0.5, -0.3
+duration_samples = 1000
+
+[run]
+algorithms = lms, plms
+presets = integral, ip
+mu_lms = 0.1
+mu_plms = 0.05
+"""
+
+
+@pytest.mark.parametrize(
+    "extra, run",
+    [([], ("lms", "integral")), (["--algorithm", "plms", "--preset", "ip"], ("plms", "ip"))],
+)
+def test_run_is_compare_of_one(tmp_path, extra, run):
+    """``run`` sweeps the config's first entries, or the one named on the command line."""
+    path = write_config(tmp_path, SYSID_TWO_BY_TWO)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out), *extra]) == 0
+    assert [(r["algorithm"], r["preset"]) for r in read_csv(out / "summary.csv")] == [run]
+    assert sorted(p.name for p in out.iterdir()) == ["summary.csv", f"trace_{run[0]}_{run[1]}.csv"]
+
+
+def row_wise_csv(path, header, rows):
+    """The row-by-row ``csv.writer`` + ``_fmt`` writer: the byte oracle."""
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([cli._fmt(v) for v in row])
+
+
+MIXED_ROWS = [
+    ("lms", True, np.bool_(False), 3, np.int64(-7), None, np.float64(0.1)),
+    ("", False, np.bool_(True), 0, np.int64(2**40), 1.5, np.float64("nan")),
+    ("x y", None, None, None, None, float("nan"), np.float64(-0.0)),
+    ("arima2", True, np.bool_(True), -1, np.int64(0), 0.0, np.float64(np.inf)),
+    (np.float64(5e-324), False, None, 10**18, None, -0.0, np.float64(-np.inf)),
+    (None, np.bool_(False), True, np.int64(5), 7, 1e300, np.float64(-5e-324)),
+]
+
+
+class TestCsvWriter:
+    def test_rows_match_csv_writer(self, tmp_path):
+        header = [f"c{i}" for i in range(len(MIXED_ROWS[0]))]
+        # two blocks, as the trace writer streams them
+        blocks = [cli._columns(MIXED_ROWS[:4]), cli._columns(MIXED_ROWS[4:])]
+        cli._write_csv(tmp_path / "columnar.csv", header, blocks)
+        row_wise_csv(tmp_path / "rows.csv", header, MIXED_ROWS)
+        assert (tmp_path / "columnar.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    def test_arrays_match_csv_writer(self, tmp_path):
+        special = [np.nan, -0.0, 0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e16, 0.1, 123456789.0]
+        columns = [
+            np.array(special),
+            np.arange(-3, len(special) - 3),
+            np.arange(len(special)) % 3 == 0,
+            np.array(special, dtype=np.float32),
+        ]
+        header = ["f64", "i64", "flag", "f32"]
+        cli._write_csv(tmp_path / "columnar.csv", header, [[cli._fields(c) for c in columns]])
+        row_wise_csv(tmp_path / "rows.csv", header, zip(*columns))
+        assert (tmp_path / "columnar.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 def row_wise_trace_csv(path, trace):

@@ -203,6 +203,28 @@ class TestFeedforward:
         with pytest.raises(ValueError, match="duration"):
             default_feedforward_scenario(duration_s=10.0, prefix_s=10.0)
 
+    def test_negative_prefix_rejected(self):
+        with pytest.raises(ValueError, match="open_loop_prefix_samples"):
+            default_feedforward_scenario(duration_s=1.0, prefix_s=-0.02)
+
+    def test_negative_measurement_noise_rejected(self):
+        with pytest.raises(ValueError, match="measurement_noise_rms"):
+            sysid_scenario([0.5, -0.3], noise_rms=-1.0)
+
+    def test_nan_measurement_noise_rejected(self):
+        # NaN > 0 is false, so a NaN level would silently mean no noise
+        with pytest.raises(ValueError, match="measurement_noise_rms"):
+            sysid_scenario([0.5, -0.3], noise_rms=float("nan"))
+
+    def test_default_window_only_where_it_fits(self):
+        # the 3 s window fits a 3 s prefix but not a 2 s one
+        short = default_feedforward_scenario(duration_s=8.0, prefix_s=2.0, n_taps=4)
+        trace = run_feedforward(short, StepSizePolicy.nlms(0.0002))
+        assert trace.atten_db is None and trace.atten_window_samples is None
+        fits = default_feedforward_scenario(duration_s=8.0, prefix_s=3.0, n_taps=4)
+        trace = run_feedforward(fits, StepSizePolicy.nlms(0.0002))
+        assert trace.atten_window_samples == 7500 and trace.atten_db.size == 1
+
 
 def trace_with_residual(residual, prefix, fs=1000.0):
     n = len(residual)

@@ -235,6 +235,11 @@ class TestIsPrUnitPole:
         with pytest.raises(ValueError, match="not simple"):
             is_pr_unit_pole(TransferOperator((1.0,), (1.0, -2.0, 1.0)))
 
+    def test_grid_floor(self):
+        # the floor of is_spr_numeric: a coarser grid misses real-part dips
+        with pytest.raises(ValueError, match="grid_size must be at least 256"):
+            is_pr_unit_pole(integrated_dag(make_preset("integral")), grid_size=10)
+
     def test_unstable_remainder_rejected(self):
         den = poly_mul(Polynomial((1.0, -1.0)), Polynomial((1.0, -1.5)))
         with pytest.raises(ValueError, match="unstable|not simple"):
