@@ -94,7 +94,7 @@ def _preset_row(name: str, cfg: DagConfig, triple, grid: int, quad: int) -> dict
     h = dag_transfer(cfg)
     spr = is_spr_numeric(h, grid)
     pr = is_pr_unit_pole(integrated_dag(cfg), grid)
-    integral = log_gain_integral(h, quad) if spr.is_stable else float("nan")
+    integral = log_gain_integral(h, quad, check_stability=False) if spr.is_stable else float("nan")
     return {
         "name": name,
         "c1": c1,
@@ -111,9 +111,7 @@ CHECK_HEADER = ["name", "c1", "c2", "d1p", "dag_spr", "integrated_pr", "min_re_d
 
 
 def cmd_check(args) -> int:
-    entries: list[tuple[str, DagConfig, tuple]] = []
-    for name in PRESET_ORDER:
-        entries.append((name, make_preset(name), preset_triple(name)))
+    entries = [(name, make_preset(name), preset_triple(name)) for name in PRESET_ORDER]
     for k, spec in enumerate(args.custom or []):
         try:
             c1, c2, d1p = (float(v) for v in spec.split(","))
@@ -181,22 +179,22 @@ def cmd_contour(args) -> int:
 
 
 def cmd_bode(args) -> int:
+    # every preset resolved and every verdict computed before the first file is written
+    tables, summary = [], []
+    for name in args.presets:
+        h = dag_transfer(make_preset(name))
+        spr = is_spr_numeric(h, args.grid)
+        freq, omega, gain_db, phase_deg = bode_points(h, args.grid, args.fs)
+        mean = log_gain_integral(h, args.quad, check_stability=False) / np.pi if spr.is_stable else np.nan
+        tables.append([_fields(c) for c in (freq, omega, gain_db, phase_deg)])
+        summary.append((name, spr.is_spr, bool(np.all(np.abs(phase_deg) < 90.0)), mean))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    summary = []
-    for name in args.presets:
-        cfg = make_preset(name)
-        h = dag_transfer(cfg)
-        freq, omega, gain_db, phase_deg = bode_points(h, args.grid, args.fs)
+    for columns, (name, is_spr, phase_ok, mean_log_gain) in zip(tables, summary):
         path = out / f"bode_{name}.csv"
-        columns = [_fields(c) for c in (freq, omega, gain_db, phase_deg)]
         _write_csv(path, ["freq_hz", "omega_rad", "gain_db", "phase_deg"], [columns])
-        spr = is_spr_numeric(h, args.grid)
-        phase_ok = bool(np.all(np.abs(phase_deg) < 90.0))
-        mean_log_gain = log_gain_integral(h, args.quad) / np.pi if spr.is_stable else float("nan")
-        summary.append((name, spr.is_spr, phase_ok, mean_log_gain))
         print(
-            f"{name:>14}: spr={_fmt(spr.is_spr)} phase_within_90deg={_fmt(phase_ok)} "
+            f"{name:>14}: spr={_fmt(is_spr)} phase_within_90deg={_fmt(phase_ok)} "
             f"mean_log_gain={mean_log_gain:.3g} ({path})"
         )
     _write_csv(
@@ -223,6 +221,18 @@ def _parse_floats(text: str) -> tuple[float, ...]:
 
 def _names(text: str) -> list[str]:
     return [v.strip() for v in text.split(",") if v.strip()]
+
+
+def _number(section: dict, key: str, default: float, make=float):
+    """Pop ``key`` as a finite float and build its value with ``make``; an error names the key."""
+    text = section.pop(key, default)
+    try:
+        value = float(text)
+        if not np.isfinite(value):
+            raise ValueError(f"{text!r} is not finite")
+        return make(value)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from exc
 
 
 def _path_from_config(section: dict, key: str, fs: float) -> TransferOperator | None:
@@ -252,18 +262,18 @@ def load_scenario(path: Path, seed_override: int | None = None):
         # each read pops its key, so the keys left over are the unknown ones
         sc = dict(parser["scenario"])
         run = dict(parser["run"]) if "run" in parser else {}
-        fs = float(sc.pop("sample_rate_hz", DEFAULT_SAMPLE_RATE))
+        fs = _number(sc, "sample_rate_hz", DEFAULT_SAMPLE_RATE)
         kind = sc.pop("kind", "feedforward")
         seed = int(sc.pop("seed", 0))
         noise = NoiseSpec(
             kind=sc.pop("noise_kind", "bandpass"),
             sample_rate_hz=fs,
-            band_low_hz=float(sc.pop("band_low_hz", 70.0)),
-            band_high_hz=float(sc.pop("band_high_hz", 170.0)),
+            band_low_hz=_number(sc, "band_low_hz", 70.0),
+            band_high_hz=_number(sc, "band_high_hz", 170.0),
             seed=seed_override if seed_override is not None else seed,
             # feedforward default is the calibrated disturbance level;
             # identification runs default to unit-power input
-            amplitude=float(sc.pop("amplitude", 0.006 if kind == "feedforward" else 1.0)),
+            amplitude=_number(sc, "amplitude", 0.006 if kind == "feedforward" else 1.0),
         )
         true_params = _parse_floats(sc.pop("true_params")) if "true_params" in sc else None
         scenario = sim.ScenarioConfig(
@@ -276,22 +286,22 @@ def load_scenario(path: Path, seed_override: int | None = None):
             secondary_path=_path_from_config(sc, "secondary_path", fs),
             secondary_model=_path_from_config(sc, "secondary_model", fs),
             regressor_filter=_path_from_config(sc, "regressor_filter", fs),
-            measurement_noise_rms=float(sc.pop("measurement_noise_rms", 0.0)),
+            measurement_noise_rms=_number(sc, "measurement_noise_rms", 0.0),
             open_loop_prefix_samples=int(sc.pop("open_loop_prefix_samples", 0)),
         )
+        # mu_nlms checked on its own, so that a bad delta_nlms is the only error left below
+        mu_nlms = _number(run, "mu_nlms", 0.0002, lambda mu: StepSizePolicy.nlms(mu).mu)
         options = {
             "algorithms": _names(run.pop("algorithms", "nlms")),
             "presets": _names(run.pop("presets", "integral")),
             # all three, so an invalid gain is rejected even for an algorithm not swept
             "policies": {
-                "lms": StepSizePolicy.lms(float(run.pop("mu_lms", 0.2))),
-                "nlms": StepSizePolicy.nlms(
-                    float(run.pop("mu_nlms", 0.0002)), float(run.pop("delta_nlms", 1e-16))
-                ),
-                "plms": StepSizePolicy.plms(float(run.pop("mu_plms", 0.22))),
+                "lms": _number(run, "mu_lms", 0.2, StepSizePolicy.lms),
+                "nlms": _number(run, "delta_nlms", 1e-16, lambda delta: StepSizePolicy.nlms(mu_nlms, delta)),
+                "plms": _number(run, "mu_plms", 0.22, StepSizePolicy.plms),
             },
-            "threshold_db": float(run.pop("threshold_db", 20.0)),
-            "window_seconds": float(run.pop("window_seconds", sim.DEFAULT_ATTEN_WINDOW_S)),
+            "threshold_db": _number(run, "threshold_db", 20.0),
+            "window_seconds": _number(run, "window_seconds", sim.DEFAULT_ATTEN_WINDOW_S),
         }
         if not options["window_seconds"] > 0.0:
             raise ValueError("window_seconds must be positive")
@@ -335,10 +345,10 @@ def _write_trace_csv(path: Path, trace: sim.RunTrace) -> None:
     _write_csv(path, header, _trace_blocks(trace))
 
 
-def _run_one(scenario, policy: StepSizePolicy, preset: str, window_seconds: float) -> sim.RunTrace:
+def _run_one(scenario, policy: StepSizePolicy, cfg: DagConfig, window_seconds: float) -> sim.RunTrace:
     run = sim.run_sysid if scenario.kind == "sysid" else sim.run_feedforward
     try:
-        trace = run(scenario, policy, make_preset(preset))
+        trace = run(scenario, policy, cfg)
     except sim.RunDiverged as exc:
         return exc.trace
     if scenario.kind == "feedforward" and window_seconds != sim.DEFAULT_ATTEN_WINDOW_S:
@@ -350,14 +360,16 @@ def _run_one(scenario, policy: StepSizePolicy, preset: str, window_seconds: floa
 
 
 def _sweep(scenario, options, out: Path) -> int:
+    # every algorithm and preset resolved before the first run, so a bad name leaves no output
+    for algorithm in options["algorithms"]:
+        if algorithm not in options["policies"]:
+            raise ConfigError(f"unknown algorithm {algorithm!r} (known: {', '.join(options['policies'])})")
+    presets = [(preset, make_preset(preset)) for preset in options["presets"]]
     out.mkdir(parents=True, exist_ok=True)
     summary_rows = []
     for algorithm in options["algorithms"]:
-        policy = options["policies"].get(algorithm)
-        if policy is None:
-            raise ConfigError(f"unknown algorithm {algorithm!r} (known: {', '.join(options['policies'])})")
-        for preset in options["presets"]:
-            trace = _run_one(scenario, policy, preset, options["window_seconds"])
+        for preset, cfg in presets:
+            trace = _run_one(scenario, options["policies"][algorithm], cfg, options["window_seconds"])
             trace_path = out / f"trace_{algorithm}_{preset}.csv"
             _write_trace_csv(trace_path, trace)
             final = None

@@ -16,11 +16,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
 
 from .adapt import AdaptState, DivergenceError, StepSizePolicy
 from .dsp_core import NoiseSpec, Polynomial, TransferOperator, gen_noise, poly_mul, windowed_variance
-from .spr_design import DagConfig, is_spr_numeric, ratio_transfer
+from .spr_design import DagConfig, _unit_circle_grid, is_spr_numeric, ratio_transfer
 
 DEFAULT_ATTEN_WINDOW_S = 3.0
 ATTEN_CLAMP_DB = 120.0
@@ -193,7 +192,7 @@ def run_sysid(
     if scn.kind != "sysid":
         raise ValueError("scenario kind must be 'sysid'")
     d = gen_noise(scn.noise, scn.duration_samples)
-    x = _measured(scn, scipy.signal.lfilter(scn.true_params, [1.0], d))
+    x = _measured(scn, np.convolve(scn.true_params, d)[: d.size])
     trace = _empty_trace(scn, record_theta)
     state = AdaptState(scn.n_adaptive_params, policy, cfg)
     _adapt_loop(trace, state, x, d, d, float, 0, scn.true_params)  # float: no path
@@ -324,8 +323,8 @@ def resonant_section(f0_hz: float, radius: float, sample_rate_hz: float) -> Poly
 
 def _normalized_peak(num: Polynomial, den: Polynomial) -> TransferOperator:
     h = TransferOperator(num, den)
-    omega = np.linspace(0.0, np.pi, 4096)
-    peak = float(np.max(np.abs(h.response_at(np.exp(-1j * omega)))))
+    _, z_inv = _unit_circle_grid(4096)
+    peak = float(np.max(np.abs(h.response_at(z_inv))))
     return TransferOperator(Polynomial(tuple(c / peak for c in num.coeffs)), den)
 
 

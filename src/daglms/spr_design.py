@@ -99,9 +99,12 @@ def integrated_dag(cfg: DagConfig) -> TransferOperator:
 
 
 @lru_cache(maxsize=8)
-def _unit_circle_grid(grid_size: int):
-    omega = np.linspace(0.0, np.pi, grid_size)
-    return omega, np.exp(-1j * omega)
+def _unit_circle_grid(grid_size: int, start: float = 0.0):
+    """``omega = linspace(start, pi, grid_size)`` and ``exp(-1j omega)``, shared read-only."""
+    omega = np.linspace(start, np.pi, grid_size)
+    z_inv = np.exp(-1j * omega)
+    omega.flags.writeable = z_inv.flags.writeable = False
+    return omega, z_inv
 
 
 def is_spr_numeric(h: TransferOperator, grid_size: int = DEFAULT_SPR_GRID) -> SprVerdict:
@@ -147,36 +150,33 @@ def log_gain_integral(
     return float(np.sum(np.log(mag)) * step)
 
 
-def arima2_spr_closed_form(c1: float, c2: float, d1p: float) -> bool:
+def arima2_spr_closed_form(c1: float | np.ndarray, c2: float | np.ndarray, d1p: float) -> bool | np.ndarray:
     """Closed-form SPR verdict for ``(1 + c1 q^-1 + c2 q^-2)/(1 - d1p q^-1)``.
 
     On the unit circle the real part is the quadratic
-    ``2 c2 x^2 + (c1 - d1p (1 + c2)) x + (1 - c1 d1p - c2)`` in
-    ``x = cos(omega)``. For ``c2 <= 0`` its minimum over [-1, 1] sits at an
-    endpoint, giving the band ``-1 - c2 < c1 < 1 + c2``; for ``c2 > 0`` the
-    interior vertex adds a bound of ``d1p - 3 d1p c2 +/- 2 s`` with
-    ``s = sqrt(2 (c2 - c2^2)(1 - d1p^2))``, active exactly when the vertex
-    lies inside the circle arc (the guard below). Region boundaries count
-    as not SPR (the condition is open), and the verdict is False outright
-    when the pole or the numerator zeros are not strictly inside the unit
-    circle.
+    ``2 c2 x^2 + (c1 - d1p (1 + c2)) x + (1 - c1 d1p - c2)`` in ``x = cos(omega)``.
+    For ``c2 <= 0`` its minimum over [-1, 1] sits at an endpoint, giving the band
+    ``-1 - c2 < c1 < 1 + c2``; for ``0 < c2 < 1`` the interior vertex adds a bound
+    of ``d1p - 3 d1p c2 +/- 2 s`` with ``s = sqrt(2 (c2 - c2^2)(1 - d1p^2))``,
+    active exactly when the vertex lies inside the circle arc. The condition is
+    open: boundaries are not SPR. With a stable pole, a positive real part puts
+    the numerator zeros inside the circle (the inverse of an SPR filter is SPR),
+    so no root test is needed; only ``c2 >= 1`` escapes the bounds, and it is
+    guarded. Arrays broadcast to an array of verdicts, scalars give a ``bool``;
+    non-finite ``c1`` or ``c2`` raise ValueError.
     """
-    if not abs(d1p) < 1.0:
-        return False
-    if not roots_inside_unit_circle(Polynomial((1.0, c1, c2))):
-        return False
-    if c2 <= 0.0:
-        return -1.0 - c2 < c1 < 1.0 + c2
-    s = math.sqrt(2.0 * (c2 - c2 * c2) * (1.0 - d1p * d1p))
-    if 2.0 * c2 * (d1p - 1.0) < s < 2.0 * c2 * (d1p + 1.0):
-        upper = d1p - 3.0 * d1p * c2 + 2.0 * s
-    else:
-        upper = 1.0 + c2
-    if 2.0 * c2 * (d1p - 1.0) < -s < 2.0 * c2 * (d1p + 1.0):
-        lower = d1p - 3.0 * d1p * c2 - 2.0 * s
-    else:
-        lower = -1.0 - c2
-    return lower < c1 < upper
+    c1 = np.asarray(c1, dtype=float)
+    c2 = np.asarray(c2, dtype=float)
+    if not (np.isfinite(c1).all() and np.isfinite(c2).all()):
+        raise ValueError("c1 and c2 must be finite")
+    # where s is NaN (no real vertex bound) the comparisons with it fail and leave the band
+    with np.errstate(invalid="ignore", over="ignore"):
+        s = np.sqrt(2.0 * (c2 - c2 * c2) * (1.0 - d1p * d1p))
+        lo, hi = 2.0 * c2 * (d1p - 1.0), 2.0 * c2 * (d1p + 1.0)
+        upper = np.where((lo < s) & (s < hi), d1p - 3.0 * d1p * c2 + 2.0 * s, 1.0 + c2)
+        lower = np.where((lo < -s) & (-s < hi), d1p - 3.0 * d1p * c2 - 2.0 * s, -1.0 - c2)
+        spr = (abs(d1p) < 1.0) & (c2 < 1.0) & (lower < c1) & (c1 < upper)
+    return spr if np.ndim(spr) else bool(spr)
 
 
 def grid_axis(start: float, stop: float, step: float) -> np.ndarray:
@@ -196,11 +196,7 @@ def spr_region_grid(d1p: float, c1_range, c2_range):
     """
     c1_values = grid_axis(*c1_range)
     c2_values = grid_axis(*c2_range)
-    flags = np.empty((c1_values.size, c2_values.size), dtype=bool)
-    for i, c1 in enumerate(c1_values):
-        for j, c2 in enumerate(c2_values):
-            flags[i, j] = arima2_spr_closed_form(float(c1), float(c2), d1p)
-    return c1_values, c2_values, flags
+    return c1_values, c2_values, arima2_spr_closed_form(c1_values[:, None], c2_values[None, :], d1p)
 
 
 def is_pr_unit_pole(
@@ -226,8 +222,8 @@ def is_pr_unit_pole(
     if not roots_inside_unit_circle(quotient):
         raise ValueError("unit pole is not simple or remaining denominator is unstable")
     residue = float(h.numerator(1.0)) / float(quotient(1.0))
-    omega = np.linspace(np.pi / grid_size, np.pi, int(grid_size))
-    re = np.real(h.response_at(np.exp(-1j * omega)))
+    _, z_inv = _unit_circle_grid(int(grid_size), np.pi / grid_size)
+    re = np.real(h.response_at(z_inv))
     min_re = float(re.min())
     residue_positive = residue > 0.0
     return PrVerdict(bool(min_re >= -tol and residue_positive), min_re, residue_positive)
@@ -239,12 +235,12 @@ def bode_points(h: TransferOperator, grid_size: int, sample_rate_hz: float):
     Returns ``(freq_hz, omega_rad, gain_db, phase_deg)`` on a uniform grid
     over [0, pi] (0 to half the sample rate).
     """
-    omega = np.linspace(0.0, np.pi, int(grid_size))
-    resp = h.response_at(np.exp(-1j * omega))
+    omega, z_inv = _unit_circle_grid(int(grid_size))
+    resp = h.response_at(z_inv)
     freq = omega * (sample_rate_hz / (2.0 * np.pi))
     gain_db = 20.0 * np.log10(np.abs(resp))
     phase_deg = np.degrees(np.angle(resp))
-    return freq, omega, gain_db, phase_deg
+    return freq, omega.copy(), gain_db, phase_deg
 
 
 def ratio_transfer(g: TransferOperator, g_model: TransferOperator) -> TransferOperator:

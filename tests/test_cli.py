@@ -254,6 +254,29 @@ class TestRunCompare:
         assert (out / "trace_lms_integral.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (
+            ["compare"],
+            SMALL_FEEDFORWARD_CONFIG.replace("integral, arima2", "integral, arima3"),
+            "unknown preset 'arima3'",
+        ),
+        (["compare", "--algorithms", "nlms,foo"], SMALL_FEEDFORWARD_CONFIG, "unknown algorithm 'foo'"),
+        (["bode", "--grid", "10"], None, "grid_size must be at least 256"),
+    ],
+    ids=["unknown-preset", "unknown-algorithm", "bode-grid"],
+)
+def test_config_error_leaves_no_output(tmp_path, capsys, argv, config, message):
+    """A config error found mid-command exits 3 before any CSV is written."""
+    out = tmp_path / "out"
+    if config is not None:
+        argv = [*argv, "--config", str(write_config(tmp_path, config))]
+    assert main([*argv, "--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
 def write_config(tmp_path, text):
     path = tmp_path / "scenario.ini"
     path.write_text(text)
@@ -293,6 +316,23 @@ class TestConfigBoundary:
         assert main(["compare", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert "unknown key" in err and all(name in err for name in named)
+
+    @pytest.mark.parametrize(
+        "old, new, key, message",
+        [
+            ("mu_nlms = 0.0002", "mu_nlms = 0.0002\nmu_lms = abc", "mu_lms", "could not convert"),
+            ("mu_nlms = 0.0002", "mu_nlms = 0.0002\nmu_plms = -1", "mu_plms", "mu must be a positive"),
+            ("mu_nlms = 0.0002", "mu_nlms = 0.0002\ndelta_nlms = -1", "delta_nlms", "delta must be"),
+            ("threshold_db = 10", "threshold_db = nan", "threshold_db", "not finite"),
+        ],
+        ids=["mu_lms", "mu_plms", "delta_nlms", "threshold_db"],
+    )
+    def test_bad_value_names_its_key(self, tmp_path, capsys, old, new, key, message):
+        path = write_config(tmp_path, SMALL_FEEDFORWARD_CONFIG.replace(old, new))
+        assert main(["compare", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert f"{key}: " in err and message in err
+        assert not (tmp_path / "o").exists()
 
     def test_invalid_gain_of_unswept_algorithm(self, tmp_path, capsys):
         # every policy is built from the config, not only the swept ones
@@ -607,6 +647,24 @@ GOLDEN_SHA256 = {
         "trace_plms_ip.csv": "f34898128cb425022bf06b686baa5e0028cc3d82b75193ad9eb71abbf2428a15",
     },
 }
+
+
+CONTOUR_SHA256 = "d026b5a4728f419920f6c5b87f00200869182fb23106ff70c993611e22e272df"
+
+
+def test_contour_golden_bytes(tmp_path):
+    """``daglms contour --d1p 0.5`` at step 0.1 is pinned byte for byte.
+
+    One cell moved when the closed form dropped its numerator root test:
+    (-0.8999999999999999, -0.09999999999999998), where ``spr_dag`` went from
+    0 to 1. Those doubles give 1 + c1 + c2 = +1.1e-16, so in exact arithmetic
+    both numerator zeros are inside the circle and the real part stays
+    positive; the companion-matrix root test had put a zero on or outside the
+    circle. The same cell moves on the default 0.05 grid, for every d1p.
+    """
+    argv = ["contour", "--d1p", "0.5", "--c1-step", "0.1", "--c2-step", "0.1", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert hashlib.sha256((tmp_path / "contour_d1p_0.5.csv").read_bytes()).hexdigest() == CONTOUR_SHA256
 
 
 @pytest.mark.parametrize(

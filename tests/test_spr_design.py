@@ -1,5 +1,7 @@
 """Design toolkit tests: coefficient transform, SPR/PR verdicts, integrals."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -20,6 +22,7 @@ from daglms import (
     spr_region_grid,
 )
 from daglms.adapt import PRESET_ORDER
+from daglms.spr_design import _unit_circle_grid, bode_points, grid_axis
 from conftest import random_stable_poly
 
 
@@ -149,6 +152,74 @@ class TestClosedForm:
             )
             if closed != verdict.is_spr:
                 assert abs(verdict.min_real_part) < 1e-6, (c1, c2, d1p)
+
+
+    @pytest.mark.parametrize("d1p", [0.0, 0.5, 0.9])
+    def test_array_form_matches_scalar_form(self, d1p):
+        # the default contour grid, cell by cell
+        c1_values, c2_values = grid_axis(-2.0, 2.0, 0.05), grid_axis(-1.0, 1.0, 0.05)
+        flags = arima2_spr_closed_form(c1_values[:, None], c2_values[None, :], d1p)
+        assert flags.shape == (c1_values.size, c2_values.size) and flags.dtype == bool
+        for i, c1 in enumerate(c1_values.tolist()):
+            for j, c2 in enumerate(c2_values.tolist()):
+                assert arima2_spr_closed_form(c1, c2, d1p) is bool(flags[i, j]), (c1, c2)
+
+    @pytest.mark.parametrize("d1p", [0.0, 0.5, 0.9])
+    def test_cell_next_to_the_band_edge_is_spr(self, d1p):
+        """The grid point (-0.9, -0.1) lies just inside the band, in exact arithmetic.
+
+        Its doubles give 1 + c1 + c2 = +1.1e-16. A companion-matrix root test
+        put a numerator zero on or outside the circle there; the exact
+        conditions below say the zeros are inside and the real part is positive.
+        """
+        c1, c2 = -0.8999999999999999, -0.09999999999999998
+        assert arima2_spr_closed_form(c1, c2, d1p) is True
+        a, b = Fraction(c1), Fraction(c2)
+        # Jury conditions for z^2 + c1 z + c2: both zeros strictly inside the circle
+        assert abs(b) < 1 and 1 + a + b > 0 and 1 - a + b > 0
+        p = Fraction(d1p)
+        quad, lin, const = 2 * b, a - p * (1 + b), 1 - a * p - b  # the real part in x = cos(omega)
+        vertex = -lin / (2 * quad)
+        for x in (Fraction(-1), Fraction(1), vertex):
+            assert quad * x * x + lin * x + const > 0, x
+
+    @pytest.mark.parametrize("d1p", [0.0, 0.5, 0.9, -0.7])
+    def test_c2_at_least_one_is_not_spr(self, d1p):
+        # a numerator zero on or outside the circle, where s is not real
+        c1 = np.linspace(-3.0, 3.0, 61)
+        for c2 in (1.0, 1.0 + 1e-12, 1.5, 4.0):
+            assert not arima2_spr_closed_form(c1, c2, d1p).any()
+            assert arima2_spr_closed_form(d1p - 3.0 * d1p * c2, c2, d1p) is False
+
+    @pytest.mark.parametrize(
+        "c1, c2",
+        [
+            (np.nan, 0.0), (0.0, np.inf), (-np.inf, 0.5),
+            (np.array([0.0, np.nan]), 0.0), (0.0, np.array([0.2, -np.inf])),
+        ],
+    )
+    def test_non_finite_coefficients_rejected(self, c1, c2):
+        for d1p in (0.5, 1.2):
+            with pytest.raises(ValueError, match="finite"):
+                arima2_spr_closed_form(c1, c2, d1p)
+
+
+class TestUnitCircleGrid:
+    def test_cached_arrays_are_read_only(self):
+        for start in (0.0, np.pi / 512):
+            omega, z_inv = _unit_circle_grid(512, start)
+            assert omega[0] == start and omega[-1] == np.pi
+            for array in (omega, z_inv):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 1.0
+
+    def test_bode_omega_is_a_copy(self):
+        h = dag_transfer(make_preset("arima2"))
+        _, omega, _, _ = bode_points(h, 512, 2500.0)
+        expected = omega.copy()
+        omega[:] = -1.0
+        _, again, _, _ = bode_points(h, 512, 2500.0)
+        assert np.array_equal(again, expected)
 
 
 class TestRegionGrid:
