@@ -28,6 +28,7 @@ from .spr_design import (
     bode_points,
     dag_transfer,
     integrated_dag,
+    integrated_pr_closed_form,
     is_pr_unit_pole,
     is_spr_numeric,
     log_gain_integral,
@@ -156,8 +157,8 @@ def _read_verdicts(path: Path) -> dict[str, tuple[str, str]]:
 
 
 def cmd_contour(args) -> int:
-    # closed-form SPR region; the integrated-filter PR flag has no closed
-    # form and comes from the numerical test per cell
+    if not abs(args.d1p) < 1.0:  # NaN included
+        raise ConfigError(f"--d1p must be finite with |d1p| < 1, got {args.d1p!r}")
     c1_values, c2_values, spr_flags = spr_region_grid(
         args.d1p,
         (args.c1_min, args.c1_max, args.c1_step),
@@ -168,13 +169,10 @@ def cmd_contour(args) -> int:
     path = out / f"contour_d1p_{args.d1p:g}.csv"
     c1 = np.repeat(c1_values, c2_values.size)  # c1-major, as spr_flags is laid out
     c2 = np.tile(c2_values, c1_values.size)
-    pr = [
-        int(is_pr_unit_pole(integrated_dag(DagConfig((a, b), (args.d1p,))), args.grid).is_pr)
-        for a, b in zip(c1.tolist(), c2.tolist())
-    ]
-    columns = [_fields(c1), _fields(c2), _fields(spr_flags.ravel().astype(int)), _fields(pr)]
+    pr_flags = integrated_pr_closed_form(c1, c2, args.d1p)
+    columns = [_fields(c1), _fields(c2), _fields(spr_flags.ravel().astype(int)), _fields(pr_flags.astype(int))]
     _write_csv(path, ["c1", "c2", "spr_dag", "pr_integrated"], [columns])
-    print(f"wrote {path} ({len(pr)} cells)")
+    print(f"wrote {path} ({c1.size} cells)")
     return EXIT_OK
 
 
@@ -235,6 +233,14 @@ def _number(section: dict, key: str, default: float, make=float):
         raise ValueError(f"{key}: {exc}") from exc
 
 
+def _integer(section: dict, key: str, default: int) -> int:
+    """Pop ``key`` as an int, never through float (which would truncate 5.5); an error names the key."""
+    try:
+        return int(section.pop(key, default))
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from exc
+
+
 def _path_from_config(section: dict, key: str, fs: float) -> TransferOperator | None:
     name = section.pop(key, None)
     num, den = section.pop(f"{key}_num", None), section.pop(f"{key}_den", "1.0")
@@ -264,7 +270,7 @@ def load_scenario(path: Path, seed_override: int | None = None):
         run = dict(parser["run"]) if "run" in parser else {}
         fs = _number(sc, "sample_rate_hz", DEFAULT_SAMPLE_RATE)
         kind = sc.pop("kind", "feedforward")
-        seed = int(sc.pop("seed", 0))
+        seed = _integer(sc, "seed", 0)
         noise = NoiseSpec(
             kind=sc.pop("noise_kind", "bandpass"),
             sample_rate_hz=fs,
@@ -279,15 +285,15 @@ def load_scenario(path: Path, seed_override: int | None = None):
         scenario = sim.ScenarioConfig(
             kind=kind,
             noise=noise,
-            n_adaptive_params=int(sc.pop("n_adaptive_params", len(true_params) if true_params else 60)),
-            duration_samples=int(sc.pop("duration_samples", 150000)),
+            n_adaptive_params=_integer(sc, "n_adaptive_params", len(true_params) if true_params else 60),
+            duration_samples=_integer(sc, "duration_samples", 150000),
             true_params=true_params,
             primary_path=_path_from_config(sc, "primary_path", fs),
             secondary_path=_path_from_config(sc, "secondary_path", fs),
             secondary_model=_path_from_config(sc, "secondary_model", fs),
             regressor_filter=_path_from_config(sc, "regressor_filter", fs),
             measurement_noise_rms=_number(sc, "measurement_noise_rms", 0.0),
-            open_loop_prefix_samples=int(sc.pop("open_loop_prefix_samples", 0)),
+            open_loop_prefix_samples=_integer(sc, "open_loop_prefix_samples", 0),
         )
         # mu_nlms checked on its own, so that a bad delta_nlms is the only error left below
         mu_nlms = _number(run, "mu_nlms", 0.0002, lambda mu: StepSizePolicy.nlms(mu).mu)
@@ -424,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p._negative_number_matcher = re.compile(r"^-\.?\d")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("contour", parents=[out, grid], help="SPR/PR flags over a (c1, c2) grid")
+    p = sub.add_parser("contour", parents=[out], help="SPR/PR flags over a (c1, c2) grid")
     p.add_argument("--d1p", type=float, required=True)
     p.add_argument("--c1-min", type=float, default=-2.0)
     p.add_argument("--c1-max", type=float, default=2.0)

@@ -2,16 +2,17 @@
 
 Numerical strict-positive-realness tests, the zero-average log-gain check,
 the closed-form SPR region for the second-order-numerator / first-order-
-denominator gain filter, construction of the integrator-cascaded filter and
-its positive-realness test with the unit-circle pole factored out, plus
-region grids for contour plotting. All operations are pure functions.
+denominator gain filter, construction of the integrator-cascaded filter,
+its positive-realness test with the unit-circle pole factored out and that
+test's closed form for the same family, plus region grids for contour
+plotting. All operations are pure functions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -150,6 +151,20 @@ def log_gain_integral(
     return float(np.sum(np.log(mag)) * step)
 
 
+def _over_coefficient_arrays(verdict):
+    """Decide ``verdict(c1, c2, d1p)`` over broadcast float arrays of finite c1, c2; scalars give a ``bool``."""
+    @wraps(verdict)
+    def decide(c1, c2, d1p):
+        c1, c2 = np.asarray(c1, dtype=float), np.asarray(c2, dtype=float)
+        if not (np.isfinite(c1).all() and np.isfinite(c2).all()):
+            raise ValueError("c1 and c2 must be finite")
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # NaN and inf fail comparisons
+            flags = verdict(c1, c2, d1p)
+        return flags if np.ndim(flags) else bool(flags)
+    return decide
+
+
+@_over_coefficient_arrays
 def arima2_spr_closed_form(c1: float | np.ndarray, c2: float | np.ndarray, d1p: float) -> bool | np.ndarray:
     """Closed-form SPR verdict for ``(1 + c1 q^-1 + c2 q^-2)/(1 - d1p q^-1)``.
 
@@ -165,24 +180,40 @@ def arima2_spr_closed_form(c1: float | np.ndarray, c2: float | np.ndarray, d1p: 
     guarded. Arrays broadcast to an array of verdicts, scalars give a ``bool``;
     non-finite ``c1`` or ``c2`` raise ValueError.
     """
-    c1 = np.asarray(c1, dtype=float)
-    c2 = np.asarray(c2, dtype=float)
-    if not (np.isfinite(c1).all() and np.isfinite(c2).all()):
-        raise ValueError("c1 and c2 must be finite")
     # where s is NaN (no real vertex bound) the comparisons with it fail and leave the band
-    with np.errstate(invalid="ignore", over="ignore"):
-        s = np.sqrt(2.0 * (c2 - c2 * c2) * (1.0 - d1p * d1p))
-        lo, hi = 2.0 * c2 * (d1p - 1.0), 2.0 * c2 * (d1p + 1.0)
-        upper = np.where((lo < s) & (s < hi), d1p - 3.0 * d1p * c2 + 2.0 * s, 1.0 + c2)
-        lower = np.where((lo < -s) & (-s < hi), d1p - 3.0 * d1p * c2 - 2.0 * s, -1.0 - c2)
-        spr = (abs(d1p) < 1.0) & (c2 < 1.0) & (lower < c1) & (c1 < upper)
-    return spr if np.ndim(spr) else bool(spr)
+    s = np.sqrt(2.0 * (c2 - c2 * c2) * (1.0 - d1p * d1p))
+    lo, hi = 2.0 * c2 * (d1p - 1.0), 2.0 * c2 * (d1p + 1.0)
+    upper = np.where((lo < s) & (s < hi), d1p - 3.0 * d1p * c2 + 2.0 * s, 1.0 + c2)
+    lower = np.where((lo < -s) & (-s < hi), d1p - 3.0 * d1p * c2 - 2.0 * s, -1.0 - c2)
+    return (abs(d1p) < 1.0) & (c2 < 1.0) & (lower < c1) & (c1 < upper)
+
+
+@_over_coefficient_arrays
+def integrated_pr_closed_form(c1: float | np.ndarray, c2: float | np.ndarray, d1p: float) -> bool | np.ndarray:
+    """Closed-form PR verdict for ``(1 + c1 q^-1 + c2 q^-2)/((1 - q^-1)(1 - d1p q^-1))``.
+
+    With ``v = sin^2(omega/2)`` in (0, 1] the real part on the circle is
+    ``[1 - c1 - 3 c2 - d1p (c1 - c2 + 3) + 4 (c2 + d1p) v] / [2 ((1 - d1p)^2 + 4 d1p v)]``.
+    Both brackets are linear in v and the denominator is positive for |d1p| < 1, so
+    the real part is monotone: its infimum is the limit at omega -> 0 or the value at
+    pi. PR as :func:`is_pr_unit_pole` defines it: |d1p| < 1, a positive residue
+    ``(1 + c1 + c2)/(1 - d1p)`` at z = 1, and an infimum of at least ``-PR_TOL``, which
+    keeps PR the boundary cells ``grid_axis`` leaves at +-1e-16.
+    Inputs are handled as in :func:`arima2_spr_closed_form`.
+    """
+    at_zero = (1.0 - c1 - 3.0 * c2 - d1p * (c1 - c2 + 3.0)) / (2.0 * (1.0 - d1p) ** 2)
+    at_pi = (1.0 - c1 + c2) / (2.0 * (1.0 + d1p))
+    return (abs(d1p) < 1.0) & (1.0 + c1 + c2 > 0.0) & (np.minimum(at_zero, at_pi) >= -PR_TOL)
 
 
 def grid_axis(start: float, stop: float, step: float) -> np.ndarray:
-    """Inclusive uniform axis for region grids."""
+    """Inclusive uniform axis for region grids; a non-finite bound or step, or ``stop < start``, raises ValueError."""
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ValueError(f"start, stop and step must be finite, got {start!r}, {stop!r}, {step!r}")
     if step <= 0:
         raise ValueError("step must be positive")
+    if stop < start:
+        raise ValueError(f"stop {stop!r} is below start {start!r}")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
     return start + step * np.arange(count)
 
@@ -190,12 +221,18 @@ def grid_axis(start: float, stop: float, step: float) -> np.ndarray:
 def spr_region_grid(d1p: float, c1_range, c2_range):
     """Closed-form SPR verdict per cell of a (c1, c2) grid.
 
-    ``c1_range`` and ``c2_range`` are ``(start, stop, step)`` triples.
+    ``c1_range`` and ``c2_range`` are ``(start, stop, step)`` triples; an
+    invalid one raises ValueError naming its axis.
     Returns ``(c1_values, c2_values, flags)`` with ``flags[i, j]`` the
     verdict at ``(c1_values[i], c2_values[j])``.
     """
-    c1_values = grid_axis(*c1_range)
-    c2_values = grid_axis(*c2_range)
+    axes = []
+    for name, axis_range in (("c1", c1_range), ("c2", c2_range)):
+        try:
+            axes.append(grid_axis(*axis_range))
+        except ValueError as exc:
+            raise ValueError(f"{name} axis: {exc}") from exc
+    c1_values, c2_values = axes
     return c1_values, c2_values, arima2_spr_closed_form(c1_values[:, None], c2_values[None, :], d1p)
 
 

@@ -116,7 +116,6 @@ class TestContour:
             "contour", "--d1p", "0.9", "--out", str(tmp_path),
             "--c1-min", "0.99", "--c1-max", "0.99", "--c1-step", "1",
             "--c2-min", "0", "--c2-max", "0", "--c2-step", "1",
-            "--grid", "1024",
         ])
         assert code == 0
         rows = read_csv(tmp_path / "contour_d1p_0.9.csv")
@@ -128,7 +127,6 @@ class TestContour:
             "contour", "--d1p", "0", "--out", str(tmp_path),
             "--c1-min", "0", "--c1-max", "0", "--c1-step", "1",
             "--c2-min", "0", "--c2-max", "0", "--c2-step", "1",
-            "--grid", "1024",
         ])
         rows = read_csv(tmp_path / "contour_d1p_0.csv")
         assert rows[0]["spr_dag"] == "1" and rows[0]["pr_integrated"] == "1"
@@ -138,22 +136,46 @@ class TestContour:
             "contour", "--d1p", "0.5", "--out", str(tmp_path),
             "--c1-min", "-1", "--c1-max", "1", "--c1-step", "0.5",
             "--c2-min", "-0.5", "--c2-max", "0.5", "--c2-step", "0.5",
-            "--grid", "1024",
         ])
         rows = read_csv(tmp_path / "contour_d1p_0.5.csv")
         assert len(rows) == 15
         assert {"c1", "c2", "spr_dag", "pr_integrated"} <= set(rows[0].keys())
 
     def test_grid_floor(self, tmp_path, capsys):
-        # the PR flags need the grid that check needs
-        code = main([
-            "contour", "--d1p", "0", "--out", str(tmp_path),
-            "--c1-min", "0", "--c1-max", "0", "--c1-step", "1",
-            "--c2-min", "0", "--c2-max", "0", "--c2-step", "1",
-            "--grid", "10",
-        ])
-        assert code == 3
-        assert "grid_size must be at least 256" in capsys.readouterr().err
+        # both flags come from closed forms with no frequency grid, so contour has no --grid
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "contour", "--d1p", "0", "--out", str(tmp_path),
+                "--c1-min", "0", "--c1-max", "0", "--c1-step", "1",
+                "--c2-min", "0", "--c2-max", "0", "--c2-step", "1",
+                "--grid", "10",
+            ])
+        assert exc.value.code == 3
+        assert "unrecognized arguments: --grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["--d1p", "1"], "--d1p"),
+            (["--d1p", "-1"], "--d1p"),
+            (["--d1p", "1.2"], "--d1p"),
+            (["--d1p", "nan"], "--d1p"),
+            (["--d1p", "0", "--c1-min", "1", "--c1-max", "-1"], "c1 axis"),
+            (["--d1p", "0", "--c1-max", "inf"], "c1 axis"),
+            (["--d1p", "0", "--c2-step", "nan"], "c2 axis"),
+            (["--d1p", "0", "--c2-min=-inf"], "c2 axis"),
+            (["--d1p", "0", "--c2-step", "0"], "c2 axis"),
+        ],
+        ids=[
+            "d1p-1", "d1p-minus-1", "d1p-1.2", "d1p-nan",
+            "c1-max-below-min", "c1-max-inf", "c2-step-nan", "c2-min-inf", "c2-step-zero",
+        ],
+    )
+    def test_bad_grid_named(self, tmp_path, capsys, argv, named):
+        # checked where it enters: exit 3 naming the flag or axis, and no CSV
+        assert main(["contour", *argv, "--out", str(tmp_path / "o")]) == 3
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestBode:
@@ -324,8 +346,20 @@ class TestConfigBoundary:
             ("mu_nlms = 0.0002", "mu_nlms = 0.0002\nmu_plms = -1", "mu_plms", "mu must be a positive"),
             ("mu_nlms = 0.0002", "mu_nlms = 0.0002\ndelta_nlms = -1", "delta_nlms", "delta must be"),
             ("threshold_db = 10", "threshold_db = nan", "threshold_db", "not finite"),
+            ("seed = 11", "seed = abc", "seed", "invalid literal for int()"),
+            ("n_adaptive_params = 10", "n_adaptive_params = abc", "n_adaptive_params", "invalid literal for int()"),
+            ("duration_samples = 30000", "duration_samples = abc", "duration_samples", "invalid literal for int()"),
+            (
+                "open_loop_prefix_samples = 5000", "open_loop_prefix_samples = abc",
+                "open_loop_prefix_samples", "invalid literal for int()",
+            ),
+            # an integer key is never parsed through float, which would truncate it
+            ("duration_samples = 30000", "duration_samples = 100.5", "duration_samples", "'100.5'"),
         ],
-        ids=["mu_lms", "mu_plms", "delta_nlms", "threshold_db"],
+        ids=[
+            "mu_lms", "mu_plms", "delta_nlms", "threshold_db",
+            "seed", "n_adaptive_params", "duration_samples", "open_loop_prefix_samples", "duration_samples-fraction",
+        ],
     )
     def test_bad_value_names_its_key(self, tmp_path, capsys, old, new, key, message):
         path = write_config(tmp_path, SMALL_FEEDFORWARD_CONFIG.replace(old, new))
@@ -649,7 +683,7 @@ GOLDEN_SHA256 = {
 }
 
 
-CONTOUR_SHA256 = "d026b5a4728f419920f6c5b87f00200869182fb23106ff70c993611e22e272df"
+CONTOUR_SHA256 = "80fa344a0a0179c4d14e1f6725690be28ef3f12d2a1c6029b7a4ec07af9a133e"
 
 
 def test_contour_golden_bytes(tmp_path):
@@ -661,6 +695,14 @@ def test_contour_golden_bytes(tmp_path):
     both numerator zeros are inside the circle and the real part stays
     positive; the companion-matrix root test had put a zero on or outside the
     circle. The same cell moves on the default 0.05 grid, for every d1p.
+
+    A second cell moved when ``pr_integrated`` came from the closed form:
+    (0.5, -0.5), where it went from 0 to 1. Its numerator
+    ``1 + 0.5 q^-1 - 0.5 q^-2 = (1 + q^-1)(1 - 0.5 q^-1)`` cancels the pole at
+    0.5, leaving ``(1 + q^-1)/(1 - q^-1)``, which is ``-j cot(omega/2)`` on the
+    circle: a real part of 0 at every omega != 0 and a residue of 2, so the
+    filter is lossless and PR. The sampled test read a minimum of -3.1e-9,
+    rounding where the response grows like 1/omega near omega = 0.
     """
     argv = ["contour", "--d1p", "0.5", "--c1-step", "0.1", "--c2-step", "0.1", "--out", str(tmp_path)]
     assert main(argv) == 0

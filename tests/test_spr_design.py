@@ -21,8 +21,8 @@ from daglms import (
     poly_mul,
     spr_region_grid,
 )
-from daglms.adapt import PRESET_ORDER
-from daglms.spr_design import _unit_circle_grid, bode_points, grid_axis
+from daglms.adapt import PRESET_ORDER, preset_triple
+from daglms.spr_design import _unit_circle_grid, bode_points, grid_axis, integrated_pr_closed_form
 from conftest import random_stable_poly
 
 
@@ -315,6 +315,66 @@ class TestIsPrUnitPole:
         den = poly_mul(Polynomial((1.0, -1.0)), Polynomial((1.0, -1.5)))
         with pytest.raises(ValueError, match="unstable|not simple"):
             is_pr_unit_pole(TransferOperator((1.0,), den))
+
+
+class TestIntegratedPrClosedForm:
+    def test_agrees_with_numeric_test(self):
+        # criterion 3's rule: disagreement only where the sampled minimum is within 1e-6 of 0
+        rng = np.random.default_rng(2024)
+        for _ in range(3000):
+            c1, c2, d1p = rng.uniform(-3.0, 3.0), rng.uniform(-2.0, 2.0), rng.uniform(-0.99, 0.99)
+            numeric = is_pr_unit_pole(integrated_dag(DagConfig((c1, c2), (d1p,))))
+            if integrated_pr_closed_form(c1, c2, d1p) != numeric.is_pr:
+                assert abs(numeric.min_real_part_excluding_pole) < 1e-6, (c1, c2, d1p)
+
+    @pytest.mark.parametrize("d1p", [0.0, 0.5, 0.9])
+    def test_array_form_matches_scalar_form(self, d1p):
+        # the default contour grid, cell by cell
+        c1_values, c2_values = grid_axis(-2.0, 2.0, 0.05), grid_axis(-1.0, 1.0, 0.05)
+        flags = integrated_pr_closed_form(c1_values[:, None], c2_values[None, :], d1p)
+        assert flags.shape == (c1_values.size, c2_values.size) and flags.dtype == bool
+        for i, c1 in enumerate(c1_values.tolist()):
+            for j, c2 in enumerate(c2_values.tolist()):
+                assert integrated_pr_closed_form(c1, c2, d1p) is bool(flags[i, j]), (c1, c2)
+
+    def test_presets_give_the_verdict_table(self):
+        # criterion 1's integrated_pr column
+        expected = {"integral": True, "conj_nesterov": False, "ipd": False, "ip": True, "arima2": False}
+        for name in PRESET_ORDER:
+            assert integrated_pr_closed_form(*preset_triple(name)) is expected[name], name
+
+    def test_lossless_cell_is_pr(self):
+        """(0.5, -0.5) at d1p 0.5: the numerator cancels the pole, leaving ``(1 + q^-1)/(1 - q^-1)``.
+
+        On the circle that is ``-j cot(omega/2)``, with a real part of 0 at
+        every omega != 0 and a residue of 2 at z = 1: lossless, hence PR.
+        """
+        c1, c2, d1p = 0.5, -0.5, 0.5
+        assert integrated_pr_closed_form(c1, c2, d1p) is True
+        a, b, p = Fraction(c1), Fraction(c2), Fraction(d1p)
+        assert (a, b) == (1 - p, -p)  # 1 + c1 q^-1 + c2 q^-2 = (1 + q^-1)(1 - d1p q^-1)
+        at_zero = (1 - a - 3 * b - p * (a - b + 3)) / (2 * (1 - p) ** 2)
+        at_pi = (1 - a + b) / (2 * (1 + p))
+        assert at_zero == 0 and at_pi == 0
+        assert (1 + a + b) / (1 - p) == 2
+
+    @pytest.mark.parametrize(
+        "c1, c2",
+        [
+            (np.nan, 0.0), (0.0, np.inf), (-np.inf, 0.5),
+            (np.array([0.0, np.nan]), 0.0), (0.0, np.array([0.2, -np.inf])),
+        ],
+    )
+    def test_non_finite_coefficients_rejected(self, c1, c2):
+        for d1p in (0.5, 1.2):
+            with pytest.raises(ValueError, match="finite"):
+                integrated_pr_closed_form(c1, c2, d1p)
+
+    @pytest.mark.parametrize("d1p", [1.0, -1.0, 1.2, -3.0])
+    def test_pole_on_or_outside_the_circle_is_not_pr(self, d1p):
+        assert integrated_pr_closed_form(0.0, 0.0, d1p) is False
+        c1, c2 = np.meshgrid(np.linspace(-3.0, 3.0, 31), np.linspace(-2.0, 2.0, 21))
+        assert not integrated_pr_closed_form(c1, c2, d1p).any()
 
 
 def test_table_verdict_pairs():
