@@ -22,7 +22,6 @@ from . import sim
 from .adapt import PRESET_ORDER, StepSizePolicy, make_preset, preset_triple
 from .dsp_core import NoiseSpec, Polynomial, TransferOperator
 from .spr_design import (
-    DEFAULT_QUAD_POINTS,
     DEFAULT_SPR_GRID,
     DagConfig,
     bode_points,
@@ -90,12 +89,12 @@ def _write_csv(path: Path, header: list[str], blocks) -> None:
             fh.write("".join(",".join(row) + "\r\n" for row in zip(*columns)))
 
 
-def _preset_row(name: str, cfg: DagConfig, triple, grid: int, quad: int) -> dict:
+def _preset_row(name: str, cfg: DagConfig, triple) -> dict:
     c1, c2, d1p = triple
     h = dag_transfer(cfg)
-    spr = is_spr_numeric(h, grid)
-    pr = is_pr_unit_pole(integrated_dag(cfg), grid)
-    integral = log_gain_integral(h, quad, check_stability=False) if spr.is_stable else float("nan")
+    spr = is_spr_numeric(h)
+    pr = is_pr_unit_pole(integrated_dag(cfg))
+    integral = log_gain_integral(h, check_stability=False) if spr.is_stable else float("nan")
     return {
         "name": name,
         "c1": c1,
@@ -118,9 +117,11 @@ def cmd_check(args) -> int:
             c1, c2, d1p = (float(v) for v in spec.split(","))
         except ValueError as exc:
             raise ConfigError(f"bad --custom value {spec!r}: expected c1,c2,d1p") from exc
+        if not np.all(np.isfinite((c1, c2, d1p))):
+            raise ConfigError(f"bad --custom value {spec!r}: c1, c2 and d1p must be finite")
         entries.append((f"custom{k}", DagConfig((c1, c2), (d1p,) if d1p else ()), (c1, c2, d1p)))
 
-    rows = [_preset_row(name, cfg, triple, args.grid, args.quad) for name, cfg, triple in entries]
+    rows = [_preset_row(name, cfg, triple) for name, cfg, triple in entries]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "check.csv"
@@ -177,13 +178,15 @@ def cmd_contour(args) -> int:
 
 
 def cmd_bode(args) -> int:
+    if not 0.0 < args.fs < np.inf:  # NaN included
+        raise ConfigError(f"--fs must be finite and positive, got {args.fs!r}")
     # every preset resolved and every verdict computed before the first file is written
     tables, summary = [], []
     for name in args.presets:
         h = dag_transfer(make_preset(name))
         spr = is_spr_numeric(h, args.grid)
         freq, omega, gain_db, phase_deg = bode_points(h, args.grid, args.fs)
-        mean = log_gain_integral(h, args.quad, check_stability=False) / np.pi if spr.is_stable else np.nan
+        mean = log_gain_integral(h, check_stability=False) / np.pi if spr.is_stable else np.nan
         tables.append([_fields(c) for c in (freq, omega, gain_db, phase_deg)])
         summary.append((name, spr.is_spr, bool(np.all(np.abs(phase_deg) < 90.0)), mean))
     out = Path(args.out)
@@ -414,16 +417,12 @@ def cmd_compare(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="daglms", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    out, grid, quad, config = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    out, config = (argparse.ArgumentParser(add_help=False) for _ in range(2))
     out.add_argument("--out", default="out")
-    grid.add_argument("--grid", type=int, default=DEFAULT_SPR_GRID)
-    quad.add_argument("--quad", type=int, default=DEFAULT_QUAD_POINTS)
     config.add_argument("--config", required=True)
     config.add_argument("--seed", type=int, default=None)
 
-    p = sub.add_parser(
-        "check", parents=[out, grid, quad], help="verdict table for the named gain-filter presets"
-    )
+    p = sub.add_parser("check", parents=[out], help="verdict table for the named gain-filter presets")
     p.add_argument("--expect", default=None, help="CSV of expected verdicts; mismatch exits 1")
     p.add_argument("--custom", action="append", metavar="C1,C2,D1P")
     # read "--custom -1.5,0.2,0.5" as a value, as argparse reads "-1.5"
@@ -440,7 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c2-step", type=float, default=0.05)
     p.set_defaults(func=cmd_contour)
 
-    p = sub.add_parser("bode", parents=[out, grid, quad], help="gain/phase tables for the presets")
+    p = sub.add_parser("bode", parents=[out], help="gain/phase tables for the presets")
+    p.add_argument("--grid", type=int, default=DEFAULT_SPR_GRID)
     p.add_argument("--presets", nargs="*", default=list(PRESET_ORDER))
     p.add_argument("--fs", type=float, default=DEFAULT_SAMPLE_RATE)
     p.set_defaults(func=cmd_bode)

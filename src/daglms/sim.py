@@ -99,13 +99,12 @@ class RunTrace:
     atten_db: np.ndarray | None = None
     atten_clamped: np.ndarray | None = None
     atten_window_samples: int | None = None
-    theta_path: np.ndarray | None = None
     theta_final: np.ndarray | None = None
 
 
-def _empty_trace(scn: ScenarioConfig, record_theta: bool) -> RunTrace:
+def _empty_trace(scn: ScenarioConfig) -> RunTrace:
     T = scn.duration_samples
-    trace = RunTrace(
+    return RunTrace(
         sample_rate_hz=scn.noise.sample_rate_hz,
         open_loop_prefix_samples=scn.open_loop_prefix_samples,
         e0=np.full(T, np.nan),
@@ -113,9 +112,6 @@ def _empty_trace(scn: ScenarioConfig, record_theta: bool) -> RunTrace:
         residual=np.full(T, np.nan),
         param_err=np.full(T, np.nan),
     )
-    if record_theta:
-        trace.theta_path = np.full((T, scn.n_adaptive_params), np.nan)
-    return trace
 
 
 def _measured(scn: ScenarioConfig, x: np.ndarray) -> np.ndarray:
@@ -144,8 +140,6 @@ def _adapt_loop(trace, state, desired, regressor, regressor_f, path_step, prefix
     errors, posts, param_errs = [], [], []
     started = time.perf_counter()
     trace.residual[:prefix] = desired[:prefix]
-    if trace.theta_path is not None:
-        trace.theta_path[:prefix] = state.theta
     try:
         for t in range(prefix, T):
             k = T - 1 - t
@@ -159,8 +153,6 @@ def _adapt_loop(trace, state, desired, regressor, regressor_f, path_step, prefix
             if target is not None:
                 diff = target - state.theta
                 param_errs.append(math.sqrt(float(np.dot(diff, diff))))
-            if trace.theta_path is not None:
-                trace.theta_path[t] = state.theta
     except DivergenceError as exc:
         trace.diverged = True
         trace.divergence_step = exc.step
@@ -180,7 +172,6 @@ def run_sysid(
     scn: ScenarioConfig,
     policy: StepSizePolicy,
     cfg: DagConfig | None = None,
-    record_theta: bool = False,
 ) -> RunTrace:
     """Identify ``scn.true_params`` from noisy input/output data.
 
@@ -193,7 +184,7 @@ def run_sysid(
         raise ValueError("scenario kind must be 'sysid'")
     d = gen_noise(scn.noise, scn.duration_samples)
     x = _measured(scn, np.convolve(scn.true_params, d)[: d.size])
-    trace = _empty_trace(scn, record_theta)
+    trace = _empty_trace(scn)
     state = AdaptState(scn.n_adaptive_params, policy, cfg)
     _adapt_loop(trace, state, x, d, d, float, 0, scn.true_params)  # float: no path
     return trace
@@ -219,7 +210,6 @@ def run_feedforward(
     scn: ScenarioConfig,
     policy: StepSizePolicy,
     cfg: DagConfig | None = None,
-    record_theta: bool = False,
 ) -> RunTrace:
     """Adaptive feedforward cancellation of a filtered disturbance.
 
@@ -241,7 +231,7 @@ def run_feedforward(
     g_model = scn.secondary_model if scn.secondary_model is not None else scn.secondary_path
     reg_filter = scn.regressor_filter if scn.regressor_filter is not None else g_model
 
-    trace = _empty_trace(scn, record_theta)
+    trace = _empty_trace(scn)
     trace.spr_ok = _screen_path_ratio(scn.secondary_path, g_model)
     state = AdaptState(scn.n_adaptive_params, policy, cfg)
     g = scn.secondary_path.fresh()

@@ -207,14 +207,20 @@ def integrated_pr_closed_form(c1: float | np.ndarray, c2: float | np.ndarray, d1
 
 
 def grid_axis(start: float, stop: float, step: float) -> np.ndarray:
-    """Inclusive uniform axis for region grids; a non-finite bound or step, or ``stop < start``, raises ValueError."""
+    """Inclusive uniform axis for region grids.
+
+    A non-finite bound, step or cell count, or ``stop < start``, raises ValueError.
+    """
     if not all(math.isfinite(v) for v in (start, stop, step)):
         raise ValueError(f"start, stop and step must be finite, got {start!r}, {stop!r}, {step!r}")
     if step <= 0:
         raise ValueError("step must be positive")
     if stop < start:
         raise ValueError(f"stop {stop!r} is below start {start!r}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step
+    if not math.isfinite(span):
+        raise ValueError(f"span from {start!r} to {stop!r} is too large for step {step!r}")
+    count = int(math.floor(span + 1e-9)) + 1
     return start + step * np.arange(count)
 
 

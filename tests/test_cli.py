@@ -165,10 +165,12 @@ class TestContour:
             (["--d1p", "0", "--c2-step", "nan"], "c2 axis"),
             (["--d1p", "0", "--c2-min=-inf"], "c2 axis"),
             (["--d1p", "0", "--c2-step", "0"], "c2 axis"),
+            (["--d1p", "0", "--c1-min=-1e308", "--c1-max", "1e308"], "c1 axis"),
         ],
         ids=[
             "d1p-1", "d1p-minus-1", "d1p-1.2", "d1p-nan",
             "c1-max-below-min", "c1-max-inf", "c2-step-nan", "c2-min-inf", "c2-step-zero",
+            "c1-span-overflow",
         ],
     )
     def test_bad_grid_named(self, tmp_path, capsys, argv, named):
@@ -255,10 +257,20 @@ class TestRunCompare:
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.ini"), "--out", str(tmp_path)]) == 3
 
-    def test_usage_error_exit_code(self, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--no-such-option"],
+            ["check", "--grid", "300"],
+            ["check", "--quad", "10"],
+            ["bode", "--quad", "10"],
+        ],
+        ids=["unknown-option", "check-grid", "check-quad", "bode-quad"],
+    )
+    def test_usage_error_exit_code(self, capsys, argv):
         # exit 2 would claim that a run diverged
         with pytest.raises(SystemExit) as exc:
-            main(["check", "--no-such-option"])
+            main(argv)
         assert exc.value.code == 3
         assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -286,8 +298,14 @@ class TestRunCompare:
         ),
         (["compare", "--algorithms", "nlms,foo"], SMALL_FEEDFORWARD_CONFIG, "unknown algorithm 'foo'"),
         (["bode", "--grid", "10"], None, "grid_size must be at least 256"),
+        (["bode", "--fs", "nan"], None, "--fs must be finite and positive"),
+        (["bode", "--fs", "0"], None, "--fs must be finite and positive"),
+        (["bode", "--fs", "-5"], None, "--fs must be finite and positive"),
+        (["bode", "--fs", "inf"], None, "--fs must be finite and positive"),
+        (["check", "--custom=nan,0,0"], None, "bad --custom value 'nan,0,0': c1, c2 and d1p must be finite"),
     ],
-    ids=["unknown-preset", "unknown-algorithm", "bode-grid"],
+    ids=["unknown-preset", "unknown-algorithm", "bode-grid", "bode-fs-nan", "bode-fs-0", "bode-fs-minus-5",
+         "bode-fs-inf", "check-custom-nan"],
 )
 def test_config_error_leaves_no_output(tmp_path, capsys, argv, config, message):
     """A config error found mid-command exits 3 before any CSV is written."""
@@ -305,9 +323,9 @@ def write_config(tmp_path, text):
     return path
 
 
-def readme_ini():
+def readme_block(lang):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    return re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    return re.search(rf"```{lang}\n(.*?)```", readme, re.S).group(1)
 
 
 class TestConfigBoundary:
@@ -389,7 +407,7 @@ class TestConfigBoundary:
 
     def test_readme_example_loads(self, tmp_path):
         # its values carry inline "; ..." comments
-        scenario, options = cli.load_scenario(write_config(tmp_path, readme_ini()))
+        scenario, options = cli.load_scenario(write_config(tmp_path, readme_block("ini")))
         assert scenario.kind == "feedforward" and scenario.noise.kind == "bandpass"
         assert scenario.noise.amplitude == 0.006
         assert scenario.open_loop_prefix_samples == 37500
@@ -397,6 +415,14 @@ class TestConfigBoundary:
         assert options["algorithms"] == ["lms", "nlms", "plms"]
         assert options["presets"] == ["integral", "arima2"]
         assert options["window_seconds"] == 3.0
+
+
+def test_readme_quickstart_runs(capsys):
+    # the library quickstart prints the two verdicts, then the final error norm of its loop
+    exec(readme_block("python"), {})
+    spr, pr, norm = capsys.readouterr().out.split()
+    assert (spr, pr) == ("True", "False")
+    assert float(norm) < 1e-6
 
 
 WINDOW_CONFIG = """
