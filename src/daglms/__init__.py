@@ -35,6 +35,7 @@ from .sim import (
     attenuation_db,
     default_feedforward_scenario,
     run_feedforward,
+    run_many,
     run_sysid,
     time_to_threshold,
 )
@@ -88,6 +89,7 @@ __all__ = [
     "preset_triple",
     "roots_inside_unit_circle",
     "run_feedforward",
+    "run_many",
     "run_sysid",
     "spr_region_grid",
     "step_size",

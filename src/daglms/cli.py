@@ -119,6 +119,8 @@ def cmd_check(args) -> int:
             raise ConfigError(f"bad --custom value {spec!r}: expected c1,c2,d1p") from exc
         if not np.all(np.isfinite((c1, c2, d1p))):
             raise ConfigError(f"bad --custom value {spec!r}: c1, c2 and d1p must be finite")
+        if not abs(d1p) < 1.0:  # the rule of contour --d1p
+            raise ConfigError(f"bad --custom value {spec!r}: d1p must satisfy |d1p| < 1")
         entries.append((f"custom{k}", DagConfig((c1, c2), (d1p,) if d1p else ()), (c1, c2, d1p)))
 
     rows = [_preset_row(name, cfg, triple) for name, cfg, triple in entries]
@@ -354,18 +356,23 @@ def _write_trace_csv(path: Path, trace: sim.RunTrace) -> None:
     _write_csv(path, header, _trace_blocks(trace))
 
 
-def _run_one(scenario, policy: StepSizePolicy, cfg: DagConfig, window_seconds: float) -> sim.RunTrace:
+# the lockstep loop costs about as much per sample as three single runs: on
+# 60-, 12- and 4-tap sweeps it lost at two runs, tied at three and won from four
+_LOCKSTEP_MIN_RUNS = 4
+
+
+def _traces(scenario, runs: list):
+    """One trace per ``(policy, cfg)``, in order: a sweep of ``_LOCKSTEP_MIN_RUNS`` or
+    more runs in lockstep, a smaller one run by run, each trace as it ends."""
+    if len(runs) >= _LOCKSTEP_MIN_RUNS:
+        yield from sim.run_many(scenario, runs)
+        return
     run = sim.run_sysid if scenario.kind == "sysid" else sim.run_feedforward
-    try:
-        trace = run(scenario, policy, cfg)
-    except sim.RunDiverged as exc:
-        return exc.trace
-    if scenario.kind == "feedforward" and window_seconds != sim.DEFAULT_ATTEN_WINDOW_S:
-        # a series only at the configured window, and only where one full window fits
-        trace.atten_db = trace.atten_clamped = trace.atten_window_samples = None
-        with contextlib.suppress(ValueError):
-            sim.attenuation_db(trace, window_seconds)
-    return trace
+    for policy, cfg in runs:
+        try:
+            yield run(scenario, policy, cfg)
+        except sim.RunDiverged as exc:
+            yield exc.trace
 
 
 def _sweep(scenario, options, out: Path) -> int:
@@ -374,28 +381,35 @@ def _sweep(scenario, options, out: Path) -> int:
         if algorithm not in options["policies"]:
             raise ConfigError(f"unknown algorithm {algorithm!r} (known: {', '.join(options['policies'])})")
     presets = [(preset, make_preset(preset)) for preset in options["presets"]]
+    names = [(algorithm, preset) for algorithm in options["algorithms"] for preset, _ in presets]
+    runs = [(options["policies"][algorithm], cfg) for algorithm in options["algorithms"] for _, cfg in presets]
     out.mkdir(parents=True, exist_ok=True)
     summary_rows = []
-    for algorithm in options["algorithms"]:
-        for preset, cfg in presets:
-            trace = _run_one(scenario, options["policies"][algorithm], cfg, options["window_seconds"])
-            trace_path = out / f"trace_{algorithm}_{preset}.csv"
-            _write_trace_csv(trace_path, trace)
-            final = None
-            tt_idx = None
-            tt_s = None
-            if trace.atten_db is not None and trace.atten_db.size:
-                final = float(trace.atten_db[-1])
-                tt_idx = sim.time_to_threshold(trace, options["threshold_db"])
-                if tt_idx is not None:
-                    tt_s = (tt_idx + 1) * trace.atten_window_samples / trace.sample_rate_hz
-            summary_rows.append(
-                (algorithm, preset, trace.diverged, trace.divergence_step, trace.spr_ok, final, tt_idx, tt_s)
-            )
-            status = f"diverged at {trace.divergence_step}" if trace.diverged else (
-                f"final_atten={final:.2f} dB, t20_idx={tt_idx}" if final is not None else "done"
-            )
-            print(f"{algorithm}+{preset}: {status} ({trace.wall_time_s:.2f}s wall) -> {trace_path}")
+    for (algorithm, preset), trace in zip(names, _traces(scenario, runs)):
+        if scenario.kind == "feedforward" and not trace.diverged and (
+            options["window_seconds"] != sim.DEFAULT_ATTEN_WINDOW_S
+        ):
+            # a series only at the configured window, and only where one full window fits
+            trace.atten_db = trace.atten_clamped = trace.atten_window_samples = None
+            with contextlib.suppress(ValueError):
+                sim.attenuation_db(trace, options["window_seconds"])
+        trace_path = out / f"trace_{algorithm}_{preset}.csv"
+        _write_trace_csv(trace_path, trace)
+        final = None
+        tt_idx = None
+        tt_s = None
+        if trace.atten_db is not None and trace.atten_db.size:
+            final = float(trace.atten_db[-1])
+            tt_idx = sim.time_to_threshold(trace, options["threshold_db"])
+            if tt_idx is not None:
+                tt_s = (tt_idx + 1) * trace.atten_window_samples / trace.sample_rate_hz
+        summary_rows.append(
+            (algorithm, preset, trace.diverged, trace.divergence_step, trace.spr_ok, final, tt_idx, tt_s)
+        )
+        status = f"diverged at {trace.divergence_step}" if trace.diverged else (
+            f"final_atten={final:.2f} dB, t20_idx={tt_idx}" if final is not None else "done"
+        )
+        print(f"{algorithm}+{preset}: {status} ({trace.wall_time_s:.2f}s wall) -> {trace_path}")
     header = ["algorithm", "preset", "diverged", "divergence_step", "spr_ok",
               "final_atten_db", "time_to_threshold_idx", "time_to_threshold_s"]
     _write_csv(out / "summary.csv", header, [_columns(summary_rows)])

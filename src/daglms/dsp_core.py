@@ -4,6 +4,8 @@ Polynomials in the unit-delay operator, rational transfer operators with
 per-sample filtering state, frequency response evaluation, seeded noise
 generation and windowed variance metrics. Everything here is plain
 float64; transfer-operator filtering state is mutable and single-owner.
+``scipy.signal`` is imported where it is used, so the design commands,
+which never filter, start without loading it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.signal
 
 
 class RootFindingError(RuntimeError):
@@ -57,7 +58,16 @@ class Polynomial:
 
     def __call__(self, z_inv):
         """Evaluate at a value (or array) of the delay variable."""
-        return np.polyval(self.coeffs[::-1], z_inv)
+        if np.ndim(z_inv) == 0:
+            return np.polyval(self.coeffs[::-1], z_inv)
+        # np.polyval's Horner steps, in place: on an 8192-point grid each temporary
+        # would be 128 KiB, which glibc maps and unmaps, page faults included
+        x = np.asarray(z_inv)
+        y = np.zeros(x.shape, np.result_type(x, np.float64))
+        for c in self.coeffs[::-1]:
+            y *= x
+            y += c
+        return y
 
     def __mul__(self, other: Polynomial) -> Polynomial:
         return poly_mul(self, other)
@@ -168,11 +178,17 @@ class TransferOperator:
             z[n - 1] = b[n] * u - a[n] * y
         return y
 
+    def bank(self, count: int) -> FilterBank:
+        """``count`` copies of this operator, each starting from its current state."""
+        return FilterBank(self, count)
+
     def filter_signal(self, x) -> np.ndarray:
         """Filter a whole signal, advancing the same state as filter_step."""
         x = np.asarray(x, dtype=float)
         if not self._state:
             return self._b[0] * x + 0.0  # + 0.0: -0.0 becomes 0.0, as in filter_step
+        import scipy.signal
+
         zi = np.asarray(self._state, dtype=float)
         y, zf = scipy.signal.lfilter(self._b, self._a, x, zi=zi)
         self._state = zf.tolist()
@@ -180,6 +196,8 @@ class TransferOperator:
 
     def impulse_response(self, n: int) -> np.ndarray:
         """First ``n`` samples of the impulse response (state untouched)."""
+        import scipy.signal
+
         x = np.zeros(n)
         x[0] = 1.0
         return scipy.signal.lfilter(self._b, self._a, x)
@@ -189,7 +207,9 @@ class TransferOperator:
         den = self._den(z_inv)
         if np.any(den == 0):
             raise SingularityError("pole exactly on the evaluation point")
-        return self._num(z_inv) / den
+        num = self._num(z_inv)
+        num /= den  # in place on an array, as in Polynomial.__call__
+        return num
 
     def freq_response(self, omega):
         """Response on the unit circle at angular frequency ``omega`` [rad]."""
@@ -198,6 +218,35 @@ class TransferOperator:
         if om.ndim == 0:
             return complex(value)
         return value
+
+
+class FilterBank:
+    """Copies of one :class:`TransferOperator`, each with its own state, stepped together.
+
+    :meth:`step` advances every copy by one input sample with
+    :meth:`TransferOperator.filter_step`'s expression order, elementwise, so
+    each copy keeps the bits it would have on its own.
+    """
+
+    def __init__(self, op: TransferOperator, count: int):
+        b, a, z = op._b, op._a, op._state
+        self._order = len(z)
+        self._b0, self._b, self._a = b[0], np.array(b[1:]), np.array(a[1:])
+        # a trailing -0.0 column: u * b[n] + (-0.0) is u * b[n] exactly, and with no
+        # state the output reads b[0] * u + 0.0, as in filter_step
+        self._state = np.tile(np.append(z, -0.0 if z else 0.0), (count, 1))
+
+    def keep(self, rows) -> None:
+        """Drop every copy but ``rows`` (an index array or a boolean mask)."""
+        self._state = self._state[rows]
+
+    def step(self, u: np.ndarray) -> np.ndarray:
+        """One input per copy in, one output per copy out."""
+        z = self._state
+        y = self._b0 * u + z[:, 0]
+        if self._order:
+            z[:, :-1] = u[:, None] * self._b + z[:, 1:] - y[:, None] * self._a
+        return y
 
 
 @dataclass(frozen=True)
@@ -236,6 +285,8 @@ _WARMUP_SAMPLES = 1024
 
 @lru_cache(maxsize=32)
 def _bandpass_sos(low: float, high: float, fs: float):
+    import scipy.signal
+
     inset = _BANDPASS_CORNER_INSET * (high - low)
     return scipy.signal.butter(
         _BANDPASS_HALF_ORDER, [low + inset, high - inset], btype="bandpass", fs=fs, output="sos"
@@ -245,6 +296,8 @@ def _bandpass_sos(low: float, high: float, fs: float):
 @lru_cache(maxsize=32)
 def _bandpass_rms_gain(low: float, high: float, fs: float) -> float:
     # white-noise RMS gain = sqrt of the impulse-response energy
+    import scipy.signal
+
     imp = np.zeros(8192)
     imp[0] = 1.0
     h = scipy.signal.sosfilt(_bandpass_sos(low, high, fs), imp)
@@ -264,6 +317,8 @@ def gen_noise(spec: NoiseSpec, n: int) -> np.ndarray:
     rng = np.random.default_rng(spec.seed)
     if spec.kind == "white":
         return spec.amplitude * rng.standard_normal(n)
+    import scipy.signal
+
     sos = _bandpass_sos(spec.band_low_hz, spec.band_high_hz, spec.sample_rate_hz)
     raw = rng.standard_normal(n + _WARMUP_SAMPLES)
     shaped = scipy.signal.sosfilt(sos, raw)[_WARMUP_SAMPLES:]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapt import AdaptState, DivergenceError, StepSizePolicy
+from .adapt import DIVERGENCE_LIMIT, AdaptState, DivergenceError, StepSizePolicy
 from .dsp_core import NoiseSpec, Polynomial, TransferOperator, gen_noise, poly_mul, windowed_variance
 from .spr_design import DagConfig, _unit_circle_grid, is_spr_numeric, ratio_transfer
 
@@ -102,7 +102,7 @@ class RunTrace:
     theta_final: np.ndarray | None = None
 
 
-def _empty_trace(scn: ScenarioConfig) -> RunTrace:
+def _empty_trace(scn: ScenarioConfig, spr_ok: bool | None) -> RunTrace:
     T = scn.duration_samples
     return RunTrace(
         sample_rate_hz=scn.noise.sample_rate_hz,
@@ -111,6 +111,7 @@ def _empty_trace(scn: ScenarioConfig) -> RunTrace:
         e_post=np.full(T, np.nan),
         residual=np.full(T, np.nan),
         param_err=np.full(T, np.nan),
+        spr_ok=spr_ok,
     )
 
 
@@ -122,24 +123,69 @@ def _measured(scn: ScenarioConfig, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _adapt_loop(trace, state, desired, regressor, regressor_f, path_step, prefix, target) -> None:
-    """The per-sample loop of both scenarios; fills ``trace``.
-
-    The output ``effective_estimate . phi`` over the delay line of ``regressor``
-    passes through ``path_step`` and is subtracted from ``desired``; the update
-    uses the delay line of ``regressor_f``. Nothing adapts in the first
-    ``prefix`` samples; ``param_err`` is filled when ``target`` is given.
-    """
-    n, T = state.n_params, desired.size
+def _delay_line(v: np.ndarray, n: int) -> np.ndarray:
     # r[T-1-t:][:n] is (v[t], v[t-1], ..., v[t-n+1]) with zeros before the start:
     # a contiguous forward slice, which BLAS sums in the order of a delay line
-    pad = np.zeros(n - 1)
-    rev, rev_f = (np.concatenate((pad, v))[::-1].copy() for v in (regressor, regressor_f))
-    x = desired.tolist()
+    return np.concatenate((np.zeros(n - 1), v))[::-1].copy()
+
+
+@dataclass
+class _Signals:
+    """What a scenario feeds each of its runs, built once per call.
+
+    The compensator output ``estimate . phi`` over the delay line ``rev`` passes
+    through ``path`` (None: no path) and is subtracted from ``desired``; the
+    update uses the delay line ``rev_f``. Nothing adapts in the first ``prefix``
+    samples; ``param_err`` is filled when ``target`` is given.
+    """
+
+    desired: np.ndarray
+    rev: np.ndarray
+    rev_f: np.ndarray
+    path: TransferOperator | None
+    prefix: int
+    target: np.ndarray | None
+    spr_ok: bool | None
+
+
+def _signals(scn: ScenarioConfig) -> _Signals:
+    n, T = scn.n_adaptive_params, scn.duration_samples
+    if scn.kind == "sysid":
+        d = gen_noise(scn.noise, T)
+        x = _measured(scn, np.convolve(scn.true_params, d)[:T])
+        rev = _delay_line(d, n)
+        return _Signals(x, rev, rev, None, 0, scn.true_params, None)
+    prefix = scn.open_loop_prefix_samples
+    w = gen_noise(scn.noise, T)
+    x = _measured(scn, scn.primary_path.fresh().filter_signal(w))
+    g_model = scn.secondary_model if scn.secondary_model is not None else scn.secondary_path
+    reg_filter = scn.regressor_filter if scn.regressor_filter is not None else g_model
+    spr_ok = _screen_path_ratio(scn.secondary_path, g_model)
+    g = scn.secondary_path.fresh()
+    g.filter_signal(np.zeros(prefix))  # silence while the compensator is disconnected
+    w_f = reg_filter.fresh().filter_signal(w)
+    return _Signals(x, _delay_line(w, n), _delay_line(w_f, n), g, prefix, None, spr_ok)
+
+
+def _fill_trace(trace: RunTrace, sig: _Signals, stop: int, e_post=None) -> None:
+    """Complete a run whose ``e0`` is stored up to ``stop``: the residual is the
+    measured signal before ``sig.prefix`` and ``e0`` from there on."""
+    prefix = sig.prefix
+    trace.residual[:prefix] = sig.desired[:prefix]
+    trace.residual[prefix:stop] = trace.e0[prefix:stop]
+    if e_post is not None:
+        trace.e_post[prefix:stop] = e_post
+
+
+def _adapt_loop(trace: RunTrace, state: AdaptState, sig: _Signals) -> None:
+    """The per-sample loop of one run; fills ``trace``."""
+    n, T, prefix, target = state.n_params, sig.desired.size, sig.prefix, sig.target
+    rev, rev_f = sig.rev, sig.rev_f
+    path_step = sig.path.filter_step if sig.path is not None else float
+    x = sig.desired.tolist()
     estimate, step = state.effective_estimate, state._step
     errors, posts, param_errs = [], [], []
     started = time.perf_counter()
-    trace.residual[:prefix] = desired[:prefix]
     try:
         for t in range(prefix, T):
             k = T - 1 - t
@@ -161,11 +207,21 @@ def _adapt_loop(trace, state, desired, regressor, regressor_f, path_step, prefix
         trace.wall_time_s = time.perf_counter() - started
         trace.theta_final = state.theta.copy()
         stop = prefix + len(errors)
-        trace.e0[prefix:stop] = trace.residual[prefix:stop] = errors
-        if state.policy.kind == "posterior":
-            trace.e_post[prefix:stop] = posts
+        trace.e0[prefix:stop] = errors
         if target is not None:
             trace.param_err[prefix:stop] = param_errs
+        _fill_trace(trace, sig, stop, posts if state.policy.kind == "posterior" else None)
+
+
+def _run(scn: ScenarioConfig, sig: _Signals, policy: StepSizePolicy, cfg: DagConfig | None) -> RunTrace:
+    trace = _empty_trace(scn, sig.spr_ok)
+    _adapt_loop(trace, AdaptState(scn.n_adaptive_params, policy, cfg), sig)
+    return trace
+
+
+def _attach_attenuation(trace: RunTrace) -> None:
+    with contextlib.suppress(ValueError):  # no full window fits
+        attenuation_db(trace, DEFAULT_ATTEN_WINDOW_S)
 
 
 def run_sysid(
@@ -182,12 +238,7 @@ def run_sysid(
     """
     if scn.kind != "sysid":
         raise ValueError("scenario kind must be 'sysid'")
-    d = gen_noise(scn.noise, scn.duration_samples)
-    x = _measured(scn, np.convolve(scn.true_params, d)[: d.size])
-    trace = _empty_trace(scn)
-    state = AdaptState(scn.n_adaptive_params, policy, cfg)
-    _adapt_loop(trace, state, x, d, d, float, 0, scn.true_params)  # float: no path
-    return trace
+    return _run(scn, _signals(scn), policy, cfg)
 
 
 def _screen_path_ratio(g: TransferOperator, g_model: TransferOperator) -> bool:
@@ -195,13 +246,13 @@ def _screen_path_ratio(g: TransferOperator, g_model: TransferOperator) -> bool:
     try:
         verdict = is_spr_numeric(ratio_transfer(g, g_model))
     except (ValueError, RuntimeError) as exc:
-        warnings.warn(f"could not verify the secondary path ratio: {exc}", stacklevel=3)
+        warnings.warn(f"could not verify the secondary path ratio: {exc}", stacklevel=4)
         return False
     if not verdict.is_spr:
         warnings.warn(
             "secondary path over its model is not strictly positive real "
             f"(min real part {verdict.min_real_part:.3g}); adaptation may degrade",
-            stacklevel=3,
+            stacklevel=4,
         )
     return verdict.is_spr
 
@@ -224,23 +275,161 @@ def run_feedforward(
     """
     if scn.kind != "feedforward":
         raise ValueError("scenario kind must be 'feedforward'")
-    T = scn.duration_samples
-    prefix = scn.open_loop_prefix_samples
-    w = gen_noise(scn.noise, T)
-    x = _measured(scn, scn.primary_path.fresh().filter_signal(w))
-    g_model = scn.secondary_model if scn.secondary_model is not None else scn.secondary_path
-    reg_filter = scn.regressor_filter if scn.regressor_filter is not None else g_model
-
-    trace = _empty_trace(scn)
-    trace.spr_ok = _screen_path_ratio(scn.secondary_path, g_model)
-    state = AdaptState(scn.n_adaptive_params, policy, cfg)
-    g = scn.secondary_path.fresh()
-    g.filter_signal(np.zeros(prefix))  # silence while the compensator is disconnected
-    w_f = reg_filter.fresh().filter_signal(w)
-    _adapt_loop(trace, state, x, w, w_f, g.filter_step, prefix, None)
-    with contextlib.suppress(ValueError):  # no full window fits
-        attenuation_db(trace, DEFAULT_ATTEN_WINDOW_S)
+    trace = _run(scn, _signals(scn), policy, cfg)
+    _attach_attenuation(trace)
     return trace
+
+
+def _lockstep_loop(scn: ScenarioConfig, sig: _Signals, runs: list) -> list[RunTrace]:
+    """The per-sample loop of ``_adapt_loop`` for all ``runs`` at once; one trace per run.
+
+    Row i of every ``(B, ...)`` array is run i. Each operation is the scalar
+    loop's, elementwise over runs, or a stacked ``matmul`` of one row with one
+    vector, which gives each row ``np.dot``'s bits; so every run keeps its bits.
+    A diverged run leaves the active rows and keeps its partial trace.
+    """
+    B, T, n, prefix, target = len(runs), sig.desired.size, scn.n_adaptive_params, sig.prefix, sig.target
+    policies = [policy for policy, _ in runs]
+    # the loop writes e0 and param_err straight into the traces, one row of a block
+    # per run; records a run never writes share one read-only NaN array
+    nan = np.full(T, np.nan)
+    nan.flags.writeable = False
+    e0_block = np.full((B, T), np.nan)
+    err_block = np.full((B, T), np.nan) if target is not None else None
+    traces = [
+        RunTrace(
+            sample_rate_hz=scn.noise.sample_rate_hz,
+            open_loop_prefix_samples=prefix,
+            e0=e0_block[i],
+            e_post=np.full(T, np.nan) if policy.kind == "posterior" else nan,
+            residual=np.full(T, np.nan),
+            param_err=err_block[i] if target is not None else nan,
+            spr_ok=sig.spr_ok,
+        )
+        for i, policy in enumerate(policies)
+    ]
+    cfgs = [cfg if cfg is not None else DagConfig() for _, cfg in runs]
+    depth = max(len(cfg.d) for cfg in cfgs)
+    K = depth + max(len(cfg.c) for cfg in cfgs)
+    # effective estimate: sum over k of weights[:, k] * hist[:, k], with the estimate
+    # history in slots [0, depth) and the correction history in [depth, K)
+    weights = np.zeros((B, K, 1))
+    for i, cfg in enumerate(cfgs):
+        weights[i, :len(cfg.d), 0] = cfg.d
+        weights[i, depth:depth + len(cfg.c), 0] = cfg.c
+    hist = np.zeros((B, K, n))
+    terms = np.empty_like(hist)
+    # step size mu / (a + b * power), exact for each rule: constant (1, 0),
+    # normalized (delta, 1) and posterior (1, mu)
+    mu = np.array([p.mu for p in policies])
+    a = np.array([p.delta if p.kind == "normalized" else 1.0 for p in policies])
+    b = np.array([{"constant": 0.0, "normalized": 1.0, "posterior": p.mu}[p.kind] for p in policies])
+    powered = bool(b.any())
+    bank = sig.path.bank(B) if sig.path is not None else None
+    rows = np.arange(B)  # the run of each active row
+    cols = slice(None)  # the same, as an index into the blocks
+    power_rec = np.full(T, np.nan)
+    rev, rev_f, x = sig.rev, sig.rev_f, sig.desired.tolist()
+    started = time.perf_counter()
+    for t in range(prefix, T):
+        k = T - 1 - t
+        phi, phi_f = rev[k:k + n], rev_f[k:k + n]
+        np.multiply(weights, hist, out=terms)
+        base = terms[:, 0] if K == 1 else terms[:, 0] + terms[:, 1]
+        for j in range(2, K):
+            base += terms[:, j]
+        y = np.matmul(base[:, None, :], phi[:, None])[:, 0, 0]
+        e0 = x[t] - (bank.step(y) if bank is not None else y)
+        mu_t = mu
+        if powered:
+            power = power_rec[t] = float(np.dot(phi_f, phi_f))
+            if power < math.inf:
+                mu_t = mu / (a + b * power)
+            else:  # 0 * inf is NaN, but the constant rule never reads the power
+                with np.errstate(invalid="ignore"):
+                    mu_t = mu / np.where(b == 0.0, 1.0, a + b * power)
+        corr = (mu_t * e0)[:, None] * phi_f
+        base += corr
+        norm = np.sqrt(np.matmul(base[:, None, :], base[:, :, None])[:, 0, 0])
+        if not norm.max() <= DIVERGENCE_LIMIT:  # NaN included
+            ok = norm <= DIVERGENCE_LIMIT
+            for i in np.flatnonzero(~ok).tolist():
+                trace = traces[rows[i]]
+                trace.diverged, trace.divergence_step = True, t - prefix + 1
+                trace.theta_final = hist[i, 0].copy()
+            rows, weights, hist, mu, a, b, e0, base, corr = (
+                v[ok] for v in (rows, weights, hist, mu, a, b, e0, base, corr)
+            )
+            if not rows.size:
+                break
+            terms, cols = np.empty_like(hist), rows
+            if bank is not None:
+                bank.keep(ok)
+        e0_block[cols, t] = e0
+        if K > 1:
+            hist[:, 1:] = hist[:, :-1]
+        hist[:, 0] = base
+        if K > depth:
+            hist[:, depth] = corr
+        if target is not None:
+            diff = target - base
+            err_block[cols, t] = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
+    wall = time.perf_counter() - started
+    for i, r in enumerate(rows.tolist()):
+        traces[r].theta_final = hist[i, 0].copy()
+    for trace, policy in zip(traces, policies):
+        trace.wall_time_s = wall
+        stop = T if not trace.diverged else prefix + trace.divergence_step - 1
+        e_post = None
+        if policy.kind == "posterior":  # the scalar rule's e0 / (1 + mu * power), elementwise
+            e_post = trace.e0[prefix:stop] / (1.0 + policy.mu * power_rec[prefix:stop])
+        _fill_trace(trace, sig, stop, e_post)
+    return traces
+
+
+def run_many(scn: ScenarioConfig, runs) -> list[RunTrace]:
+    """Run each ``(policy, cfg)`` pair of ``runs`` on ``scn``, all in lockstep.
+
+    Returns one trace per pair, in order, each with the bits that
+    :func:`run_sysid` or :func:`run_feedforward` gives that pair. The signals
+    and the secondary-path SPR screen are built once and shared; the runs
+    advance together in one per-sample loop over ``(B, n)`` arrays, B runs of
+    n taps. A diverged run is returned with ``diverged=True`` and its partial
+    trace, as :class:`RunDiverged` carries it, and the other runs go on;
+    nothing is raised. Each trace's ``wall_time_s`` is the shared loop's.
+    A trace's ``e0`` and ``param_err`` are rows of one array per sweep, and a
+    record that a run never writes (``e_post`` of a non-posterior rule,
+    ``param_err`` of a feedforward scenario) is a read-only all-NaN array
+    shared by the sweep.
+
+    Runs of different gain-filter depths share the loop with zero-padded
+    weights. A padded term ``0.0 * h`` (h a stored estimate or correction,
+    always finite) is +-0.0, and adding +-0.0 to a running sum changes it only
+    when the sum is -0.0, turning it into +0.0. When ``cfg.d[0] >= 1`` no sum
+    is ever -0.0. A sum is -0.0 only when all its terms are, and its first
+    term ``d[0] * theta`` is -0.0 only for a -0.0 estimate, since ``d[0] >= 1``
+    cannot round a nonzero estimate to zero. Each new estimate is such a sum
+    plus a correction, and estimates start at +0.0, so by induction none is
+    -0.0. So the padding cannot reach ``e0``, ``e_post``, ``residual`` or
+    ``param_err``. Every preset has ``d[0] >= 1``; a configuration with
+    ``d[0] < 1`` runs only with configurations of its own depths, which need
+    no padding.
+    """
+    runs = list(runs)
+    sig = _signals(scn)
+    groups: dict = {}
+    for i, (_, cfg) in enumerate(runs):
+        cfg = cfg if cfg is not None else DagConfig()
+        groups.setdefault(None if cfg.d[0] >= 1.0 else (len(cfg.d), len(cfg.c)), []).append(i)
+    traces: list = [None] * len(runs)
+    for group in groups.values():
+        for i, trace in zip(group, _lockstep_loop(scn, sig, [runs[i] for i in group])):
+            traces[i] = trace
+    if scn.kind == "feedforward":
+        for trace in traces:
+            if not trace.diverged:
+                _attach_attenuation(trace)
+    return traces
 
 
 def attenuation_db(

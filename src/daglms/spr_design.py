@@ -108,6 +108,15 @@ def _unit_circle_grid(grid_size: int, start: float = 0.0):
     return omega, z_inv
 
 
+@lru_cache(maxsize=8)
+def _midpoint_grid(quad_points: int):
+    """``step = pi / quad_points`` and ``exp(-1j omega)`` at the midpoints, shared read-only."""
+    step = math.pi / quad_points
+    z_inv = np.exp(-1j * ((np.arange(quad_points) + 0.5) * step))
+    z_inv.flags.writeable = False
+    return step, z_inv
+
+
 def is_spr_numeric(h: TransferOperator, grid_size: int = DEFAULT_SPR_GRID) -> SprVerdict:
     """Numerical SPR test on a uniform frequency grid over [0, pi].
 
@@ -145,9 +154,8 @@ def log_gain_integral(
             raise ValueError("numerator has zeros on or outside the unit circle")
         if not roots_inside_unit_circle(h.denominator):
             raise ValueError("denominator has zeros on or outside the unit circle")
-    step = math.pi / quad_points
-    omega = (np.arange(quad_points) + 0.5) * step
-    mag = np.abs(h.response_at(np.exp(-1j * omega)))
+    step, z_inv = _midpoint_grid(int(quad_points))
+    mag = np.abs(h.response_at(z_inv))
     return float(np.sum(np.log(mag)) * step)
 
 

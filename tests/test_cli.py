@@ -2,7 +2,10 @@
 
 import csv
 import hashlib
+import os
 import re
+import subprocess
+import sys
 from contextlib import nullcontext
 from pathlib import Path
 
@@ -303,9 +306,14 @@ class TestRunCompare:
         (["bode", "--fs", "-5"], None, "--fs must be finite and positive"),
         (["bode", "--fs", "inf"], None, "--fs must be finite and positive"),
         (["check", "--custom=nan,0,0"], None, "bad --custom value 'nan,0,0': c1, c2 and d1p must be finite"),
+        *(
+            (["check", f"--custom={spec}"], None, f"bad --custom value '{spec}': d1p must satisfy |d1p| < 1")
+            for spec in ("0,0,1", "0,0,-1", "0,0,1.5", "0.5,0.2,-1.2")
+        ),
     ],
     ids=["unknown-preset", "unknown-algorithm", "bode-grid", "bode-fs-nan", "bode-fs-0", "bode-fs-minus-5",
-         "bode-fs-inf", "check-custom-nan"],
+         "bode-fs-inf", "check-custom-nan", "check-custom-d1p-1", "check-custom-d1p-minus-1",
+         "check-custom-d1p-1.5", "check-custom-d1p-minus-1.2"],
 )
 def test_config_error_leaves_no_output(tmp_path, capsys, argv, config, message):
     """A config error found mid-command exits 3 before any CSV is written."""
@@ -315,6 +323,14 @@ def test_config_error_leaves_no_output(tmp_path, capsys, argv, config, message):
     assert main([*argv, "--out", str(out)]) == 3
     assert message in capsys.readouterr().err
     assert not list(out.glob("*.csv"))
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    """``check``, ``contour`` and ``bode`` never filter, so they start without ``scipy.signal``."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, daglms.cli; assert 'scipy.signal' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def write_config(tmp_path, text):
