@@ -115,14 +115,48 @@ def preset_triple(name: str) -> tuple[float, float, float]:
     return c1, c2, d1p
 
 
+def step_rule(policy: StepSizePolicy) -> tuple[float, float]:
+    """``(a, b)`` of the exact gain ``mu / (a + b * phi.phi)``: constant ``(1, 0)``,
+    normalized ``(delta, 1)``, posterior ``(1, mu)``."""
+    return {"constant": (1.0, 0.0), "normalized": (policy.delta, 1.0), "posterior": (1.0, policy.mu)}[policy.kind]
+
+
+def gain_weights(cfg: DagConfig, depth: int, K: int) -> np.ndarray:
+    """The ``(K, 1)`` weights of ``cfg`` in a history block, K leading: past estimates
+    in slots ``[0, depth)``, past corrections in ``[depth, K)``, zeros past ``cfg``'s own."""
+    weights = np.zeros((K, 1))
+    weights[:len(cfg.d), 0] = cfg.d
+    weights[depth:depth + len(cfg.c), 0] = cfg.c
+    return weights
+
+
+def gain_sum(weights: np.ndarray, hist: np.ndarray) -> np.ndarray:
+    """The effective estimate, ``weights[k] * hist[k]`` summed in order of k, as a new array."""
+    terms = weights * hist
+    out = terms[0] if len(terms) == 1 else terms[0] + terms[1]
+    for k in range(2, len(terms)):
+        out += terms[k]
+    return out
+
+
+def push_history(hist: np.ndarray, depth: int, estimate: np.ndarray, corr: np.ndarray) -> None:
+    """Move every slot one back, then store the new estimate in slot 0 and the correction in slot ``depth``."""
+    if len(hist) > 1:
+        hist[1:] = hist[:-1]
+    hist[0] = estimate
+    if depth < len(hist):
+        hist[depth] = corr
+
+
 class AdaptState:
     """Mutable state of one adaptation loop.
 
-    Keeps the estimate history (depth ``len(d)``, i.e. 1 for the trivial
-    configuration) and the correction history (depth ``len(c)``), all
-    vectors of length ``n_params``. Histories start from ``theta0``
-    (default zero) and zero corrections, which makes the first steps
-    well-defined and reproducible. Single-owner: one loop per instance.
+    Keeps ``len(d)`` past estimates (1 for the trivial configuration) and
+    ``len(c)`` past corrections, vectors of length ``n_params``, in one
+    ``(K, n_params)`` history block; ``theta_hist`` and ``corr_hist`` are views
+    of its two parts. Histories start from ``theta0`` (default zero) and zero
+    corrections, which makes the first steps well-defined and reproducible.
+    Single-owner: one loop per instance.
     """
 
     def __init__(
@@ -139,23 +173,23 @@ class AdaptState:
         self.n_params = n_params
         self.policy = policy
         self.cfg = cfg if cfg is not None else DagConfig()
-        self._d = np.asarray(self.cfg.d, dtype=float)
-        self._c = np.asarray(self.cfg.c, dtype=float)
-        if theta0 is None:
-            init = np.zeros(n_params)
-        else:
-            init = np.array(theta0, dtype=float)
-            if init.shape != (n_params,):
-                raise ValueError(f"theta0 must have shape ({n_params},)")
-        self.theta_hist = np.tile(init, (self._d.size, 1))
-        self.corr_hist = np.zeros((self._c.size, n_params))
+        init = np.zeros(n_params) if theta0 is None else np.asarray(theta0, dtype=float)
+        if init.shape != (n_params,):
+            raise ValueError(f"theta0 must have shape ({n_params},)")
+        self._depth = depth = len(self.cfg.d)
+        K = depth + len(self.cfg.c)
+        self._weights = gain_weights(self.cfg, depth, K)
+        self._hist = np.zeros((K, n_params))
+        self._hist[:depth] = init
+        self.theta_hist, self.corr_hist = self._hist[:depth], self._hist[depth:]
+        self._rule = step_rule(policy)
         self.t = 0
         self.divergence_limit = float(divergence_limit)
 
     @property
     def theta(self) -> np.ndarray:
         """Latest estimate."""
-        return self.theta_hist[0]
+        return self._hist[0]
 
     def _check_phi(self, phi) -> np.ndarray:
         phi = np.asarray(phi, dtype=float)
@@ -170,14 +204,7 @@ class AdaptState:
         added; with the trivial configuration it is just the latest
         estimate.
         """
-        d = self._d
-        out = d[0] * self.theta_hist[0]
-        for i in range(1, d.size):
-            out += d[i] * self.theta_hist[i]
-        c = self._c
-        for k in range(c.size):
-            out += c[k] * self.corr_hist[k]
-        return out
+        return gain_sum(self._weights, self._hist)
 
     def a_priori_predict(self, phi) -> PredictionPair:
         """Predicted output before seeing the desired value."""
@@ -208,21 +235,15 @@ class AdaptState:
         """Add the correction for ``e0`` to ``base`` (this step's effective
         estimate) in place, making it the new estimate; returns ``e_post``."""
         self.t += 1
-        if self.policy.kind == "posterior":
-            scale = 1.0 + self.policy.mu * float(np.dot(phi, phi))
-            mu_t, e_post = self.policy.mu / scale, e0 / scale
-        else:
-            mu_t, e_post = step_size(self.policy, phi), None
+        a, b = self._rule
+        mu_t = self.policy.mu
+        if b:  # the constant rule never reads the power
+            scale = a + b * float(np.dot(phi, phi))
+            mu_t /= scale
         corr = (mu_t * e0) * phi
         base += corr
         norm = math.sqrt(float(np.dot(base, base)))
         if not math.isfinite(norm) or norm > self.divergence_limit:
             raise DivergenceError(self.t, norm)
-        if self.theta_hist.shape[0] > 1:
-            self.theta_hist[1:] = self.theta_hist[:-1]
-        self.theta_hist[0] = base
-        if self.corr_hist.shape[0] > 1:
-            self.corr_hist[1:] = self.corr_hist[:-1]
-        if self.corr_hist.shape[0]:
-            self.corr_hist[0] = corr
-        return e_post
+        push_history(self._hist, self._depth, base, corr)
+        return e0 / scale if self.policy.kind == "posterior" else None

@@ -179,9 +179,15 @@ def cmd_contour(args) -> int:
     return EXIT_OK
 
 
+# the most points bode evaluates per preset; its default grid has 8192
+MAX_BODE_GRID = 2**20
+
+
 def cmd_bode(args) -> int:
     if not 0.0 < args.fs < np.inf:  # NaN included
         raise ConfigError(f"--fs must be finite and positive, got {args.fs!r}")
+    if args.grid > MAX_BODE_GRID:
+        raise ConfigError(f"--grid must be at most {MAX_BODE_GRID}, got {args.grid}")
     # every preset resolved and every verdict computed before the first file is written
     tables, summary = [], []
     for name in args.presets:

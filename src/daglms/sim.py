@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adapt import DIVERGENCE_LIMIT, AdaptState, DivergenceError, StepSizePolicy
+from .adapt import gain_sum, gain_weights, push_history, step_rule
 from .dsp_core import NoiseSpec, Polynomial, TransferOperator, gen_noise, poly_mul, windowed_variance
 from .spr_design import DagConfig, _unit_circle_grid, is_spr_numeric, ratio_transfer
 
@@ -100,19 +101,6 @@ class RunTrace:
     atten_clamped: np.ndarray | None = None
     atten_window_samples: int | None = None
     theta_final: np.ndarray | None = None
-
-
-def _empty_trace(scn: ScenarioConfig, spr_ok: bool | None) -> RunTrace:
-    T = scn.duration_samples
-    return RunTrace(
-        sample_rate_hz=scn.noise.sample_rate_hz,
-        open_loop_prefix_samples=scn.open_loop_prefix_samples,
-        e0=np.full(T, np.nan),
-        e_post=np.full(T, np.nan),
-        residual=np.full(T, np.nan),
-        param_err=np.full(T, np.nan),
-        spr_ok=spr_ok,
-    )
 
 
 def _measured(scn: ScenarioConfig, x: np.ndarray) -> np.ndarray:
@@ -214,7 +202,10 @@ def _adapt_loop(trace: RunTrace, state: AdaptState, sig: _Signals) -> None:
 
 
 def _run(scn: ScenarioConfig, sig: _Signals, policy: StepSizePolicy, cfg: DagConfig | None) -> RunTrace:
-    trace = _empty_trace(scn, sig.spr_ok)
+    e0, e_post, residual, param_err = np.full((4, scn.duration_samples), np.nan)
+    trace = RunTrace(
+        scn.noise.sample_rate_hz, scn.open_loop_prefix_samples, e0, e_post, residual, param_err, spr_ok=sig.spr_ok
+    )
     _adapt_loop(trace, AdaptState(scn.n_adaptive_params, policy, cfg), sig)
     return trace
 
@@ -283,7 +274,8 @@ def run_feedforward(
 def _lockstep_loop(scn: ScenarioConfig, sig: _Signals, runs: list) -> list[RunTrace]:
     """The per-sample loop of ``_adapt_loop`` for all ``runs`` at once; one trace per run.
 
-    Row i of every ``(B, ...)`` array is run i. Each operation is the scalar
+    Row i of every ``(B, ...)`` array, and of each slot of the ``(K, B, n)`` history
+    block and its ``(K, B, 1)`` weights, is run i. Each operation is the scalar
     loop's, elementwise over runs, or a stacked ``matmul`` of one row with one
     vector, which gives each row ``np.dot``'s bits; so every run keeps its bits.
     A diverged run leaves the active rows and keeps its partial trace.
@@ -311,19 +303,10 @@ def _lockstep_loop(scn: ScenarioConfig, sig: _Signals, runs: list) -> list[RunTr
     cfgs = [cfg if cfg is not None else DagConfig() for _, cfg in runs]
     depth = max(len(cfg.d) for cfg in cfgs)
     K = depth + max(len(cfg.c) for cfg in cfgs)
-    # effective estimate: sum over k of weights[:, k] * hist[:, k], with the estimate
-    # history in slots [0, depth) and the correction history in [depth, K)
-    weights = np.zeros((B, K, 1))
-    for i, cfg in enumerate(cfgs):
-        weights[i, :len(cfg.d), 0] = cfg.d
-        weights[i, depth:depth + len(cfg.c), 0] = cfg.c
-    hist = np.zeros((B, K, n))
-    terms = np.empty_like(hist)
-    # step size mu / (a + b * power), exact for each rule: constant (1, 0),
-    # normalized (delta, 1) and posterior (1, mu)
+    weights = np.stack([gain_weights(cfg, depth, K) for cfg in cfgs], axis=1)
+    hist = np.zeros((K, B, n))
     mu = np.array([p.mu for p in policies])
-    a = np.array([p.delta if p.kind == "normalized" else 1.0 for p in policies])
-    b = np.array([{"constant": 0.0, "normalized": 1.0, "posterior": p.mu}[p.kind] for p in policies])
+    a, b = np.array([step_rule(p) for p in policies]).T
     powered = bool(b.any())
     bank = sig.path.bank(B) if sig.path is not None else None
     rows = np.arange(B)  # the run of each active row
@@ -334,10 +317,7 @@ def _lockstep_loop(scn: ScenarioConfig, sig: _Signals, runs: list) -> list[RunTr
     for t in range(prefix, T):
         k = T - 1 - t
         phi, phi_f = rev[k:k + n], rev_f[k:k + n]
-        np.multiply(weights, hist, out=terms)
-        base = terms[:, 0] if K == 1 else terms[:, 0] + terms[:, 1]
-        for j in range(2, K):
-            base += terms[:, j]
+        base = gain_sum(weights, hist)
         y = np.matmul(base[:, None, :], phi[:, None])[:, 0, 0]
         e0 = x[t] - (bank.step(y) if bank is not None else y)
         mu_t = mu
@@ -356,27 +336,22 @@ def _lockstep_loop(scn: ScenarioConfig, sig: _Signals, runs: list) -> list[RunTr
             for i in np.flatnonzero(~ok).tolist():
                 trace = traces[rows[i]]
                 trace.diverged, trace.divergence_step = True, t - prefix + 1
-                trace.theta_final = hist[i, 0].copy()
-            rows, weights, hist, mu, a, b, e0, base, corr = (
-                v[ok] for v in (rows, weights, hist, mu, a, b, e0, base, corr)
-            )
+                trace.theta_final = hist[0, i].copy()
+            rows, mu, a, b, e0, base, corr = (v[ok] for v in (rows, mu, a, b, e0, base, corr))
+            weights, hist = weights[:, ok], hist[:, ok]
             if not rows.size:
                 break
-            terms, cols = np.empty_like(hist), rows
+            cols = rows
             if bank is not None:
                 bank.keep(ok)
         e0_block[cols, t] = e0
-        if K > 1:
-            hist[:, 1:] = hist[:, :-1]
-        hist[:, 0] = base
-        if K > depth:
-            hist[:, depth] = corr
+        push_history(hist, depth, base, corr)
         if target is not None:
             diff = target - base
             err_block[cols, t] = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
     wall = time.perf_counter() - started
     for i, r in enumerate(rows.tolist()):
-        traces[r].theta_final = hist[i, 0].copy()
+        traces[r].theta_final = hist[0, i].copy()
     for trace, policy in zip(traces, policies):
         trace.wall_time_s = wall
         stop = T if not trace.diverged else prefix + trace.divergence_step - 1
@@ -394,9 +369,11 @@ def run_many(scn: ScenarioConfig, runs) -> list[RunTrace]:
     :func:`run_sysid` or :func:`run_feedforward` gives that pair. The signals
     and the secondary-path SPR screen are built once and shared; the runs
     advance together in one per-sample loop over ``(B, n)`` arrays, B runs of
-    n taps. A diverged run is returned with ``diverged=True`` and its partial
-    trace, as :class:`RunDiverged` carries it, and the other runs go on;
-    nothing is raised. Each trace's ``wall_time_s`` is the shared loop's.
+    n taps, whose gain-filter histories share one ``(K, B, n)`` block, the
+    :class:`~daglms.adapt.AdaptState` block with a run axis, summed and advanced
+    by the same ``adapt`` helpers. A diverged run is returned with
+    ``diverged=True`` and its partial trace, as :class:`RunDiverged` carries it,
+    and the other runs go on; nothing is raised. Each trace's ``wall_time_s`` is the shared loop's.
     A trace's ``e0`` and ``param_err`` are rows of one array per sweep, and a
     record that a run never writes (``e_post`` of a non-posterior rule,
     ``param_err`` of a feedforward scenario) is a read-only all-NaN array

@@ -214,11 +214,7 @@ def integrated_pr_closed_form(c1: float | np.ndarray, c2: float | np.ndarray, d1
     return (abs(d1p) < 1.0) & (1.0 + c1 + c2 > 0.0) & (np.minimum(at_zero, at_pi) >= -PR_TOL)
 
 
-def grid_axis(start: float, stop: float, step: float) -> np.ndarray:
-    """Inclusive uniform axis for region grids.
-
-    A non-finite bound, step or cell count, or ``stop < start``, raises ValueError.
-    """
+def _axis_count(start: float, stop: float, step: float) -> int:
     if not all(math.isfinite(v) for v in (start, stop, step)):
         raise ValueError(f"start, stop and step must be finite, got {start!r}, {stop!r}, {step!r}")
     if step <= 0:
@@ -228,25 +224,41 @@ def grid_axis(start: float, stop: float, step: float) -> np.ndarray:
     span = (stop - start) / step
     if not math.isfinite(span):
         raise ValueError(f"span from {start!r} to {stop!r} is too large for step {step!r}")
-    count = int(math.floor(span + 1e-9)) + 1
-    return start + step * np.arange(count)
+    return int(math.floor(span + 1e-9)) + 1
+
+
+def grid_axis(start: float, stop: float, step: float) -> np.ndarray:
+    """Inclusive uniform axis for region grids.
+
+    A non-finite bound, step or cell count, or ``stop < start``, raises ValueError.
+    """
+    return start + step * np.arange(_axis_count(start, stop, step))
+
+
+# the most cells spr_region_grid builds; its callers' default grid has 3321
+MAX_REGION_CELLS = 10**6
 
 
 def spr_region_grid(d1p: float, c1_range, c2_range):
     """Closed-form SPR verdict per cell of a (c1, c2) grid.
 
     ``c1_range`` and ``c2_range`` are ``(start, stop, step)`` triples; an
-    invalid one raises ValueError naming its axis.
+    invalid one raises ValueError naming its axis, and so does a grid of more
+    than :data:`MAX_REGION_CELLS` cells, before anything is allocated.
     Returns ``(c1_values, c2_values, flags)`` with ``flags[i, j]`` the
     verdict at ``(c1_values[i], c2_values[j])``.
     """
-    axes = []
+    counts = []
     for name, axis_range in (("c1", c1_range), ("c2", c2_range)):
         try:
-            axes.append(grid_axis(*axis_range))
+            counts.append(_axis_count(*axis_range))
         except ValueError as exc:
             raise ValueError(f"{name} axis: {exc}") from exc
-    c1_values, c2_values = axes
+    if counts[0] * counts[1] > MAX_REGION_CELLS:
+        raise ValueError(
+            f"c1 axis ({counts[0]} values) x c2 axis ({counts[1]} values) is more than {MAX_REGION_CELLS} cells"
+        )
+    c1_values, c2_values = grid_axis(*c1_range), grid_axis(*c2_range)
     return c1_values, c2_values, arima2_spr_closed_form(c1_values[:, None], c2_values[None, :], d1p)
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from daglms import Polynomial, StepSizePolicy
+from daglms import DagConfig, Polynomial, StepSizePolicy
 from daglms.adapt import step_size
 
 
@@ -36,19 +36,31 @@ def random_stable_poly(
     return Polynomial(tuple(np.real(coeffs)))
 
 
-def reference_vslms(policy: StepSizePolicy, phis: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Plain tap-weight update loop, the no-shaping-filter oracle.
+def reference_vslms(
+    policy: StepSizePolicy, phis: np.ndarray, xs: np.ndarray, cfg: DagConfig | None = None
+) -> np.ndarray:
+    """Tap-weight update loop through the gain filter ``cfg`` (default: none), the engine's oracle.
 
-    Uses the same floating-point operation order as the engine so
-    trajectories can be compared bit for bit.
+    Past estimates and past corrections are kept in two separate lists, and the
+    effective estimate sums the ``d`` terms and then the ``c`` terms in order: the
+    engine's floating-point operation order, written apart from its history block,
+    so trajectories can be compared bit for bit.
     """
+    cfg = cfg if cfg is not None else DagConfig()
     n = phis.shape[1]
-    theta = np.zeros(n)
+    thetas = [np.zeros(n)] * len(cfg.d)
+    corrs = [np.zeros(n)] * len(cfg.c)
     out = np.empty_like(phis)
     for t in range(phis.shape[0]):
         phi = phis[t]
-        e0 = float(xs[t]) - float(np.dot(theta, phi))
-        mu_t = step_size(policy, phi)
-        theta = theta + (mu_t * e0) * phi
+        terms = [d * theta for d, theta in zip(cfg.d, thetas)] + [c * corr for c, corr in zip(cfg.c, corrs)]
+        base = terms[0]
+        for term in terms[1:]:
+            base = base + term
+        e0 = float(xs[t]) - float(np.dot(base, phi))
+        corr = (step_size(policy, phi) * e0) * phi
+        theta = base + corr
+        thetas = [theta, *thetas][:len(cfg.d)]
+        corrs = [corr, *corrs][:len(cfg.c)]
         out[t] = theta
     return out

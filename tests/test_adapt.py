@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from daglms import (
+    PRESET_ORDER,
     AdaptState,
     DagConfig,
     DivergenceError,
@@ -137,20 +138,32 @@ class TestUpdate:
         assert err.value.norm > 100.0
 
 
+POLICIES = {"lms": StepSizePolicy.lms(0.05), "nlms": StepSizePolicy.nlms(0.5), "plms": StepSizePolicy.plms(0.5)}
+
+
 class TestDagIdentityReduction:
+    # every preset against the list-based oracle; the integral preset is the
+    # identity reduction the class is named for, and keeps the bare policy id
     @pytest.mark.parametrize(
-        "policy",
-        [StepSizePolicy.lms(0.05), StepSizePolicy.nlms(0.5), StepSizePolicy.plms(0.5)],
-        ids=["lms", "nlms", "plms"],
+        "algo, preset",
+        [
+            pytest.param(algo, preset, id=algo if preset == "integral" else f"{algo}-{preset}")
+            for preset in PRESET_ORDER
+            for algo in POLICIES
+        ],
     )
-    def test_bit_for_bit(self, policy):
+    def test_bit_for_bit(self, algo, preset):
         rng = np.random.default_rng(42)
         n, steps = 6, 1000
         theta_star = rng.standard_normal(n)
         phis = rng.standard_normal((steps, n))
         xs = phis @ theta_star + 0.01 * rng.standard_normal(steps)
-        ref = reference_vslms(policy, phis, xs)
-        state = AdaptState(n, policy, DagConfig((), ()))
+        # the gain over the filter's DC gain, so the high-gain presets converge too
+        cfg, policy = make_preset(preset), POLICIES[algo]
+        dc_gain = (1.0 + sum(cfg.c)) / (1.0 - sum(cfg.d_prime))
+        policy = StepSizePolicy(policy.kind, policy.mu / dc_gain, policy.delta)
+        ref = reference_vslms(policy, phis, xs, cfg)
+        state = AdaptState(n, policy, cfg)
         for t in range(steps):
             state.update(phis[t], xs[t])
             assert np.array_equal(state.theta, ref[t]), f"ulp drift at step {t}"

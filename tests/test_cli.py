@@ -169,11 +169,13 @@ class TestContour:
             (["--d1p", "0", "--c2-min=-inf"], "c2 axis"),
             (["--d1p", "0", "--c2-step", "0"], "c2 axis"),
             (["--d1p", "0", "--c1-min=-1e308", "--c1-max", "1e308"], "c1 axis"),
+            (["--d1p", "0", "--c1-step", "1e-9"], "c1 axis (4000000000 values)"),
+            (["--d1p", "0", "--c2-step", "1e-5"], "c2 axis (200001 values)"),
         ],
         ids=[
             "d1p-1", "d1p-minus-1", "d1p-1.2", "d1p-nan",
             "c1-max-below-min", "c1-max-inf", "c2-step-nan", "c2-min-inf", "c2-step-zero",
-            "c1-span-overflow",
+            "c1-span-overflow", "c1-too-many-cells", "c2-too-many-cells",
         ],
     )
     def test_bad_grid_named(self, tmp_path, capsys, argv, named):
@@ -301,6 +303,8 @@ class TestRunCompare:
         ),
         (["compare", "--algorithms", "nlms,foo"], SMALL_FEEDFORWARD_CONFIG, "unknown algorithm 'foo'"),
         (["bode", "--grid", "10"], None, "grid_size must be at least 256"),
+        (["bode", "--grid", "2000000000"], None, "--grid must be at most 1048576"),
+        (["contour", "--d1p", "0", "--c1-step", "1e-9"], None, "is more than 1000000 cells"),
         (["bode", "--fs", "nan"], None, "--fs must be finite and positive"),
         (["bode", "--fs", "0"], None, "--fs must be finite and positive"),
         (["bode", "--fs", "-5"], None, "--fs must be finite and positive"),
@@ -311,7 +315,8 @@ class TestRunCompare:
             for spec in ("0,0,1", "0,0,-1", "0,0,1.5", "0.5,0.2,-1.2")
         ),
     ],
-    ids=["unknown-preset", "unknown-algorithm", "bode-grid", "bode-fs-nan", "bode-fs-0", "bode-fs-minus-5",
+    ids=["unknown-preset", "unknown-algorithm", "bode-grid", "bode-grid-too-large", "contour-too-many-cells",
+         "bode-fs-nan", "bode-fs-0", "bode-fs-minus-5",
          "bode-fs-inf", "check-custom-nan", "check-custom-d1p-1", "check-custom-d1p-minus-1",
          "check-custom-d1p-1.5", "check-custom-d1p-minus-1.2"],
 )

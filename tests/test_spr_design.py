@@ -22,7 +22,13 @@ from daglms import (
     spr_region_grid,
 )
 from daglms.adapt import PRESET_ORDER, preset_triple
-from daglms.spr_design import _unit_circle_grid, bode_points, grid_axis, integrated_pr_closed_form
+from daglms.spr_design import (
+    MAX_REGION_CELLS,
+    _unit_circle_grid,
+    bode_points,
+    grid_axis,
+    integrated_pr_closed_form,
+)
 from conftest import random_stable_poly
 
 
@@ -230,6 +236,13 @@ class TestRegionGrid:
     def test_table_cell(self):
         _, _, flags = spr_region_grid(0.9, (0.99, 0.99, 1.0), (0.0, 0.0, 1.0))
         assert flags[0, 0]
+
+    def test_cell_limit(self):
+        # 1000 x 1000 cells is the limit; one more c2 value is rejected before allocation
+        assert MAX_REGION_CELLS == 10**6
+        assert spr_region_grid(0.5, (0.0, 999.0, 1.0), (0.0, 999.0, 1.0))[2].shape == (1000, 1000)
+        with pytest.raises(ValueError, match=r"c1 axis \(1000 values\) x c2 axis \(1001 values\)"):
+            spr_region_grid(0.5, (0.0, 999.0, 1.0), (0.0, 1000.0, 1.0))
 
     def test_boundary_within_one_step_of_numeric(self):
         # disagreements with the numeric verdict only at cells adjacent to
