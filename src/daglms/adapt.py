@@ -121,12 +121,30 @@ def step_rule(policy: StepSizePolicy) -> tuple[float, float]:
     return {"constant": (1.0, 0.0), "normalized": (policy.delta, 1.0), "posterior": (1.0, policy.mu)}[policy.kind]
 
 
+def summed_c(cfg: DagConfig) -> tuple[float, ...]:
+    """The ``c`` weights a gain sum reads: all of ``cfg.c``, less its trailing zeros
+    when ``d[0] >= 1``.
+
+    A zero weight's term ``0.0 * h`` is +-0.0, which changes a running sum only
+    when the sum is -0.0. With ``d[0] >= 1`` and estimates that start at +0.0
+    no sum is (the proof is in :func:`daglms.sim.run_many`), so a dropped
+    trailing term keeps every bit and saves a multiply row and an add per step.
+    """
+    c = cfg.c
+    if cfg.d[0] >= 1.0:
+        while c and c[-1] == 0.0:
+            c = c[:-1]
+    return c
+
+
 def gain_weights(cfg: DagConfig, depth: int, K: int) -> np.ndarray:
     """The ``(K, 1)`` weights of ``cfg`` in a history block, K leading: past estimates
-    in slots ``[0, depth)``, past corrections in ``[depth, K)``, zeros past ``cfg``'s own."""
+    in slots ``[0, depth)``, past corrections in ``[depth, K)``, zeros past ``cfg``'s own.
+    ``c`` weights past slot K are left out; K must keep all that :func:`summed_c` does."""
     weights = np.zeros((K, 1))
     weights[:len(cfg.d), 0] = cfg.d
-    weights[depth:depth + len(cfg.c), 0] = cfg.c
+    c = cfg.c[:K - depth]
+    weights[depth:depth + len(c), 0] = c
     return weights
 
 
@@ -156,7 +174,8 @@ class AdaptState:
     ``(K, n_params)`` history block; ``theta_hist`` and ``corr_hist`` are views
     of its two parts. Histories start from ``theta0`` (default zero) and zero
     corrections, which makes the first steps well-defined and reproducible.
-    Single-owner: one loop per instance.
+    The gain sum leaves out the slots of trailing zero ``c`` weights
+    (:func:`summed_c`). Single-owner: one loop per instance.
     """
 
     def __init__(
@@ -177,11 +196,13 @@ class AdaptState:
         if init.shape != (n_params,):
             raise ValueError(f"theta0 must have shape ({n_params},)")
         self._depth = depth = len(self.cfg.d)
-        K = depth + len(self.cfg.c)
-        self._weights = gain_weights(self.cfg, depth, K)
-        self._hist = np.zeros((K, n_params))
+        self._hist = np.zeros((depth + len(self.cfg.c), n_params))
         self._hist[:depth] = init
         self.theta_hist, self.corr_hist = self._hist[:depth], self._hist[depth:]
+        # the sum reads the slots that summed_c keeps; its proof assumes no -0.0 start estimate
+        c = self.cfg.c if np.signbit(init[init == 0.0]).any() else summed_c(self.cfg)
+        self._weights = gain_weights(self.cfg, depth, depth + len(c))
+        self._summed = self._hist[:depth + len(c)]
         self._rule = step_rule(policy)
         self.t = 0
         self.divergence_limit = float(divergence_limit)
@@ -204,7 +225,7 @@ class AdaptState:
         added; with the trivial configuration it is just the latest
         estimate.
         """
-        return gain_sum(self._weights, self._hist)
+        return gain_sum(self._weights, self._summed)
 
     def a_priori_predict(self, phi) -> PredictionPair:
         """Predicted output before seeing the desired value."""

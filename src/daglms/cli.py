@@ -68,11 +68,21 @@ def _fmt(value) -> str:
 
 
 def _fields(column) -> list[str]:
-    # what _fmt writes for each value; a numeric array by repr over tolist(),
-    # with NaN as an empty field
-    if isinstance(column, np.ndarray) and column.dtype.kind in "fi":
-        return ["" if v != v else repr(v) for v in column.tolist()]
-    return [_fmt(v) for v in column]
+    # what _fmt writes for each value; a numeric array by repr, mapped over the span
+    # from its first to its last non-NaN value, with NaN as an empty field
+    if not (isinstance(column, np.ndarray) and column.dtype.kind in "fi"):
+        return [_fmt(v) for v in column]
+    nan = np.isnan(column)
+    if not nan.any():
+        return list(map(repr, column.tolist()))
+    known = np.flatnonzero(~nan)
+    if not known.size:
+        return [""] * column.size
+    lo, hi = int(known[0]), int(known[-1]) + 1
+    fields = [""] * lo + list(map(repr, column[lo:hi].tolist())) + [""] * (column.size - hi)
+    for i in np.flatnonzero(nan[lo:hi]).tolist():
+        fields[lo + i] = ""
+    return fields
 
 
 def _columns(rows) -> list[list[str]]:
@@ -80,13 +90,18 @@ def _columns(rows) -> list[list[str]]:
     return [_fields(column) for column in zip(*rows)]
 
 
+def _rows(columns) -> str:
+    # one block of columns, iterables of formatted fields, as CSV text; rows end in
+    # "\r\n", as csv.writer wrote them (no field here needs quoting)
+    text = "\r\n".join(map(",".join, zip(*columns)))
+    return text + "\r\n" if text else ""
+
+
 def _write_csv(path: Path, header: list[str], blocks) -> None:
-    # each block is a list of columns, iterables of formatted fields; rows end in "\r\n",
-    # as csv.writer wrote them (no field here needs quoting)
     with path.open("w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for columns in blocks:
-            fh.write("".join(",".join(row) + "\r\n" for row in zip(*columns)))
+            fh.write(_rows(columns))
 
 
 def _preset_row(name: str, cfg: DagConfig, triple) -> dict:
@@ -333,33 +348,65 @@ def load_scenario(path: Path, seed_override: int | None = None):
 _TRACE_BLOCK_ROWS = 4096
 
 
-def _trace_blocks(trace: sim.RunTrace):
-    # formatted by column, in blocks of rows so memory stays flat; each atten_db
-    # value once, and residual only where its bits differ from e0's
-    prefix, win = trace.open_loop_prefix_samples, trace.atten_window_samples
-    shown = trace.atten_db is not None and win is not None
-    atten_fields = (_fields(trace.atten_db) if shown else []) + [""]
-    for start in range(0, trace.residual.size, _TRACE_BLOCK_ROWS):
-        block = slice(start, min(start + _TRACE_BLOCK_ROWS, trace.residual.size))
-        steps = np.arange(block.start, block.stop)
-        k = (steps - prefix) // (win or 1)
-        k[(steps < prefix) | (k >= len(atten_fields) - 1)] = -1  # the empty field
-        e0, residual = trace.e0[block], trace.residual[block]
-        e0_fields = _fields(e0)
-        residual_fields = e0_fields.copy()
-        own = np.flatnonzero(e0.view(np.int64) != residual.view(np.int64))
-        for i, field in zip(own.tolist(), _fields(residual[own])):
-            residual_fields[i] = field
-        yield [
-            map(str, steps.tolist()), _fields(steps / trace.sample_rate_hz), e0_fields,
-            _fields(trace.e_post[block]), residual_fields,
-            _fields(trace.param_err[block]), map(atten_fields.__getitem__, k.tolist()),
-        ]
+def _atten_fields(trace: sim.RunTrace, steps: np.ndarray):
+    # each step's atten_db field: the value of its window from the prefix on, else
+    # empty; only the windows that the steps reach are formatted
+    if trace.atten_db is None or trace.atten_window_samples is None:
+        return [""] * steps.size
+    k = (steps - trace.open_loop_prefix_samples) // trace.atten_window_samples
+    shown = (k >= 0) & (k < trace.atten_db.size)
+    if not shown.any():
+        return [""] * steps.size
+    lo, hi = int(k[shown][0]), int(k[shown][-1]) + 1
+    fields = _fields(trace.atten_db[lo:hi]) + [""]
+    return map(fields.__getitem__, np.where(shown, k - lo, -1).tolist())
 
 
-def _write_trace_csv(path: Path, trace: sim.RunTrace) -> None:
-    header = ["step", "time_s", "e0", "e_post", "residual", "param_err", "atten_db"]
-    _write_csv(path, header, _trace_blocks(trace))
+def _residual_fields(residual: np.ndarray, e0: np.ndarray, e0_fields: list[str], before) -> list[str]:
+    # _fields(residual), taking a field from e0 where the bits are e0's, then from
+    # ``before``, the (residual, fields) of an earlier trace, where they are its
+    fields = e0_fields.copy()
+    bits = residual.view(np.int64)
+    own = np.flatnonzero(bits != e0.view(np.int64))
+    if before is not None:
+        same = before[0].view(np.int64)[own] == bits[own]
+        for i in own[same].tolist():
+            fields[i] = before[1][i]
+        own = own[~same]
+    for i, field in zip(own.tolist(), _fields(residual[own])):
+        fields[i] = field
+    return fields
+
+
+def _write_traces(paths: list[Path], traces: list[sim.RunTrace]) -> None:
+    """Write each trace of one batch to its path, all of them block by block.
+
+    The traces share their length and sample rate, as the runs of one scenario
+    do. Within a block of ``_TRACE_BLOCK_ROWS`` rows, ``step`` and ``time_s`` are
+    formatted once for the batch, and ``residual`` only where its bits differ
+    both from ``e0``'s and from the trace before's (the open-loop rows, which
+    every run of a scenario shares). Nothing formatted outlives its block, so
+    memory stays flat in the trace length.
+    """
+    size, fs = traces[0].residual.size, traces[0].sample_rate_hz
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(path.open("w", newline="")) for path in paths]
+        for fh in files:
+            fh.write("step,time_s,e0,e_post,residual,param_err,atten_db\r\n")
+        for start in range(0, size, _TRACE_BLOCK_ROWS):
+            block = slice(start, min(start + _TRACE_BLOCK_ROWS, size))
+            steps = np.arange(block.start, block.stop)
+            shared = [list(map(str, steps.tolist())), _fields(steps / fs)]
+            before = None
+            for fh, trace in zip(files, traces):
+                e0, residual = trace.e0[block], trace.residual[block]
+                e0_fields = _fields(e0)
+                residual_fields = _residual_fields(residual, e0, e0_fields, before)
+                fh.write(_rows([
+                    *shared, e0_fields, _fields(trace.e_post[block]), residual_fields,
+                    _fields(trace.param_err[block]), _atten_fields(trace, steps),
+                ]))
+                before = residual, residual_fields
 
 
 # the lockstep loop costs about as much per sample as three single runs: on
@@ -368,17 +415,18 @@ _LOCKSTEP_MIN_RUNS = 4
 
 
 def _traces(scenario, runs: list):
-    """One trace per ``(policy, cfg)``, in order: a sweep of ``_LOCKSTEP_MIN_RUNS`` or
-    more runs in lockstep, a smaller one run by run, each trace as it ends."""
+    """The traces of ``runs``, one per ``(policy, cfg)``, in order and in batches: a
+    sweep of ``_LOCKSTEP_MIN_RUNS`` or more runs as one batch run in lockstep, a
+    smaller one run by run, one trace per batch as each run ends."""
     if len(runs) >= _LOCKSTEP_MIN_RUNS:
-        yield from sim.run_many(scenario, runs)
+        yield sim.run_many(scenario, runs)
         return
     run = sim.run_sysid if scenario.kind == "sysid" else sim.run_feedforward
     for policy, cfg in runs:
         try:
-            yield run(scenario, policy, cfg)
+            yield [run(scenario, policy, cfg)]
         except sim.RunDiverged as exc:
-            yield exc.trace
+            yield [exc.trace]
 
 
 def _sweep(scenario, options, out: Path) -> int:
@@ -391,31 +439,34 @@ def _sweep(scenario, options, out: Path) -> int:
     runs = [(options["policies"][algorithm], cfg) for algorithm in options["algorithms"] for _, cfg in presets]
     out.mkdir(parents=True, exist_ok=True)
     summary_rows = []
-    for (algorithm, preset), trace in zip(names, _traces(scenario, runs)):
-        if scenario.kind == "feedforward" and not trace.diverged and (
-            options["window_seconds"] != sim.DEFAULT_ATTEN_WINDOW_S
-        ):
-            # a series only at the configured window, and only where one full window fits
-            trace.atten_db = trace.atten_clamped = trace.atten_window_samples = None
-            with contextlib.suppress(ValueError):
-                sim.attenuation_db(trace, options["window_seconds"])
-        trace_path = out / f"trace_{algorithm}_{preset}.csv"
-        _write_trace_csv(trace_path, trace)
-        final = None
-        tt_idx = None
-        tt_s = None
-        if trace.atten_db is not None and trace.atten_db.size:
-            final = float(trace.atten_db[-1])
-            tt_idx = sim.time_to_threshold(trace, options["threshold_db"])
-            if tt_idx is not None:
-                tt_s = (tt_idx + 1) * trace.atten_window_samples / trace.sample_rate_hz
-        summary_rows.append(
-            (algorithm, preset, trace.diverged, trace.divergence_step, trace.spr_ok, final, tt_idx, tt_s)
-        )
-        status = f"diverged at {trace.divergence_step}" if trace.diverged else (
-            f"final_atten={final:.2f} dB, t20_idx={tt_idx}" if final is not None else "done"
-        )
-        print(f"{algorithm}+{preset}: {status} ({trace.wall_time_s:.2f}s wall) -> {trace_path}")
+    for batch in _traces(scenario, runs):
+        batch_names = names[len(summary_rows):len(summary_rows) + len(batch)]
+        for trace in batch:
+            if scenario.kind == "feedforward" and not trace.diverged and (
+                options["window_seconds"] != sim.DEFAULT_ATTEN_WINDOW_S
+            ):
+                # a series only at the configured window, and only where one full window fits
+                trace.atten_db = trace.atten_clamped = trace.atten_window_samples = None
+                with contextlib.suppress(ValueError):
+                    sim.attenuation_db(trace, options["window_seconds"])
+        paths = [out / f"trace_{algorithm}_{preset}.csv" for algorithm, preset in batch_names]
+        _write_traces(paths, batch)
+        for (algorithm, preset), trace, trace_path in zip(batch_names, batch, paths):
+            final = None
+            tt_idx = None
+            tt_s = None
+            if trace.atten_db is not None and trace.atten_db.size:
+                final = float(trace.atten_db[-1])
+                tt_idx = sim.time_to_threshold(trace, options["threshold_db"])
+                if tt_idx is not None:
+                    tt_s = (tt_idx + 1) * trace.atten_window_samples / trace.sample_rate_hz
+            summary_rows.append(
+                (algorithm, preset, trace.diverged, trace.divergence_step, trace.spr_ok, final, tt_idx, tt_s)
+            )
+            status = f"diverged at {trace.divergence_step}" if trace.diverged else (
+                f"final_atten={final:.2f} dB, t20_idx={tt_idx}" if final is not None else "done"
+            )
+            print(f"{algorithm}+{preset}: {status} ({trace.wall_time_s:.2f}s wall) -> {trace_path}")
     header = ["algorithm", "preset", "diverged", "divergence_step", "spr_ok",
               "final_atten_db", "time_to_threshold_idx", "time_to_threshold_s"]
     _write_csv(out / "summary.csv", header, [_columns(summary_rows)])

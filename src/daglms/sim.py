@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adapt import DIVERGENCE_LIMIT, AdaptState, DivergenceError, StepSizePolicy
-from .adapt import gain_sum, gain_weights, push_history, step_rule
+from .adapt import gain_sum, gain_weights, push_history, step_rule, summed_c
 from .dsp_core import NoiseSpec, Polynomial, TransferOperator, gen_noise, poly_mul, windowed_variance
 from .spr_design import DagConfig, _unit_circle_grid, is_spr_numeric, ratio_transfer
 
@@ -43,7 +43,8 @@ class RunDiverged(RuntimeError):
 class ScenarioConfig:
     """Inputs of one experiment run.
 
-    ``kind`` selects the loop: ``sysid`` needs ``true_params``;
+    ``kind`` selects the loop: ``sysid`` needs ``true_params`` and adapts
+    from sample 0, so it takes no open-loop prefix;
     ``feedforward`` needs the primary and secondary paths (the secondary
     model defaults to the secondary path itself, and the regressor filter
     defaults to the secondary model).
@@ -73,6 +74,8 @@ class ScenarioConfig:
         if self.duration_samples <= self.open_loop_prefix_samples:
             raise ValueError("duration must exceed the open-loop prefix")
         if self.kind == "sysid":
+            if self.open_loop_prefix_samples:
+                raise ValueError("open_loop_prefix_samples must be 0 for a sysid scenario, which adapts from sample 0")
             if self.true_params is None:
                 raise ValueError("sysid scenario needs true_params")
             self.true_params = np.asarray(self.true_params, dtype=float)
@@ -204,7 +207,7 @@ def _adapt_loop(trace: RunTrace, state: AdaptState, sig: _Signals) -> None:
 def _run(scn: ScenarioConfig, sig: _Signals, policy: StepSizePolicy, cfg: DagConfig | None) -> RunTrace:
     e0, e_post, residual, param_err = np.full((4, scn.duration_samples), np.nan)
     trace = RunTrace(
-        scn.noise.sample_rate_hz, scn.open_loop_prefix_samples, e0, e_post, residual, param_err, spr_ok=sig.spr_ok
+        scn.noise.sample_rate_hz, sig.prefix, e0, e_post, residual, param_err, spr_ok=sig.spr_ok
     )
     _adapt_loop(trace, AdaptState(scn.n_adaptive_params, policy, cfg), sig)
     return trace
@@ -302,7 +305,7 @@ def _lockstep_loop(scn: ScenarioConfig, sig: _Signals, runs: list) -> list[RunTr
     ]
     cfgs = [cfg if cfg is not None else DagConfig() for _, cfg in runs]
     depth = max(len(cfg.d) for cfg in cfgs)
-    K = depth + max(len(cfg.c) for cfg in cfgs)
+    K = depth + max(len(summed_c(cfg)) for cfg in cfgs)
     weights = np.stack([gain_weights(cfg, depth, K) for cfg in cfgs], axis=1)
     hist = np.zeros((K, B, n))
     mu = np.array([p.mu for p in policies])
@@ -380,14 +383,16 @@ def run_many(scn: ScenarioConfig, runs) -> list[RunTrace]:
     shared by the sweep.
 
     Runs of different gain-filter depths share the loop with zero-padded
-    weights. A padded term ``0.0 * h`` (h a stored estimate or correction,
+    weights, and trailing zero ``c`` weights are left out of the sum
+    (:func:`~daglms.adapt.summed_c`, which :class:`~daglms.adapt.AdaptState`
+    applies too). A padded or left-out term ``0.0 * h`` (h a stored estimate or correction,
     always finite) is +-0.0, and adding +-0.0 to a running sum changes it only
     when the sum is -0.0, turning it into +0.0. When ``cfg.d[0] >= 1`` no sum
     is ever -0.0. A sum is -0.0 only when all its terms are, and its first
     term ``d[0] * theta`` is -0.0 only for a -0.0 estimate, since ``d[0] >= 1``
     cannot round a nonzero estimate to zero. Each new estimate is such a sum
     plus a correction, and estimates start at +0.0, so by induction none is
-    -0.0. So the padding cannot reach ``e0``, ``e_post``, ``residual`` or
+    -0.0. So neither can reach ``e0``, ``e_post``, ``residual`` or
     ``param_err``. Every preset has ``d[0] >= 1``; a configuration with
     ``d[0] < 1`` runs only with configurations of its own depths, which need
     no padding.

@@ -14,7 +14,7 @@ from daglms import (
     StepSizePolicy,
     make_preset,
 )
-from daglms.adapt import preset_triple, step_size
+from daglms.adapt import preset_triple, step_size, summed_c
 from conftest import reference_vslms
 
 
@@ -115,6 +115,20 @@ class TestUpdate:
         s_triv = AdaptState(3, StepSizePolicy.lms(0.1))
         assert s_triv.theta_hist.shape == (1, 3)
         assert s_triv.corr_hist.shape == (0, 3)
+
+    def test_trailing_zero_c_weights_left_out_of_the_sum(self):
+        assert summed_c(make_preset("arima2")) == (0.99,)
+        assert summed_c(DagConfig((0.0, 0.5, 0.0, -0.0))) == (0.0, 0.5)
+        # d[0] = 1 + d'[0] < 1: a sum may be -0.0, so every weight stays
+        assert summed_c(DagConfig((0.5, 0.0), (-0.5,))) == (0.5, 0.0)
+        # the histories keep every slot
+        s = AdaptState(3, StepSizePolicy.lms(0.1), make_preset("arima2"))
+        assert s.corr_hist.shape == (2, 3)
+
+    def test_negative_zero_start_sums_every_weight(self):
+        # -0.0 + (-0.5 * 0.0) is -0.0, and only the trailing 0.0 * 0.0 term makes it +0.0
+        s = AdaptState(1, StepSizePolicy.lms(0.1), DagConfig((-0.5, 0.0)), theta0=[-0.0])
+        assert not np.signbit(s.effective_estimate()[0])
 
     def test_update_from_error_matches_update(self):
         rng = np.random.default_rng(8)

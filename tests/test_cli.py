@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from daglms import (
     NoiseSpec,
@@ -510,6 +512,15 @@ mu_lms = 0.1
         assert float(rows[-1]["param_err"]) < 1e-3
 
 
+def test_sysid_prefix_named(tmp_path, capsys):
+    """A sysid INI with an open-loop prefix, which the sysid loop would ignore, exits 3 naming the key."""
+    text = SYSID_TWO_BY_TWO.replace("duration_samples = 1000", "duration_samples = 1000\nopen_loop_prefix_samples = 100")
+    path = write_config(tmp_path, text)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert "open_loop_prefix_samples" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 SYSID_TWO_BY_TWO = """
 [scenario]
 kind = sysid
@@ -665,9 +676,66 @@ class TestTraceWriter:
             monkeypatch.setattr(cli, "_TRACE_BLOCK_ROWS", block_rows)
         trace = make()
         assert trace.residual.size % cli._TRACE_BLOCK_ROWS != 0
-        cli._write_trace_csv(tmp_path / "columnar.csv", trace)
+        cli._write_traces([tmp_path / "columnar.csv"], [trace])
         row_wise_trace_csv(tmp_path / "rows.csv", trace)
         assert (tmp_path / "columnar.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    def test_batch_matches_row_wise_writer(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_TRACE_BLOCK_ROWS", 64)
+        traces = batch_traces(3 * 64 + 21, 100)
+        paths = [tmp_path / f"columnar{k}.csv" for k in range(len(traces))]
+        cli._write_traces(paths, traces)
+        for path, trace in zip(paths, traces):
+            row_wise_trace_csv(tmp_path / "rows.csv", trace)
+            assert path.read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def batch_traces(n, prefix):
+    """Four traces of one sweep: a posterior run, a plain run, a run diverged
+    after 50 controlled steps, and a run whose open-loop rows differ from the
+    others' (sign flips, -0.0 against 0.0); the other three share them."""
+    rng = np.random.default_rng(29)
+    open_loop = rng.standard_normal(prefix) * 1e-3
+    open_loop[:4] = (0.0, -0.0, 5e-324, np.inf)
+    traces = []
+    for _ in range(4):
+        trace = synthetic_trace(n, prefix, window=9)
+        trace.e0[prefix:] = rng.standard_normal(n - prefix)
+        trace.e0[prefix:prefix + 4] = (-0.0, 0.0, 1e16, -5e-324)
+        trace.residual[:prefix], trace.residual[prefix:] = open_loop, trace.e0[prefix:]
+        traces.append(trace)
+    posterior, plain, diverged, differing = traces
+    plain.e_post[:] = np.nan
+    stop = prefix + 50
+    for record in (diverged.e0, diverged.e_post, diverged.residual, diverged.param_err):
+        record[stop:] = np.nan
+    diverged.diverged, diverged.divergence_step = True, 51
+    diverged.atten_db = diverged.atten_window_samples = None
+    differing.residual[:prefix:7] *= -1.0
+    return traces
+
+
+def _chunks_to_array(chunks):
+    return np.array([v for v, k in chunks for _ in range(k)], dtype=float)
+
+
+@settings(deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(
+                st.floats(),
+                st.just(np.nan),
+                st.sampled_from([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.225073858507201e-308]),
+            ),
+            st.integers(1, 4),
+        ),
+        max_size=40,
+    ).map(_chunks_to_array)
+)
+def test_fields_match_fmt(a):
+    """Runs of equal values, NaN runs anywhere, signed zeros, infinities and subnormals."""
+    assert cli._fields(a) == [cli._fmt(v) for v in a]
 
 
 GOLDEN_FEEDFORWARD_CONFIG = """
@@ -776,3 +844,23 @@ def test_golden_output_bytes(tmp_path, kind, config, exit_code):
         assert main(["compare", "--config", str(path), "--out", str(out)]) == exit_code
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert digests == GOLDEN_SHA256[kind]
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # the mismatched model's SPR screen
+def test_compare_traces_equal_single_runs(tmp_path):
+    """A 4-run ``compare`` (the lockstep loop, one batch written together) writes each
+    trace with the bytes of ``run`` on that pair alone (the scalar loop, a one-trace
+    batch); two of the runs diverge, the others carry an attenuation series."""
+    text = GOLDEN_FEEDFORWARD_CONFIG.replace("lms, nlms, plms", "lms, plms") + "window_seconds = 0.2\n"
+    path = write_config(tmp_path, text)
+    assert main(["compare", "--config", str(path), "--out", str(tmp_path / "all")]) == 2
+    summary = read_csv(tmp_path / "all" / "summary.csv")
+    assert len(summary) == 4 and [r["diverged"] for r in summary].count("Y") == 2
+    assert sum(bool(r["final_atten_db"]) for r in summary) == 2
+    for row in summary:
+        algorithm, preset = row["algorithm"], row["preset"]
+        out = tmp_path / f"{algorithm}_{preset}"
+        argv = ["run", "--config", str(path), "--out", str(out), "--algorithm", algorithm, "--preset", preset]
+        assert main(argv) == (2 if row["diverged"] == "Y" else 0)
+        name = f"trace_{algorithm}_{preset}.csv"
+        assert (out / name).read_bytes() == (tmp_path / "all" / name).read_bytes(), name

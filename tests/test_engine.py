@@ -42,7 +42,9 @@ def assert_same_runs(scn, runs, run):
             assert bits(getattr(got, field)) == bits(getattr(want, field)), (policy, cfg, field)
         assert (got.diverged, got.divergence_step) == (want.diverged, want.divergence_step), (policy, cfg)
         assert np.array_equal(got.theta_final, want.theta_final), (policy, cfg)
-        assert (got.spr_ok, got.atten_window_samples) == (want.spr_ok, want.atten_window_samples)
+        assert (got.spr_ok, got.atten_window_samples, got.open_loop_prefix_samples) == (
+            want.spr_ok, want.atten_window_samples, want.open_loop_prefix_samples
+        )
     return many
 
 

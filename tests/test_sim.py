@@ -107,6 +107,18 @@ class TestRunSysid:
         with pytest.raises(ValueError):
             run_sysid(scn, StepSizePolicy.lms(0.1))
 
+    def test_prefix_rejected(self):
+        """A sysid run adapts from sample 0, so a prefix it would ignore is an error naming the key."""
+        with pytest.raises(ValueError, match="open_loop_prefix_samples"):
+            ScenarioConfig(
+                kind="sysid",
+                noise=NoiseSpec(kind="white"),
+                n_adaptive_params=2,
+                duration_samples=500,
+                true_params=[0.5, -0.3],
+                open_loop_prefix_samples=100,
+            )
+
 
 def feedforward_like_sysid(theta, seed, duration, taps):
     """Degenerate feedforward config: unit paths, FIR primary equal to theta."""
