@@ -379,15 +379,17 @@ def _residual_fields(residual: np.ndarray, e0: np.ndarray, e0_fields: list[str],
 
 
 def _write_traces(paths: list[Path], traces: list[sim.RunTrace]) -> None:
-    """Write each trace of one batch to its path, all of them block by block.
+    """Write each trace of one sweep to its path, all of them block by block.
 
     The traces share their length and sample rate, as the runs of one scenario
     do. Within a block of ``_TRACE_BLOCK_ROWS`` rows, ``step`` and ``time_s`` are
-    formatted once for the batch, and ``residual`` only where its bits differ
+    formatted once for the sweep, and ``residual`` only where its bits differ
     both from ``e0``'s and from the trace before's (the open-loop rows, which
     every run of a scenario shares). Nothing formatted outlives its block, so
     memory stays flat in the trace length.
     """
+    if not traces:  # an empty sweep
+        return
     size, fs = traces[0].residual.size, traces[0].sample_rate_hz
     with contextlib.ExitStack() as stack:
         files = [stack.enter_context(path.open("w", newline="")) for path in paths]
@@ -409,26 +411,6 @@ def _write_traces(paths: list[Path], traces: list[sim.RunTrace]) -> None:
                 before = residual, residual_fields
 
 
-# the lockstep loop costs about as much per sample as three single runs: on
-# 60-, 12- and 4-tap sweeps it lost at two runs, tied at three and won from four
-_LOCKSTEP_MIN_RUNS = 4
-
-
-def _traces(scenario, runs: list):
-    """The traces of ``runs``, one per ``(policy, cfg)``, in order and in batches: a
-    sweep of ``_LOCKSTEP_MIN_RUNS`` or more runs as one batch run in lockstep, a
-    smaller one run by run, one trace per batch as each run ends."""
-    if len(runs) >= _LOCKSTEP_MIN_RUNS:
-        yield sim.run_many(scenario, runs)
-        return
-    run = sim.run_sysid if scenario.kind == "sysid" else sim.run_feedforward
-    for policy, cfg in runs:
-        try:
-            yield [run(scenario, policy, cfg)]
-        except sim.RunDiverged as exc:
-            yield [exc.trace]
-
-
 def _sweep(scenario, options, out: Path) -> int:
     # every algorithm and preset resolved before the first run, so a bad name leaves no output
     for algorithm in options["algorithms"]:
@@ -438,35 +420,34 @@ def _sweep(scenario, options, out: Path) -> int:
     names = [(algorithm, preset) for algorithm in options["algorithms"] for preset, _ in presets]
     runs = [(options["policies"][algorithm], cfg) for algorithm in options["algorithms"] for _, cfg in presets]
     out.mkdir(parents=True, exist_ok=True)
+    traces = sim.run_many(scenario, runs)
+    for trace in traces:
+        if scenario.kind == "feedforward" and not trace.diverged and (
+            options["window_seconds"] != sim.DEFAULT_ATTEN_WINDOW_S
+        ):
+            # a series only at the configured window, and only where one full window fits
+            trace.atten_db = trace.atten_clamped = trace.atten_window_samples = None
+            with contextlib.suppress(ValueError):
+                sim.attenuation_db(trace, options["window_seconds"])
+    paths = [out / f"trace_{algorithm}_{preset}.csv" for algorithm, preset in names]
+    _write_traces(paths, traces)
     summary_rows = []
-    for batch in _traces(scenario, runs):
-        batch_names = names[len(summary_rows):len(summary_rows) + len(batch)]
-        for trace in batch:
-            if scenario.kind == "feedforward" and not trace.diverged and (
-                options["window_seconds"] != sim.DEFAULT_ATTEN_WINDOW_S
-            ):
-                # a series only at the configured window, and only where one full window fits
-                trace.atten_db = trace.atten_clamped = trace.atten_window_samples = None
-                with contextlib.suppress(ValueError):
-                    sim.attenuation_db(trace, options["window_seconds"])
-        paths = [out / f"trace_{algorithm}_{preset}.csv" for algorithm, preset in batch_names]
-        _write_traces(paths, batch)
-        for (algorithm, preset), trace, trace_path in zip(batch_names, batch, paths):
-            final = None
-            tt_idx = None
-            tt_s = None
-            if trace.atten_db is not None and trace.atten_db.size:
-                final = float(trace.atten_db[-1])
-                tt_idx = sim.time_to_threshold(trace, options["threshold_db"])
-                if tt_idx is not None:
-                    tt_s = (tt_idx + 1) * trace.atten_window_samples / trace.sample_rate_hz
-            summary_rows.append(
-                (algorithm, preset, trace.diverged, trace.divergence_step, trace.spr_ok, final, tt_idx, tt_s)
-            )
-            status = f"diverged at {trace.divergence_step}" if trace.diverged else (
-                f"final_atten={final:.2f} dB, t20_idx={tt_idx}" if final is not None else "done"
-            )
-            print(f"{algorithm}+{preset}: {status} ({trace.wall_time_s:.2f}s wall) -> {trace_path}")
+    for (algorithm, preset), trace, trace_path in zip(names, traces, paths):
+        final = None
+        tt_idx = None
+        tt_s = None
+        if trace.atten_db is not None and trace.atten_db.size:
+            final = float(trace.atten_db[-1])
+            tt_idx = sim.time_to_threshold(trace, options["threshold_db"])
+            if tt_idx is not None:
+                tt_s = (tt_idx + 1) * trace.atten_window_samples / trace.sample_rate_hz
+        summary_rows.append(
+            (algorithm, preset, trace.diverged, trace.divergence_step, trace.spr_ok, final, tt_idx, tt_s)
+        )
+        status = f"diverged at {trace.divergence_step}" if trace.diverged else (
+            f"final_atten={final:.2f} dB, t20_idx={tt_idx}" if final is not None else "done"
+        )
+        print(f"{algorithm}+{preset}: {status} ({trace.wall_time_s:.2f}s wall) -> {trace_path}")
     header = ["algorithm", "preset", "diverged", "divergence_step", "spr_ok",
               "final_atten_db", "time_to_threshold_idx", "time_to_threshold_s"]
     _write_csv(out / "summary.csv", header, [_columns(summary_rows)])

@@ -265,6 +265,10 @@ class NoiseSpec:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if not (math.isfinite(self.amplitude) and self.amplitude >= 0.0):
             raise ValueError("amplitude must be a finite non-negative RMS target")
+        if not 0.0 < self.sample_rate_hz < math.inf:  # NaN included
+            raise ValueError(f"sample_rate_hz must be finite and positive, got {self.sample_rate_hz!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed!r}")
         if self.kind == "bandpass":
             if not (0.0 < self.band_low_hz < self.band_high_hz < self.sample_rate_hz / 2.0):
                 raise ValueError(

@@ -10,6 +10,7 @@ Runs are deterministic given the scenario, policy, configuration and seed.
 from __future__ import annotations
 
 import contextlib
+import copy
 import math
 import time
 import warnings
@@ -24,6 +25,10 @@ from .spr_design import DagConfig, _unit_circle_grid, is_spr_numeric, ratio_tran
 
 DEFAULT_ATTEN_WINDOW_S = 3.0
 ATTEN_CLAMP_DB = 120.0
+
+# the lockstep loop costs about as much per sample as three single runs: on
+# 60-, 12- and 4-tap sweeps it lost at two runs, tied at three and won from four
+_LOCKSTEP_MIN_RUNS = 4
 
 # entropy tail for the measurement-noise stream, kept distinct from the
 # disturbance stream that uses the bare scenario seed
@@ -125,7 +130,8 @@ class _Signals:
     """What a scenario feeds each of its runs, built once per call.
 
     The compensator output ``estimate . phi`` over the delay line ``rev`` passes
-    through ``path`` (None: no path) and is subtracted from ``desired``; the
+    through ``path`` (None: no path), whose state each run copies as the
+    open-loop prefix left it, and is subtracted from ``desired``; the
     update uses the delay line ``rev_f``. Nothing adapts in the first ``prefix``
     samples; ``param_err`` is filled when ``target`` is given.
     """
@@ -158,38 +164,66 @@ def _signals(scn: ScenarioConfig) -> _Signals:
     return _Signals(x, _delay_line(w, n), _delay_line(w_f, n), g, prefix, None, spr_ok)
 
 
+def _new_traces(scn: ScenarioConfig, sig: _Signals, policies: list):
+    """Empty traces, one per policy, and the ``(B, T)`` blocks whose rows are their
+    ``e0`` and ``param_err``; records a run never writes (``e_post`` of a
+    non-posterior rule, ``param_err`` without a target) share one read-only NaN array."""
+    B, T = len(policies), sig.desired.size
+    nan = np.full(T, np.nan)
+    nan.flags.writeable = False
+    e0 = np.full((B, T), np.nan)
+    param_err = np.full((B, T), np.nan) if sig.target is not None else None
+    traces = [
+        RunTrace(
+            sample_rate_hz=scn.noise.sample_rate_hz,
+            open_loop_prefix_samples=sig.prefix,
+            e0=e0[i],
+            e_post=np.full(T, np.nan) if policy.kind == "posterior" else nan,
+            residual=np.full(T, np.nan),
+            param_err=param_err[i] if param_err is not None else nan,
+            spr_ok=sig.spr_ok,
+        )
+        for i, policy in enumerate(policies)
+    ]
+    return traces, e0, param_err
+
+
 def _fill_trace(trace: RunTrace, sig: _Signals, stop: int, e_post=None) -> None:
     """Complete a run whose ``e0`` is stored up to ``stop``: the residual is the
-    measured signal before ``sig.prefix`` and ``e0`` from there on."""
+    measured signal before ``sig.prefix`` and ``e0`` from there on, and a
+    feedforward run that did not diverge gets its attenuation series at the
+    default window, if one full window fits."""
     prefix = sig.prefix
     trace.residual[:prefix] = sig.desired[:prefix]
     trace.residual[prefix:stop] = trace.e0[prefix:stop]
     if e_post is not None:
         trace.e_post[prefix:stop] = e_post
+    if sig.path is not None and not trace.diverged:  # only a feedforward run has a path
+        with contextlib.suppress(ValueError):  # no full window fits
+            attenuation_db(trace, DEFAULT_ATTEN_WINDOW_S)
 
 
 def _adapt_loop(trace: RunTrace, state: AdaptState, sig: _Signals) -> None:
     """The per-sample loop of one run; fills ``trace``."""
     n, T, prefix, target = state.n_params, sig.desired.size, sig.prefix, sig.target
     rev, rev_f = sig.rev, sig.rev_f
-    path_step = sig.path.filter_step if sig.path is not None else float
-    x = sig.desired.tolist()
+    path_step = copy.deepcopy(sig.path).filter_step if sig.path is not None else float
     estimate, step = state.effective_estimate, state._step
-    errors, posts, param_errs = [], [], []
+    e0_rec, param_err, posts = trace.e0, trace.param_err, []
     started = time.perf_counter()
     try:
-        for t in range(prefix, T):
+        for t, x in zip(range(prefix, T), sig.desired[prefix:].tolist()):
             k = T - 1 - t
             # the compensator runs the same effective estimate the update
             # law predicts with, so the measured residual is its a-priori error
             base = estimate()
             y = float(np.dot(base, rev[k:k + n]))
-            e0 = x[t] - path_step(y)
+            e0 = x - path_step(y)
             posts.append(step(rev_f[k:k + n], e0, base))
-            errors.append(e0)
+            e0_rec[t] = e0
             if target is not None:
                 diff = target - state.theta
-                param_errs.append(math.sqrt(float(np.dot(diff, diff))))
+                param_err[t] = math.sqrt(float(np.dot(diff, diff)))
     except DivergenceError as exc:
         trace.diverged = True
         trace.divergence_step = exc.step
@@ -197,25 +231,14 @@ def _adapt_loop(trace: RunTrace, state: AdaptState, sig: _Signals) -> None:
     finally:
         trace.wall_time_s = time.perf_counter() - started
         trace.theta_final = state.theta.copy()
-        stop = prefix + len(errors)
-        trace.e0[prefix:stop] = errors
-        if target is not None:
-            trace.param_err[prefix:stop] = param_errs
+        stop = prefix + len(posts)  # a step that raised stored nothing
         _fill_trace(trace, sig, stop, posts if state.policy.kind == "posterior" else None)
 
 
 def _run(scn: ScenarioConfig, sig: _Signals, policy: StepSizePolicy, cfg: DagConfig | None) -> RunTrace:
-    e0, e_post, residual, param_err = np.full((4, scn.duration_samples), np.nan)
-    trace = RunTrace(
-        scn.noise.sample_rate_hz, sig.prefix, e0, e_post, residual, param_err, spr_ok=sig.spr_ok
-    )
+    [trace], _, _ = _new_traces(scn, sig, [policy])
     _adapt_loop(trace, AdaptState(scn.n_adaptive_params, policy, cfg), sig)
     return trace
-
-
-def _attach_attenuation(trace: RunTrace) -> None:
-    with contextlib.suppress(ValueError):  # no full window fits
-        attenuation_db(trace, DEFAULT_ATTEN_WINDOW_S)
 
 
 def run_sysid(
@@ -269,9 +292,7 @@ def run_feedforward(
     """
     if scn.kind != "feedforward":
         raise ValueError("scenario kind must be 'feedforward'")
-    trace = _run(scn, _signals(scn), policy, cfg)
-    _attach_attenuation(trace)
-    return trace
+    return _run(scn, _signals(scn), policy, cfg)
 
 
 def _lockstep_loop(scn: ScenarioConfig, sig: _Signals, runs: list) -> list[RunTrace]:
@@ -285,24 +306,8 @@ def _lockstep_loop(scn: ScenarioConfig, sig: _Signals, runs: list) -> list[RunTr
     """
     B, T, n, prefix, target = len(runs), sig.desired.size, scn.n_adaptive_params, sig.prefix, sig.target
     policies = [policy for policy, _ in runs]
-    # the loop writes e0 and param_err straight into the traces, one row of a block
-    # per run; records a run never writes share one read-only NaN array
-    nan = np.full(T, np.nan)
-    nan.flags.writeable = False
-    e0_block = np.full((B, T), np.nan)
-    err_block = np.full((B, T), np.nan) if target is not None else None
-    traces = [
-        RunTrace(
-            sample_rate_hz=scn.noise.sample_rate_hz,
-            open_loop_prefix_samples=prefix,
-            e0=e0_block[i],
-            e_post=np.full(T, np.nan) if policy.kind == "posterior" else nan,
-            residual=np.full(T, np.nan),
-            param_err=err_block[i] if target is not None else nan,
-            spr_ok=sig.spr_ok,
-        )
-        for i, policy in enumerate(policies)
-    ]
+    # the loop writes e0 and param_err straight into the traces' rows of these blocks
+    traces, e0_block, err_block = _new_traces(scn, sig, policies)
     cfgs = [cfg if cfg is not None else DagConfig() for _, cfg in runs]
     depth = max(len(cfg.d) for cfg in cfgs)
     K = depth + max(len(summed_c(cfg)) for cfg in cfgs)
@@ -366,21 +371,24 @@ def _lockstep_loop(scn: ScenarioConfig, sig: _Signals, runs: list) -> list[RunTr
 
 
 def run_many(scn: ScenarioConfig, runs) -> list[RunTrace]:
-    """Run each ``(policy, cfg)`` pair of ``runs`` on ``scn``, all in lockstep.
+    """Run each ``(policy, cfg)`` pair of ``runs`` on ``scn``.
 
     Returns one trace per pair, in order, each with the bits that
     :func:`run_sysid` or :func:`run_feedforward` gives that pair. The signals
-    and the secondary-path SPR screen are built once and shared; the runs
-    advance together in one per-sample loop over ``(B, n)`` arrays, B runs of
-    n taps, whose gain-filter histories share one ``(K, B, n)`` block, the
-    :class:`~daglms.adapt.AdaptState` block with a run axis, summed and advanced
-    by the same ``adapt`` helpers. A diverged run is returned with
+    and the secondary-path SPR screen are built once and shared. The runs form
+    one group, apart from gain filters with ``d[0] < 1`` (see below). A group of
+    ``_LOCKSTEP_MIN_RUNS`` (4) or more runs advances together in one per-sample loop
+    over ``(B, n)`` arrays, B runs of n taps, whose gain-filter histories share
+    one ``(K, B, n)`` block, the :class:`~daglms.adapt.AdaptState` block with a
+    run axis, summed and advanced by the same ``adapt`` helpers; each trace's
+    ``wall_time_s`` is then the shared loop's. A smaller group runs one run
+    after another through the single-run loop. A diverged run is returned with
     ``diverged=True`` and its partial trace, as :class:`RunDiverged` carries it,
-    and the other runs go on; nothing is raised. Each trace's ``wall_time_s`` is the shared loop's.
-    A trace's ``e0`` and ``param_err`` are rows of one array per sweep, and a
+    and the other runs go on; nothing is raised.
+    A trace's ``e0`` and ``param_err`` are rows of one array per group, and a
     record that a run never writes (``e_post`` of a non-posterior rule,
     ``param_err`` of a feedforward scenario) is a read-only all-NaN array
-    shared by the sweep.
+    shared by the group.
 
     Runs of different gain-filter depths share the loop with zero-padded
     weights, and trailing zero ``c`` weights are left out of the sum
@@ -405,12 +413,16 @@ def run_many(scn: ScenarioConfig, runs) -> list[RunTrace]:
         groups.setdefault(None if cfg.d[0] >= 1.0 else (len(cfg.d), len(cfg.c)), []).append(i)
     traces: list = [None] * len(runs)
     for group in groups.values():
-        for i, trace in zip(group, _lockstep_loop(scn, sig, [runs[i] for i in group])):
+        group_runs = [runs[i] for i in group]
+        if len(group) >= _LOCKSTEP_MIN_RUNS:
+            group_traces = _lockstep_loop(scn, sig, group_runs)
+        else:
+            group_traces = _new_traces(scn, sig, [policy for policy, _ in group_runs])[0]
+            for trace, (policy, cfg) in zip(group_traces, group_runs):
+                with contextlib.suppress(RunDiverged):  # the trace keeps the partial run
+                    _adapt_loop(trace, AdaptState(scn.n_adaptive_params, policy, cfg), sig)
+        for i, trace in zip(group, group_traces):
             traces[i] = trace
-    if scn.kind == "feedforward":
-        for trace in traces:
-            if not trace.diverged:
-                _attach_attenuation(trace)
     return traces
 
 
@@ -429,9 +441,10 @@ def attenuation_db(
     that does not fit both the prefix and the controlled span raises ValueError.
     """
     fs = float(sample_rate_hz if sample_rate_hz is not None else trace.sample_rate_hz)
-    win = int(round(window_seconds * fs))
-    if win < 1:
-        raise ValueError("window must cover at least one sample")
+    win = window_seconds * fs
+    if not 0.5 < win < math.inf:  # NaN included; round(win) >= 1 exactly when win > 0.5
+        raise ValueError("window must cover at least one sample and a finite number of them")
+    win = int(round(win))
     prefix = trace.open_loop_prefix_samples
     if prefix < win:
         raise ValueError("open-loop prefix shorter than one window")

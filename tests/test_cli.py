@@ -304,6 +304,20 @@ class TestRunCompare:
             "unknown preset 'arima3'",
         ),
         (["compare", "--algorithms", "nlms,foo"], SMALL_FEEDFORWARD_CONFIG, "unknown algorithm 'foo'"),
+        (["compare"], SMALL_FEEDFORWARD_CONFIG.replace("seed = 11", "seed = -1"), "seed must be non-negative"),
+        (["compare", "--seed", "-3"], SMALL_FEEDFORWARD_CONFIG, "seed must be non-negative"),
+        (
+            ["compare"],
+            SMALL_FEEDFORWARD_CONFIG.replace("sample_rate_hz = 2500", "sample_rate_hz = 0"),
+            "sample_rate_hz must be finite and positive",
+        ),
+        (
+            ["compare"],
+            SMALL_FEEDFORWARD_CONFIG.replace("sample_rate_hz = 2500", "sample_rate_hz = -2500").replace(
+                "noise_kind = bandpass", "noise_kind = white"
+            ),
+            "sample_rate_hz must be finite and positive",
+        ),
         (["bode", "--grid", "10"], None, "grid_size must be at least 256"),
         (["bode", "--grid", "2000000000"], None, "--grid must be at most 1048576"),
         (["contour", "--d1p", "0", "--c1-step", "1e-9"], None, "is more than 1000000 cells"),
@@ -317,19 +331,20 @@ class TestRunCompare:
             for spec in ("0,0,1", "0,0,-1", "0,0,1.5", "0.5,0.2,-1.2")
         ),
     ],
-    ids=["unknown-preset", "unknown-algorithm", "bode-grid", "bode-grid-too-large", "contour-too-many-cells",
+    ids=["unknown-preset", "unknown-algorithm", "ini-seed-minus-1", "flag-seed-minus-3", "sample-rate-0",
+         "white-sample-rate-minus-2500", "bode-grid", "bode-grid-too-large", "contour-too-many-cells",
          "bode-fs-nan", "bode-fs-0", "bode-fs-minus-5",
          "bode-fs-inf", "check-custom-nan", "check-custom-d1p-1", "check-custom-d1p-minus-1",
          "check-custom-d1p-1.5", "check-custom-d1p-minus-1.2"],
 )
 def test_config_error_leaves_no_output(tmp_path, capsys, argv, config, message):
-    """A config error found mid-command exits 3 before any CSV is written."""
+    """A config error found mid-command exits 3 before the output directory is made."""
     out = tmp_path / "out"
     if config is not None:
         argv = [*argv, "--config", str(write_config(tmp_path, config))]
     assert main([*argv, "--out", str(out)]) == 3
     assert message in capsys.readouterr().err
-    assert not list(out.glob("*.csv"))
+    assert not out.exists()
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():
@@ -478,6 +493,14 @@ class TestAttenuationWindow:
         assert len(rows) == 20000
         assert {r["atten_db"] for r in rows} == {""}
 
+    def test_window_of_infinite_samples_gives_no_series(self, tmp_path):
+        # 1e308 s is inf samples at any rate: no window fits, so no series and exit 0
+        path = write_config(tmp_path, WINDOW_CONFIG.format(prefix=8000, window=1e308))
+        out = tmp_path / "out"
+        assert main(["compare", "--config", str(path), "--out", str(out)]) == 0
+        assert read_csv(out / "summary.csv")[0]["final_atten_db"] == ""
+        assert {r["atten_db"] for r in read_csv(out / "trace_nlms_integral.csv")} == {""}
+
     def test_window_that_fits_keeps_its_series(self, tmp_path):
         path = write_config(tmp_path, WINDOW_CONFIG.format(prefix=8000, window=2.0))
         out = tmp_path / "out"
@@ -548,6 +571,15 @@ def test_run_is_compare_of_one(tmp_path, extra, run):
     assert main(["run", "--config", str(path), "--out", str(out), *extra]) == 0
     assert [(r["algorithm"], r["preset"]) for r in read_csv(out / "summary.csv")] == [run]
     assert sorted(p.name for p in out.iterdir()) == ["summary.csv", f"trace_{run[0]}_{run[1]}.csv"]
+
+
+def test_empty_sweep_writes_only_the_summary(tmp_path):
+    """A config that names no algorithm runs nothing and writes a header-only summary."""
+    path = write_config(tmp_path, SYSID_TWO_BY_TWO.replace("algorithms = lms, plms", "algorithms ="))
+    out = tmp_path / "out"
+    assert main(["compare", "--config", str(path), "--out", str(out)]) == 0
+    assert [p.name for p in out.iterdir()] == ["summary.csv"]
+    assert read_csv(out / "summary.csv") == []
 
 
 def row_wise_csv(path, header, rows):
@@ -847,16 +879,23 @@ def test_golden_output_bytes(tmp_path, kind, config, exit_code):
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")  # the mismatched model's SPR screen
-def test_compare_traces_equal_single_runs(tmp_path):
-    """A 4-run ``compare`` (the lockstep loop, one batch written together) writes each
-    trace with the bytes of ``run`` on that pair alone (the scalar loop, a one-trace
-    batch); two of the runs diverge, the others carry an attenuation series."""
-    text = GOLDEN_FEEDFORWARD_CONFIG.replace("lms, nlms, plms", "lms, plms") + "window_seconds = 0.2\n"
-    path = write_config(tmp_path, text)
+@pytest.mark.parametrize(
+    "algorithms, presets, diverged",
+    [("plms", "integral, arima2", 1), ("lms, nlms, plms", "arima2", 2), ("lms, plms", "integral, arima2", 2)],
+    ids=["2-runs", "3-runs", "4-runs"],
+)
+def test_compare_traces_equal_single_runs(tmp_path, algorithms, presets, diverged):
+    """A ``compare`` of 2 or 3 runs (the single-run loop, one run after another) or 4
+    (the lockstep loop), its traces written together, writes each trace with the
+    bytes of ``run`` on that pair alone; some runs diverge, the others carry an
+    attenuation series."""
+    text = GOLDEN_FEEDFORWARD_CONFIG.replace("lms, nlms, plms", algorithms).replace("integral, arima2", presets)
+    path = write_config(tmp_path, text + "window_seconds = 0.2\n")
     assert main(["compare", "--config", str(path), "--out", str(tmp_path / "all")]) == 2
     summary = read_csv(tmp_path / "all" / "summary.csv")
-    assert len(summary) == 4 and [r["diverged"] for r in summary].count("Y") == 2
-    assert sum(bool(r["final_atten_db"]) for r in summary) == 2
+    assert len(summary) == len(algorithms.split(",")) * len(presets.split(","))
+    assert [r["diverged"] for r in summary].count("Y") == diverged
+    assert sum(bool(r["final_atten_db"]) for r in summary) == len(summary) - diverged
     for row in summary:
         algorithm, preset = row["algorithm"], row["preset"]
         out = tmp_path / f"{algorithm}_{preset}"

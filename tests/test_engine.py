@@ -17,6 +17,7 @@ from daglms import (
     run_feedforward,
     run_many,
     run_sysid,
+    sim,
 )
 from daglms.sim import default_feedforward_scenario
 
@@ -33,18 +34,22 @@ def single(run, scn, policy, cfg):
 
 
 def assert_same_runs(scn, runs, run):
-    """``run_many`` equals the single-run loop ``run`` for each pair, bit for bit."""
+    """``run_many``, and the lockstep loop over all of ``runs`` (which ``run_many``
+    uses only for four or more runs of one group), equal the single-run loop
+    ``run`` for each pair, bit for bit."""
     many = run_many(scn, runs)
-    assert len(many) == len(runs)
-    for (policy, cfg), got in zip(runs, many):
+    lockstep = sim._lockstep_loop(scn, sim._signals(scn), runs)
+    assert len(many) == len(lockstep) == len(runs)
+    for (policy, cfg), *traces in zip(runs, many, lockstep):
         want = single(run, scn, policy, cfg)
-        for field in ("e0", "e_post", "residual", "param_err", "atten_db", "atten_clamped"):
-            assert bits(getattr(got, field)) == bits(getattr(want, field)), (policy, cfg, field)
-        assert (got.diverged, got.divergence_step) == (want.diverged, want.divergence_step), (policy, cfg)
-        assert np.array_equal(got.theta_final, want.theta_final), (policy, cfg)
-        assert (got.spr_ok, got.atten_window_samples, got.open_loop_prefix_samples) == (
-            want.spr_ok, want.atten_window_samples, want.open_loop_prefix_samples
-        )
+        for got in traces:
+            for field in ("e0", "e_post", "residual", "param_err", "atten_db", "atten_clamped"):
+                assert bits(getattr(got, field)) == bits(getattr(want, field)), (policy, cfg, field)
+            assert (got.diverged, got.divergence_step) == (want.diverged, want.divergence_step), (policy, cfg)
+            assert np.array_equal(got.theta_final, want.theta_final), (policy, cfg)
+            assert (got.spr_ok, got.atten_window_samples, got.open_loop_prefix_samples) == (
+                want.spr_ok, want.atten_window_samples, want.open_loop_prefix_samples
+            )
     return many
 
 
@@ -84,11 +89,9 @@ def test_feedforward_sweep_matches_single_runs(mismatched, gains, diverged):
     assert all(trace.atten_db is not None for trace in many if not trace.diverged)
 
 
-def test_sysid_sweep_matches_single_runs():
-    """``param_err`` included; arima2 and conj_nesterov diverge at plms(0.05), and a
-    filter with ``d[0] < 1`` runs apart from the padded presets."""
+def sysid_scenario():
     rng = np.random.default_rng(7)
-    scn = ScenarioConfig(
+    return ScenarioConfig(
         kind="sysid",
         noise=NoiseSpec(kind="white", seed=5),
         n_adaptive_params=16,
@@ -96,10 +99,24 @@ def test_sysid_sweep_matches_single_runs():
         true_params=0.5 * rng.standard_normal(16),
         measurement_noise_rms=0.01,
     )
+
+
+def test_sysid_sweep_matches_single_runs():
+    """``param_err`` included; arima2 and conj_nesterov diverge at plms(0.05), and a
+    filter with ``d[0] < 1`` runs apart from the padded presets."""
+    scn = sysid_scenario()
     runs = sweep([("lms", 0.01), ("nlms", 0.2), ("plms", 0.05)])
     runs += [(StepSizePolicy.nlms(0.2), DagConfig((0.3,), (-0.5,))), (StepSizePolicy.lms(0.01), None)]
     many = assert_same_runs(scn, runs, run_sysid)
     assert 0 < sum(trace.diverged for trace in many) < len(runs)
+
+
+def test_one_diverging_run_returns_its_partial_trace():
+    """``run_many`` of a single diverging run (the single-run loop) raises nothing."""
+    [trace] = assert_same_runs(sysid_scenario(), [(StepSizePolicy.plms(0.05), make_preset("arima2"))], run_sysid)
+    assert trace.diverged
+    stop = trace.divergence_step - 1  # the diverging step stores no error
+    assert not np.isnan(trace.e0[:stop]).any() and np.isnan(trace.e0[stop:]).all()
 
 
 def test_silent_disturbance_matches_single_runs():

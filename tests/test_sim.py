@@ -290,6 +290,12 @@ class TestAttenuation:
         with pytest.raises(ValueError):
             attenuation_db(trace, window_seconds=0.5)
 
+    def test_window_of_infinite_samples(self):
+        # 1e308 s at 100 Hz overflows to inf samples, which no trace holds
+        trace = trace_with_residual(np.ones(100), 10, fs=100.0)
+        with pytest.raises(ValueError, match="a finite number of them"):
+            attenuation_db(trace, window_seconds=1e308)
+
 
 class TestTimeToThreshold:
     def test_first_sustained(self):
