@@ -115,55 +115,24 @@ def preset_triple(name: str) -> tuple[float, float, float]:
     return c1, c2, d1p
 
 
-def step_rule(policy: StepSizePolicy) -> tuple[float, float]:
-    """``(a, b)`` of the exact gain ``mu / (a + b * phi.phi)``: constant ``(1, 0)``,
-    normalized ``(delta, 1)``, posterior ``(1, mu)``."""
-    return {"constant": (1.0, 0.0), "normalized": (policy.delta, 1.0), "posterior": (1.0, policy.mu)}[policy.kind]
-
-
 def summed_c(cfg: DagConfig) -> tuple[float, ...]:
     """The ``c`` weights a gain sum reads: all of ``cfg.c``, less its trailing zeros
     when ``d[0] >= 1``.
 
-    A zero weight's term ``0.0 * h`` is +-0.0, which changes a running sum only
-    when the sum is -0.0. With ``d[0] >= 1`` and estimates that start at +0.0
-    no sum is (the proof is in :func:`daglms.sim.run_many`), so a dropped
-    trailing term keeps every bit and saves a multiply row and an add per step.
+    A dropped term ``0.0 * h`` (h a stored estimate or correction, always finite)
+    is +-0.0, and adding +-0.0 to a running sum changes it only when the sum is
+    -0.0, turning it into +0.0. When ``d[0] >= 1`` no sum is ever -0.0. A sum is
+    -0.0 only when all its terms are, and its first term ``d[0] * theta`` is -0.0
+    only for a -0.0 estimate, since ``d[0] >= 1`` cannot round a nonzero estimate
+    to zero. Each new estimate is such a sum plus a correction, and estimates
+    start at +0.0, so by induction none is -0.0. So a dropped trailing term keeps
+    every bit, and saves a multiply row and an add per step.
     """
     c = cfg.c
     if cfg.d[0] >= 1.0:
         while c and c[-1] == 0.0:
             c = c[:-1]
     return c
-
-
-def gain_weights(cfg: DagConfig, depth: int, K: int) -> np.ndarray:
-    """The ``(K, 1)`` weights of ``cfg`` in a history block, K leading: past estimates
-    in slots ``[0, depth)``, past corrections in ``[depth, K)``, zeros past ``cfg``'s own.
-    ``c`` weights past slot K are left out; K must keep all that :func:`summed_c` does."""
-    weights = np.zeros((K, 1))
-    weights[:len(cfg.d), 0] = cfg.d
-    c = cfg.c[:K - depth]
-    weights[depth:depth + len(c), 0] = c
-    return weights
-
-
-def gain_sum(weights: np.ndarray, hist: np.ndarray) -> np.ndarray:
-    """The effective estimate, ``weights[k] * hist[k]`` summed in order of k, as a new array."""
-    terms = weights * hist
-    out = terms[0] if len(terms) == 1 else terms[0] + terms[1]
-    for k in range(2, len(terms)):
-        out += terms[k]
-    return out
-
-
-def push_history(hist: np.ndarray, depth: int, estimate: np.ndarray, corr: np.ndarray) -> None:
-    """Move every slot one back, then store the new estimate in slot 0 and the correction in slot ``depth``."""
-    if len(hist) > 1:
-        hist[1:] = hist[:-1]
-    hist[0] = estimate
-    if depth < len(hist):
-        hist[depth] = corr
 
 
 class AdaptState:
@@ -201,9 +170,11 @@ class AdaptState:
         self.theta_hist, self.corr_hist = self._hist[:depth], self._hist[depth:]
         # the sum reads the slots that summed_c keeps; its proof assumes no -0.0 start estimate
         c = self.cfg.c if np.signbit(init[init == 0.0]).any() else summed_c(self.cfg)
-        self._weights = gain_weights(self.cfg, depth, depth + len(c))
+        self._weights = np.array((*self.cfg.d, *c))[:, None]
         self._summed = self._hist[:depth + len(c)]
-        self._rule = step_rule(policy)
+        # (a, b) of the exact gain mu / (a + b * phi.phi)
+        rules = {"constant": (1.0, 0.0), "normalized": (policy.delta, 1.0), "posterior": (1.0, policy.mu)}
+        self._rule = rules[policy.kind]
         self.t = 0
         self.divergence_limit = float(divergence_limit)
 
@@ -225,7 +196,11 @@ class AdaptState:
         added; with the trivial configuration it is just the latest
         estimate.
         """
-        return gain_sum(self._weights, self._summed)
+        terms = self._weights * self._summed
+        out = terms[0] if len(terms) == 1 else terms[0] + terms[1]
+        for term in terms[2:]:
+            out += term
+        return out
 
     def a_priori_predict(self, phi) -> PredictionPair:
         """Predicted output before seeing the desired value."""
@@ -266,5 +241,10 @@ class AdaptState:
         norm = math.sqrt(float(np.dot(base, base)))
         if not math.isfinite(norm) or norm > self.divergence_limit:
             raise DivergenceError(self.t, norm)
-        push_history(self._hist, self._depth, base, corr)
+        hist = self._hist
+        if len(hist) > 1:
+            hist[1:] = hist[:-1]
+        hist[0] = base
+        if self._depth < len(hist):
+            hist[self._depth] = corr
         return e0 / scale if self.policy.kind == "posterior" else None

@@ -413,6 +413,10 @@ def _write_traces(paths: list[Path], traces: list[sim.RunTrace]) -> None:
 
 def _sweep(scenario, options, out: Path) -> int:
     # every algorithm and preset resolved before the first run, so a bad name leaves no output
+    for key in ("algorithms", "presets"):
+        for k, name in enumerate(options[key]):
+            if name in options[key][:k]:  # its runs would share one trace file and repeat a summary row
+                raise ConfigError(f"repeated {key[:-1]} {name!r} in {', '.join(options[key])}")
     for algorithm in options["algorithms"]:
         if algorithm not in options["policies"]:
             raise ConfigError(f"unknown algorithm {algorithm!r} (known: {', '.join(options['policies'])})")

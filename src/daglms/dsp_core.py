@@ -178,10 +178,6 @@ class TransferOperator:
             z[n - 1] = b[n] * u - a[n] * y
         return y
 
-    def bank(self, count: int) -> FilterBank:
-        """``count`` copies of this operator, each starting from its current state."""
-        return FilterBank(self, count)
-
     def filter_signal(self, x) -> np.ndarray:
         """Filter a whole signal, advancing the same state as filter_step."""
         x = np.asarray(x, dtype=float)
@@ -218,35 +214,6 @@ class TransferOperator:
         if om.ndim == 0:
             return complex(value)
         return value
-
-
-class FilterBank:
-    """Copies of one :class:`TransferOperator`, each with its own state, stepped together.
-
-    :meth:`step` advances every copy by one input sample with
-    :meth:`TransferOperator.filter_step`'s expression order, elementwise, so
-    each copy keeps the bits it would have on its own.
-    """
-
-    def __init__(self, op: TransferOperator, count: int):
-        b, a, z = op._b, op._a, op._state
-        self._order = len(z)
-        self._b0, self._b, self._a = b[0], np.array(b[1:]), np.array(a[1:])
-        # a trailing -0.0 column: u * b[n] + (-0.0) is u * b[n] exactly, and with no
-        # state the output reads b[0] * u + 0.0, as in filter_step
-        self._state = np.tile(np.append(z, -0.0 if z else 0.0), (count, 1))
-
-    def keep(self, rows) -> None:
-        """Drop every copy but ``rows`` (an index array or a boolean mask)."""
-        self._state = self._state[rows]
-
-    def step(self, u: np.ndarray) -> np.ndarray:
-        """One input per copy in, one output per copy out."""
-        z = self._state
-        y = self._b0 * u + z[:, 0]
-        if self._order:
-            z[:, :-1] = u[:, None] * self._b + z[:, 1:] - y[:, None] * self._a
-        return y
 
 
 @dataclass(frozen=True)

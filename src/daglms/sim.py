@@ -18,17 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapt import DIVERGENCE_LIMIT, AdaptState, DivergenceError, StepSizePolicy
-from .adapt import gain_sum, gain_weights, push_history, step_rule, summed_c
+from . import _kernel
+from .adapt import AdaptState, DivergenceError, StepSizePolicy
 from .dsp_core import NoiseSpec, Polynomial, TransferOperator, gen_noise, poly_mul, windowed_variance
 from .spr_design import DagConfig, _unit_circle_grid, is_spr_numeric, ratio_transfer
 
 DEFAULT_ATTEN_WINDOW_S = 3.0
 ATTEN_CLAMP_DB = 120.0
-
-# the lockstep loop costs about as much per sample as three single runs: on
-# 60-, 12- and 4-tap sweeps it lost at two runs, tied at three and won from four
-_LOCKSTEP_MIN_RUNS = 4
 
 # entropy tail for the measurement-noise stream, kept distinct from the
 # disturbance stream that uses the bare scenario seed
@@ -36,12 +32,14 @@ _MEAS_NOISE_STREAM = 109
 
 
 class RunDiverged(RuntimeError):
-    """Adaptation diverged inside a scenario run; carries the partial trace."""
+    """Adaptation diverged inside a scenario run; carries the partial trace and the
+    estimate norm that failed the divergence check."""
 
-    def __init__(self, step: int, trace: "RunTrace"):
+    def __init__(self, step: int, trace: "RunTrace", norm: float):
         super().__init__(f"run diverged at step {step}")
         self.step = step
         self.trace = trace
+        self.norm = norm
 
 
 @dataclass
@@ -93,7 +91,8 @@ class ScenarioConfig:
 
 @dataclass
 class RunTrace:
-    """Per-step records of one run plus run-level flags."""
+    """Per-step records of one run plus run-level flags; ``engine`` names the loop
+    that ran it, ``"kernel"`` (compiled) or ``"python"``, which give the same bits."""
 
     sample_rate_hz: float
     open_loop_prefix_samples: int
@@ -109,6 +108,7 @@ class RunTrace:
     atten_clamped: np.ndarray | None = None
     atten_window_samples: int | None = None
     theta_final: np.ndarray | None = None
+    engine: str = "python"
 
 
 def _measured(scn: ScenarioConfig, x: np.ndarray) -> np.ndarray:
@@ -151,7 +151,7 @@ def _signals(scn: ScenarioConfig) -> _Signals:
         d = gen_noise(scn.noise, T)
         x = _measured(scn, np.convolve(scn.true_params, d)[:T])
         rev = _delay_line(d, n)
-        return _Signals(x, rev, rev, None, 0, scn.true_params, None)
+        return _Signals(x, rev, rev, None, 0, np.ascontiguousarray(scn.true_params), None)
     prefix = scn.open_loop_prefix_samples
     w = gen_noise(scn.noise, T)
     x = _measured(scn, scn.primary_path.fresh().filter_signal(w))
@@ -164,53 +164,26 @@ def _signals(scn: ScenarioConfig) -> _Signals:
     return _Signals(x, _delay_line(w, n), _delay_line(w_f, n), g, prefix, None, spr_ok)
 
 
-def _new_traces(scn: ScenarioConfig, sig: _Signals, policies: list):
-    """Empty traces, one per policy, and the ``(B, T)`` blocks whose rows are their
-    ``e0`` and ``param_err``; records a run never writes (``e_post`` of a
-    non-posterior rule, ``param_err`` without a target) share one read-only NaN array."""
-    B, T = len(policies), sig.desired.size
-    nan = np.full(T, np.nan)
+def _shared_nan(sig: _Signals) -> np.ndarray:
+    """A read-only all-NaN record, for the records that a run never writes."""
+    nan = np.full(sig.desired.size, np.nan)
     nan.flags.writeable = False
-    e0 = np.full((B, T), np.nan)
-    param_err = np.full((B, T), np.nan) if sig.target is not None else None
-    traces = [
-        RunTrace(
-            sample_rate_hz=scn.noise.sample_rate_hz,
-            open_loop_prefix_samples=sig.prefix,
-            e0=e0[i],
-            e_post=np.full(T, np.nan) if policy.kind == "posterior" else nan,
-            residual=np.full(T, np.nan),
-            param_err=param_err[i] if param_err is not None else nan,
-            spr_ok=sig.spr_ok,
-        )
-        for i, policy in enumerate(policies)
-    ]
-    return traces, e0, param_err
+    return nan
 
 
-def _fill_trace(trace: RunTrace, sig: _Signals, stop: int, e_post=None) -> None:
-    """Complete a run whose ``e0`` is stored up to ``stop``: the residual is the
-    measured signal before ``sig.prefix`` and ``e0`` from there on, and a
-    feedforward run that did not diverge gets its attenuation series at the
-    default window, if one full window fits."""
-    prefix = sig.prefix
-    trace.residual[:prefix] = sig.desired[:prefix]
-    trace.residual[prefix:stop] = trace.e0[prefix:stop]
-    if e_post is not None:
-        trace.e_post[prefix:stop] = e_post
-    if sig.path is not None and not trace.diverged:  # only a feedforward run has a path
-        with contextlib.suppress(ValueError):  # no full window fits
-            attenuation_db(trace, DEFAULT_ATTEN_WINDOW_S)
+def _adapt_loop(state: AdaptState, sig: _Signals, trace: RunTrace) -> tuple[int, float]:
+    """The per-sample loop of one run, in Python: the fallback and the oracle of the
+    compiled kernel, whose :meth:`~daglms._kernel.Kernel.adapt` runs the same steps.
 
-
-def _adapt_loop(trace: RunTrace, state: AdaptState, sig: _Signals) -> None:
-    """The per-sample loop of one run; fills ``trace``."""
+    Records ``e0``, ``e_post`` (posterior rule) and ``param_err`` (with a target)
+    into ``trace`` from ``sig.prefix`` on; returns the diverging step, 0 if none,
+    and the estimate norm that failed the divergence check.
+    """
     n, T, prefix, target = state.n_params, sig.desired.size, sig.prefix, sig.target
     rev, rev_f = sig.rev, sig.rev_f
     path_step = copy.deepcopy(sig.path).filter_step if sig.path is not None else float
     estimate, step = state.effective_estimate, state._step
-    e0_rec, param_err, posts = trace.e0, trace.param_err, []
-    started = time.perf_counter()
+    e0_rec, e_post, param_err = trace.e0, trace.e_post, trace.param_err
     try:
         for t, x in zip(range(prefix, T), sig.desired[prefix:].tolist()):
             k = T - 1 - t
@@ -219,25 +192,55 @@ def _adapt_loop(trace: RunTrace, state: AdaptState, sig: _Signals) -> None:
             base = estimate()
             y = float(np.dot(base, rev[k:k + n]))
             e0 = x - path_step(y)
-            posts.append(step(rev_f[k:k + n], e0, base))
+            post = step(rev_f[k:k + n], e0, base)
             e0_rec[t] = e0
+            if post is not None:
+                e_post[t] = post
             if target is not None:
                 diff = target - state.theta
                 param_err[t] = math.sqrt(float(np.dot(diff, diff)))
     except DivergenceError as exc:
-        trace.diverged = True
-        trace.divergence_step = exc.step
-        raise RunDiverged(exc.step, trace) from exc
-    finally:
-        trace.wall_time_s = time.perf_counter() - started
-        trace.theta_final = state.theta.copy()
-        stop = prefix + len(posts)  # a step that raised stored nothing
-        _fill_trace(trace, sig, stop, posts if state.policy.kind == "posterior" else None)
+        return exc.step, exc.norm
+    return 0, math.nan
 
 
-def _run(scn: ScenarioConfig, sig: _Signals, policy: StepSizePolicy, cfg: DagConfig | None) -> RunTrace:
-    [trace], _, _ = _new_traces(scn, sig, [policy])
-    _adapt_loop(trace, AdaptState(scn.n_adaptive_params, policy, cfg), sig)
+def _run(scn: ScenarioConfig, sig: _Signals, policy: StepSizePolicy, cfg: DagConfig | None, nan=None) -> RunTrace:
+    """One run on ``sig``, through the compiled kernel where it loads, else through
+    :func:`_adapt_loop`, with the same bits.
+
+    The residual is the measured signal before ``sig.prefix`` and ``e0`` from there
+    on, and a feedforward run that does not diverge gets its attenuation series at
+    the default window, if one full window fits. Divergence raises
+    :class:`RunDiverged` with the partial trace. A record the run never writes is
+    ``nan``, a read-only all-NaN array (default: a new one).
+    """
+    T, prefix = sig.desired.size, sig.prefix
+    nan = _shared_nan(sig) if nan is None else nan
+    trace = RunTrace(
+        sample_rate_hz=scn.noise.sample_rate_hz,
+        open_loop_prefix_samples=prefix,
+        e0=np.full(T, np.nan),
+        e_post=np.full(T, np.nan) if policy.kind == "posterior" else nan,
+        residual=np.full(T, np.nan),
+        param_err=np.full(T, np.nan) if sig.target is not None else nan,
+        spr_ok=sig.spr_ok,
+    )
+    state = AdaptState(scn.n_adaptive_params, policy, cfg)
+    kernel = _kernel.load()
+    started = time.perf_counter()
+    step, norm = kernel.adapt(state, sig, trace) if kernel else _adapt_loop(state, sig, trace)
+    trace.wall_time_s = time.perf_counter() - started
+    trace.engine = "kernel" if kernel else "python"
+    trace.theta_final = state.theta.copy()
+    stop = prefix + step - 1 if step else T  # the diverging step stores nothing
+    trace.residual[:prefix] = sig.desired[:prefix]
+    trace.residual[prefix:stop] = trace.e0[prefix:stop]
+    if step:
+        trace.diverged, trace.divergence_step = True, step
+        raise RunDiverged(step, trace, norm)
+    if sig.path is not None:  # only a feedforward run has a path
+        with contextlib.suppress(ValueError):  # no full window fits
+            attenuation_db(trace, DEFAULT_ATTEN_WINDOW_S)
     return trace
 
 
@@ -295,134 +298,26 @@ def run_feedforward(
     return _run(scn, _signals(scn), policy, cfg)
 
 
-def _lockstep_loop(scn: ScenarioConfig, sig: _Signals, runs: list) -> list[RunTrace]:
-    """The per-sample loop of ``_adapt_loop`` for all ``runs`` at once; one trace per run.
-
-    Row i of every ``(B, ...)`` array, and of each slot of the ``(K, B, n)`` history
-    block and its ``(K, B, 1)`` weights, is run i. Each operation is the scalar
-    loop's, elementwise over runs, or a stacked ``matmul`` of one row with one
-    vector, which gives each row ``np.dot``'s bits; so every run keeps its bits.
-    A diverged run leaves the active rows and keeps its partial trace.
-    """
-    B, T, n, prefix, target = len(runs), sig.desired.size, scn.n_adaptive_params, sig.prefix, sig.target
-    policies = [policy for policy, _ in runs]
-    # the loop writes e0 and param_err straight into the traces' rows of these blocks
-    traces, e0_block, err_block = _new_traces(scn, sig, policies)
-    cfgs = [cfg if cfg is not None else DagConfig() for _, cfg in runs]
-    depth = max(len(cfg.d) for cfg in cfgs)
-    K = depth + max(len(summed_c(cfg)) for cfg in cfgs)
-    weights = np.stack([gain_weights(cfg, depth, K) for cfg in cfgs], axis=1)
-    hist = np.zeros((K, B, n))
-    mu = np.array([p.mu for p in policies])
-    a, b = np.array([step_rule(p) for p in policies]).T
-    powered = bool(b.any())
-    bank = sig.path.bank(B) if sig.path is not None else None
-    rows = np.arange(B)  # the run of each active row
-    cols = slice(None)  # the same, as an index into the blocks
-    power_rec = np.full(T, np.nan)
-    rev, rev_f, x = sig.rev, sig.rev_f, sig.desired.tolist()
-    started = time.perf_counter()
-    for t in range(prefix, T):
-        k = T - 1 - t
-        phi, phi_f = rev[k:k + n], rev_f[k:k + n]
-        base = gain_sum(weights, hist)
-        y = np.matmul(base[:, None, :], phi[:, None])[:, 0, 0]
-        e0 = x[t] - (bank.step(y) if bank is not None else y)
-        mu_t = mu
-        if powered:
-            power = power_rec[t] = float(np.dot(phi_f, phi_f))
-            if power < math.inf:
-                mu_t = mu / (a + b * power)
-            else:  # 0 * inf is NaN, but the constant rule never reads the power
-                with np.errstate(invalid="ignore"):
-                    mu_t = mu / np.where(b == 0.0, 1.0, a + b * power)
-        corr = (mu_t * e0)[:, None] * phi_f
-        base += corr
-        norm = np.sqrt(np.matmul(base[:, None, :], base[:, :, None])[:, 0, 0])
-        if not norm.max() <= DIVERGENCE_LIMIT:  # NaN included
-            ok = norm <= DIVERGENCE_LIMIT
-            for i in np.flatnonzero(~ok).tolist():
-                trace = traces[rows[i]]
-                trace.diverged, trace.divergence_step = True, t - prefix + 1
-                trace.theta_final = hist[0, i].copy()
-            rows, mu, a, b, e0, base, corr = (v[ok] for v in (rows, mu, a, b, e0, base, corr))
-            weights, hist = weights[:, ok], hist[:, ok]
-            if not rows.size:
-                break
-            cols = rows
-            if bank is not None:
-                bank.keep(ok)
-        e0_block[cols, t] = e0
-        push_history(hist, depth, base, corr)
-        if target is not None:
-            diff = target - base
-            err_block[cols, t] = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
-    wall = time.perf_counter() - started
-    for i, r in enumerate(rows.tolist()):
-        traces[r].theta_final = hist[0, i].copy()
-    for trace, policy in zip(traces, policies):
-        trace.wall_time_s = wall
-        stop = T if not trace.diverged else prefix + trace.divergence_step - 1
-        e_post = None
-        if policy.kind == "posterior":  # the scalar rule's e0 / (1 + mu * power), elementwise
-            e_post = trace.e0[prefix:stop] / (1.0 + policy.mu * power_rec[prefix:stop])
-        _fill_trace(trace, sig, stop, e_post)
-    return traces
-
-
 def run_many(scn: ScenarioConfig, runs) -> list[RunTrace]:
-    """Run each ``(policy, cfg)`` pair of ``runs`` on ``scn``.
+    """Run each ``(policy, cfg)`` pair of ``runs`` on ``scn``, one after another.
 
     Returns one trace per pair, in order, each with the bits that
     :func:`run_sysid` or :func:`run_feedforward` gives that pair. The signals
-    and the secondary-path SPR screen are built once and shared. The runs form
-    one group, apart from gain filters with ``d[0] < 1`` (see below). A group of
-    ``_LOCKSTEP_MIN_RUNS`` (4) or more runs advances together in one per-sample loop
-    over ``(B, n)`` arrays, B runs of n taps, whose gain-filter histories share
-    one ``(K, B, n)`` block, the :class:`~daglms.adapt.AdaptState` block with a
-    run axis, summed and advanced by the same ``adapt`` helpers; each trace's
-    ``wall_time_s`` is then the shared loop's. A smaller group runs one run
-    after another through the single-run loop. A diverged run is returned with
-    ``diverged=True`` and its partial trace, as :class:`RunDiverged` carries it,
-    and the other runs go on; nothing is raised.
-    A trace's ``e0`` and ``param_err`` are rows of one array per group, and a
-    record that a run never writes (``e_post`` of a non-posterior rule,
-    ``param_err`` of a feedforward scenario) is a read-only all-NaN array
-    shared by the group.
-
-    Runs of different gain-filter depths share the loop with zero-padded
-    weights, and trailing zero ``c`` weights are left out of the sum
-    (:func:`~daglms.adapt.summed_c`, which :class:`~daglms.adapt.AdaptState`
-    applies too). A padded or left-out term ``0.0 * h`` (h a stored estimate or correction,
-    always finite) is +-0.0, and adding +-0.0 to a running sum changes it only
-    when the sum is -0.0, turning it into +0.0. When ``cfg.d[0] >= 1`` no sum
-    is ever -0.0. A sum is -0.0 only when all its terms are, and its first
-    term ``d[0] * theta`` is -0.0 only for a -0.0 estimate, since ``d[0] >= 1``
-    cannot round a nonzero estimate to zero. Each new estimate is such a sum
-    plus a correction, and estimates start at +0.0, so by induction none is
-    -0.0. So neither can reach ``e0``, ``e_post``, ``residual`` or
-    ``param_err``. Every preset has ``d[0] >= 1``; a configuration with
-    ``d[0] < 1`` runs only with configurations of its own depths, which need
-    no padding.
+    and the secondary-path SPR screen are built once and shared, and so is the
+    read-only all-NaN array that stands for every record a run never writes
+    (``e_post`` of a non-posterior rule, ``param_err`` of a feedforward
+    scenario). A diverged run is returned with ``diverged=True`` and its partial
+    trace, as :class:`RunDiverged` carries it, and the other runs go on;
+    nothing is raised.
     """
-    runs = list(runs)
     sig = _signals(scn)
-    groups: dict = {}
-    for i, (_, cfg) in enumerate(runs):
-        cfg = cfg if cfg is not None else DagConfig()
-        groups.setdefault(None if cfg.d[0] >= 1.0 else (len(cfg.d), len(cfg.c)), []).append(i)
-    traces: list = [None] * len(runs)
-    for group in groups.values():
-        group_runs = [runs[i] for i in group]
-        if len(group) >= _LOCKSTEP_MIN_RUNS:
-            group_traces = _lockstep_loop(scn, sig, group_runs)
-        else:
-            group_traces = _new_traces(scn, sig, [policy for policy, _ in group_runs])[0]
-            for trace, (policy, cfg) in zip(group_traces, group_runs):
-                with contextlib.suppress(RunDiverged):  # the trace keeps the partial run
-                    _adapt_loop(trace, AdaptState(scn.n_adaptive_params, policy, cfg), sig)
-        for i, trace in zip(group, group_traces):
-            traces[i] = trace
+    nan = _shared_nan(sig)
+    traces = []
+    for policy, cfg in runs:
+        try:
+            traces.append(_run(scn, sig, policy, cfg, nan))
+        except RunDiverged as exc:  # the trace keeps the partial run
+            traces.append(exc.trace)
     return traces
 
 

@@ -304,6 +304,26 @@ class TestRunCompare:
             "unknown preset 'arima3'",
         ),
         (["compare", "--algorithms", "nlms,foo"], SMALL_FEEDFORWARD_CONFIG, "unknown algorithm 'foo'"),
+        (
+            ["compare"],
+            SMALL_FEEDFORWARD_CONFIG.replace("integral, arima2", "integral, arima2, integral"),
+            "repeated preset 'integral' in integral, arima2, integral",
+        ),
+        (
+            ["compare"],
+            SMALL_FEEDFORWARD_CONFIG.replace("algorithms = nlms", "algorithms = nlms, plms, nlms"),
+            "repeated algorithm 'nlms' in nlms, plms, nlms",
+        ),
+        (
+            ["compare", "--algorithms", "nlms", "--presets", "integral,integral"],
+            SMALL_FEEDFORWARD_CONFIG,
+            "repeated preset 'integral' in integral, integral",
+        ),
+        (
+            ["compare", "--algorithms", "lms,lms", "--presets", "ip"],
+            SMALL_FEEDFORWARD_CONFIG,
+            "repeated algorithm 'lms' in lms, lms",
+        ),
         (["compare"], SMALL_FEEDFORWARD_CONFIG.replace("seed = 11", "seed = -1"), "seed must be non-negative"),
         (["compare", "--seed", "-3"], SMALL_FEEDFORWARD_CONFIG, "seed must be non-negative"),
         (
@@ -331,7 +351,8 @@ class TestRunCompare:
             for spec in ("0,0,1", "0,0,-1", "0,0,1.5", "0.5,0.2,-1.2")
         ),
     ],
-    ids=["unknown-preset", "unknown-algorithm", "ini-seed-minus-1", "flag-seed-minus-3", "sample-rate-0",
+    ids=["unknown-preset", "unknown-algorithm", "ini-repeated-preset", "ini-repeated-algorithm",
+         "flag-repeated-preset", "flag-repeated-algorithm", "ini-seed-minus-1", "flag-seed-minus-3", "sample-rate-0",
          "white-sample-rate-minus-2500", "bode-grid", "bode-grid-too-large", "contour-too-many-cells",
          "bode-fs-nan", "bode-fs-0", "bode-fs-minus-5",
          "bode-fs-inf", "check-custom-nan", "check-custom-d1p-1", "check-custom-d1p-minus-1",
@@ -885,10 +906,9 @@ def test_golden_output_bytes(tmp_path, kind, config, exit_code):
     ids=["2-runs", "3-runs", "4-runs"],
 )
 def test_compare_traces_equal_single_runs(tmp_path, algorithms, presets, diverged):
-    """A ``compare`` of 2 or 3 runs (the single-run loop, one run after another) or 4
-    (the lockstep loop), its traces written together, writes each trace with the
-    bytes of ``run`` on that pair alone; some runs diverge, the others carry an
-    attenuation series."""
+    """A ``compare`` of 2, 3 or 4 runs, its traces written together, writes each trace
+    with the bytes of ``run`` on that pair alone; some runs diverge, the others carry
+    an attenuation series."""
     text = GOLDEN_FEEDFORWARD_CONFIG.replace("lms, nlms, plms", algorithms).replace("integral, arima2", presets)
     path = write_config(tmp_path, text + "window_seconds = 0.2\n")
     assert main(["compare", "--config", str(path), "--out", str(tmp_path / "all")]) == 2

@@ -173,37 +173,6 @@ class TestFilterStep:
         assert h.filter_step(1.0) == 1.0
 
 
-@pytest.mark.parametrize(
-    "num, den",
-    [((-0.7,), None), ((1.0, 1.0), None), ((0.5, 0.2, -0.1), (1.0, -1.1, 0.3)), ((0.0, 1.0), (1.0, -0.5, 0.2))],
-    ids=["gain", "fir", "iir", "delayed-iir"],
-)
-def test_filter_bank_steps_each_copy_as_filter_step(num, den):
-    """Every copy of a bank keeps ``filter_step``'s bits, signed zeros included,
-    from the operator's state at the time of the copy and after dropping copies."""
-    rng = np.random.default_rng(11)
-    warmup = rng.standard_normal(5)
-    h = TransferOperator(num, den)
-    for u in warmup:
-        h.filter_step(float(u))
-    bank = h.bank(4)
-    singles = [TransferOperator(num, den) for _ in range(4)]
-    for single in singles:
-        for u in warmup:
-            single.filter_step(float(u))
-    inputs = rng.standard_normal((60, 4))
-    inputs[::7] = -0.0
-    for step, u in enumerate(inputs):
-        if step == 30:
-            bank.keep(np.array([True, False, True, True]))
-            del singles[1]
-        if step >= 30:
-            u = u[[0, 2, 3]]
-        got = bank.step(u)
-        want = np.array([single.filter_step(float(v)) for single, v in zip(singles, u)])
-        assert got.tobytes() == want.tobytes(), step
-
-
 def test_white_noise_leaves_scipy_signal_unloaded():
     """Only band-pass shaping needs ``scipy.signal``."""
     src = str(Path(daglms.__file__).resolve().parents[1])
