@@ -62,9 +62,17 @@ def assert_same_trace(got, want, label):
     ), label
 
 
-def assert_same_runs(scn, runs, run, engine="kernel"):
+def host_engine():
+    """The engine that runs here: the kernel wherever it builds (the CI workflow
+    checks that it does), so these tests also hold on a host without a compiler."""
+    return "kernel" if _kernel.load() is not None else "python"
+
+
+def assert_same_runs(scn, runs, run, engine=None):
     """Each trace of ``run_many`` and of the single-run call ``run`` equals, bit for
-    bit, the Python loop's on the same signals, and came from ``engine``."""
+    bit, the Python loop's on the same signals, and came from ``engine`` (default:
+    the host's)."""
+    engine = engine or host_engine()
     many = run_many(scn, runs)
     assert len(many) == len(runs)
     for (policy, cfg), got in zip(runs, many):
@@ -167,12 +175,13 @@ def test_one_diverging_run_returns_its_partial_trace():
 def test_divergence_keeps_the_norm(monkeypatch):
     """``RunDiverged`` carries the estimate norm that failed the check, the same from either engine."""
     args = (sysid_scenario(), StepSizePolicy.plms(0.05), make_preset("arima2"))
+    engine = host_engine()
     with pytest.raises(RunDiverged) as kernel_run:
         run_sysid(*args)
     monkeypatch.setattr(sim._kernel, "load", lambda: None)
     with pytest.raises(RunDiverged) as python_run:
         run_sysid(*args)
-    assert (kernel_run.value.trace.engine, python_run.value.trace.engine) == ("kernel", "python")
+    assert (kernel_run.value.trace.engine, python_run.value.trace.engine) == (engine, "python")
     assert kernel_run.value.step == python_run.value.step
     assert kernel_run.value.norm.hex() == python_run.value.norm.hex()
     assert not kernel_run.value.norm <= daglms.adapt.DIVERGENCE_LIMIT
@@ -236,16 +245,17 @@ def test_fallback_gives_the_same_bytes(monkeypatch, caplog, name, value, reason)
     runs = sweep([("lms", 2.0), ("nlms", 0.01), ("plms", 3.0)])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        compiled = run_many(scn, runs)
+        engine, compiled = host_engine(), run_many(scn, runs)
         monkeypatch.setattr(_kernel, name, value)
         monkeypatch.setattr(_kernel, "_kernel", None)
         with caplog.at_level(logging.DEBUG, logger="daglms._kernel"):
             fallback = assert_same_runs(scn, runs, run_feedforward, engine="python")
     [record] = caplog.records
-    assert record.getMessage().startswith("running the Python adaptation loop") and reason in record.getMessage()
+    assert record.getMessage().startswith("running the Python adaptation loop")
+    assert reason in record.getMessage() or engine == "python"  # where nothing builds, the build fails first
     assert any(trace.diverged for trace in fallback)
     for got, want in zip(fallback, compiled):
-        assert want.engine == "kernel"
+        assert want.engine == engine
         assert_same_trace(got, want, "fallback")
 
 
@@ -261,6 +271,8 @@ def test_unwritable_cache_still_runs(monkeypatch, tmp_path):
 
 def test_cached_build_is_reused(monkeypatch, tmp_path):
     """A second process finds the build in the cache, named by the source, flags and compiler."""
+    if host_engine() != "kernel":
+        pytest.skip("the kernel does not build on this host")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     path = _kernel._build()
     assert path.parent == tmp_path / "daglms" and path.name.startswith("_kernel-")
