@@ -65,7 +65,7 @@ class Kernel:
         self._ddot = ctypes.cast(getattr(blas, _DDOT), ctypes.c_void_p)
         self._adapt = lib.daglms_adapt
         self._adapt.restype, self._adapt.argtypes = ctypes.c_int64, (ctypes.c_void_p,) * 17
-        dot = lib.daglms_dot
+        self._dot = dot = lib.daglms_dot
         dot.restype, dot.argtypes = ctypes.c_double, (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p)
         rng = np.random.default_rng(0)
         pairs = [np.split(rng.standard_normal(2 * n) * 10.0 ** rng.uniform(-3, 3), 2) for n in range(1, 65)]

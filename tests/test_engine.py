@@ -87,6 +87,27 @@ def sweep(gains):
     return [(getattr(StepSizePolicy, algo)(mu), make_preset(p)) for algo, mu in gains for p in PRESET_ORDER]
 
 
+@pytest.mark.parametrize("n", [12, 16, 60, 61])
+@pytest.mark.parametrize("B", [1, 3, 15])
+def test_stacked_matmul_gives_dot_bits(n, B):
+    """Each row of a stacked ``(B, n)`` block, as the kernel's history block is, gives
+    ``np.dot``'s bits through a stacked ``matmul`` and through the kernel's dot product,
+    against a slice of a longer signal (as a delay line is) and against itself."""
+    kernel = _kernel.load()
+    rng = np.random.default_rng([n, B])
+    for _ in range(50):
+        base = rng.standard_normal((B, n)) * rng.uniform(1e-3, 1e3)
+        phi = rng.standard_normal(n + 7)[3:3 + n]  # a slice of a longer signal, as a delay line is
+        shared = np.matmul(base[:, None, :], phi[:, None])[:, 0, 0]
+        own = np.matmul(base[:, None, :], base[:, :, None])[:, 0, 0]
+        assert bits(shared) == bits(np.array([np.dot(row, phi) for row in base]))
+        assert bits(own) == bits(np.array([np.dot(row, row) for row in base]))
+        if kernel is not None:
+            for row, s, o in zip(base, shared, own):
+                assert kernel._dot(kernel._ddot, n, row.ctypes.data, phi.ctypes.data).hex() == float(s).hex()
+                assert kernel._dot(kernel._ddot, n, row.ctypes.data, row.ctypes.data).hex() == float(o).hex()
+
+
 @pytest.mark.parametrize(
     "mismatched, gains, diverged",
     [
