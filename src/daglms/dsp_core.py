@@ -53,8 +53,9 @@ class Polynomial:
         return 0
 
     def canonical(self) -> Polynomial:
-        """Copy with trailing zero coefficients stripped."""
-        return Polynomial(self.coeffs[: self.degree + 1])
+        """Trailing zero coefficients stripped: ``self`` when there are none (it is frozen), else a copy."""
+        size = self.degree + 1
+        return self if size == len(self.coeffs) else Polynomial(self.coeffs[:size])
 
     def __call__(self, z_inv):
         """Evaluate at a value (or array) of the delay variable."""
@@ -78,26 +79,42 @@ def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
     return Polynomial(tuple(np.convolve(a.coeffs, b.coeffs)))
 
 
+def _root_moduli(coeffs: tuple[float, ...]) -> list[float]:
+    """Moduli of the z-plane roots of ``coeffs`` (no trailing zeros), as ``np.abs(np.roots(coeffs))``.
+
+    Degree 1 skips the eigenvalue solve: ``np.roots`` takes the eigenvalue of
+    its 1x1 companion matrix ``[-c1 / c0]``, whose modulus is ``abs(c1 / c0)``,
+    and it has no root when it drops a zero ``c0``. The bits are the same
+    wherever LAPACK leaves the matrix unscaled, which is every modulus from
+    6.7e-139 to 1.5e138; beyond, its rescaling can move the last bit.
+    """
+    if len(coeffs) == 2:
+        c0, c1 = coeffs
+        roots = [c1 / c0] if c0 else []
+    else:
+        try:
+            roots = np.roots(coeffs).tolist()
+        except np.linalg.LinAlgError as exc:
+            raise RootFindingError(f"eigenvalue solve failed for {coeffs}") from exc
+    if not all(math.isfinite(r.real) and math.isfinite(r.imag) for r in roots):
+        raise RootFindingError(f"non-finite roots for {coeffs}")
+    return list(map(abs, roots))
+
+
 def roots_inside_unit_circle(p: Polynomial) -> bool:
     """True iff every zero of ``p`` lies strictly inside the unit circle.
 
     The coefficient vector doubles as the z-plane polynomial
     ``coeffs[0] z^n + ... + coeffs[n]`` whose roots are the delay-operator
-    zeros. Roots come from companion-matrix eigenvalues; failures raise
-    :class:`RootFindingError` instead of silently passing. The circle is
-    open: a root of modulus exactly 1 fails. Degree-0 polynomials have no
-    zeros and return True.
+    zeros. Roots come from companion-matrix eigenvalues (a division for
+    degree 1); failures raise :class:`RootFindingError` instead of silently
+    passing. The circle is open: a root of modulus exactly 1 fails.
+    Degree-0 polynomials have no zeros and return True.
     """
     q = p.canonical()
     if q.degree == 0:
         return True
-    try:
-        roots = np.roots(q.coeffs)
-    except np.linalg.LinAlgError as exc:
-        raise RootFindingError(f"eigenvalue solve failed for {q.coeffs}") from exc
-    if not np.all(np.isfinite(roots)):
-        raise RootFindingError(f"non-finite roots for {q.coeffs}")
-    return bool(np.all(np.abs(roots) < 1.0))
+    return all(modulus < 1.0 for modulus in _root_moduli(q.coeffs))
 
 
 class TransferOperator:

@@ -1,22 +1,32 @@
 """Frequency-domain design and verification toolkit.
 
-Numerical strict-positive-realness tests, the zero-average log-gain check,
-the closed-form SPR region for the second-order-numerator / first-order-
-denominator gain filter, construction of the integrator-cascaded filter,
-its positive-realness test with the unit-circle pole factored out and that
-test's closed form for the same family, plus region grids for contour
-plotting. All operations are pure functions.
+Strict-positive-realness tests from the exact real-part minimum on the
+unit circle, the zero-average log-gain check, the closed-form SPR region
+for the second-order-numerator / first-order-denominator gain filter,
+construction of the integrator-cascaded filter, its positive-realness test
+with the unit-circle pole factored out and that test's closed form for the
+same family, plus region grids for contour plotting. All operations are
+pure functions.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 
 import numpy as np
 
-from .dsp_core import Polynomial, TransferOperator, poly_mul, roots_inside_unit_circle
+from .dsp_core import (
+    Polynomial,
+    RootFindingError,
+    SingularityError,
+    TransferOperator,
+    poly_mul,
+    roots_inside_unit_circle,
+)
 
 DEFAULT_SPR_GRID = 8192
 DEFAULT_QUAD_POINTS = 4096
@@ -100,9 +110,9 @@ def integrated_dag(cfg: DagConfig) -> TransferOperator:
 
 
 @lru_cache(maxsize=8)
-def _unit_circle_grid(grid_size: int, start: float = 0.0):
-    """``omega = linspace(start, pi, grid_size)`` and ``exp(-1j omega)``, shared read-only."""
-    omega = np.linspace(start, np.pi, grid_size)
+def _unit_circle_grid(grid_size: int):
+    """``omega = linspace(0, pi, grid_size)`` and ``exp(-1j omega)``, shared read-only."""
+    omega = np.linspace(0.0, np.pi, grid_size)
     z_inv = np.exp(-1j * omega)
     omega.flags.writeable = z_inv.flags.writeable = False
     return omega, z_inv
@@ -117,21 +127,186 @@ def _midpoint_grid(quad_points: int):
     return step, z_inv
 
 
+# The real part of a response on the unit circle, as a ratio of Chebyshev series
+# in x = cos(omega). A series is a list: coefficient k multiplies T_k(x) =
+# cos(k omega), or U_k(x) = sin((k + 1) omega) / sin(omega) in a U series. The
+# series here have a handful of terms, where plain floats beat NumPy's per-call cost.
+
+
+def _scaled(coeffs) -> tuple[list[float], int]:
+    """``coeffs`` times the power of two that brings the largest magnitude into [1, 2), and the exponent removed.
+
+    The scaling is exact, and it keeps the products of the series in range.
+    """
+    exponent = math.frexp(max(map(abs, coeffs)))[1] - 1
+    return [math.ldexp(c, -exponent) for c in coeffs], exponent
+
+
+def _lags(u: list[float], v: list[float], half: int) -> list[float]:
+    """Coefficient ``w[half + k]`` of ``e^{-jk omega}`` in ``U(e^{-j omega}) conj V(e^{-j omega})``, |k| <= half."""
+    w = [0.0] * (2 * half + 1)
+    for i, a in enumerate(u):
+        for k, b in enumerate(v):
+            w[half + i - k] += a * b
+    return w
+
+
+def _cos_series(w: list[float]) -> list[float]:
+    """T series of the real part ``sum_k w[half + k] cos(k omega)`` of :func:`_lags`' product."""
+    half = len(w) // 2
+    return [w[half]] + [w[half + k] + w[half - k] for k in range(1, half + 1)]
+
+
+def _cheb_mul(a: list[float], b: list[float]) -> list[float]:
+    """Product of two T series: T_i T_j = (T_{i+j} + T_{|i-j|}) / 2."""
+    out = [0.0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            half_product = 0.5 * x * y
+            out[i + j] += half_product
+            out[abs(i - j)] += half_product
+    return out
+
+
+def _cheb_der(a: list[float]) -> list[float]:
+    """d/dx of a T series of two or more terms, one term shorter (the recurrence of numpy's chebder)."""
+    a = list(a)
+    n = len(a) - 1
+    der = [0.0] * n
+    for j in range(n, 2, -1):
+        der[j - 1] = 2 * j * a[j]
+        a[j - 2] += j * a[j] / (j - 2)
+    if n > 1:
+        der[1] = 4 * a[2]
+    der[0] = a[1]
+    return der
+
+
+def _u_to_t(b: list[float]) -> list[float]:
+    """T series of the U series ``b``: U_k = 2 (T_k + T_{k-2} + ...), with T_0 counted once."""
+    t = list(b)
+    for k in range(len(t) - 3, -1, -1):
+        t[k] += t[k + 2]
+    return t[:1] + [2.0 * c for c in t[1:]]
+
+
+def _cheb_val(a: list[float], x: float) -> float:
+    """A T series at ``x``, by Clenshaw's recurrence."""
+    b1 = b2 = 0.0
+    for c in reversed(a[1:]):
+        b1, b2 = 2.0 * x * b1 - b2 + c, b1
+    return x * b1 - b2 + a[0]
+
+
+def _at(coeffs: list[float], z_inv: complex) -> complex:
+    """A delay polynomial at one value of the delay variable, by Horner's rule."""
+    y = 0j
+    for c in reversed(coeffs):
+        y = y * z_inv + c
+    return y
+
+
+def _root_real_parts(a: list[float]) -> list[float]:
+    """Real parts of the roots of a T series.
+
+    Leading coefficients within rounding of the largest one are dropped: the
+    roots they add lie about 1/eps from [-1, 1]. Degrees 1 and 2 are solved in
+    closed form, higher ones as eigenvalues of the colleague matrix, which stay
+    accurate at the degrees of path ratios. A failed eigenvalue solve or a
+    non-finite root raises :class:`RootFindingError`.
+    """
+    floor = sys.float_info.epsilon * max(map(abs, a))
+    n = len(a) - 1
+    while n > 0 and abs(a[n]) <= floor:
+        n -= 1
+    if n == 0:
+        roots = []
+    elif n == 1:
+        roots = [-a[0] / a[1]]
+    elif n == 2:
+        # 2 a2 x^2 + a1 x + (a0 - a2) = 0, by the quadratic formula that does not cancel
+        qa, qb, qc = 2.0 * a[2], a[1], a[0] - a[2]
+        disc = qb * qb - 4.0 * qa * qc
+        if disc < 0.0:
+            roots = [-qb / (2.0 * qa)]  # the real part of the complex pair
+        else:
+            s = -0.5 * (qb + math.copysign(math.sqrt(disc), qb))
+            roots = [s / qa, qc / s] if s else [0.0]
+    else:
+        # numpy.polynomial.chebyshev's colleague matrix, symmetric but for its last
+        # column, rotated as chebroots rotates it for accuracy
+        mat = np.zeros((n, n))
+        off = np.full(n - 1, 0.5)
+        off[0] = math.sqrt(0.5)
+        i = np.arange(n - 1)
+        mat[i, i + 1] = mat[i + 1, i] = off
+        scale = np.full(n, math.sqrt(0.5))
+        scale[0] = 1.0
+        mat[:, -1] -= np.array(a[:n]) / a[n] * (scale / scale[-1]) * 0.5
+        try:
+            roots = np.linalg.eigvals(mat[::-1, ::-1]).real.tolist()
+        except np.linalg.LinAlgError as exc:
+            raise RootFindingError(f"eigenvalue solve failed for the Chebyshev series {a}") from exc
+    if not all(map(math.isfinite, roots)):
+        raise RootFindingError(f"non-finite roots for the Chebyshev series {a}")
+    return roots
+
+
+def _critical_points(p: list[float], q: list[float]) -> list[float]:
+    """Where the minimum of ``p(x) / q(x)`` over [-1, 1] can lie, for T series of one length, two or more.
+
+    It lies at x = 1, at x = -1 or at a real root of ``p' q - p q'``. The real
+    part of every root, clipped to [-1, 1], is a candidate too: each candidate
+    is a point on the circle, so the smallest value over them never lies below
+    the true minimum, and an error in a root enters it only quadratically.
+    Where q nearly vanishes, as next to poles close to the circle, the
+    product's coefficients cancel and its roots move, so each root is also
+    refined by Newton steps on ``p' q - p q'`` evaluated from the series
+    themselves, and the point they reach is a candidate as well.
+    """
+    dp, dq = _cheb_der(p), _cheb_der(q)
+    ddp, ddq = (_cheb_der(s) if len(s) > 1 else [0.0] for s in (dp, dq))
+    critical = [s - t for s, t in zip(_cheb_mul(dp, q), _cheb_mul(p, dq))]
+    candidates = [1.0, -1.0]
+    for x in _root_real_parts(critical):
+        x = min(1.0, max(-1.0, x))
+        candidates.append(x)
+        last = math.inf
+        for _ in range(8):
+            p0, p1, p2, q0, q1, q2 = (_cheb_val(s, x) for s in (p, dp, ddp, q, dq, ddq))
+            slope = p2 * q0 - p0 * q2  # d/dx (p' q - p q')
+            step = (p1 * q0 - p0 * q1) / slope if slope else 0.0
+            if not 0.0 < abs(step) < 0.5 * last:  # converged to rounding, or not converging
+                break
+            x = min(1.0, max(-1.0, x - step))
+            last = abs(step)
+        candidates.append(x)
+    return candidates
+
+
 def is_spr_numeric(h: TransferOperator, grid_size: int = DEFAULT_SPR_GRID) -> SprVerdict:
-    """Numerical SPR test on a uniform frequency grid over [0, pi].
+    """Strict-positive-realness test with the exact real-part minimum over [0, pi].
 
     Strict positive realness requires zeros and poles strictly inside the
-    unit circle and a strictly positive real part on the whole grid. The
-    default grid resolves real-part minima down to roughly 1e-7.
+    unit circle and a strictly positive real part on the whole circle. With
+    x = cos(omega) the real part is ``P(x)/Q(x)``: P is the Chebyshev series of
+    ``Re{N conj D}`` and Q that of ``|D|^2`` on the circle. Its minimum lies at
+    one of the points of :func:`_critical_points`, where the response itself is
+    evaluated; ``argmin_omega`` is that point's frequency. No grid is sampled:
+    ``grid_size`` is still validated (at least 256) but sets no resolution. A
+    pole on the circle at a candidate raises :class:`SingularityError`.
     """
     if grid_size < 256:
         raise ValueError("grid_size must be at least 256")
     stable = roots_inside_unit_circle(h.numerator) and roots_inside_unit_circle(h.denominator)
-    omega, z_inv = _unit_circle_grid(int(grid_size))
-    re = np.real(h.response_at(z_inv))
-    idx = int(np.argmin(re))
-    min_re = float(re[idx])
-    return SprVerdict(stable, bool(stable and min_re > 0.0), min_re, float(omega[idx]))
+    n, _ = _scaled(h.numerator.coeffs)
+    d, _ = _scaled(h.denominator.coeffs)
+    half = max(len(n), len(d), 2) - 1
+    x = np.array(_critical_points(_cos_series(_lags(n, d, half)), _cos_series(_lags(d, d, half))))
+    re = np.real(h.response_at(x - 1j * np.sqrt((1.0 - x) * (1.0 + x))))  # at exp(-j omega)
+    k = int(np.argmin(re))
+    min_re = float(re[k])
+    return SprVerdict(stable, bool(stable and min_re > 0.0), min_re, math.acos(x[k]))
 
 
 def log_gain_integral(
@@ -269,25 +444,46 @@ def is_pr_unit_pole(
 ) -> PrVerdict:
     """Positive-realness test for an operator with a simple pole at z = 1.
 
-    The unit-circle factor is deflated from the denominator symbolically;
-    the remaining denominator must be strictly stable. The operator is PR
-    iff the real part stays above ``-tol`` on the punctured grid
-    ``omega in (pi/grid_size, pi]`` and the residue of the pole at z = 1
-    is positive.
+    The unit-circle factor is deflated from the denominator symbolically,
+    ``D = (1 - q^-1) A``; A must be strictly stable. On the circle,
+    ``Re H = [R(x) + (1 + x) U(x)] / (2 |A|^2)`` with x = cos(omega): R is the
+    Chebyshev series of ``Re{N conj A}`` and U the U series of ``Im{N conj A}``
+    over sin(omega), since ``cot(omega/2) sin(omega) = 1 + x``. The ratio is
+    smooth on [-1, 1], its omega -> 0 limit is its value at x = 1, and its
+    exact minimum is found as in :func:`is_spr_numeric`. The operator is PR
+    iff that minimum is at least ``-tol`` and the residue of the pole at z = 1
+    is positive. ``grid_size`` is validated as in :func:`is_spr_numeric`.
     """
     if grid_size < 256:
         raise ValueError("grid_size must be at least 256")
-    a = np.asarray(h.denominator.coeffs, dtype=float)
-    if abs(a.sum()) > 1e-9 * np.abs(a).sum():
+    den = h.denominator.coeffs
+    if abs(sum(den)) > 1e-9 * sum(map(abs, den)):
         raise ValueError("denominator has no root at z = 1")
     # synthetic division by (1 - q^-1): quotient coefficients are prefix sums
-    quotient = Polynomial(tuple(np.cumsum(a[:-1]))) if a.size > 1 else Polynomial((1.0,))
+    quotient = Polynomial(tuple(itertools.accumulate(den[:-1])))
     if not roots_inside_unit_circle(quotient):
         raise ValueError("unit pole is not simple or remaining denominator is unstable")
     residue = float(h.numerator(1.0)) / float(quotient(1.0))
-    _, z_inv = _unit_circle_grid(int(grid_size), np.pi / grid_size)
-    re = np.real(h.response_at(z_inv))
-    min_re = float(re.min())
+    n, n_exp = _scaled(h.numerator.coeffs)
+    a, a_exp = _scaled(quotient.coeffs)
+    half = max(len(n), len(a), 2) - 1
+    w = _lags(n, a, half)
+    sine = _u_to_t([w[half - k] - w[half + k] for k in range(1, half + 1)])  # Im{N conj A} / sin(omega)
+    p = [r + s for r, s in zip(_cos_series(w), _cheb_mul([1.0, 1.0], sine))]
+    q = [2.0 * c for c in _cos_series(_lags(a, a, half))]
+    values = []
+    for x in _critical_points(p, q):
+        # Re{N conj A} and |A|^2 from N and A on the circle: their series cancel near a zero of A
+        z = complex(x, -math.sqrt((1.0 - x) * (1.0 + x)))
+        n_z, a_z = _at(n, z), _at(a, z)
+        abs2 = a_z.real * a_z.real + a_z.imag * a_z.imag
+        if abs2 == 0.0:
+            raise SingularityError("pole exactly on the evaluation point")
+        values.append(((n_z * a_z.conjugate()).real + (1.0 + x) * _cheb_val(sine, x)) / (2.0 * abs2))
+    try:
+        min_re = math.ldexp(min(values), n_exp - a_exp)
+    except OverflowError:  # beyond the double range, as the unscaled ratio would be
+        min_re = math.copysign(math.inf, min(values))
     residue_positive = residue > 0.0
     return PrVerdict(bool(min_re >= -tol and residue_positive), min_re, residue_positive)
 

@@ -26,7 +26,14 @@ from daglms import (
 )
 from daglms.cli import CHECK_HEADER, main
 from daglms.sim import default_feedforward_scenario
-from daglms.spr_design import dag_transfer, is_spr_numeric, is_pr_unit_pole, integrated_dag
+from daglms.spr_design import (
+    arima2_spr_closed_form,
+    dag_transfer,
+    integrated_dag,
+    integrated_pr_closed_form,
+    is_pr_unit_pole,
+    is_spr_numeric,
+)
 from daglms.adapt import PRESET_ORDER, make_preset
 
 
@@ -108,6 +115,25 @@ class TestCheck:
             writer.writeheader()
             writer.writerows(rows)
         assert main(["check", "--out", str(tmp_path / "c"), "--expect", str(bad)]) == 1
+
+    def test_lossless_cell_reads_pr(self, tmp_path):
+        """README's (0.5, -0.5, 0.5): the integrated filter is lossless and PR, as the closed form says.
+
+        The numerator zero at z = -1 leaves the gain filter itself not SPR.
+        """
+        assert main(["check", "--out", str(tmp_path), "--custom=0.5,-0.5,0.5"]) == 0
+        row = read_csv(tmp_path / "check.csv")[-1]
+        assert (row["name"], row["dag_spr"], row["integrated_pr"]) == ("custom0", "N", "Y")
+        assert integrated_pr_closed_form(0.5, -0.5, 0.5) is True
+        assert arima2_spr_closed_form(0.5, -0.5, 0.5) is False
+
+    def test_overflowing_cell_reads_not_spr(self, tmp_path):
+        # products of these coefficients overflow (NumPy's warnings silenced); the row
+        # still reads N/N, with no traceback
+        with np.errstate(all="ignore"):
+            assert main(["check", "--out", str(tmp_path), "--custom=1e308,1e308,0"]) == 0
+        row = read_csv(tmp_path / "check.csv")[-1]
+        assert (row["name"], row["dag_spr"], row["integrated_pr"]) == ("custom0", "N", "N")
 
     def test_deterministic_bytes(self, tmp_path):
         main(["check", "--out", str(tmp_path / "x")])

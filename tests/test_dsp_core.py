@@ -21,6 +21,7 @@ from daglms import (
     roots_inside_unit_circle,
     windowed_variance,
 )
+from daglms.dsp_core import RootFindingError, _root_moduli
 from conftest import random_stable_poly, random_roots
 
 
@@ -75,7 +76,90 @@ def quadratic_roots(c0, c1, c2):
     return (-c1 + s) / (2.0 * c0), (-c1 - s) / (2.0 * c0)
 
 
+class TestCanonical:
+    def test_returns_itself_without_trailing_zeros(self):
+        for coeffs in ((1.0,), (0.0,), (1.0, -0.9), (0.0, 2.0), (1.0, 0.0, 0.5)):
+            p = Polynomial(coeffs)
+            assert p.canonical() is p
+
+    def test_strips_trailing_zeros_into_a_copy(self):
+        p = Polynomial((1.0, 0.5, 0.0, -0.0))
+        q = p.canonical()
+        assert q is not p
+        assert q.coeffs == (1.0, 0.5) and p.coeffs == (1.0, 0.5, 0.0, -0.0)
+        assert Polynomial((0.0, 0.0)).canonical().coeffs == (0.0,)
+
+
+def np_root_moduli(coeffs):
+    """``np.abs(np.roots(coeffs))``, or the RootFindingError class where the eigenvalue solve fails."""
+    with np.errstate(all="ignore"):
+        try:
+            return np.abs(np.roots(coeffs))
+        except np.linalg.LinAlgError:
+            return RootFindingError
+
+
+def degree_one_pairs():
+    """Random (c0, c1) pairs over the whole exponent range, near |c1| = |c0| too, and boundary values."""
+    rng = np.random.default_rng(2026)
+    spread = rng.standard_normal((20_000, 2)) * 10.0 ** rng.uniform(-300.0, 300.0, (20_000, 2))
+    c0 = rng.standard_normal(2_000)
+    ulps = rng.integers(-4, 5, 2_000)
+    near = np.stack([c0, np.where(rng.random(2_000) < 0.5, -1.0, 1.0) * c0 * (1.0 + ulps * 2.0**-52)], axis=1)
+    above, below = np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)
+    boundary = [
+        (1.0, 1.0), (1.0, -1.0), (-2.5, 2.5), (3.0, -3.0),
+        (1.0, above), (1.0, below), (above, 1.0), (below, 1.0), (-1.0, above), (1.0, -below),
+        (1.0, 5e-324), (5e-324, 5e-324), (5e-324, 1.0), (1e308, 5e-324), (2.2e-308, 1e-308),
+        (1.0, 0.0), (1.0, -0.0), (-1.0, 0.0), (0.0, 1.0), (-0.0, 1.0), (0.0, -3.0),
+        (1.0, 1e308), (1e308, 1e308), (-1e308, 1e308), (1e308, 1.0), (1e-10, 1e308),
+    ]
+    return [*map(tuple, spread.tolist()), *map(tuple, near.tolist()), *boundary]
+
+
+# LAPACK's dgeev rescales a matrix whose largest entry lies outside [SMLNUM, BIGNUM],
+# by a factor that is not a power of two, and unscales the eigenvalues after
+SMLNUM = np.sqrt(np.finfo(float).tiny) / np.finfo(float).eps
+BIGNUM = 1.0 / SMLNUM
+
+
 class TestRootsInsideUnitCircle:
+    def test_degree_one_matches_np_roots_bit_for_bit(self):
+        """The division path against np.roots' 1x1 companion eigenvalue.
+
+        Where dgeev does not rescale, which is every modulus from 6.7e-139 to
+        1.5e138, |root| has the same bits. Beyond, its two roundings leave up to
+        one ulp, far from the circle, so the verdict is the same. A zero c0 gives no root,
+        and where np.roots fails, RootFindingError is raised.
+        """
+        pairs = degree_one_pairs()
+        assert len(pairs) > 20_000
+        bit_exact = 0
+        for c0, c1 in pairs:
+            expected = np_root_moduli((c0, c1))
+            if expected is RootFindingError:
+                with pytest.raises(RootFindingError):
+                    _root_moduli((c0, c1))
+                continue
+            moduli = _root_moduli((c0, c1))
+            if all(m == 0.0 or SMLNUM <= m <= BIGNUM for m in moduli):
+                assert [m.hex() for m in moduli] == [float(m).hex() for m in expected], (c0, c1)
+                bit_exact += 1
+            else:
+                assert np.abs(np.array(moduli) - expected) <= np.spacing(expected), (c0, c1)
+            if c1 != 0.0:  # a trailing zero is stripped before the root test
+                assert roots_inside_unit_circle(Polynomial((c0, c1))) is bool(np.all(expected < 1.0)), (c0, c1)
+        assert bit_exact > 10_000
+
+    def test_degree_one_takes_no_eigenvalue_solve(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("np.roots called")
+
+        monkeypatch.setattr(np, "roots", fail)
+        assert roots_inside_unit_circle(Polynomial((1.0, -0.9, 0.0))) is True
+        assert roots_inside_unit_circle(Polynomial((1.0, 1.0))) is False
+        assert roots_inside_unit_circle(Polynomial((0.0, 1.0))) is True
+
     def test_linear_inside(self):
         # z = -0.99 by the linear root formula
         assert roots_inside_unit_circle(Polynomial((1.0, 0.99))) is True

@@ -4,11 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from daglms import (
     DagConfig,
     Polynomial,
+    SingularityError,
     TransferOperator,
     arima2_spr_closed_form,
     d_from_dprime,
@@ -61,6 +64,47 @@ class TestDFromDPrime:
         assert len(cfg.d) == len(cfg.d_prime) + 1
 
 
+DENSE_GRID = 2**16
+
+
+def coefficients_with_zeros_within(max_radius):
+    """Real delay-polynomial coefficients of degree <= 6 from up to two real zeros and two conjugate pairs."""
+    pair = st.tuples(st.floats(0.0, max_radius), st.floats(0.0, np.pi))
+
+    def coefficients(zeros):
+        real, pairs = zeros
+        roots = [*real, *(r * np.exp(s * 1j * a) for r, a in pairs for s in (1, -1))]
+        return np.real(np.poly(roots)) if roots else np.ones(1)
+
+    return st.tuples(st.lists(st.floats(-max_radius, max_radius), max_size=2), st.lists(pair, max_size=2)).map(
+        coefficients
+    )
+
+
+def assert_exact_minimum(h):
+    """The exact minimum is a value of the response, and a dense grid brackets it.
+
+    The grid minimum lies above the true one by at most h^2 / 8 times the
+    largest curvature (taken from second differences, with a factor 2 to
+    spare); the exact minimum is never above the grid's. Both sides carry the
+    rounding of evaluating N/D, bounded from Horner's rule on the circle:
+    2 deg eps sum|coefficients| for N and D, divided by |D|.
+    """
+    omega = np.linspace(0.0, np.pi, DENSE_GRID)
+    z_inv = np.exp(-1j * omega)
+    response = h.response_at(z_inv)
+    re = np.real(response)
+    num, den = np.abs(h.numerator.coeffs), np.abs(h.denominator.coeffs)
+    horner = 2.0 * np.finfo(float).eps * np.array([num.size * num.sum(), den.size * den.sum()])
+    rounding = 4.0 * np.max((horner[0] + np.abs(response) * horner[1]) / np.abs(h.denominator(z_inv)))
+    spacing_bound = 2.0 * np.abs(np.diff(re, 2)).max() / 8.0  # h^2 / 8 * max |f''|, f'' ~ diff2 / h^2
+    v = is_spr_numeric(h)
+    assert v.min_real_part <= re.min() + rounding
+    assert v.min_real_part >= re.min() - spacing_bound - rounding
+    assert 0.0 <= v.argmin_omega <= np.pi
+    assert np.real(h.freq_response(v.argmin_omega)) == pytest.approx(v.min_real_part, abs=rounding)
+
+
 class TestIsSprNumeric:
     def test_identity(self):
         v = is_spr_numeric(TransferOperator.identity())
@@ -85,6 +129,49 @@ class TestIsSprNumeric:
     def test_grid_floor(self):
         with pytest.raises(ValueError):
             is_spr_numeric(TransferOperator.identity(), grid_size=64)
+
+    def test_narrow_dip_between_grid_points(self):
+        """Re H = K (cos w - x0)^2 - K delta^2 dips to -1e-6 halfway between two points of an 8192-point grid.
+
+        Sampled on that grid, the minimum read +3.66e-4 and the filter SPR.
+        """
+        k, delta = 1e4, 1e-5
+        omega = np.linspace(0.0, np.pi, 8192)
+        w0 = 0.5 * (omega[4000] + omega[4001])
+        x0 = np.cos(w0)
+        h = TransferOperator((k / 2 + k * x0 * x0 - k * delta * delta, -2.0 * k * x0, k / 2))
+        assert np.real(h.response_at(np.exp(-1j * omega))).min() > 3e-4
+        v = is_spr_numeric(h)
+        assert v.is_stable and not v.is_spr
+        assert v.min_real_part == pytest.approx(-1e-6, abs=1e-9)
+        assert v.argmin_omega == pytest.approx(w0, abs=1e-6)
+
+    @pytest.mark.parametrize("den", [(1.0, -1.0), (1.0, 1.0)])
+    def test_pole_on_the_circle_at_a_candidate(self, den):
+        # omega = 0 and pi are candidates of every filter, and D vanishes there
+        with pytest.raises(SingularityError):
+            is_spr_numeric(TransferOperator((1.0,), den))
+
+    @given(
+        num=coefficients_with_zeros_within(1.3),
+        den=coefficients_with_zeros_within(0.9),
+        gain=st.floats(0.1, 10.0) | st.floats(-10.0, -0.1),
+    )
+    # clustered poles near z = 1, where the roots of p' q - p q' need their Newton steps:
+    # without them these read 1.9e-7 and 9.3e-5 above the grid's minimum
+    @example(num=np.poly([0.8984375]), den=np.poly([0.890625] * 4), gain=0.109375)
+    @example(num=np.poly([1.0, 1.0, 0.75, 0.75]), den=np.poly([0.5, 0.75, 0.75, 0.875, 0.875]), gain=3.0)
+    # N = gain D: a constant response, read through rounding on the grid
+    @example(num=np.poly([0.875] * 4), den=np.poly([0.875] * 4), gain=0.109375)
+    @settings(max_examples=60, deadline=None)
+    def test_rational_filters_against_a_dense_grid(self, num, den, gain):
+        assert_exact_minimum(TransferOperator(gain * num, den))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_degree_20_fir_against_a_dense_grid(self, seed):
+        taps = np.random.default_rng(seed).standard_normal(21)
+        taps[0] = 1.0 + abs(taps[0])
+        assert_exact_minimum(TransferOperator(taps))
 
     def test_spr_implies_stability_and_positive_min(self):
         rng = np.random.default_rng(33)
@@ -212,12 +299,11 @@ class TestClosedForm:
 
 class TestUnitCircleGrid:
     def test_cached_arrays_are_read_only(self):
-        for start in (0.0, np.pi / 512):
-            omega, z_inv = _unit_circle_grid(512, start)
-            assert omega[0] == start and omega[-1] == np.pi
-            for array in (omega, z_inv):
-                with pytest.raises(ValueError, match="read-only"):
-                    array[0] = 1.0
+        omega, z_inv = _unit_circle_grid(512)
+        assert omega[0] == 0.0 and omega[-1] == np.pi
+        for array in (omega, z_inv):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
 
     def test_bode_omega_is_a_copy(self):
         h = dag_transfer(make_preset("arima2"))
@@ -320,9 +406,26 @@ class TestIsPrUnitPole:
             is_pr_unit_pole(TransferOperator((1.0,), (1.0, -2.0, 1.0)))
 
     def test_grid_floor(self):
-        # the floor of is_spr_numeric: a coarser grid misses real-part dips
+        # the floor of is_spr_numeric, still checked though no grid is sampled
         with pytest.raises(ValueError, match="grid_size must be at least 256"):
             is_pr_unit_pole(integrated_dag(make_preset("integral")), grid_size=10)
+
+    def test_exact_limits(self):
+        # the infimum of integral is 1/2 everywhere; ipd's is its omega -> 0 limit, at x = 1
+        assert is_pr_unit_pole(integrated_dag(make_preset("integral"))).min_real_part_excluding_pole == 0.5
+        v = is_pr_unit_pole(integrated_dag(make_preset("ipd")))
+        assert v.min_real_part_excluding_pole == pytest.approx(-0.95, abs=1e-12)
+        assert integrated_pr_closed_form(*preset_triple("ipd")) is False
+
+    def test_lossless_cell_is_pr(self):
+        """(0.5, -0.5) at d1p 0.5 leaves ``(1 + q^-1)/(1 - q^-1)``, with a real part of 0 on the circle.
+
+        The sampled test read a minimum of -3.1e-9 there and rejected it.
+        """
+        v = is_pr_unit_pole(integrated_dag(DagConfig((0.5, -0.5), (0.5,))))
+        assert v.is_pr and v.unit_pole_residue_positive
+        assert abs(v.min_real_part_excluding_pole) < 1e-15
+        assert integrated_pr_closed_form(0.5, -0.5, 0.5) is True
 
     def test_unstable_remainder_rejected(self):
         den = poly_mul(Polynomial((1.0, -1.0)), Polynomial((1.0, -1.5)))
@@ -332,13 +435,26 @@ class TestIsPrUnitPole:
 
 class TestIntegratedPrClosedForm:
     def test_agrees_with_numeric_test(self):
-        # criterion 3's rule: disagreement only where the sampled minimum is within 1e-6 of 0
+        # criterion 3's rule: disagreement only where the minimum is within 1e-6 of 0
         rng = np.random.default_rng(2024)
         for _ in range(3000):
             c1, c2, d1p = rng.uniform(-3.0, 3.0), rng.uniform(-2.0, 2.0), rng.uniform(-0.99, 0.99)
             numeric = is_pr_unit_pole(integrated_dag(DagConfig((c1, c2), (d1p,))))
             if integrated_pr_closed_form(c1, c2, d1p) != numeric.is_pr:
                 assert abs(numeric.min_real_part_excluding_pole) < 1e-6, (c1, c2, d1p)
+
+    @pytest.mark.parametrize("d1p", [1.0 - 1e-8, 1.0 - 2.0**-52, -1.0 + 1e-10, -1.0 + 2.0**-52])
+    def test_agrees_with_a_pole_next_to_the_circle(self, d1p):
+        """|A|^2 = (1 - d1p)^2 at omega = 0 (or (1 + d1p)^2 at pi) cancels in its Chebyshev series.
+
+        The real part and |A|^2 are taken from A on the circle, so the verdicts
+        still follow the closed form, with real parts as large as 1e31.
+        """
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            c1, c2 = rng.uniform(-3.0, 3.0), rng.uniform(-2.0, 2.0)
+            numeric = is_pr_unit_pole(integrated_dag(DagConfig((c1, c2), (d1p,))))
+            assert numeric.is_pr is integrated_pr_closed_form(c1, c2, d1p), (c1, c2)
 
     @pytest.mark.parametrize("d1p", [0.0, 0.5, 0.9])
     def test_array_form_matches_scalar_form(self, d1p):
