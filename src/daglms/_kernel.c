@@ -1,9 +1,11 @@
-/* One run of daglms.sim._adapt_loop in C, with the same bits.
+/* One run of daglms.sim._adapt_loop in C, and the whole-signal filters of
+   scipy.signal's lfilter and sosfilt, each with the same bits.
 
    Every dot product is np.dot's: the product itself for length 1, else
    0.0 + the cblas_ddot that np.dot calls, passed in as `ddot`. Every other
-   operation is an IEEE double operation in the Python loop's order; built
-   with -ffp-contract=off, so that no product is fused into an FMA. */
+   operation is an IEEE double operation in the order of the Python loop or
+   of scipy's C loop; built with -ffp-contract=off, so that no product is
+   fused into an FMA. */
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
@@ -13,6 +15,46 @@ typedef double (*ddot_fn)(int64_t, const double *, int64_t, const double *, int6
 double daglms_dot(ddot_fn ddot, int64_t n, const double *x, const double *y)
 {
     return n == 1 ? x[0] * y[0] : 0.0 + ddot(n, x, 1, y, 1);
+}
+
+/* One step of TransferOperator.filter_step over its order delays z, updated in place: direct
+   form II transposed in its expression order, which scipy lfilter's C loop has too; at order 0,
+   b0 * u + 0.0, the bits of the np.convolve that lfilter takes there. */
+static double filter_step(int64_t order, const double *b, const double *a, double *z, double u)
+{
+    const double y = b[0] * u + (order ? z[0] : 0.0);
+    for (int64_t k = 0; k < order - 1; k++)
+        z[k] = b[k + 1] * u + z[k + 1] - a[k + 1] * y;
+    if (order)
+        z[order - 1] = b[order] * u - a[order] * y;
+    return y;
+}
+
+/* scipy.signal.lfilter(b, a, x, zi=z) for a[0] == 1 over n samples into y, z updated in place. */
+void daglms_lfilter(int64_t order, const double *b, const double *a, double *z, int64_t n,
+                    const double *x, double *y)
+{
+    for (int64_t t = 0; t < n; t++)
+        y[t] = filter_step(order, b, a, z, x[t]);
+}
+
+/* scipy.signal.sosfilt(sos, x) over n samples into y, in _sosfilt's expression order: each
+   section a row (b0, b1, b2, 1, a1, a2) of sos, its two delays a row of zi, updated in place. */
+void daglms_sosfilt(int64_t sections, const double *sos, double *zi, int64_t n, const double *x,
+                    double *y)
+{
+    for (int64_t t = 0; t < n; t++) {
+        double v = x[t];
+        for (int64_t s = 0; s < sections; s++) {
+            const double *c = sos + 6 * s;
+            double *z = zi + 2 * s;
+            const double w = c[0] * v + z[0];
+            z[0] = c[1] * v - c[4] * w + z[1];
+            z[1] = c[2] * v - c[5] * w;
+            v = w;
+        }
+        y[t] = v;
+    }
 }
 
 /* dim: n taps, T samples, prefix, K history slots, Ks summed slots, depth, path order
@@ -40,14 +82,8 @@ int64_t daglms_adapt(ddot_fn ddot, const int64_t *dim, const double *par, const 
             base[i] = s;
         }
         double y = daglms_dot(ddot, n, base, phi);
-        if (order >= 0) {  /* TransferOperator.filter_step */
-            const double u = y;
-            y = b[0] * u + (order ? z[0] : 0.0);
-            for (int64_t k = 0; k < order - 1; k++)
-                z[k] = b[k + 1] * u + z[k + 1] - a[k + 1] * y;
-            if (order)
-                z[order - 1] = b[order] * u - a[order] * y;
-        }
+        if (order >= 0)
+            y = filter_step(order, b, a, z, y);
         const double e0 = x[t] - y;
         double mu_t = par[0], scale = 1.0;
         if (par[2] != 0.0) {  /* the constant rule never reads the power */

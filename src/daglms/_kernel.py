@@ -1,4 +1,10 @@
-"""The compiled adaptation loop: ``_kernel.c``, built at first use and loaded with ctypes.
+"""The compiled loops of ``_kernel.c``, built at first use and loaded with ctypes.
+
+:class:`Kernel` has three entry points, each with the bits of the code it
+stands in for: :meth:`Kernel.adapt` runs :func:`daglms.sim._adapt_loop`, and
+:meth:`Kernel.lfilter` and :meth:`Kernel.sosfilt` run ``scipy.signal``'s
+``lfilter`` and ``sosfilt`` over a whole signal, so that a run makes its
+signals without importing ``scipy.signal``.
 
 :func:`load` builds the library into ``$XDG_CACHE_HOME/daglms`` (else
 ``~/.cache/daglms``), one file per crc32 of the source, the flags and the
@@ -7,8 +13,8 @@ process loads half a library. Its dot products call the ``cblas_ddot`` of the
 OpenBLAS that NumPy bundles, the function that ``np.dot`` calls, in this
 process; a self-check compares the two for n = 1...64. Where any of this fails
 (no compiler, no writable cache, another BLAS, a failed check), :func:`load`
-returns None and logs why once at debug level, and runs take the Python loop,
-which gives the same bits.
+returns None and logs why once at debug level, and runs take the Python loop
+and ``scipy.signal``'s filters, which give the same bits.
 """
 
 from __future__ import annotations
@@ -65,6 +71,10 @@ class Kernel:
         self._ddot = ctypes.cast(getattr(blas, _DDOT), ctypes.c_void_p)
         self._adapt = lib.daglms_adapt
         self._adapt.restype, self._adapt.argtypes = ctypes.c_int64, (ctypes.c_void_p,) * 17
+        ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+        self._lfilter, self._sosfilt = lib.daglms_lfilter, lib.daglms_sosfilt
+        self._lfilter.restype, self._lfilter.argtypes = None, (i64, ptr, ptr, ptr, i64, ptr, ptr)
+        self._sosfilt.restype, self._sosfilt.argtypes = None, (i64, ptr, ptr, i64, ptr, ptr)
         self._dot = dot = lib.daglms_dot
         dot.restype, dot.argtypes = ctypes.c_double, (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p)
         rng = np.random.default_rng(0)
@@ -95,6 +105,29 @@ class Kernel:
         state.t += step or T - sig.prefix
         return step, norm.value
 
+    def lfilter(self, b, a, x, z: np.ndarray) -> np.ndarray:
+        """``scipy.signal.lfilter(b, a, x, zi=z)[0]`` for ``a[0] == 1`` and a 1-D ``x``, with
+        the same bits; ``z``, a C-contiguous float64 state of ``len(b) - 1`` delays, is
+        advanced in place."""
+        b, a, x = (np.ascontiguousarray(v, dtype=float) for v in (b, a, x))
+        if not (x.ndim == 1 and b.shape == a.shape == (z.size + 1,) and a[0] == 1.0):
+            raise ValueError("lfilter takes a 1-D signal and len(b) == len(a) == len(z) + 1 with a[0] == 1")
+        if not (z.dtype == np.float64 and z.flags.c_contiguous and z.flags.writeable):
+            raise ValueError("lfilter advances a writable C-contiguous float64 state")
+        y = np.empty_like(x)
+        self._lfilter(z.size, b.ctypes.data, a.ctypes.data, z.ctypes.data, x.size, x.ctypes.data, y.ctypes.data)
+        return y
+
+    def sosfilt(self, sos: np.ndarray, x) -> np.ndarray:
+        """``scipy.signal.sosfilt(sos, x)`` for a 1-D ``x`` and sections with ``a0 == 1``,
+        from zero state, with the same bits."""
+        sos, x = np.ascontiguousarray(sos, dtype=float), np.ascontiguousarray(x, dtype=float)
+        if not (x.ndim == 1 and sos.ndim == 2 and sos.shape[1] == 6 and np.all(sos[:, 3] == 1.0)):
+            raise ValueError("sosfilt takes a 1-D signal and (n, 6) sections with a0 == 1")
+        zi, y = np.zeros((len(sos), 2)), np.empty_like(x)
+        self._sosfilt(len(sos), sos.ctypes.data, zi.ctypes.data, x.size, x.ctypes.data, y.ctypes.data)
+        return y
+
 
 def load() -> Kernel | None:
     """The kernel, built and loaded at the first call of a process; None where it cannot run."""
@@ -105,6 +138,8 @@ def load() -> Kernel | None:
         except Exception as exc:  # whatever stops the build, the load or the check, the Python loop gives the same bits
             import logging
 
-            logging.getLogger(__name__).debug("running the Python adaptation loop: %s", exc, exc_info=True)
+            logging.getLogger(__name__).debug(
+                "running the Python adaptation loop and scipy.signal's filters: %s", exc, exc_info=True
+            )
             _kernel = False
     return _kernel or None

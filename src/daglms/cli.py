@@ -3,7 +3,8 @@
 Verdict checks, SPR/PR region grids, frequency-response export and
 experiment sweeps, all written as deterministic CSV for external plotting.
 Exit codes: 0 ok, 1 verdict mismatch against an expected-values file,
-2 divergence in a run, 3 configuration error.
+2 divergence in a run, 3 configuration error, 4 numerics error (a root
+solve that failed, or a response evaluated on a pole).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import sim
 from .adapt import PRESET_ORDER, StepSizePolicy, make_preset, preset_triple
-from .dsp_core import NoiseSpec, Polynomial, TransferOperator
+from .dsp_core import NoiseSpec, Polynomial, RootFindingError, SingularityError, TransferOperator
 from .spr_design import (
     DEFAULT_SPR_GRID,
     DagConfig,
@@ -38,6 +39,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_DIVERGED = 2
 EXIT_CONFIG = 3
+EXIT_NUMERICS = 4
 
 DEFAULT_SAMPLE_RATE = 2500.0
 
@@ -107,9 +109,10 @@ def _write_csv(path: Path, header: list[str], blocks) -> None:
 def _preset_row(name: str, cfg: DagConfig, triple) -> dict:
     c1, c2, d1p = triple
     h = dag_transfer(cfg)
-    spr = is_spr_numeric(h)
-    pr = is_pr_unit_pole(integrated_dag(cfg))
-    integral = log_gain_integral(h, check_stability=False) if spr.is_stable else float("nan")
+    with np.errstate(all="ignore"):  # a row near the float range overflows into its N/N verdicts
+        spr = is_spr_numeric(h)
+        pr = is_pr_unit_pole(integrated_dag(cfg))
+        integral = log_gain_integral(h, check_stability=False) if spr.is_stable else float("nan")
     return {
         "name": name,
         "c1": c1,
@@ -518,6 +521,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (RootFindingError, SingularityError) as exc:  # before ValueError, which SingularityError is
+        print(f"numerics error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICS
     except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -4,8 +4,11 @@ Polynomials in the unit-delay operator, rational transfer operators with
 per-sample filtering state, frequency response evaluation, seeded noise
 generation and windowed variance metrics. Everything here is plain
 float64; transfer-operator filtering state is mutable and single-owner.
-``scipy.signal`` is imported where it is used, so the design commands,
-which never filter, start without loading it.
+Whole signals are filtered by the loops of the compiled kernel
+(:mod:`daglms._kernel`), and the band-pass noise filter is designed in
+NumPy, so a run makes its signals without ``scipy.signal``. Only where the
+kernel cannot load are ``scipy.signal``'s ``lfilter`` and ``sosfilt``
+imported, at first use; both paths give the same bits.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+from . import _kernel
 
 
 class RootFindingError(RuntimeError):
@@ -200,20 +205,16 @@ class TransferOperator:
         x = np.asarray(x, dtype=float)
         if not self._state:
             return self._b[0] * x + 0.0  # + 0.0: -0.0 becomes 0.0, as in filter_step
-        import scipy.signal
-
-        zi = np.asarray(self._state, dtype=float)
-        y, zf = scipy.signal.lfilter(self._b, self._a, x, zi=zi)
-        self._state = zf.tolist()
+        z = np.array(self._state)
+        y = _lfilter(self._b, self._a, x, z)
+        self._state = z.tolist()
         return y
 
     def impulse_response(self, n: int) -> np.ndarray:
         """First ``n`` samples of the impulse response (state untouched)."""
-        import scipy.signal
-
         x = np.zeros(n)
         x[0] = 1.0
-        return scipy.signal.lfilter(self._b, self._a, x)
+        return _lfilter(self._b, self._a, x, np.zeros(len(self._state)))
 
     def response_at(self, z_inv):
         """Numerator/denominator ratio at delay-variable value(s) ``z_inv``."""
@@ -271,24 +272,84 @@ _BANDPASS_CORNER_INSET = 0.10
 _WARMUP_SAMPLES = 1024
 
 
-@lru_cache(maxsize=32)
-def _bandpass_sos(low: float, high: float, fs: float):
+def _lfilter(b, a, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``scipy.signal.lfilter(b, a, x, zi=z)`` for ``a[0] == 1``: the output, with the
+    float64 state ``z`` advanced in place; by the kernel's loop where it loads."""
+    kernel = _kernel.load()
+    if kernel is not None:
+        return kernel.lfilter(b, a, x, z)
+    if not x.size:  # for an empty signal, scipy's final state is memory it never set
+        return np.empty(0)
     import scipy.signal
 
-    inset = _BANDPASS_CORNER_INSET * (high - low)
-    return scipy.signal.butter(
-        _BANDPASS_HALF_ORDER, [low + inset, high - inset], btype="bandpass", fs=fs, output="sos"
-    )
+    y, z[:] = scipy.signal.lfilter(b, a, x, zi=z)
+    return y
+
+
+def _sosfilt(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``scipy.signal.sosfilt(sos, x)``, by the kernel's loop where it loads."""
+    kernel = _kernel.load()
+    if kernel is not None:
+        return kernel.sosfilt(sos, x)
+    import scipy.signal
+
+    return scipy.signal.sosfilt(sos, x)
+
+
+@lru_cache(maxsize=32)
+def _bandpass_sos(low: float, high: float, fs: float) -> np.ndarray:
+    """``scipy.signal.butter(4, band, "bandpass", fs=fs, output="sos")`` of the inset band,
+    transcribed step for step into NumPy, with its bits: ``buttap``'s poles, ``lp2bp_zpk``,
+    ``bilinear_zpk`` at fs = 2 (the eight zeros land on -1 and +1), ``_cplxreal``'s
+    conjugate averaging, then ``zpk2sos``'s nearest pairing, with the gain in the first
+    section. ``zpk2sos``'s two special cases need an odd count of real poles or a lone
+    real zero, which this design never has."""
+    n, inset = _BANDPASS_HALF_ORDER, _BANDPASS_CORNER_INSET * (high - low)
+    wn = np.array([low + inset, high - inset]) / (fs / 2)
+    if not 0.0 < wn[0] < wn[1] < 1.0:  # butter's check: the scaling can round the band away
+        raise ValueError(f"band [{low}, {high}] Hz at fs={fs} Hz is too narrow to design")
+    warped = 4.0 * np.tan(np.pi * wn / 2.0)  # pre-warped at fs = 2
+    bw, wo = float(warped[1] - warped[0]), float(np.sqrt(warped[0] * warped[1]))
+    p = -np.exp(1j * np.pi * np.arange(-n + 1, n, 2, dtype=np.float64) / (2 * n)) * bw / 2
+    p = np.concatenate((p + np.sqrt(p**2 - wo**2), p - np.sqrt(p**2 - wo**2)))
+    gain = bw**n * np.real(4.0**n / np.prod(4.0 - p))  # 4**n: prod(4 - z) over the n zeros at 0
+    p = (4.0 + p) / (4.0 - p)
+    tol = 100 * np.finfo(float).eps
+    p = p[np.lexsort((abs(p.imag), p.real))]
+    real = abs(p.imag) <= tol * abs(p)
+    up, down = p[~real & (p.imag > 0)], p[~real & (p.imag < 0)]
+    runs = np.diff(np.concatenate(([0], np.diff(up.real) <= tol * abs(up[:-1]), [0])))
+    for start, stop in zip(np.flatnonzero(runs > 0), np.flatnonzero(runs < 0) + 1):
+        for run in (up[start:stop], down[start:stop]):  # a run of equal real parts, by |imag|
+            run[...] = run[np.lexsort([abs(run.imag)])]
+    p = np.concatenate(((up + down.conj()) / 2, p[real].real))
+    z, sos = np.repeat([-1.0, 1.0], n), np.zeros((n, 6))
+    for s in range(n - 1, -1, -1):  # the poles nearest the circle go last
+        i = np.argmin(np.abs(1 - np.abs(p)))
+        p1, p = p[i], np.delete(p, i)
+        if np.isreal(p1):  # paired with the real pole nearest the circle
+            reals = np.flatnonzero(np.isreal(p))
+            i = reals[np.argmin(np.abs(1 - np.abs(p[reals])))]
+            p2, p = p[i], np.delete(p, i)
+        else:
+            p2 = p1.conj()
+        b, a = np.ones(1), np.ones(1, complex)
+        for _ in range(2):  # the two zeros nearest p1
+            nearest = np.argsort(np.abs(z - p1))[0]
+            b, z = np.convolve(b, np.stack((1.0, -z[nearest]))), np.delete(z, nearest)
+        for root in (p1, p2):
+            a = np.convolve(a, np.stack((np.ones_like(root), -root)))
+        sos[s] = *b, *a.real
+    sos[0][:3] *= gain
+    return sos
 
 
 @lru_cache(maxsize=32)
 def _bandpass_rms_gain(low: float, high: float, fs: float) -> float:
     # white-noise RMS gain = sqrt of the impulse-response energy
-    import scipy.signal
-
     imp = np.zeros(8192)
     imp[0] = 1.0
-    h = scipy.signal.sosfilt(_bandpass_sos(low, high, fs), imp)
+    h = _sosfilt(_bandpass_sos(low, high, fs), imp)
     return float(np.sqrt(np.dot(h, h)))
 
 
@@ -305,11 +366,9 @@ def gen_noise(spec: NoiseSpec, n: int) -> np.ndarray:
     rng = np.random.default_rng(spec.seed)
     if spec.kind == "white":
         return spec.amplitude * rng.standard_normal(n)
-    import scipy.signal
-
     sos = _bandpass_sos(spec.band_low_hz, spec.band_high_hz, spec.sample_rate_hz)
     raw = rng.standard_normal(n + _WARMUP_SAMPLES)
-    shaped = scipy.signal.sosfilt(sos, raw)[_WARMUP_SAMPLES:]
+    shaped = _sosfilt(sos, raw)[_WARMUP_SAMPLES:]
     gain = _bandpass_rms_gain(spec.band_low_hz, spec.band_high_hz, spec.sample_rate_hz)
     return shaped * (spec.amplitude / gain)
 

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from contextlib import nullcontext
 from pathlib import Path
 
@@ -16,8 +17,10 @@ from hypothesis import strategies as st
 
 from daglms import (
     NoiseSpec,
+    RootFindingError,
     RunDiverged,
     RunTrace,
+    SingularityError,
     ScenarioConfig,
     StepSizePolicy,
     cli,
@@ -102,6 +105,29 @@ class TestCheck:
         assert main(["check", "--out", str(tmp_path), "--custom", "-1.5,0.2,0.5"]) == 0
         row = read_csv(tmp_path / "check.csv")[-1]
         assert (row["name"], row["c1"], row["c2"], row["d1p"]) == ("custom0", "-1.5", "0.2", "0.5")
+
+    def test_overflowing_row_is_quiet(self, tmp_path, capsys):
+        """A row near the float range overflows inside the verdict numerics; the table
+        keeps its bytes and nothing reaches stderr."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["check", "--custom=1e308,1e308,0", "--out", str(tmp_path)]) == 0
+        assert caught == [] and capsys.readouterr().err == ""
+        digest = hashlib.sha256((tmp_path / "check.csv").read_bytes()).hexdigest()
+        assert digest == "08e6bfaf378b68baf6e7f9ac7a2b3349516bcdebb1a7e6bf90485e1e017db342"
+        assert read_csv(tmp_path / "check.csv")[-1]["dag_spr"] == "N"
+
+    @pytest.mark.parametrize("error", [RootFindingError, SingularityError])
+    def test_numerics_error_exits_4(self, tmp_path, capsys, monkeypatch, error):
+        """A failed root solve or a response on a pole is a numerics error, not a config error."""
+
+        def fail(*args, **kwargs):
+            raise error("no verdict here")
+
+        monkeypatch.setattr(cli, "is_spr_numeric", fail)
+        assert main(["check", "--out", str(tmp_path / "out")]) == cli.EXIT_NUMERICS == 4
+        assert capsys.readouterr().err == "numerics error: no verdict here\n"
+        assert not (tmp_path / "out").exists()
 
     def test_expect_match_and_mismatch(self, tmp_path):
         out1 = tmp_path / "a"

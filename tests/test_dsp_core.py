@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.signal
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import daglms
@@ -16,12 +18,21 @@ from daglms import (
     Polynomial,
     SingularityError,
     TransferOperator,
+    _kernel,
+    cli,
     gen_noise,
     poly_mul,
     roots_inside_unit_circle,
     windowed_variance,
 )
-from daglms.dsp_core import RootFindingError, _root_moduli
+from daglms.dsp_core import (
+    _BANDPASS_CORNER_INSET,
+    _BANDPASS_HALF_ORDER,
+    RootFindingError,
+    _bandpass_rms_gain,
+    _bandpass_sos,
+    _root_moduli,
+)
 from conftest import random_stable_poly, random_roots
 
 
@@ -257,15 +268,102 @@ class TestFilterStep:
         assert h.filter_step(1.0) == 1.0
 
 
-def test_white_noise_leaves_scipy_signal_unloaded():
-    """Only band-pass shaping needs ``scipy.signal``."""
+BANDPASS_COMPARE_CONFIG = """
+[scenario]
+kind = feedforward
+noise_kind = bandpass
+seed = 4
+n_adaptive_params = 8
+duration_samples = 3000
+open_loop_prefix_samples = 500
+primary_path = resonant_primary
+secondary_path = resonant_secondary
+
+[run]
+algorithms = nlms
+presets = integral
+window_seconds = 0.2
+"""
+
+
+def test_signal_path_leaves_scipy_signal_unloaded(tmp_path):
+    """Where the kernel loads, a band-pass ``daglms compare`` and white noise make their
+    signals through its loops and the NumPy band-pass design, without ``scipy.signal``."""
+    if _kernel.load() is None:
+        pytest.skip("the kernel does not build on this host")
     src = str(Path(daglms.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    config = tmp_path / "bandpass.ini"
+    config.write_text(BANDPASS_COMPARE_CONFIG)
     code = (
-        "import sys; from daglms import NoiseSpec, gen_noise; gen_noise(NoiseSpec(), 10); "
-        "assert 'scipy.signal' not in sys.modules"
+        "import sys; from daglms import NoiseSpec, _kernel, cli, gen_noise; gen_noise(NoiseSpec(), 10)\n"
+        f"assert cli.main(['compare', '--config', {str(config)!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        "assert _kernel._kernel and 'scipy.signal' not in sys.modules"
     )
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+    assert (tmp_path / "out" / "trace_nlms_integral.csv").exists()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    fs=st.floats(1e-3, 1e9),
+    low=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    width=st.floats(-17.0, 0.0),
+)
+@example(fs=2500.0, low=70.0 / 1250.0, width=np.log10(100.0 / 1180.0))  # the default band
+@example(fs=2500.0, low=1e-15, width=-14.6)  # poles nearer z = 1 than scipy's real-pole tolerance
+@example(fs=2500.0, low=1.0 - 2e-15, width=-0.3)  # and nearer z = -1
+@example(fs=2500.0, low=1e-4, width=-1e-4)  # nearly the whole band
+@example(fs=2500.0, low=0.3, width=-15.0)  # poles whose real parts differ by less than that tolerance
+def test_bandpass_design_is_butter(fs, low, width):
+    """The NumPy design gives the bits of ``scipy.signal.butter`` on the inset band, and
+    rejects the bands it rejects; the band runs from ``low`` toward Nyquist, over
+    ``10**width`` of the way, both as fractions of Nyquist."""
+    low, high = fs / 2 * low, fs / 2 * (low + (1.0 - low) * 10.0**width)
+    assume(0.0 < low < high < fs / 2)
+    inset = _BANDPASS_CORNER_INSET * (high - low)
+    with np.errstate(all="ignore"):  # the extreme bands over- and underflow alike in both
+        try:
+            want = scipy.signal.butter(
+                _BANDPASS_HALF_ORDER, [low + inset, high - inset], btype="bandpass", fs=fs, output="sos"
+            )
+        except ValueError:
+            with pytest.raises(ValueError, match="too narrow to design"):
+                _bandpass_sos.__wrapped__(low, high, fs)
+            return
+        got = _bandpass_sos.__wrapped__(low, high, fs)
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+def test_bandpass_design_rejects_a_band_that_rounds_away():
+    """A band one ulp wide is empty once butter scales it to Nyquist; both designs reject it."""
+    low = 0.44999999999999996
+    high = np.nextafter(low, 1.0)
+    inset = _BANDPASS_CORNER_INSET * (high - low)
+    with pytest.raises(ValueError, match="must be less than"):
+        scipy.signal.butter(_BANDPASS_HALF_ORDER, [low + inset, high - inset], btype="bandpass", fs=3.0)
+    with pytest.raises(ValueError, match="too narrow to design"):
+        _bandpass_sos(low, high, 3.0)
+
+
+@pytest.mark.parametrize("fs", [2500.0, 8000.0, 48000.0])
+def test_signals_keep_their_bits_without_the_kernel(monkeypatch, fs):
+    """Band-pass noise, path outputs (an empty signal included) and impulse responses have
+    the same bytes from the kernel's loops and from ``scipy.signal``'s."""
+
+    def outputs():
+        _bandpass_rms_gain.cache_clear()
+        w = gen_noise(NoiseSpec(kind="bandpass", sample_rate_hz=fs, band_low_hz=fs / 40, band_high_hz=fs / 15), 3000)
+        out = [w]
+        for make in cli._PATHS.values():
+            op = make(fs)
+            out += [op.filter_signal(w[:1000]), op.filter_signal(w[:0]), op.filter_signal(w[1000:])]
+            out += [np.array(op._state), op.impulse_response(256)]
+        return [(v.dtype.str, v.shape, v.tobytes()) for v in out]
+
+    compiled = outputs()
+    monkeypatch.setattr(_kernel, "load", lambda: None)
+    assert outputs() == compiled
 
 
 def test_impulse_response_matches_freq_response():

@@ -1,6 +1,7 @@
 """Engine tests: the compiled kernel, through ``run_many``, ``run_sysid`` and
-``run_feedforward``, keeps the bits of the Python loop ``sim._adapt_loop``, and
-falls back to that loop wherever it cannot build or load."""
+``run_feedforward``, keeps the bits of the Python loop ``sim._adapt_loop``, its
+whole-signal filters keep those of ``scipy.signal``'s ``lfilter`` and
+``sosfilt``, and it falls back to that loop wherever it cannot build or load."""
 
 import logging
 import os
@@ -12,6 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.signal
 
 import daglms
 from daglms import (
@@ -23,12 +25,14 @@ from daglms import (
     StepSizePolicy,
     TransferOperator,
     _kernel,
+    cli,
     make_preset,
     run_feedforward,
     run_many,
     run_sysid,
     sim,
 )
+from daglms.dsp_core import _bandpass_sos
 from daglms.sim import default_feedforward_scenario
 
 FIELDS = ("e0", "e_post", "residual", "param_err", "atten_db", "atten_clamped", "theta_final")
@@ -106,6 +110,84 @@ def test_stacked_matmul_gives_dot_bits(n, B):
             for row, s, o in zip(base, shared, own):
                 assert kernel._dot(kernel._ddot, n, row.ctypes.data, phi.ctypes.data).hex() == float(s).hex()
                 assert kernel._dot(kernel._ddot, n, row.ctypes.data, row.ctypes.data).hex() == float(o).hex()
+
+
+def compiled():
+    kernel = _kernel.load()
+    if kernel is None:
+        pytest.skip("the kernel does not build on this host")
+    return kernel
+
+
+# (b, a) of every path a configuration file names, at three sample rates, and of orders 0 to 2
+FILTERS = [
+    (op._b, op._a)
+    for op in [
+        *(make(fs) for make in cli._PATHS.values() for fs in (2500.0, 8000.0, 48000.0)),
+        TransferOperator((-0.7,)), TransferOperator((1.0, 1.0)),
+        TransferOperator((0.5, 0.2, -0.1), (1.0, -1.1, 0.3)), TransferOperator((0.0, 1.0), (1.0, -0.5, 0.2)),
+    ]
+]
+
+
+def signal(length, seed):
+    """Noise with signed zeros in it: an order-0 filter keeps or drops the sign as scipy does."""
+    x = np.random.default_rng(seed).standard_normal(length)
+    x[1::7], x[3::11] = 0.0, -0.0
+    return x
+
+
+def test_kernel_filters_pass_an_empty_signal():
+    """An empty signal gives an empty output and leaves the state as it was. scipy is no
+    oracle here: its ``lfilter`` returns a final state it never set, and its ``sosfilt``
+    and its order-0 ``lfilter`` (``np.convolve``) raise."""
+    kernel, x = compiled(), np.zeros(0)
+    for k, (b, a) in enumerate(FILTERS):
+        zi = np.random.default_rng(k).standard_normal(len(b) - 1)
+        z = zi.copy()
+        assert bits(kernel.lfilter(b, a, x, z)) == bits(x) and bits(z) == bits(zi), k
+    assert bits(kernel.sosfilt(_bandpass_sos(70.0, 170.0, 2500.0), x)) == bits(x)
+
+
+@pytest.mark.parametrize("length", [1, 2, 1000])
+def test_kernel_lfilter_gives_scipy_bits(length):
+    """``Kernel.lfilter`` gives ``scipy.signal.lfilter``'s output and final state, bit for
+    bit, from zero state and from a drawn one."""
+    kernel, x = compiled(), signal(length, length)
+    assert {len(b) for b, a in FILTERS} >= {1, 2, 3, 5}
+    for k, (b, a) in enumerate(FILTERS):
+        order = len(b) - 1
+        z = np.zeros(order)
+        assert bits(kernel.lfilter(b, a, x, z)) == bits(scipy.signal.lfilter(b, a, x)), k
+        zi = np.random.default_rng(k).standard_normal(order)
+        want, zf = scipy.signal.lfilter(b, a, x, zi=zi)
+        z = zi.copy()
+        assert bits(kernel.lfilter(b, a, x, z)) == bits(want), k
+        assert bits(z) == bits(zf), k
+
+
+@pytest.mark.parametrize("length", [1, 2, 9216])
+def test_kernel_sosfilt_gives_scipy_bits(length):
+    """``Kernel.sosfilt`` gives ``scipy.signal.sosfilt``'s output bit for bit, on the
+    band-pass designs of three sample rates and on drawn sections."""
+    kernel, x = compiled(), signal(length, length)
+    rng = np.random.default_rng(length)
+    drawn = np.column_stack((rng.standard_normal((3, 3)), np.ones(3), rng.uniform(-0.9, 0.9, (3, 2))))
+    for sos in [_bandpass_sos(fs / 40, fs / 15, fs) for fs in (2500.0, 8000.0, 48000.0)] + [drawn]:
+        assert bits(kernel.sosfilt(sos, x)) == bits(scipy.signal.sosfilt(sos, x))
+
+
+def test_kernel_filters_reject_bad_shapes():
+    """A shape the C loops would read past is a ValueError, not a stray read."""
+    kernel = compiled()
+    with pytest.raises(ValueError):
+        kernel.lfilter((1.0, 0.5), (1.0, -0.5), np.ones(4), np.zeros(2))
+    with pytest.raises(ValueError):
+        kernel.lfilter((1.0, 0.5), (2.0, -0.5), np.ones(4), np.zeros(1))
+    with pytest.raises(ValueError):
+        kernel.sosfilt(np.ones((2, 5)), np.ones(4))
+    with pytest.raises(ValueError):
+        kernel.sosfilt(np.ones((2, 6)) * 2.0, np.ones(4))
 
 
 @pytest.mark.parametrize(
