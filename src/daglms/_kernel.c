@@ -57,9 +57,9 @@ void daglms_sosfilt(int64_t sections, const double *sos, double *zi, int64_t n, 
     }
 }
 
-/* dim: n taps, T samples, prefix, K history slots, Ks summed slots, depth, path order
-   (-1: no path). par: mu, a, b of the gain mu / (a + b phi_f.phi_f), divergence limit.
-   hist: the (K, n) history block, updated in place; w: the Ks gain weights.
+/* dim: n taps, T samples, prefix, K history slots, depth, path order (-1: no path).
+   par: mu, a, b of the gain mu / (a + b phi_f.phi_f), divergence limit.
+   hist: the (K, n) history block, updated in place; w: its K gain weights, all summed.
    b, a, z: the path's coefficients and its state after the prefix, updated in place.
    target, e_post, err: NULL when not recorded. work: 2n doubles.
    Returns the diverging step (from 1), with its estimate norm in *norm, or 0. */
@@ -68,16 +68,13 @@ int64_t daglms_adapt(ddot_fn ddot, const int64_t *dim, const double *par, const 
                      const double *b, const double *a, double *z, const double *target,
                      double *e0_rec, double *e_post, double *err, double *work, double *norm)
 {
-    const int64_t n = dim[0], T = dim[1], prefix = dim[2], K = dim[3], Ks = dim[4];
-    const int64_t depth = dim[5], order = dim[6];
+    const int64_t n = dim[0], T = dim[1], prefix = dim[2], K = dim[3], depth = dim[4], order = dim[5];
     double *base = work, *corr = work + n;
     for (int64_t t = prefix; t < T; t++) {
         const double *phi = rev + (T - 1 - t), *phi_f = rev_f + (T - 1 - t);
         for (int64_t i = 0; i < n; i++) {  /* the gain sum, in order of k */
             double s = w[0] * hist[i];
-            if (Ks > 1)
-                s = s + w[1] * hist[n + i];
-            for (int64_t k = 2; k < Ks; k++)
+            for (int64_t k = 1; k < K; k++)
                 s += w[k] * hist[k * n + i];
             base[i] = s;
         }

@@ -90,7 +90,7 @@ class Kernel:
         b = a = z = None
         if path is not None:  # its state is the copy that the kernel steps
             b, a, z = np.array(path._b), np.array(path._a), np.array(path._state, dtype=float)
-        dim = [n, T, sig.prefix, len(state._hist), len(state._summed), state._depth, -1 if z is None else z.size]
+        dim = [n, T, sig.prefix, len(state._hist), state._depth, -1 if z is None else z.size]
         arrays = (
             np.array(dim, dtype=np.int64), np.array([state.policy.mu, *state._rule, state.divergence_limit]),
             sig.desired, sig.rev, sig.rev_f, state._weights, state._hist, b, a, z, target, trace.e0,

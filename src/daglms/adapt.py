@@ -115,26 +115,6 @@ def preset_triple(name: str) -> tuple[float, float, float]:
     return c1, c2, d1p
 
 
-def summed_c(cfg: DagConfig) -> tuple[float, ...]:
-    """The ``c`` weights a gain sum reads: all of ``cfg.c``, less its trailing zeros
-    when ``d[0] >= 1``.
-
-    A dropped term ``0.0 * h`` (h a stored estimate or correction, always finite)
-    is +-0.0, and adding +-0.0 to a running sum changes it only when the sum is
-    -0.0, turning it into +0.0. When ``d[0] >= 1`` no sum is ever -0.0. A sum is
-    -0.0 only when all its terms are, and its first term ``d[0] * theta`` is -0.0
-    only for a -0.0 estimate, since ``d[0] >= 1`` cannot round a nonzero estimate
-    to zero. Each new estimate is such a sum plus a correction, and estimates
-    start at +0.0, so by induction none is -0.0. So a dropped trailing term keeps
-    every bit, and saves a multiply row and an add per step.
-    """
-    c = cfg.c
-    if cfg.d[0] >= 1.0:
-        while c and c[-1] == 0.0:
-            c = c[:-1]
-    return c
-
-
 class AdaptState:
     """Mutable state of one adaptation loop.
 
@@ -143,8 +123,8 @@ class AdaptState:
     ``(K, n_params)`` history block; ``theta_hist`` and ``corr_hist`` are views
     of its two parts. Histories start from ``theta0`` (default zero) and zero
     corrections, which makes the first steps well-defined and reproducible.
-    The gain sum leaves out the slots of trailing zero ``c`` weights
-    (:func:`summed_c`). Single-owner: one loop per instance.
+    The gain sum reads every slot, weighted by ``(*cfg.d, *cfg.c)`` in order.
+    Single-owner: one loop per instance.
     """
 
     def __init__(
@@ -168,10 +148,7 @@ class AdaptState:
         self._hist = np.zeros((depth + len(self.cfg.c), n_params))
         self._hist[:depth] = init
         self.theta_hist, self.corr_hist = self._hist[:depth], self._hist[depth:]
-        # the sum reads the slots that summed_c keeps; its proof assumes no -0.0 start estimate
-        c = self.cfg.c if np.signbit(init[init == 0.0]).any() else summed_c(self.cfg)
-        self._weights = np.array((*self.cfg.d, *c))[:, None]
-        self._summed = self._hist[:depth + len(c)]
+        self._weights = np.array((*self.cfg.d, *self.cfg.c))[:, None]
         # (a, b) of the exact gain mu / (a + b * phi.phi)
         rules = {"constant": (1.0, 0.0), "normalized": (policy.delta, 1.0), "posterior": (1.0, policy.mu)}
         self._rule = rules[policy.kind]
@@ -196,9 +173,9 @@ class AdaptState:
         added; with the trivial configuration it is just the latest
         estimate.
         """
-        terms = self._weights * self._summed
-        out = terms[0] if len(terms) == 1 else terms[0] + terms[1]
-        for term in terms[2:]:
+        terms = self._weights * self._hist
+        out = terms[0]
+        for term in terms[1:]:
             out += term
         return out
 

@@ -429,9 +429,7 @@ def _sweep(scenario, options, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
     traces = sim.run_many(scenario, runs)
     for trace in traces:
-        if scenario.kind == "feedforward" and not trace.diverged and (
-            options["window_seconds"] != sim.DEFAULT_ATTEN_WINDOW_S
-        ):
+        if scenario.kind == "feedforward" and not trace.diverged:
             # a series only at the configured window, and only where one full window fits
             trace.atten_db = trace.atten_clamped = trace.atten_window_samples = None
             with contextlib.suppress(ValueError):

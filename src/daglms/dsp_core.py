@@ -203,8 +203,6 @@ class TransferOperator:
     def filter_signal(self, x) -> np.ndarray:
         """Filter a whole signal, advancing the same state as filter_step."""
         x = np.asarray(x, dtype=float)
-        if not self._state:
-            return self._b[0] * x + 0.0  # + 0.0: -0.0 becomes 0.0, as in filter_step
         z = np.array(self._state)
         y = _lfilter(self._b, self._a, x, z)
         self._state = z.tolist()

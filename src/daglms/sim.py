@@ -133,7 +133,9 @@ class _Signals:
     through ``path`` (None: no path), whose state each run copies as the
     open-loop prefix left it, and is subtracted from ``desired``; the
     update uses the delay line ``rev_f``. Nothing adapts in the first ``prefix``
-    samples; ``param_err`` is filled when ``target`` is given.
+    samples; ``param_err`` is filled when ``target`` is given. ``nan`` is the
+    read-only all-NaN record that every run shares for the records it never
+    writes (``e_post`` of a non-posterior rule, ``param_err`` without a target).
     """
 
     desired: np.ndarray
@@ -143,15 +145,18 @@ class _Signals:
     prefix: int
     target: np.ndarray | None
     spr_ok: bool | None
+    nan: np.ndarray
 
 
 def _signals(scn: ScenarioConfig) -> _Signals:
     n, T = scn.n_adaptive_params, scn.duration_samples
+    nan = np.full(T, np.nan)
+    nan.flags.writeable = False
     if scn.kind == "sysid":
         d = gen_noise(scn.noise, T)
         x = _measured(scn, np.convolve(scn.true_params, d)[:T])
         rev = _delay_line(d, n)
-        return _Signals(x, rev, rev, None, 0, np.ascontiguousarray(scn.true_params), None)
+        return _Signals(x, rev, rev, None, 0, np.ascontiguousarray(scn.true_params), None, nan)
     prefix = scn.open_loop_prefix_samples
     w = gen_noise(scn.noise, T)
     x = _measured(scn, scn.primary_path.fresh().filter_signal(w))
@@ -161,14 +166,7 @@ def _signals(scn: ScenarioConfig) -> _Signals:
     g = scn.secondary_path.fresh()
     g.filter_signal(np.zeros(prefix))  # silence while the compensator is disconnected
     w_f = reg_filter.fresh().filter_signal(w)
-    return _Signals(x, _delay_line(w, n), _delay_line(w_f, n), g, prefix, None, spr_ok)
-
-
-def _shared_nan(sig: _Signals) -> np.ndarray:
-    """A read-only all-NaN record, for the records that a run never writes."""
-    nan = np.full(sig.desired.size, np.nan)
-    nan.flags.writeable = False
-    return nan
+    return _Signals(x, _delay_line(w, n), _delay_line(w_f, n), g, prefix, None, spr_ok, nan)
 
 
 def _adapt_loop(state: AdaptState, sig: _Signals, trace: RunTrace) -> tuple[int, float]:
@@ -204,7 +202,7 @@ def _adapt_loop(state: AdaptState, sig: _Signals, trace: RunTrace) -> tuple[int,
     return 0, math.nan
 
 
-def _run(scn: ScenarioConfig, sig: _Signals, policy: StepSizePolicy, cfg: DagConfig | None, nan=None) -> RunTrace:
+def _run(scn: ScenarioConfig, sig: _Signals, policy: StepSizePolicy, cfg: DagConfig | None) -> RunTrace:
     """One run on ``sig``, through the compiled kernel where it loads, else through
     :func:`_adapt_loop`, with the same bits.
 
@@ -212,10 +210,9 @@ def _run(scn: ScenarioConfig, sig: _Signals, policy: StepSizePolicy, cfg: DagCon
     on, and a feedforward run that does not diverge gets its attenuation series at
     the default window, if one full window fits. Divergence raises
     :class:`RunDiverged` with the partial trace. A record the run never writes is
-    ``nan``, a read-only all-NaN array (default: a new one).
+    ``sig.nan``, the read-only all-NaN array that the runs on ``sig`` share.
     """
-    T, prefix = sig.desired.size, sig.prefix
-    nan = _shared_nan(sig) if nan is None else nan
+    T, prefix, nan = sig.desired.size, sig.prefix, sig.nan
     trace = RunTrace(
         sample_rate_hz=scn.noise.sample_rate_hz,
         open_loop_prefix_samples=prefix,
@@ -311,11 +308,10 @@ def run_many(scn: ScenarioConfig, runs) -> list[RunTrace]:
     nothing is raised.
     """
     sig = _signals(scn)
-    nan = _shared_nan(sig)
     traces = []
     for policy, cfg in runs:
         try:
-            traces.append(_run(scn, sig, policy, cfg, nan))
+            traces.append(_run(scn, sig, policy, cfg))
         except RunDiverged as exc:  # the trace keeps the partial run
             traces.append(exc.trace)
     return traces

@@ -14,7 +14,7 @@ from daglms import (
     StepSizePolicy,
     make_preset,
 )
-from daglms.adapt import preset_triple, step_size, summed_c
+from daglms.adapt import preset_triple, step_size
 from conftest import reference_vslms
 
 
@@ -116,15 +116,6 @@ class TestUpdate:
         assert s_triv.theta_hist.shape == (1, 3)
         assert s_triv.corr_hist.shape == (0, 3)
 
-    def test_trailing_zero_c_weights_left_out_of_the_sum(self):
-        assert summed_c(make_preset("arima2")) == (0.99,)
-        assert summed_c(DagConfig((0.0, 0.5, 0.0, -0.0))) == (0.0, 0.5)
-        # d[0] = 1 + d'[0] < 1: a sum may be -0.0, so every weight stays
-        assert summed_c(DagConfig((0.5, 0.0), (-0.5,))) == (0.5, 0.0)
-        # the histories keep every slot
-        s = AdaptState(3, StepSizePolicy.lms(0.1), make_preset("arima2"))
-        assert s.corr_hist.shape == (2, 3)
-
     def test_negative_zero_start_sums_every_weight(self):
         # -0.0 + (-0.5 * 0.0) is -0.0, and only the trailing 0.0 * 0.0 term makes it +0.0
         s = AdaptState(1, StepSizePolicy.lms(0.1), DagConfig((-0.5, 0.0)), theta0=[-0.0])
@@ -153,6 +144,8 @@ class TestUpdate:
 
 
 POLICIES = {"lms": StepSizePolicy.lms(0.05), "nlms": StepSizePolicy.nlms(0.5), "plms": StepSizePolicy.plms(0.5)}
+# zero c weights, a -0.0 one included, behind d[0] = 1 and behind d[0] = 1 + d'[0] < 1
+ZERO_C_WEIGHTS = {"zero-c-tail": DagConfig((0.0, 0.5, 0.0, -0.0)), "d0-below-one": DagConfig((0.5, 0.0), (-0.5,))}
 
 
 class TestDagIdentityReduction:
@@ -162,7 +155,7 @@ class TestDagIdentityReduction:
         "algo, preset",
         [
             pytest.param(algo, preset, id=algo if preset == "integral" else f"{algo}-{preset}")
-            for preset in PRESET_ORDER
+            for preset in (*PRESET_ORDER, *ZERO_C_WEIGHTS)
             for algo in POLICIES
         ],
     )
@@ -173,7 +166,7 @@ class TestDagIdentityReduction:
         phis = rng.standard_normal((steps, n))
         xs = phis @ theta_star + 0.01 * rng.standard_normal(steps)
         # the gain over the filter's DC gain, so the high-gain presets converge too
-        cfg, policy = make_preset(preset), POLICIES[algo]
+        cfg, policy = ZERO_C_WEIGHTS.get(preset) or make_preset(preset), POLICIES[algo]
         dc_gain = (1.0 + sum(cfg.c)) / (1.0 - sum(cfg.d_prime))
         policy = StepSizePolicy(policy.kind, policy.mu / dc_gain, policy.delta)
         ref = reference_vslms(policy, phis, xs, cfg)

@@ -221,11 +221,12 @@ def sysid_scenario(n=16, duration=2000):
 
 
 def test_sysid_sweep_matches_single_runs():
-    """``param_err`` included; arima2 and conj_nesterov diverge at plms(0.05), and a
-    filter with ``d[0] < 1`` sums every ``c`` weight."""
+    """``param_err`` included; arima2 and conj_nesterov diverge at plms(0.05), and
+    filters with zero ``c`` weights behind ``d[0] = 1`` and ``d[0] < 1`` sum every slot."""
     scn = sysid_scenario()
     runs = sweep([("lms", 0.01), ("nlms", 0.2), ("plms", 0.05)])
     runs += [(StepSizePolicy.nlms(0.2), DagConfig((0.3,), (-0.5,))), (StepSizePolicy.lms(0.01), None)]
+    runs += [(StepSizePolicy.nlms(0.2), cfg) for cfg in (DagConfig((0.0, 0.5, 0.0, -0.0)), DagConfig((0.5, 0.0), (-0.5,)))]
     many = assert_same_runs(scn, runs, run_sysid)
     assert 0 < sum(trace.diverged for trace in many) < len(runs)
 
