@@ -124,8 +124,12 @@ class AdaptState:
     of its two parts. Histories start from ``theta0`` (default zero) and zero
     corrections, which makes the first steps well-defined and reproducible.
     The gain sum reads every slot, weighted by ``(*cfg.d, *cfg.c)`` in order.
+    A step whose new estimate has a norm that is not finite or exceeds
+    :data:`DIVERGENCE_LIMIT` raises :class:`DivergenceError`.
     Single-owner: one loop per instance.
     """
+
+    divergence_limit = DIVERGENCE_LIMIT
 
     def __init__(
         self,
@@ -133,7 +137,6 @@ class AdaptState:
         policy: StepSizePolicy,
         cfg: DagConfig | None = None,
         theta0=None,
-        divergence_limit: float = DIVERGENCE_LIMIT,
     ):
         n_params = int(n_params)
         if n_params < 1:
@@ -153,7 +156,6 @@ class AdaptState:
         rules = {"constant": (1.0, 0.0), "normalized": (policy.delta, 1.0), "posterior": (1.0, policy.mu)}
         self._rule = rules[policy.kind]
         self.t = 0
-        self.divergence_limit = float(divergence_limit)
 
     @property
     def theta(self) -> np.ndarray:

@@ -93,10 +93,9 @@ def _columns(rows) -> list[list[str]]:
 
 
 def _rows(columns) -> str:
-    # one block of columns, iterables of formatted fields, as CSV text; rows end in
-    # "\r\n", as csv.writer wrote them (no field here needs quoting)
-    text = "\r\n".join(map(",".join, zip(*columns)))
-    return text + "\r\n" if text else ""
+    # one block of columns, iterables of formatted fields, as CSV text in one join;
+    # rows end in "\r\n", as csv.writer wrote them (no field here needs quoting)
+    return "\r\n".join([*map(",".join, zip(*columns)), ""])
 
 
 def _write_csv(path: Path, header: list[str], blocks) -> None:
@@ -202,19 +201,19 @@ MAX_BODE_GRID = 2**20
 
 
 def cmd_bode(args) -> int:
+    if not 256 <= args.grid <= MAX_BODE_GRID:
+        raise ConfigError(f"--grid must be between 256 and {MAX_BODE_GRID}, got {args.grid}")
     if not 0.0 < args.fs < np.inf:  # NaN included
         raise ConfigError(f"--fs must be finite and positive, got {args.fs!r}")
-    if args.grid > MAX_BODE_GRID:
-        raise ConfigError(f"--grid must be at most {MAX_BODE_GRID}, got {args.grid}")
-    # every preset resolved and every verdict computed before the first file is written
+    # every preset resolved and its verdicts, check's row, computed before the first file is written
     tables, summary = [], []
     for name in args.presets:
-        h = dag_transfer(make_preset(name))
-        spr = is_spr_numeric(h, args.grid)
-        freq, omega, gain_db, phase_deg = bode_points(h, args.grid, args.fs)
-        mean = log_gain_integral(h, check_stability=False) / np.pi if spr.is_stable else np.nan
+        cfg = make_preset(name)
+        row = _preset_row(name, cfg, preset_triple(name))
+        freq, omega, gain_db, phase_deg = bode_points(dag_transfer(cfg), args.grid, args.fs)
         tables.append([_fields(c) for c in (freq, omega, gain_db, phase_deg)])
-        summary.append((name, spr.is_spr, bool(np.all(np.abs(phase_deg) < 90.0)), mean))
+        phase_ok = bool(np.all(np.abs(phase_deg) < 90.0))
+        summary.append((name, row["dag_spr"], phase_ok, row["log_gain_integral"] / np.pi))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for columns, (name, is_spr, phase_ok, mean_log_gain) in zip(tables, summary):

@@ -162,8 +162,6 @@ class TransferOperator:
         lead = den.coeffs[0]
         if lead == 0.0:
             raise ValueError("denominator leading coefficient is zero")
-        if lead == 1.0:
-            return cls(num, den)
         return cls(
             Polynomial(tuple(c / lead for c in num.coeffs)),
             Polynomial(tuple(c / lead for c in den.coeffs)),

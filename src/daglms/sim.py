@@ -320,7 +320,6 @@ def run_many(scn: ScenarioConfig, runs) -> list[RunTrace]:
 def attenuation_db(
     trace: RunTrace,
     window_seconds: float = DEFAULT_ATTEN_WINDOW_S,
-    sample_rate_hz: float | None = None,
 ) -> np.ndarray:
     """Block attenuation of the controlled residual, in dB.
 
@@ -328,11 +327,11 @@ def attenuation_db(
     the controlled span, with the open-loop variance taken over the whole
     open-loop prefix. Zero controlled variance clamps at +120 dB with the
     companion ``atten_clamped`` mask set; a silent run (both variances
-    zero) reads 0 dB. The series is stored on the trace and returned; a window
-    that does not fit both the prefix and the controlled span raises ValueError.
+    zero) reads 0 dB. Windows are counted in samples at ``trace.sample_rate_hz``.
+    The series is stored on the trace and returned; a window that does not fit
+    both the prefix and the controlled span raises ValueError.
     """
-    fs = float(sample_rate_hz if sample_rate_hz is not None else trace.sample_rate_hz)
-    win = window_seconds * fs
+    win = window_seconds * float(trace.sample_rate_hz)
     if not 0.5 < win < math.inf:  # NaN included; round(win) >= 1 exactly when win > 0.5
         raise ValueError("window must cover at least one sample and a finite number of them")
     win = int(round(win))
@@ -386,31 +385,25 @@ def resonant_section(f0_hz: float, radius: float, sample_rate_hz: float) -> Poly
     return Polynomial((1.0, -2.0 * radius * math.cos(w), radius * radius))
 
 
-def _normalized_peak(num: Polynomial, den: Polynomial) -> TransferOperator:
-    h = TransferOperator(num, den)
+def _resonant_path(num: Polynomial, sections, sample_rate_hz: float) -> TransferOperator:
+    """``num`` over two resonant sections ``(f0_hz, radius)``, scaled to a peak gain
+    of 1 on the 4096-point circle."""
+    (f1, r1), (f2, r2) = sections
+    den = poly_mul(resonant_section(f1, r1, sample_rate_hz), resonant_section(f2, r2, sample_rate_hz))
     _, z_inv = _unit_circle_grid(4096)
-    peak = float(np.max(np.abs(h.response_at(z_inv))))
+    peak = float(np.max(np.abs(TransferOperator(num, den).response_at(z_inv))))
     return TransferOperator(Polynomial(tuple(c / peak for c in num.coeffs)), den)
 
 
 def make_primary_path(sample_rate_hz: float = 2500.0) -> TransferOperator:
     """Lightly damped 4th-order path carrying the disturbance to the sensor."""
-    den = poly_mul(
-        resonant_section(95.0, 0.94, sample_rate_hz),
-        resonant_section(120.0, 0.88, sample_rate_hz),
-    )
-    num = Polynomial((1.0, 0.2))
-    return _normalized_peak(num, den)
+    return _resonant_path(Polynomial((1.0, 0.2)), ((95.0, 0.94), (120.0, 0.88)), sample_rate_hz)
 
 
 def make_secondary_path(sample_rate_hz: float = 2500.0) -> TransferOperator:
     """Lightly damped 4th-order path from the compensator to the sensor."""
-    den = poly_mul(
-        resonant_section(85.0, 0.93, sample_rate_hz),
-        resonant_section(140.0, 0.90, sample_rate_hz),
-    )
     num = poly_mul(Polynomial((1.0, -0.3)), Polynomial((1.0, 0.4)))
-    return _normalized_peak(num, den)
+    return _resonant_path(num, ((85.0, 0.93), (140.0, 0.90)), sample_rate_hz)
 
 
 def make_mismatched_model(sample_rate_hz: float = 2500.0) -> TransferOperator:
@@ -420,12 +413,8 @@ def make_mismatched_model(sample_rate_hz: float = 2500.0) -> TransferOperator:
     identification failure; the path-over-model ratio is then far from
     strictly positive real.
     """
-    den = poly_mul(
-        resonant_section(78.0, 0.88, sample_rate_hz),
-        resonant_section(152.0, 0.86, sample_rate_hz),
-    )
     num = poly_mul(Polynomial((1.0, -1.25)), Polynomial((1.0, 0.4)))
-    return _normalized_peak(num, den)
+    return _resonant_path(num, ((78.0, 0.88), (152.0, 0.86)), sample_rate_hz)
 
 
 def default_feedforward_scenario(

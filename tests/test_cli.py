@@ -390,8 +390,9 @@ class TestRunCompare:
             ),
             "sample_rate_hz must be finite and positive",
         ),
-        (["bode", "--grid", "10"], None, "grid_size must be at least 256"),
-        (["bode", "--grid", "2000000000"], None, "--grid must be at most 1048576"),
+        (["bode", "--grid", "10"], None, "--grid must be between 256 and 1048576, got 10"),
+        (["bode", "--presets", "--grid", "10"], None, "--grid"),
+        (["bode", "--grid", "2000000000"], None, "--grid must be between 256 and 1048576, got 2000000000"),
         (["contour", "--d1p", "0", "--c1-step", "1e-9"], None, "is more than 1000000 cells"),
         (["bode", "--fs", "nan"], None, "--fs must be finite and positive"),
         (["bode", "--fs", "0"], None, "--fs must be finite and positive"),
@@ -405,7 +406,7 @@ class TestRunCompare:
     ],
     ids=["unknown-preset", "unknown-algorithm", "ini-repeated-preset", "ini-repeated-algorithm",
          "flag-repeated-preset", "flag-repeated-algorithm", "ini-seed-minus-1", "flag-seed-minus-3", "sample-rate-0",
-         "white-sample-rate-minus-2500", "bode-grid", "bode-grid-too-large", "contour-too-many-cells",
+         "white-sample-rate-minus-2500", "bode-grid", "bode-no-presets-grid", "bode-grid-too-large", "contour-too-many-cells",
          "bode-fs-nan", "bode-fs-0", "bode-fs-minus-5",
          "bode-fs-inf", "check-custom-nan", "check-custom-d1p-1", "check-custom-d1p-minus-1",
          "check-custom-d1p-1.5", "check-custom-d1p-minus-1.2"],
