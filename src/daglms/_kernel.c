@@ -1,11 +1,11 @@
 /* One run of daglms.sim._adapt_loop in C, and the whole-signal filters of
-   scipy.signal's lfilter and sosfilt, each with the same bits.
+   TransferOperator.filter_signal and dsp_core._sosfilt, each with the bits
+   of its Python loop.
 
    Every dot product is np.dot's: the product itself for length 1, else
    0.0 + the cblas_ddot that np.dot calls, passed in as `ddot`. Every other
-   operation is an IEEE double operation in the order of the Python loop or
-   of scipy's C loop; built with -ffp-contract=off, so that no product is
-   fused into an FMA. */
+   operation is an IEEE double operation in the order of the Python loop;
+   built with -ffp-contract=off, so that no product is fused into an FMA. */
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
@@ -18,8 +18,7 @@ double daglms_dot(ddot_fn ddot, int64_t n, const double *x, const double *y)
 }
 
 /* One step of TransferOperator.filter_step over its order delays z, updated in place: direct
-   form II transposed in its expression order, which scipy lfilter's C loop has too; at order 0,
-   b0 * u + 0.0, the bits of the np.convolve that lfilter takes there. */
+   form II transposed in its expression order; at order 0, b0 * u + 0.0. */
 static double filter_step(int64_t order, const double *b, const double *a, double *z, double u)
 {
     const double y = b[0] * u + (order ? z[0] : 0.0);
@@ -30,7 +29,7 @@ static double filter_step(int64_t order, const double *b, const double *a, doubl
     return y;
 }
 
-/* scipy.signal.lfilter(b, a, x, zi=z) for a[0] == 1 over n samples into y, z updated in place. */
+/* TransferOperator.filter_step for a[0] == 1 over n samples into y, z updated in place. */
 void daglms_lfilter(int64_t order, const double *b, const double *a, double *z, int64_t n,
                     const double *x, double *y)
 {
@@ -38,8 +37,8 @@ void daglms_lfilter(int64_t order, const double *b, const double *a, double *z, 
         y[t] = filter_step(order, b, a, z, x[t]);
 }
 
-/* scipy.signal.sosfilt(sos, x) over n samples into y, in _sosfilt's expression order: each
-   section a row (b0, b1, b2, 1, a1, a2) of sos, its two delays a row of zi, updated in place. */
+/* dsp_core._sosfilt's loop over n samples into y, in its expression order: each section a
+   row (b0, b1, b2, 1, a1, a2) of sos, its two delays a row of zi, updated in place. */
 void daglms_sosfilt(int64_t sections, const double *sos, double *zi, int64_t n, const double *x,
                     double *y)
 {

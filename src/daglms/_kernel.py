@@ -1,10 +1,10 @@
 """The compiled loops of ``_kernel.c``, built at first use and loaded with ctypes.
 
-:class:`Kernel` has three entry points, each with the bits of the code it
-stands in for: :meth:`Kernel.adapt` runs :func:`daglms.sim._adapt_loop`, and
-:meth:`Kernel.lfilter` and :meth:`Kernel.sosfilt` run ``scipy.signal``'s
-``lfilter`` and ``sosfilt`` over a whole signal, so that a run makes its
-signals without importing ``scipy.signal``.
+:class:`Kernel` has three entry points, each with the bits of the Python loop
+it stands in for: :meth:`Kernel.adapt` runs :func:`daglms.sim._adapt_loop`,
+:meth:`Kernel.lfilter` runs :meth:`daglms.TransferOperator.filter_step` over a
+whole signal, and :meth:`Kernel.sosfilt` runs ``daglms.dsp_core._sosfilt``'s
+loop over band-pass sections.
 
 :func:`load` builds the library into ``$XDG_CACHE_HOME/daglms`` (else
 ``~/.cache/daglms``), one file per crc32 of the source, the flags and the
@@ -13,8 +13,8 @@ process loads half a library. Its dot products call the ``cblas_ddot`` of the
 OpenBLAS that NumPy bundles, the function that ``np.dot`` calls, in this
 process; a self-check compares the two for n = 1...64. Where any of this fails
 (no compiler, no writable cache, another BLAS, a failed check), :func:`load`
-returns None and logs why once at debug level, and runs take the Python loop
-and ``scipy.signal``'s filters, which give the same bits.
+returns None and logs why once at debug level, and runs and filters take the
+Python loops, which give the same bits.
 """
 
 from __future__ import annotations
@@ -106,9 +106,9 @@ class Kernel:
         return step, norm.value
 
     def lfilter(self, b, a, x, z: np.ndarray) -> np.ndarray:
-        """``scipy.signal.lfilter(b, a, x, zi=z)[0]`` for ``a[0] == 1`` and a 1-D ``x``, with
-        the same bits; ``z``, a C-contiguous float64 state of ``len(b) - 1`` delays, is
-        advanced in place."""
+        """:meth:`daglms.TransferOperator.filter_step` of the operator ``b / a`` (``a[0] == 1``)
+        over a 1-D ``x``, with the same bits; ``z``, a C-contiguous float64 state of
+        ``len(b) - 1`` delays, is advanced in place."""
         b, a, x = (np.ascontiguousarray(v, dtype=float) for v in (b, a, x))
         if not (x.ndim == 1 and b.shape == a.shape == (z.size + 1,) and a[0] == 1.0):
             raise ValueError("lfilter takes a 1-D signal and len(b) == len(a) == len(z) + 1 with a[0] == 1")
@@ -119,7 +119,7 @@ class Kernel:
         return y
 
     def sosfilt(self, sos: np.ndarray, x) -> np.ndarray:
-        """``scipy.signal.sosfilt(sos, x)`` for a 1-D ``x`` and sections with ``a0 == 1``,
+        """``daglms.dsp_core._sosfilt``'s loop for a 1-D ``x`` and sections with ``a0 == 1``,
         from zero state, with the same bits."""
         sos, x = np.ascontiguousarray(sos, dtype=float), np.ascontiguousarray(x, dtype=float)
         if not (x.ndim == 1 and sos.ndim == 2 and sos.shape[1] == 6 and np.all(sos[:, 3] == 1.0)):
@@ -139,7 +139,7 @@ def load() -> Kernel | None:
             import logging
 
             logging.getLogger(__name__).debug(
-                "running the Python adaptation loop and scipy.signal's filters: %s", exc, exc_info=True
+                "running the Python adaptation loop and filters: %s", exc, exc_info=True
             )
             _kernel = False
     return _kernel or None

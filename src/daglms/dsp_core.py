@@ -5,10 +5,9 @@ per-sample filtering state, frequency response evaluation, seeded noise
 generation and windowed variance metrics. Everything here is plain
 float64; transfer-operator filtering state is mutable and single-owner.
 Whole signals are filtered by the loops of the compiled kernel
-(:mod:`daglms._kernel`), and the band-pass noise filter is designed in
-NumPy, so a run makes its signals without ``scipy.signal``. Only where the
-kernel cannot load are ``scipy.signal``'s ``lfilter`` and ``sosfilt``
-imported, at first use; both paths give the same bits.
+(:mod:`daglms._kernel`) where it loads, else by the Python loops it
+transcribes, :meth:`TransferOperator.filter_step` and ``_sosfilt``'s; both
+give the same bits. The band-pass noise filter is designed in NumPy.
 """
 
 from __future__ import annotations
@@ -199,18 +198,26 @@ class TransferOperator:
         return y
 
     def filter_signal(self, x) -> np.ndarray:
-        """Filter a whole signal, advancing the same state as filter_step."""
+        """Filter a whole 1-D signal, advancing the same state as filter_step: by the
+        kernel's loop where it loads, else by filter_step itself, with the same bits."""
         x = np.asarray(x, dtype=float)
+        if x.ndim != 1:
+            raise ValueError(f"filter_signal takes a 1-D signal, got {x.ndim}-D")
+        kernel = _kernel.load()
+        if kernel is None:
+            return np.array([self.filter_step(u) for u in x.tolist()])
         z = np.array(self._state)
-        y = _lfilter(self._b, self._a, x, z)
+        y = kernel.lfilter(self._b, self._a, x, z)
         self._state = z.tolist()
         return y
 
     def impulse_response(self, n: int) -> np.ndarray:
         """First ``n`` samples of the impulse response (state untouched)."""
+        if n < 1:
+            raise ValueError("sample count must be positive")
         x = np.zeros(n)
         x[0] = 1.0
-        return _lfilter(self._b, self._a, x, np.zeros(len(self._state)))
+        return self.fresh().filter_signal(x)
 
     def response_at(self, z_inv):
         """Numerator/denominator ratio at delay-variable value(s) ``z_inv``."""
@@ -268,28 +275,20 @@ _BANDPASS_CORNER_INSET = 0.10
 _WARMUP_SAMPLES = 1024
 
 
-def _lfilter(b, a, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``scipy.signal.lfilter(b, a, x, zi=z)`` for ``a[0] == 1``: the output, with the
-    float64 state ``z`` advanced in place; by the kernel's loop where it loads."""
-    kernel = _kernel.load()
-    if kernel is not None:
-        return kernel.lfilter(b, a, x, z)
-    if not x.size:  # for an empty signal, scipy's final state is memory it never set
-        return np.empty(0)
-    import scipy.signal
-
-    y, z[:] = scipy.signal.lfilter(b, a, x, zi=z)
-    return y
-
-
 def _sosfilt(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``scipy.signal.sosfilt(sos, x)``, by the kernel's loop where it loads."""
+    """The sections ``sos``, rows ``(b0, b1, b2, 1, a1, a2)``, run over ``x`` from zero state:
+    by the kernel's loop where it loads, else by this loop, in ``daglms_sosfilt``'s expression order."""
     kernel = _kernel.load()
     if kernel is not None:
         return kernel.sosfilt(sos, x)
-    import scipy.signal
-
-    return scipy.signal.sosfilt(sos, x)
+    sections, zi, y = sos.tolist(), [[0.0, 0.0] for _ in sos], []
+    for v in x.tolist():
+        for (b0, b1, b2, _, a1, a2), z in zip(sections, zi):
+            w = b0 * v + z[0]
+            z[0], z[1] = b1 * v - a1 * w + z[1], b2 * v - a2 * w
+            v = w
+        y.append(v)
+    return np.array(y)
 
 
 @lru_cache(maxsize=32)
@@ -377,9 +376,9 @@ def windowed_variance(x, window: int, mode: str = "block") -> np.ndarray:
     ``sliding`` mode returns one variance per window position.
     """
     x = np.asarray(x, dtype=float)
+    if not isinstance(window, (int, np.integer)) or window <= 0:
+        raise ValueError(f"window must be a positive integer sample count, got {window!r}")
     window = int(window)
-    if window <= 0:
-        raise ValueError("window must be a positive sample count")
     if window > x.size:
         raise ValueError(f"window {window} exceeds signal length {x.size}")
     if mode == "block":

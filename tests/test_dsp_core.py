@@ -267,6 +267,28 @@ class TestFilterStep:
         h.reset()
         assert h.filter_step(1.0) == 1.0
 
+    @pytest.mark.parametrize("engine", ["kernel", "python"])
+    def test_signal_must_be_1d(self, engine, monkeypatch):
+        """A 0-D or 2-D signal is a ValueError where it enters, on either engine, and the
+        state is left as it was."""
+        if engine == "kernel" and _kernel.load() is None:
+            pytest.skip("the kernel does not build on this host")
+        if engine == "python":
+            monkeypatch.setattr(_kernel, "load", lambda: None)
+        h = TransferOperator((1.0,), (1.0, -0.5))
+        h.filter_step(1.0)
+        for x in (1.0, np.ones((2, 3))):
+            with pytest.raises(ValueError, match="1-D signal"):
+                h.filter_signal(x)
+        assert h._state == [0.5]
+
+    def test_impulse_response_needs_a_sample(self):
+        h = TransferOperator((1.0,), (1.0, -0.5))
+        for n in (0, -3):
+            with pytest.raises(ValueError, match="sample count must be positive"):
+                h.impulse_response(n)
+        assert h.impulse_response(1).tolist() == [1.0]
+
 
 BANDPASS_COMPARE_CONFIG = """
 [scenario]
@@ -286,22 +308,47 @@ window_seconds = 0.2
 """
 
 
+def source_env(**extra):
+    """The environment with this checkout's ``src`` on ``PYTHONPATH``, plus ``extra``."""
+    src = str(Path(daglms.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))), **extra}
+
+
 def test_signal_path_leaves_scipy_signal_unloaded(tmp_path):
     """Where the kernel loads, a band-pass ``daglms compare`` and white noise make their
-    signals through its loops and the NumPy band-pass design, without ``scipy.signal``."""
+    signals through its loops and the NumPy band-pass design, without ``scipy``."""
     if _kernel.load() is None:
         pytest.skip("the kernel does not build on this host")
-    src = str(Path(daglms.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     config = tmp_path / "bandpass.ini"
     config.write_text(BANDPASS_COMPARE_CONFIG)
     code = (
         "import sys; from daglms import NoiseSpec, _kernel, cli, gen_noise; gen_noise(NoiseSpec(), 10)\n"
         f"assert cli.main(['compare', '--config', {str(config)!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
-        "assert _kernel._kernel and 'scipy.signal' not in sys.modules"
+        "assert _kernel._kernel and 'scipy' not in sys.modules"
     )
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+    subprocess.run([sys.executable, "-c", code], check=True, env=source_env())
     assert (tmp_path / "out" / "trace_nlms_integral.csv").exists()
+
+
+def test_bandpass_compare_runs_without_kernel_or_scipy(tmp_path):
+    """With no kernel (a regular file as the cache root) and ``scipy`` blocked, a band-pass
+    ``daglms compare`` runs on the Python loops and writes the bytes of this host's run."""
+    config = tmp_path / "bandpass.ini"
+    config.write_text(BANDPASS_COMPARE_CONFIG)
+    assert cli.main(["compare", "--config", str(config), "--out", str(tmp_path / "host")]) == 0
+    (tmp_path / "no-cache").touch()
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from daglms import _kernel, cli\n"
+        f"assert cli.main(['compare', '--config', {str(config)!r}, '--out', {str(tmp_path / 'python')!r}]) == 0\n"
+        "assert _kernel.load() is None"
+    )
+    env = source_env(XDG_CACHE_HOME=str(tmp_path / "no-cache"))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+    files = sorted(f.name for f in (tmp_path / "host").iterdir())
+    assert files == sorted(f.name for f in (tmp_path / "python").iterdir()) and files
+    for name in files:
+        assert (tmp_path / "python" / name).read_bytes() == (tmp_path / "host" / name).read_bytes(), name
 
 
 @settings(max_examples=300, deadline=None)
@@ -349,7 +396,7 @@ def test_bandpass_design_rejects_a_band_that_rounds_away():
 @pytest.mark.parametrize("fs", [2500.0, 8000.0, 48000.0])
 def test_signals_keep_their_bits_without_the_kernel(monkeypatch, fs):
     """Band-pass noise, path outputs (an empty signal included) and impulse responses have
-    the same bytes from the kernel's loops and from ``scipy.signal``'s."""
+    the same bytes from the kernel's loops and from the Python loops."""
 
     def outputs():
         _bandpass_rms_gain.cache_clear()
@@ -450,3 +497,9 @@ class TestWindowedVariance:
     def test_window_too_long(self):
         with pytest.raises(ValueError):
             windowed_variance([1.0, 2.0], 3)
+
+    def test_window_must_be_an_integer(self):
+        for window in (2.5, 2.0, "2", None):
+            with pytest.raises(ValueError, match="integer sample count"):
+                windowed_variance([1.0, 2.0, 3.0, 4.0], window)
+        assert_allclose(windowed_variance([1.0, -1.0, 1.0, -1.0], np.int64(2)), [1.0, 1.0])

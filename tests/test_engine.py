@@ -1,7 +1,8 @@
 """Engine tests: the compiled kernel, through ``run_many``, ``run_sysid`` and
-``run_feedforward``, keeps the bits of the Python loop ``sim._adapt_loop``, its
-whole-signal filters keep those of ``scipy.signal``'s ``lfilter`` and
-``sosfilt``, and it falls back to that loop wherever it cannot build or load."""
+``run_feedforward``, keeps the bits of the Python loop ``sim._adapt_loop``, the
+whole-signal filters of both engines keep those of ``scipy.signal``'s ``lfilter``
+and ``sosfilt``, and it falls back to the Python loops wherever it cannot build
+or load."""
 
 import logging
 import os
@@ -26,6 +27,7 @@ from daglms import (
     TransferOperator,
     _kernel,
     cli,
+    dsp_core,
     make_preset,
     run_feedforward,
     run_many,
@@ -137,44 +139,77 @@ def signal(length, seed):
     return x
 
 
-def test_kernel_filters_pass_an_empty_signal():
+def engine_filters(engine, monkeypatch):
+    """``(lfilter, sosfilt)`` of one engine, with :class:`_kernel.Kernel`'s signatures: the
+    kernel's loops, or the Python loops of ``TransferOperator.filter_signal`` and
+    ``dsp_core._sosfilt`` with the kernel out of reach."""
+    if engine == "kernel":
+        kernel = compiled()
+        return kernel.lfilter, kernel.sosfilt
+    monkeypatch.setattr(_kernel, "load", lambda: None)
+
+    def lfilter(b, a, x, z):
+        op = TransferOperator(b, a)
+        op._state = z.tolist()
+        y = op.filter_signal(x)
+        z[:] = op._state
+        return y
+
+    return lfilter, dsp_core._sosfilt
+
+
+ENGINES = ("kernel", "python")
+
+
+def by_engine(lengths):
+    """``(engine, length)`` cases, the kernel's under the length alone and the Python
+    loops' under ``python-<length>``."""
+    return [
+        pytest.param(engine, n, id=f"{n}" if engine == "kernel" else f"{engine}-{n}")
+        for engine in ENGINES
+        for n in lengths
+    ]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_kernel_filters_pass_an_empty_signal(engine, monkeypatch):
     """An empty signal gives an empty output and leaves the state as it was. scipy is no
     oracle here: its ``lfilter`` returns a final state it never set, and its ``sosfilt``
     and its order-0 ``lfilter`` (``np.convolve``) raise."""
-    kernel, x = compiled(), np.zeros(0)
+    (lfilter, sosfilt), x = engine_filters(engine, monkeypatch), np.zeros(0)
     for k, (b, a) in enumerate(FILTERS):
         zi = np.random.default_rng(k).standard_normal(len(b) - 1)
         z = zi.copy()
-        assert bits(kernel.lfilter(b, a, x, z)) == bits(x) and bits(z) == bits(zi), k
-    assert bits(kernel.sosfilt(_bandpass_sos(70.0, 170.0, 2500.0), x)) == bits(x)
+        assert bits(lfilter(b, a, x, z)) == bits(x) and bits(z) == bits(zi), k
+    assert bits(sosfilt(_bandpass_sos(70.0, 170.0, 2500.0), x)) == bits(x)
 
 
-@pytest.mark.parametrize("length", [1, 2, 1000])
-def test_kernel_lfilter_gives_scipy_bits(length):
-    """``Kernel.lfilter`` gives ``scipy.signal.lfilter``'s output and final state, bit for
-    bit, from zero state and from a drawn one."""
-    kernel, x = compiled(), signal(length, length)
+@pytest.mark.parametrize("engine, length", by_engine([1, 2, 1000]))
+def test_kernel_lfilter_gives_scipy_bits(engine, length, monkeypatch):
+    """Each engine's ``lfilter`` gives ``scipy.signal.lfilter``'s output and final state,
+    bit for bit, from zero state and from a drawn one."""
+    (lfilter, _), x = engine_filters(engine, monkeypatch), signal(length, length)
     assert {len(b) for b, a in FILTERS} >= {1, 2, 3, 5}
     for k, (b, a) in enumerate(FILTERS):
         order = len(b) - 1
         z = np.zeros(order)
-        assert bits(kernel.lfilter(b, a, x, z)) == bits(scipy.signal.lfilter(b, a, x)), k
+        assert bits(lfilter(b, a, x, z)) == bits(scipy.signal.lfilter(b, a, x)), k
         zi = np.random.default_rng(k).standard_normal(order)
         want, zf = scipy.signal.lfilter(b, a, x, zi=zi)
         z = zi.copy()
-        assert bits(kernel.lfilter(b, a, x, z)) == bits(want), k
+        assert bits(lfilter(b, a, x, z)) == bits(want), k
         assert bits(z) == bits(zf), k
 
 
-@pytest.mark.parametrize("length", [1, 2, 9216])
-def test_kernel_sosfilt_gives_scipy_bits(length):
-    """``Kernel.sosfilt`` gives ``scipy.signal.sosfilt``'s output bit for bit, on the
-    band-pass designs of three sample rates and on drawn sections."""
-    kernel, x = compiled(), signal(length, length)
+@pytest.mark.parametrize("engine, length", by_engine([1, 2, 9216]))
+def test_kernel_sosfilt_gives_scipy_bits(engine, length, monkeypatch):
+    """Each engine's ``sosfilt`` gives ``scipy.signal.sosfilt``'s output bit for bit, on
+    the band-pass designs of three sample rates and on drawn sections."""
+    (_, sosfilt), x = engine_filters(engine, monkeypatch), signal(length, length)
     rng = np.random.default_rng(length)
     drawn = np.column_stack((rng.standard_normal((3, 3)), np.ones(3), rng.uniform(-0.9, 0.9, (3, 2))))
     for sos in [_bandpass_sos(fs / 40, fs / 15, fs) for fs in (2500.0, 8000.0, 48000.0)] + [drawn]:
-        assert bits(kernel.sosfilt(sos, x)) == bits(scipy.signal.sosfilt(sos, x))
+        assert bits(sosfilt(sos, x)) == bits(scipy.signal.sosfilt(sos, x))
 
 
 def test_kernel_filters_reject_bad_shapes():
