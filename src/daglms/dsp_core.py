@@ -22,7 +22,11 @@ from . import _kernel
 
 
 class RootFindingError(RuntimeError):
-    """Polynomial root computation failed or returned non-finite roots."""
+    """A root solve failed or returned non-finite roots.
+
+    Only the Chebyshev critical-point solve of :mod:`daglms.spr_design`
+    raises it; the stability test solves for no roots.
+    """
 
 
 class SingularityError(ValueError):
@@ -83,42 +87,30 @@ def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
     return Polynomial(tuple(np.convolve(a.coeffs, b.coeffs)))
 
 
-def _root_moduli(coeffs: tuple[float, ...]) -> list[float]:
-    """Moduli of the z-plane roots of ``coeffs`` (no trailing zeros), as ``np.abs(np.roots(coeffs))``.
-
-    Degree 1 skips the eigenvalue solve: ``np.roots`` takes the eigenvalue of
-    its 1x1 companion matrix ``[-c1 / c0]``, whose modulus is ``abs(c1 / c0)``,
-    and it has no root when it drops a zero ``c0``. The bits are the same
-    wherever LAPACK leaves the matrix unscaled, which is every modulus from
-    6.7e-139 to 1.5e138; beyond, its rescaling can move the last bit.
-    """
-    if len(coeffs) == 2:
-        c0, c1 = coeffs
-        roots = [c1 / c0] if c0 else []
-    else:
-        try:
-            roots = np.roots(coeffs).tolist()
-        except np.linalg.LinAlgError as exc:
-            raise RootFindingError(f"eigenvalue solve failed for {coeffs}") from exc
-    if not all(math.isfinite(r.real) and math.isfinite(r.imag) for r in roots):
-        raise RootFindingError(f"non-finite roots for {coeffs}")
-    return list(map(abs, roots))
-
-
 def roots_inside_unit_circle(p: Polynomial) -> bool:
     """True iff every zero of ``p`` lies strictly inside the unit circle.
 
     The coefficient vector doubles as the z-plane polynomial
     ``coeffs[0] z^n + ... + coeffs[n]`` whose roots are the delay-operator
-    zeros. Roots come from companion-matrix eigenvalues (a division for
-    degree 1); failures raise :class:`RootFindingError` instead of silently
-    passing. The circle is open: a root of modulus exactly 1 fails.
-    Degree-0 polynomials have no zeros and return True.
+    zeros; leading zeros are dropped first, as ``np.roots`` drops them. The
+    verdict is exact: the Schur–Cohn recursion (Jury, 1964) runs on integers,
+    the coefficients over their common power-of-two denominator. Each step
+    needs ``|a_n| < |a_0|`` and keeps ``a_0 a_i - a_n a_{n-i}`` for i < n,
+    whose zeros are inside iff those of the step before are. The circle is
+    open: a root of modulus exactly 1 fails. Degree-0 polynomials have no
+    zeros and return True. Finite coefficients raise nothing.
     """
-    q = p.canonical()
-    if q.degree == 0:
-        return True
-    return all(modulus < 1.0 for modulus in _root_moduli(q.coeffs))
+    ratios = [c.as_integer_ratio() for c in p.canonical().coeffs]
+    den = max(d for _, d in ratios)
+    a = [n * (den // d) for n, d in ratios]
+    while len(a) > 1 and not a[0]:
+        del a[0]
+    while len(a) > 1:
+        a0, an = a[0], a[-1]
+        if abs(an) >= abs(a0):
+            return False
+        a = [a0 * a[i] - an * a[-1 - i] for i in range(len(a) - 1)]
+    return True
 
 
 class TransferOperator:

@@ -153,6 +153,19 @@ class TestCheck:
         assert integrated_pr_closed_form(0.5, -0.5, 0.5) is True
         assert arima2_spr_closed_form(0.5, -0.5, 0.5) is False
 
+    def test_band_edge_cell_reads_spr(self, tmp_path):
+        """(-0.526, -0.474, 0.5) in doubles: 1 + c1 + c2 = +1.1e-16, so both numerator zeros lie inside.
+
+        A companion-matrix root test put one on or outside the circle, and the
+        row read dag_spr=N with no log-gain integral.
+        """
+        c1, c2, d1p = -0.5259999999999999, -0.474, 0.5
+        assert main(["check", "--out", str(tmp_path), f"--custom={c1},{c2},{d1p}"]) == 0
+        row = read_csv(tmp_path / "check.csv")[-1]
+        assert (row["name"], row["dag_spr"], row["integrated_pr"]) == ("custom0", "Y", "Y")
+        assert float(row["min_re_dag"]) > 0.0 and np.isfinite(float(row["log_gain_integral"]))
+        assert arima2_spr_closed_form(c1, c2, d1p) is True
+
     def test_overflowing_cell_reads_not_spr(self, tmp_path):
         # products of these coefficients overflow (NumPy's warnings silenced); the row
         # still reads N/N, with no traceback

@@ -199,6 +199,8 @@ class TestLogGainIntegral:
     def test_precondition_enforced(self):
         with pytest.raises(ValueError, match="numerator"):
             log_gain_integral(TransferOperator((1.0, 1.5)))
+        with pytest.raises(ValueError, match="numerator"):  # a zero at -1e318, beyond the float range
+            log_gain_integral(TransferOperator((1e-10, 1e308)))
         with pytest.raises(ValueError, match="denominator"):
             log_gain_integral(TransferOperator((1.0,), (1.0, -1.0)))
 
@@ -246,6 +248,24 @@ class TestClosedForm:
             if closed != verdict.is_spr:
                 assert abs(verdict.min_real_part) < 1e-6, (c1, c2, d1p)
 
+
+    def test_band_edge_cells_are_stable_where_spr(self):
+        """Cells at c1 = +-nextafter(1 + c2), a step to either side of the numerator's band edge.
+
+        Where the closed form says SPR and the real-part minimum is positive,
+        the stability half must not read a numerator zero on or outside the circle.
+        """
+        rng = np.random.default_rng(23)
+        spr_cells = 0
+        for _ in range(1000):
+            c2 = rng.uniform(-1.0, 1.0)
+            c1 = float(rng.choice([-1.0, 1.0]) * np.nextafter(1.0 + c2, rng.choice([0.0, 3.0])))
+            d1p = float(rng.choice([0.0, 0.5, -0.5, 0.9]))
+            v = is_spr_numeric(TransferOperator((1.0, c1, c2), (1.0, -d1p)))
+            if arima2_spr_closed_form(c1, c2, d1p) and v.min_real_part > 0.0:
+                assert v.is_stable and v.is_spr, (c1, c2, d1p)
+                spr_cells += 1
+        assert spr_cells > 100
 
     @pytest.mark.parametrize("d1p", [0.0, 0.5, 0.9])
     def test_array_form_matches_scalar_form(self, d1p):
