@@ -94,8 +94,7 @@ class Kernel:
         arrays = (
             np.array(dim, dtype=np.int64), np.array([state.policy.mu, *state._rule, state.divergence_limit]),
             sig.desired, sig.rev, sig.rev_f, state._weights, state._hist, b, a, z, target, trace.e0,
-            trace.e_post if state.policy.kind == "posterior" else None,
-            trace.param_err if target is not None else None, np.empty(2 * n),
+            *(None if record is sig.nan else record for record in (trace.e_post, trace.param_err)), np.empty(2 * n),
         )
         for v in arrays[2:]:
             if v is not None and not (v.dtype == np.float64 and v.flags.c_contiguous):

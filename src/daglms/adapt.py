@@ -95,7 +95,7 @@ PRESETS: dict[str, DagConfig] = {
     "arima2": DagConfig((0.99, 0.0), (0.9,)),
 }
 
-PRESET_ORDER = ("integral", "conj_nesterov", "ipd", "ip", "arima2")
+PRESET_ORDER = tuple(PRESETS)
 
 
 def make_preset(name: str) -> DagConfig:
@@ -121,8 +121,9 @@ class AdaptState:
     Keeps ``len(d)`` past estimates (1 for the trivial configuration) and
     ``len(c)`` past corrections, vectors of length ``n_params``, in one
     ``(K, n_params)`` history block; ``theta_hist`` and ``corr_hist`` are views
-    of its two parts. Histories start from ``theta0`` (default zero) and zero
-    corrections, which makes the first steps well-defined and reproducible.
+    of its two parts. Both histories start at zero, which makes the first steps
+    well-defined and reproducible; a caller who wants another start writes it
+    into ``theta_hist`` (``s.theta_hist[:] = start``) before the first step.
     The gain sum reads every slot, weighted by ``(*cfg.d, *cfg.c)`` in order.
     A step whose new estimate has a norm that is not finite or exceeds
     :data:`DIVERGENCE_LIMIT` raises :class:`DivergenceError`.
@@ -131,25 +132,15 @@ class AdaptState:
 
     divergence_limit = DIVERGENCE_LIMIT
 
-    def __init__(
-        self,
-        n_params: int,
-        policy: StepSizePolicy,
-        cfg: DagConfig | None = None,
-        theta0=None,
-    ):
+    def __init__(self, n_params: int, policy: StepSizePolicy, cfg: DagConfig | None = None):
         n_params = int(n_params)
         if n_params < 1:
             raise ValueError("n_params must be at least 1")
         self.n_params = n_params
         self.policy = policy
         self.cfg = cfg if cfg is not None else DagConfig()
-        init = np.zeros(n_params) if theta0 is None else np.asarray(theta0, dtype=float)
-        if init.shape != (n_params,):
-            raise ValueError(f"theta0 must have shape ({n_params},)")
         self._depth = depth = len(self.cfg.d)
         self._hist = np.zeros((depth + len(self.cfg.c), n_params))
-        self._hist[:depth] = init
         self.theta_hist, self.corr_hist = self._hist[:depth], self._hist[depth:]
         self._weights = np.array((*self.cfg.d, *self.cfg.c))[:, None]
         # (a, b) of the exact gain mu / (a + b * phi.phi)
@@ -161,12 +152,6 @@ class AdaptState:
     def theta(self) -> np.ndarray:
         """Latest estimate."""
         return self._hist[0]
-
-    def _check_phi(self, phi) -> np.ndarray:
-        phi = np.asarray(phi, dtype=float)
-        if phi.shape != (self.n_params,):
-            raise ValueError(f"regressor must have shape ({self.n_params},), got {phi.shape}")
-        return phi
 
     def effective_estimate(self) -> np.ndarray:
         """Weighted combination of past estimates and past corrections.
@@ -181,16 +166,21 @@ class AdaptState:
             out += term
         return out
 
+    def _predict(self, phi) -> tuple[np.ndarray, np.ndarray, float]:
+        """The checked regressor, this step's effective estimate and its prediction."""
+        phi = np.asarray(phi, dtype=float)
+        if phi.shape != (self.n_params,):
+            raise ValueError(f"regressor must have shape ({self.n_params},), got {phi.shape}")
+        base = self.effective_estimate()
+        return phi, base, float(np.dot(base, phi))
+
     def a_priori_predict(self, phi) -> PredictionPair:
         """Predicted output before seeing the desired value."""
-        phi = self._check_phi(phi)
-        return PredictionPair(z0_hat=float(np.dot(self.effective_estimate(), phi)))
+        return PredictionPair(z0_hat=self._predict(phi)[2])
 
     def update(self, phi, x: float) -> PredictionPair:
         """One adaptation step against the desired output ``x``."""
-        phi = self._check_phi(phi)
-        base = self.effective_estimate()
-        z0 = float(np.dot(base, phi))
+        phi, base, z0 = self._predict(phi)
         e0 = float(x) - z0
         return PredictionPair(z0, e0, self._step(phi, e0, base))
 
@@ -200,9 +190,7 @@ class AdaptState:
         Used when the a-priori error is observed directly (e.g. a residual
         sensor) instead of being computed from a desired output.
         """
-        phi = self._check_phi(phi)
-        base = self.effective_estimate()
-        z0 = float(np.dot(base, phi))
+        phi, base, z0 = self._predict(phi)
         e0 = float(e0)
         return PredictionPair(z0, e0, self._step(phi, e0, base))
 

@@ -139,6 +139,7 @@ def cmd_check(args) -> int:
         if not abs(d1p) < 1.0:  # the rule of contour --d1p
             raise ConfigError(f"bad --custom value {spec!r}: d1p must satisfy |d1p| < 1")
         entries.append((f"custom{k}", DagConfig((c1, c2), (d1p,) if d1p else ()), (c1, c2, d1p)))
+    expected = _read_verdicts(Path(args.expect)) if args.expect else None
 
     rows = [_preset_row(name, cfg, triple) for name, cfg, triple in entries]
     out = Path(args.out)
@@ -152,8 +153,7 @@ def cmd_check(args) -> int:
         )
     print(f"wrote {path}")
 
-    if args.expect:
-        expected = _read_verdicts(Path(args.expect))
+    if expected is not None:
         actual = {r["name"]: (_fmt(r["dag_spr"]), _fmt(r["integrated_pr"])) for r in rows}
         mismatches = [
             name
@@ -168,12 +168,17 @@ def cmd_check(args) -> int:
 
 
 def _read_verdicts(path: Path) -> dict[str, tuple[str, str]]:
+    """The expected (dag_spr, integrated_pr) of each row of ``path``; a file that
+    cannot be read, or that lists no row, is a config error."""
     try:
         with path.open(newline="") as fh:
             reader = csv.DictReader(fh)
-            return {row["name"]: (row["dag_spr"], row["integrated_pr"]) for row in reader}
-    except (OSError, KeyError, TypeError) as exc:
+            expected = {row["name"]: (row["dag_spr"], row["integrated_pr"]) for row in reader}
+    except (OSError, KeyError, TypeError, csv.Error) as exc:
         raise ConfigError(f"cannot read expected verdicts from {path}: {exc}") from exc
+    if not expected:
+        raise ConfigError(f"expected verdicts file {path} lists no row")
+    return expected
 
 
 def cmd_contour(args) -> int:
@@ -205,6 +210,7 @@ def cmd_bode(args) -> int:
         raise ConfigError(f"--grid must be between 256 and {MAX_BODE_GRID}, got {args.grid}")
     if not 0.0 < args.fs < np.inf:  # NaN included
         raise ConfigError(f"--fs must be finite and positive, got {args.fs!r}")
+    _distinct("preset", args.presets)
     # every preset resolved and its verdicts, check's row, computed before the first file is written
     tables, summary = [], []
     for name in args.presets:
@@ -235,9 +241,9 @@ def cmd_bode(args) -> int:
 
 _PATHS = {
     "unit": lambda fs: TransferOperator.identity(),
-    "resonant_primary": lambda fs: sim.make_primary_path(fs),
-    "resonant_secondary": lambda fs: sim.make_secondary_path(fs),
-    "mismatched": lambda fs: sim.make_mismatched_model(fs),
+    "resonant_primary": sim.make_primary_path,
+    "resonant_secondary": sim.make_secondary_path,
+    "mismatched": sim.make_mismatched_model,
 }
 
 
@@ -270,10 +276,15 @@ def _integer(section: dict, key: str, default: int) -> int:
 
 
 def _path_from_config(section: dict, key: str, fs: float) -> TransferOperator | None:
-    name = section.pop(key, None)
-    num, den = section.pop(f"{key}_num", None), section.pop(f"{key}_den", "1.0")
+    """Pop the path ``key``: a name, or ``<key>_num`` with an optional ``<key>_den`` (1.0)."""
+    name, num, den = (section.pop(k, None) for k in (key, f"{key}_num", f"{key}_den"))
+    if num is None and den is not None:
+        raise ValueError(f"{key}_den is set without {key}_num")
+    if num is not None and name is not None:
+        raise ValueError(f"{key} and {key}_num both set the path; give one")
     if num is not None:
-        return TransferOperator(Polynomial(_parse_floats(num)), Polynomial(_parse_floats(den)))
+        den = (1.0,) if den is None else _parse_floats(den)
+        return TransferOperator(Polynomial(_parse_floats(num)), Polynomial(den))
     if name is None:
         return None
     if name not in _PATHS:
@@ -413,12 +424,17 @@ def _write_traces(paths: list[Path], traces: list[sim.RunTrace]) -> None:
                 before = residual, residual_fields
 
 
+def _distinct(kind: str, names: list[str]) -> None:
+    """Reject a repeated name, whose runs or tables would share one file and repeat a summary row."""
+    for k, name in enumerate(names):
+        if name in names[:k]:
+            raise ConfigError(f"repeated {kind} {name!r} in {', '.join(names)}")
+
+
 def _sweep(scenario, options, out: Path) -> int:
     # every algorithm and preset resolved before the first run, so a bad name leaves no output
     for key in ("algorithms", "presets"):
-        for k, name in enumerate(options[key]):
-            if name in options[key][:k]:  # its runs would share one trace file and repeat a summary row
-                raise ConfigError(f"repeated {key[:-1]} {name!r} in {', '.join(options[key])}")
+        _distinct(key[:-1], options[key])
     for algorithm in options["algorithms"]:
         if algorithm not in options["policies"]:
             raise ConfigError(f"unknown algorithm {algorithm!r} (known: {', '.join(options['policies'])})")

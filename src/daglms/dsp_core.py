@@ -360,26 +360,15 @@ def gen_noise(spec: NoiseSpec, n: int) -> np.ndarray:
     return shaped * (spec.amplitude / gain)
 
 
-def windowed_variance(x, window: int, mode: str = "block") -> np.ndarray:
-    """Population variance of ``x`` per window.
-
-    ``block`` mode (used for attenuation metrics) cuts the signal into
-    consecutive non-overlapping windows and drops an incomplete tail;
-    ``sliding`` mode returns one variance per window position.
-    """
+def windowed_variance(x, window: int) -> np.ndarray:
+    """Population variance of ``x`` per window, as the attenuation metric takes it:
+    consecutive non-overlapping windows of ``window`` samples, with an incomplete
+    tail dropped."""
     x = np.asarray(x, dtype=float)
     if not isinstance(window, (int, np.integer)) or window <= 0:
         raise ValueError(f"window must be a positive integer sample count, got {window!r}")
     window = int(window)
     if window > x.size:
         raise ValueError(f"window {window} exceeds signal length {x.size}")
-    if mode == "block":
-        nblocks = x.size // window
-        return x[: nblocks * window].reshape(nblocks, window).var(axis=1)
-    if mode == "sliding":
-        c1 = np.cumsum(np.concatenate(([0.0], x)))
-        c2 = np.cumsum(np.concatenate(([0.0], x * x)))
-        mean = (c1[window:] - c1[:-window]) / window
-        mean_sq = (c2[window:] - c2[:-window]) / window
-        return np.maximum(mean_sq - mean * mean, 0.0)
-    raise ValueError(f"unknown mode {mode!r}")
+    nblocks = x.size // window
+    return x[: nblocks * window].reshape(nblocks, window).var(axis=1)

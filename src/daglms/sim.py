@@ -47,10 +47,11 @@ class ScenarioConfig:
     """Inputs of one experiment run.
 
     ``kind`` selects the loop: ``sysid`` needs ``true_params`` and adapts
-    from sample 0, so it takes no open-loop prefix;
+    from sample 0, so it takes no open-loop prefix and no path;
     ``feedforward`` needs the primary and secondary paths (the secondary
     model defaults to the secondary path itself, and the regressor filter
-    defaults to the secondary model).
+    defaults to the secondary model) and takes no ``true_params``. A field
+    that the kind would ignore is an error naming it.
     """
 
     kind: str
@@ -79,12 +80,17 @@ class ScenarioConfig:
         if self.kind == "sysid":
             if self.open_loop_prefix_samples:
                 raise ValueError("open_loop_prefix_samples must be 0 for a sysid scenario, which adapts from sample 0")
+            for field in ("primary_path", "secondary_path", "secondary_model", "regressor_filter"):
+                if getattr(self, field) is not None:
+                    raise ValueError(f"{field} must be unset for a sysid scenario, which runs no path")
             if self.true_params is None:
                 raise ValueError("sysid scenario needs true_params")
             self.true_params = np.asarray(self.true_params, dtype=float)
             if self.true_params.size != self.n_adaptive_params:
                 raise ValueError("n_adaptive_params must match true_params length")
         else:
+            if self.true_params is not None:
+                raise ValueError("true_params must be unset for a feedforward scenario, which has no target")
             if self.primary_path is None or self.secondary_path is None:
                 raise ValueError("feedforward scenario needs primary and secondary paths")
 
@@ -341,7 +347,7 @@ def attenuation_db(
     if trace.residual.size - prefix < win:
         raise ValueError("no full controlled window in the trace")
     var_open = float(trace.residual[:prefix].var())
-    var_ctrl = windowed_variance(trace.residual[prefix:], win, mode="block")
+    var_ctrl = windowed_variance(trace.residual[prefix:], win)
     quiet = var_ctrl == 0.0
     db = np.zeros(var_ctrl.size)
     if var_open > 0.0:

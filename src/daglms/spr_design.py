@@ -102,10 +102,10 @@ def dag_transfer(cfg: DagConfig) -> TransferOperator:
 def integrated_dag(cfg: DagConfig) -> TransferOperator:
     """Gain filter cascaded with a discrete integrator.
 
-    The denominator is built from :func:`d_from_dprime`, so it carries a
+    The denominator is built from :attr:`DagConfig.d`, so it carries a
     root at z = 1 exactly (the weights telescope to sum 1).
     """
-    den = Polynomial((1.0, *(-v for v in d_from_dprime(cfg.d_prime))))
+    den = Polynomial((1.0, *(-v for v in cfg.d)))
     return TransferOperator(cfg.numerator, den)
 
 

@@ -75,16 +75,19 @@ class TestPresets:
 
 class TestAPrioriPredict:
     def test_trivial_inner_product(self):
-        s = AdaptState(2, StepSizePolicy.lms(0.1), theta0=[1.0, 2.0])
+        s = AdaptState(2, StepSizePolicy.lms(0.1))
+        s.theta_hist[:] = [1.0, 2.0]
         assert s.a_priori_predict([3.0, 4.0]).z0_hat == 11.0
 
     def test_recursion_fixed_point(self):
         # d = (1.9, -0.9): equal history rows give 1.9 - 0.9 = 1 times theta
-        s = AdaptState(2, StepSizePolicy.lms(0.1), DagConfig((), (0.9,)), theta0=[1.0, 0.0])
+        s = AdaptState(2, StepSizePolicy.lms(0.1), DagConfig((), (0.9,)))
+        s.theta_hist[:] = [1.0, 0.0]
         assert s.a_priori_predict([1.0, 0.0]).z0_hat == pytest.approx(1.0, rel=1e-12)
 
     def test_correction_history_term(self):
-        s = AdaptState(2, StepSizePolicy.lms(0.1), DagConfig((0.99,), ()), theta0=[1.0, 0.0])
+        s = AdaptState(2, StepSizePolicy.lms(0.1), DagConfig((0.99,), ()))
+        s.theta_hist[:] = [1.0, 0.0]
         s.corr_hist[0] = [0.1, 0.0]
         assert s.a_priori_predict([1.0, 0.0]).z0_hat == pytest.approx(1.099, rel=1e-12)
 
@@ -118,7 +121,8 @@ class TestUpdate:
 
     def test_negative_zero_start_sums_every_weight(self):
         # -0.0 + (-0.5 * 0.0) is -0.0, and only the trailing 0.0 * 0.0 term makes it +0.0
-        s = AdaptState(1, StepSizePolicy.lms(0.1), DagConfig((-0.5, 0.0)), theta0=[-0.0])
+        s = AdaptState(1, StepSizePolicy.lms(0.1), DagConfig((-0.5, 0.0)))
+        s.theta_hist[:] = [-0.0]
         assert not np.signbit(s.effective_estimate()[0])
 
     def test_update_from_error_matches_update(self):

@@ -142,6 +142,21 @@ class TestCheck:
             writer.writerows(rows)
         assert main(["check", "--out", str(tmp_path / "c"), "--expect", str(bad)]) == 1
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [(None, "cannot read expected verdicts"), ("name,dag_spr,integrated_pr\r\n", "lists no row")],
+        ids=["missing", "header-only"],
+    )
+    def test_unusable_expect_file_writes_nothing(self, tmp_path, capsys, text, message):
+        """An expect file that cannot be read, or that compares nothing, exits 3 before any row."""
+        expect = tmp_path / "expect.csv"
+        if text is not None:
+            expect.write_text(text)
+        out = tmp_path / "out"
+        assert main(["check", "--out", str(out), "--expect", str(expect)]) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_lossless_cell_reads_pr(self, tmp_path):
         """README's (0.5, -0.5, 0.5): the integrated filter is lossless and PR, as the closed form says.
 
@@ -403,9 +418,25 @@ class TestRunCompare:
             ),
             "sample_rate_hz must be finite and positive",
         ),
+        (
+            ["compare"],
+            SMALL_FEEDFORWARD_CONFIG.replace("[run]", "primary_path_den = 1 -0.999\n\n[run]"),
+            "primary_path_den is set without primary_path_num",
+        ),
+        (
+            ["compare"],
+            SMALL_FEEDFORWARD_CONFIG.replace("[run]", "secondary_path_num = 1 0.5\n\n[run]"),
+            "secondary_path and secondary_path_num both set the path",
+        ),
+        (
+            ["compare"],
+            SMALL_FEEDFORWARD_CONFIG.replace("[run]", "true_params = 0.5\n\n[run]"),
+            "true_params must be unset for a feedforward scenario",
+        ),
         (["bode", "--grid", "10"], None, "--grid must be between 256 and 1048576, got 10"),
         (["bode", "--presets", "--grid", "10"], None, "--grid"),
         (["bode", "--grid", "2000000000"], None, "--grid must be between 256 and 1048576, got 2000000000"),
+        (["bode", "--presets", "integral", "integral"], None, "repeated preset 'integral' in integral, integral"),
         (["contour", "--d1p", "0", "--c1-step", "1e-9"], None, "is more than 1000000 cells"),
         (["bode", "--fs", "nan"], None, "--fs must be finite and positive"),
         (["bode", "--fs", "0"], None, "--fs must be finite and positive"),
@@ -419,7 +450,8 @@ class TestRunCompare:
     ],
     ids=["unknown-preset", "unknown-algorithm", "ini-repeated-preset", "ini-repeated-algorithm",
          "flag-repeated-preset", "flag-repeated-algorithm", "ini-seed-minus-1", "flag-seed-minus-3", "sample-rate-0",
-         "white-sample-rate-minus-2500", "bode-grid", "bode-no-presets-grid", "bode-grid-too-large", "contour-too-many-cells",
+         "white-sample-rate-minus-2500", "path-den-without-num", "path-name-and-num", "feedforward-true-params",
+         "bode-grid", "bode-no-presets-grid", "bode-grid-too-large", "bode-repeated-preset", "contour-too-many-cells",
          "bode-fs-nan", "bode-fs-0", "bode-fs-minus-5",
          "bode-fs-inf", "check-custom-nan", "check-custom-d1p-1", "check-custom-d1p-minus-1",
          "check-custom-d1p-1.5", "check-custom-d1p-minus-1.2"],
@@ -645,6 +677,15 @@ presets = integral, ip
 mu_lms = 0.1
 mu_plms = 0.05
 """
+
+
+@pytest.mark.parametrize("line", ["primary_path = unit", "regressor_filter_num = 1.0"], ids=["name", "coefficients"])
+def test_sysid_path_named(tmp_path, capsys, line):
+    """A sysid INI with a path, which the sysid loop would ignore, exits 3 naming the field."""
+    path = write_config(tmp_path, SYSID_TWO_BY_TWO.replace("[run]", f"{line}\n\n[run]"))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert f"{line.split()[0].removesuffix('_num')} must be unset for a sysid scenario" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(

@@ -120,6 +120,20 @@ class TestRunSysid:
             )
 
 
+@pytest.mark.parametrize(
+    "kind, field",
+    [("sysid", "primary_path"), ("sysid", "secondary_path"), ("sysid", "secondary_model"),
+     ("sysid", "regressor_filter"), ("feedforward", "true_params")],
+)
+def test_field_the_kind_ignores_is_named(kind, field):
+    """A field that the scenario's kind would drop is an error naming it."""
+    unit, theta = TransferOperator.identity(), [0.5, -0.3]
+    valid = {"sysid": {"true_params": theta}, "feedforward": {"primary_path": unit, "secondary_path": unit}}[kind]
+    ignored = {field: theta if field == "true_params" else unit}
+    with pytest.raises(ValueError, match=f"{field} must be unset for a {kind} scenario"):
+        ScenarioConfig(kind, NoiseSpec(kind="white"), 2, 500, **valid, **ignored)
+
+
 def feedforward_like_sysid(theta, seed, duration, taps):
     """Degenerate feedforward config: unit paths, FIR primary equal to theta."""
     return ScenarioConfig(
