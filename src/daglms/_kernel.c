@@ -1,6 +1,6 @@
-/* One run of daglms.sim._adapt_loop in C, and the whole-signal filters of
-   TransferOperator.filter_signal and dsp_core._sosfilt, each with the bits
-   of its Python loop.
+/* One run of daglms.sim._adapt_loop in C, the whole-signal filters of
+   TransferOperator.filter_signal and dsp_core._sosfilt, each with the bits of its Python
+   loop, and the trace CSV rows of daglms.cli._write_traces with the bytes of repr.
 
    Every dot product is np.dot's: the product itself for length 1, else
    0.0 + the cblas_ddot that np.dot calls, passed in as `ddot`. Every other
@@ -108,4 +108,213 @@ int64_t daglms_adapt(ddot_fn ddot, const int64_t *dim, const double *par, const 
         }
     }
     return 0;
+}
+
+/* The trace CSV rows of daglms.cli._write_traces, each double with the bytes of Python's
+   repr: the shortest decimal that reads back as the same double, the closest such one, ties
+   to an even last digit. The digits come from Schubfach (R. Giulietti, "The Schubfach way to
+   render doubles", 2020). g is its table of 128-bit powers of ten, two words (high, low) per
+   exponent E = -292...324: floor(10^E * 2^(127 - floor(log2 10^E))) + 1. */
+#define POW10_MIN (-292)
+
+static void mul_64x64(uint64_t a, uint64_t b, uint64_t *hi, uint64_t *lo)
+{
+#ifdef __SIZEOF_INT128__
+    const unsigned __int128 p = (unsigned __int128)a * b;
+    *hi = (uint64_t)(p >> 64);
+    *lo = (uint64_t)p;
+#else
+    const uint64_t a0 = (uint32_t)a, a1 = a >> 32, b0 = (uint32_t)b, b1 = b >> 32;
+    const uint64_t p00 = a0 * b0, p01 = a0 * b1, p10 = a1 * b0, p11 = a1 * b1;
+    const uint64_t mid = (p00 >> 32) + (uint32_t)p01 + (uint32_t)p10;
+    *hi = p11 + (p01 >> 32) + (p10 >> 32) + (mid >> 32);
+    *lo = (mid << 32) | (uint32_t)p00;
+#endif
+}
+
+/* floor(g * cp / 2^128), its lowest bit set where the rest is inexact */
+static uint64_t round_to_odd(const uint64_t *g, uint64_t cp)
+{
+    uint64_t x1, x0, y1, y0;
+    mul_64x64(g[1], cp, &x1, &x0);
+    mul_64x64(g[0], cp, &y1, &y0);
+    y0 += x1;
+    y1 += y0 < x1;
+    return y1 | (y0 > 1);
+}
+
+static int64_t floor_shift(int64_t x, int n)  /* floor(x / 2^n), shifting no negative value */
+{
+    return x >= 0 ? x >> n : ~(~x >> n);
+}
+
+/* The digits s and exponent k of a finite nonzero double's shortest decimal s * 10^k
+   (s may end in zeros). bits: the double's bits without the sign. */
+static uint64_t shortest(const uint64_t *g, uint64_t bits, int64_t *exp10)
+{
+    const uint64_t frac = bits & ((UINT64_C(1) << 52) - 1);
+    const int64_t biased = (int64_t)(bits >> 52);
+    uint64_t c = frac;
+    int64_t q = 1 - 1075;
+    if (biased) {
+        c |= UINT64_C(1) << 52;
+        q = biased - 1075;
+        if (-52 <= q && q <= 0 && !(c & ((UINT64_C(1) << -q) - 1))) {  /* an integer below 2^53 */
+            *exp10 = 0;
+            return c >> -q;
+        }
+    }
+    const int closer = frac == 0 && biased > 1;  /* the lower neighbour is half as far */
+    /* the value c 2^q and the ends of the interval that reads back as it, in units of 2^(q-2) */
+    const uint64_t even = !(c & 1), cbl = 4 * c - 2 + closer, cb = 4 * c, cbr = 4 * c + 2;
+    /* k = floor(log10(2^q)), or of 3/4 2^q where the lower neighbour is closer; h makes
+       g(-k) (x << h) / 2^128 equal to x 2^q 10^-k: four times x 2^(q-2) in units of 10^k */
+    const int64_t k = floor_shift(q * 1262611 - (closer ? 524031 : 0), 22);
+    const int h = (int)(q + floor_shift(-k * 1741647, 19) + 1);
+    const uint64_t *pow10 = g + 2 * (-k - POW10_MIN);
+    const uint64_t vbl = round_to_odd(pow10, cbl << h), vb = round_to_odd(pow10, cb << h),
+                   vbr = round_to_odd(pow10, cbr << h);
+    /* the ends are in the interval for an even c, as round-half-even reads them back */
+    const uint64_t lower = vbl + !even, upper = vbr - !even;
+    const uint64_t s = vb / 4;  /* the value in units of 10^k, truncated */
+    if (s >= 10) {  /* one digit fewer, at 10^(k + 1) */
+        const uint64_t sp = s / 10;
+        const int up_inside = lower <= 40 * sp, wp_inside = 40 * sp + 40 <= upper;
+        if (up_inside != wp_inside) {
+            *exp10 = k + 1;
+            return sp + wp_inside;
+        }
+    }
+    const int u_inside = lower <= 4 * s, w_inside = 4 * s + 4 <= upper;
+    *exp10 = k;
+    if (u_inside != w_inside)
+        return s + w_inside;
+    /* both s and s + 1 read back: the closer, or the even one at a tie */
+    const uint64_t mid = 4 * s + 2;
+    return s + (vb > mid || (vb == mid && (s & 1)));
+}
+
+static const char DIGIT_PAIRS[] =
+    "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
+    "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* The decimal digits of v, written to end at end; returns where they start. */
+static char *digits_to(char *end, uint64_t v)
+{
+    while (v >= 100000000) {  /* eight digits at a time in 32 bits */
+        const uint32_t r = (uint32_t)(v % 100000000), hi = r / 10000, lo = r % 10000;
+        v /= 100000000;
+        end -= 8;
+        memcpy(end, DIGIT_PAIRS + 2 * (hi / 100), 2);
+        memcpy(end + 2, DIGIT_PAIRS + 2 * (hi % 100), 2);
+        memcpy(end + 4, DIGIT_PAIRS + 2 * (lo / 100), 2);
+        memcpy(end + 6, DIGIT_PAIRS + 2 * (lo % 100), 2);
+    }
+    uint32_t w = (uint32_t)v;
+    for (; w >= 100; w /= 100) {
+        end -= 2;
+        memcpy(end, DIGIT_PAIRS + 2 * (w % 100), 2);
+    }
+    if (w >= 10) {
+        end -= 2;
+        memcpy(end, DIGIT_PAIRS + 2 * w, 2);
+    } else {
+        *--end = (char)('0' + w);
+    }
+    return end;
+}
+
+static char *write_uint(char *p, uint64_t v)
+{
+    char d[20];
+    const char *start = digits_to(d + 20, v);
+    memcpy(p, start, (size_t)(d + 20 - start));
+    return p + (d + 20 - start);
+}
+
+/* repr(v) at p, or nothing for a NaN; returns its end, at most 24 bytes on. The digits go
+   in copies of a fixed size, which may write junk up to 34 bytes past p; what follows
+   overwrites it. */
+static char *write_double(char *p, const uint64_t *g, double v)
+{
+    uint64_t bits;
+    memcpy(&bits, &v, sizeof bits);
+    const uint64_t mag = bits & ~(UINT64_C(1) << 63);
+    if (mag > UINT64_C(0x7ff0000000000000))
+        return p;
+    if (bits >> 63)
+        *p++ = '-';
+    if (mag == UINT64_C(0x7ff0000000000000)) {
+        memcpy(p, "inf", 3);
+        return p + 3;
+    }
+    if (mag == 0) {
+        memcpy(p, "0.0", 3);
+        return p + 3;
+    }
+    int64_t k;
+    uint64_t s = shortest(g, mag, &k);
+    while (s >= 10 && s % 10 == 0) {  /* s >= 10: it ends even on a table gone wrong */
+        s /= 10;
+        k++;
+    }
+    char buf[40];  /* the digits end at buf + 20; the copies below read at most 17 bytes on */
+    const char *d = digits_to(buf + 20, s);
+    const int n = (int)(buf + 20 - d);  /* at most 17 */
+    const int64_t e = k + n - 1;  /* the decimal exponent: s * 10^k = d.ddd * 10^e */
+    if (e < -4 || e >= 16) {  /* d[.ddd]e-XX, d[.ddd]e+XX, at least two exponent digits */
+        *p++ = d[0];
+        if (n > 1) {
+            *p++ = '.';
+            memcpy(p, d + 1, 16);
+            p += n - 1;
+        }
+        *p++ = 'e';
+        *p++ = e < 0 ? '-' : '+';
+        const int64_t a = e < 0 ? -e : e;
+        if (a < 10)
+            *p++ = '0';
+        return write_uint(p, (uint64_t)a);
+    }
+    if (e < 0) {  /* 0.ddd, with -e - 1 zeros after the point */
+        memcpy(p, "0.0000", 6);
+        p += 1 - e;
+        memcpy(p, d, 17);
+        return p + n;
+    }
+    if (n <= e + 1) {  /* an integral value: ddd000.0 */
+        memcpy(p, d, 17);
+        p += n;
+        memset(p, '0', (size_t)(e + 1 - n));
+        p += e + 1 - n;
+        memcpy(p, ".0", 2);
+        return p + 2;
+    }
+    memcpy(p, d, 16);  /* ddd.ddd */
+    p += e + 1;
+    *p++ = '.';
+    memcpy(p, d + e + 1, 16);
+    return p + n - e - 1;
+}
+
+/* Rows start...start + rows - 1 (start >= 0) of a trace CSV into out: the step, then each
+   of the ncols columns of cols, a (ncols, rows) block, as repr writes it, NaN as an empty
+   field; fields are joined by ",", rows end in "\r\n". A row takes at most 22 + 25 * ncols
+   bytes, and the last field's junk at most 16 more, so out holds
+   rows * (22 + 25 * ncols) + 16 bytes. Returns the bytes written. */
+int64_t daglms_trace_rows(const uint64_t *g, int64_t start, int64_t rows, int64_t ncols,
+                          const double *cols, char *out)
+{
+    char *p = out;
+    for (int64_t i = 0; i < rows; i++) {
+        p = write_uint(p, (uint64_t)(start + i));
+        for (int64_t j = 0; j < ncols; j++) {
+            *p++ = ',';
+            p = write_double(p, g, cols[j * rows + i]);
+        }
+        *p++ = '\r';
+        *p++ = '\n';
+    }
+    return p - out;
 }

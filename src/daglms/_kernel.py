@@ -1,20 +1,22 @@
 """The compiled loops of ``_kernel.c``, built at first use and loaded with ctypes.
 
-:class:`Kernel` has three entry points, each with the bits of the Python loop
+:class:`Kernel` has four entry points, each with the bits of the Python code
 it stands in for: :meth:`Kernel.adapt` runs :func:`daglms.sim._adapt_loop`,
 :meth:`Kernel.lfilter` runs :meth:`daglms.TransferOperator.filter_step` over a
-whole signal, and :meth:`Kernel.sosfilt` runs ``daglms.dsp_core._sosfilt``'s
-loop over band-pass sections.
+whole signal, :meth:`Kernel.sosfilt` runs ``daglms.dsp_core._sosfilt``'s
+loop over band-pass sections, and :meth:`Kernel.trace_rows` writes the rows of
+a trace CSV with the bytes of ``repr``.
 
 :func:`load` builds the library into ``$XDG_CACHE_HOME/daglms`` (else
 ``~/.cache/daglms``), one file per crc32 of the source, the flags and the
 compiler, written under a temporary name and renamed into place, so that no
 process loads half a library. Its dot products call the ``cblas_ddot`` of the
 OpenBLAS that NumPy bundles, the function that ``np.dot`` calls, in this
-process; a self-check compares the two for n = 1...64. Where any of this fails
+process; a self-check compares the two for n = 1...64, and another compares
+the row writer with ``repr`` on :func:`_repr_cases`. Where any of this fails
 (no compiler, no writable cache, another BLAS, a failed check), :func:`load`
-returns None and logs why once at debug level, and runs and filters take the
-Python loops, which give the same bits.
+returns None and logs why once at debug level, and runs, filters and trace
+files take the Python code, which gives the same bits.
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ _DDOT = "scipy_cblas_ddot64_"
 _BUILD_TIMEOUT_S = 120
 
 _kernel = None  # the loaded Kernel, False once it could not load
+
+# the decimal exponents of the powers of ten that daglms_trace_rows reads, from its POW10_MIN
+_POW10_EXPONENTS = range(-292, 325)
 
 
 def _build() -> Path:
@@ -62,6 +67,39 @@ def _build() -> Path:
     return lib
 
 
+def _pow10_table() -> np.ndarray:
+    """Schubfach's table for ``daglms_trace_rows``: for each exponent E, the 128 bits of
+    ``floor(10**E * 2**(127 - floor(log2(10**E)))) + 1`` as (high, low) words."""
+    words = []
+    for e in _POW10_EXPONENTS:
+        if e >= 0:  # 10**E >> (r - 127), with r = floor(log2(10**E)) = bit_length - 1
+            power = 10**e
+            shift = 127 - (power.bit_length() - 1)
+            g = power << shift if shift >= 0 else power >> -shift
+        else:  # 2**(127 - r) // 10**-E, with r = -bit_length(10**-E): 10**-E is no power of two
+            power = 10**-e
+            g = (1 << (127 + power.bit_length())) // power
+        g += 1
+        words += (g >> 64, g & 0xFFFF_FFFF_FFFF_FFFF)
+    return np.array(words, dtype=np.uint64)
+
+
+def _repr_cases() -> np.ndarray:
+    """The doubles the row writer's self-check formats: the fixed/scientific switch points
+    1e-4, 1e-5, 1e16 and 9999999999999998.0 with two neighbours each side, the extremes and
+    NaN, each of both signs, every power of two and a seeded sample of bit patterns."""
+    switch = np.array([1e-4, 1e-5, 1e16, 9999999999999998.0])
+    near = [switch]
+    for direction in (-np.inf, np.inf):
+        x = switch
+        for _ in range(2):
+            x = np.nextafter(x, direction)
+            near.append(x)
+    signed = np.concatenate([*near, [0.0, np.inf, np.nan, 5e-324, np.finfo(float).max, np.finfo(float).tiny]])
+    drawn = np.random.default_rng(19).integers(0, 2**64, 2000, dtype=np.uint64).view(np.float64)
+    return np.concatenate([signed, -signed, np.ldexp(1.0, np.arange(-1074, 1024)), drawn])
+
+
 class Kernel:
     """The loaded library, calling the ``ddot`` of NumPy's own OpenBLAS."""
 
@@ -75,6 +113,9 @@ class Kernel:
         self._lfilter, self._sosfilt = lib.daglms_lfilter, lib.daglms_sosfilt
         self._lfilter.restype, self._lfilter.argtypes = None, (i64, ptr, ptr, ptr, i64, ptr, ptr)
         self._sosfilt.restype, self._sosfilt.argtypes = None, (i64, ptr, ptr, i64, ptr, ptr)
+        self._trace_rows = lib.daglms_trace_rows
+        self._trace_rows.restype, self._trace_rows.argtypes = i64, (ptr, i64, i64, i64, ptr, ptr)
+        self._pow10 = _pow10_table()
         self._dot = dot = lib.daglms_dot
         dot.restype, dot.argtypes = ctypes.c_double, (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p)
         rng = np.random.default_rng(0)
@@ -83,6 +124,10 @@ class Kernel:
             got, want = dot(self._ddot, x.size, x.ctypes.data, y.ctypes.data), float(np.dot(x, y))
             if got.hex() != want.hex():
                 raise RuntimeError(f"{_DDOT} gives {got!r} where np.dot gives {want!r} (n = {x.size})")
+        cases = _repr_cases()
+        want = "".join(f"{i},{'' if v != v else repr(v)}\r\n" for i, v in enumerate(cases.tolist()))
+        if bytes(self.trace_rows(0, [cases])) != want.encode():
+            raise RuntimeError("daglms_trace_rows differs from repr")
 
     def adapt(self, state, sig, trace) -> tuple[int, float]:
         """:func:`daglms.sim._adapt_loop` in one call, with the same bits and the same contract."""
@@ -127,6 +172,18 @@ class Kernel:
         self._sosfilt(len(sos), sos.ctypes.data, zi.ctypes.data, x.size, x.ctypes.data, y.ctypes.data)
         return y
 
+    def trace_rows(self, start: int, columns) -> memoryview:
+        """Rows ``start``... of a trace CSV as bytes: the step, then a field for each of
+        ``columns``, 1-D arrays of one length, each double as ``repr`` writes it and NaN as
+        an empty field, the fields joined by ``,`` and each row ending in ``\\r\\n``."""
+        block = np.array(columns, dtype=np.float64)  # (columns, rows) in C order
+        if not (block.ndim == 2 and start >= 0):
+            raise ValueError("trace_rows takes 1-D columns of one length and a step from 0")
+        ncols, rows = block.shape
+        out = np.empty(rows * (22 + 25 * ncols) + 16, dtype=np.uint8)  # the bound of daglms_trace_rows
+        size = self._trace_rows(self._pow10.ctypes.data, start, rows, ncols, block.ctypes.data, out.ctypes.data)
+        return out[:size].data
+
 
 def load() -> Kernel | None:
     """The kernel, built and loaded at the first call of a process; None where it cannot run."""
@@ -138,7 +195,7 @@ def load() -> Kernel | None:
             import logging
 
             logging.getLogger(__name__).debug(
-                "running the Python adaptation loop and filters: %s", exc, exc_info=True
+                "running the Python adaptation loop, filters and trace writer: %s", exc, exc_info=True
             )
             _kernel = False
     return _kernel or None

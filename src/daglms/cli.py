@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import sim
+from . import _kernel, sim
 from .adapt import PRESET_ORDER, StepSizePolicy, make_preset, preset_triple
 from .dsp_core import NoiseSpec, Polynomial, RootFindingError, SingularityError, TransferOperator
 from .spr_design import (
@@ -247,8 +247,15 @@ _PATHS = {
 }
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.replace(",", " ").split())
+def _parse_floats(text: str, key: str) -> tuple[float, ...]:
+    """The values of the list ``key``, split at commas and blanks; an error names the key."""
+    try:
+        values = tuple(float(v) for v in text.replace(",", " ").split())
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from exc
+    if not values:
+        raise ValueError(f"{key}: needs at least one value")
+    return values
 
 
 def _names(text: str) -> list[str]:
@@ -283,8 +290,8 @@ def _path_from_config(section: dict, key: str, fs: float) -> TransferOperator | 
     if num is not None and name is not None:
         raise ValueError(f"{key} and {key}_num both set the path; give one")
     if num is not None:
-        den = (1.0,) if den is None else _parse_floats(den)
-        return TransferOperator(Polynomial(_parse_floats(num)), Polynomial(den))
+        den = (1.0,) if den is None else _parse_floats(den, f"{key}_den")
+        return TransferOperator(Polynomial(_parse_floats(num, f"{key}_num")), Polynomial(den))
     if name is None:
         return None
     if name not in _PATHS:
@@ -320,7 +327,7 @@ def load_scenario(path: Path, seed_override: int | None = None):
             # identification runs default to unit-power input
             amplitude=_number(sc, "amplitude", 0.006 if kind == "feedforward" else 1.0),
         )
-        true_params = _parse_floats(sc.pop("true_params")) if "true_params" in sc else None
+        true_params = _parse_floats(sc.pop("true_params"), "true_params") if "true_params" in sc else None
         scenario = sim.ScenarioConfig(
             kind=kind,
             noise=noise,
@@ -391,37 +398,68 @@ def _residual_fields(residual: np.ndarray, e0: np.ndarray, e0_fields: list[str],
     return fields
 
 
+_TRACE_HEADER = b"step,time_s,e0,e_post,residual,param_err,atten_db\r\n"
+
+
 def _write_traces(paths: list[Path], traces: list[sim.RunTrace]) -> None:
     """Write each trace of one sweep to its path, all of them block by block.
 
     The traces share their length and sample rate, as the runs of one scenario
-    do. Within a block of ``_TRACE_BLOCK_ROWS`` rows, ``step`` and ``time_s`` are
-    formatted once for the sweep, and ``residual`` only where its bits differ
-    both from ``e0``'s and from the trace before's (the open-loop rows, which
-    every run of a scenario shares). Nothing formatted outlives its block, so
-    memory stays flat in the trace length.
+    do. Nothing formatted outlives its block of ``_TRACE_BLOCK_ROWS`` rows, so
+    memory stays flat in the trace length. Where the kernel loads, its
+    :meth:`~daglms._kernel.Kernel.trace_rows` formats each block, else
+    ``repr`` does, with the same bytes.
     """
     if not traces:  # an empty sweep
         return
-    size, fs = traces[0].residual.size, traces[0].sample_rate_hz
+    kernel = _kernel.load()
+    size = traces[0].residual.size
     with contextlib.ExitStack() as stack:
-        files = [stack.enter_context(path.open("w", newline="")) for path in paths]
+        files = [stack.enter_context(path.open("wb")) for path in paths]
         for fh in files:
-            fh.write("step,time_s,e0,e_post,residual,param_err,atten_db\r\n")
+            fh.write(_TRACE_HEADER)
         for start in range(0, size, _TRACE_BLOCK_ROWS):
             block = slice(start, min(start + _TRACE_BLOCK_ROWS, size))
-            steps = np.arange(block.start, block.stop)
-            shared = [list(map(str, steps.tolist())), _fields(steps / fs)]
-            before = None
-            for fh, trace in zip(files, traces):
-                e0, residual = trace.e0[block], trace.residual[block]
-                e0_fields = _fields(e0)
-                residual_fields = _residual_fields(residual, e0, e0_fields, before)
-                fh.write(_rows([
-                    *shared, e0_fields, _fields(trace.e_post[block]), residual_fields,
-                    _fields(trace.param_err[block]), _atten_fields(trace, steps),
-                ]))
-                before = residual, residual_fields
+            rows = _repr_rows(traces, block) if kernel is None else _kernel_rows(kernel, traces, block)
+            for fh, data in zip(files, rows):
+                fh.write(data)
+
+
+def _kernel_rows(kernel: _kernel.Kernel, traces: list[sim.RunTrace], block: slice):
+    # each trace's rows in block, every column formatted by the kernel
+    steps = np.arange(block.start, block.stop)
+    time_s = steps / traces[0].sample_rate_hz
+    for trace in traces:
+        records = (trace.e0, trace.e_post, trace.residual, trace.param_err)
+        yield kernel.trace_rows(block.start, [time_s, *(r[block] for r in records), _atten_column(trace, steps)])
+
+
+def _atten_column(trace: sim.RunTrace, steps: np.ndarray) -> np.ndarray:
+    # each step's atten_db: the value of its window from the prefix on, else NaN
+    column = np.full(steps.size, np.nan)
+    if trace.atten_db is not None and trace.atten_window_samples is not None:
+        k = (steps - trace.open_loop_prefix_samples) // trace.atten_window_samples
+        shown = (k >= 0) & (k < trace.atten_db.size)
+        column[shown] = trace.atten_db[k[shown]]
+    return column
+
+
+def _repr_rows(traces: list[sim.RunTrace], block: slice):
+    # each trace's rows in block through _fields: step and time_s formatted once for
+    # the sweep, and residual only where its bits differ both from e0's and from the
+    # trace before's (the open-loop rows, which every run of a scenario shares)
+    steps = np.arange(block.start, block.stop)
+    shared = [list(map(str, steps.tolist())), _fields(steps / traces[0].sample_rate_hz)]
+    before = None
+    for trace in traces:
+        e0, residual = trace.e0[block], trace.residual[block]
+        e0_fields = _fields(e0)
+        residual_fields = _residual_fields(residual, e0, e0_fields, before)
+        yield _rows([
+            *shared, e0_fields, _fields(trace.e_post[block]), residual_fields,
+            _fields(trace.param_err[block]), _atten_fields(trace, steps),
+        ]).encode()
+        before = residual, residual_fields
 
 
 def _distinct(kind: str, names: list[str]) -> None:

@@ -23,6 +23,7 @@ from daglms import (
     SingularityError,
     ScenarioConfig,
     StepSizePolicy,
+    _kernel,
     cli,
     run_feedforward,
     run_sysid,
@@ -433,6 +434,23 @@ class TestRunCompare:
             SMALL_FEEDFORWARD_CONFIG.replace("[run]", "true_params = 0.5\n\n[run]"),
             "true_params must be unset for a feedforward scenario",
         ),
+        (
+            ["compare"],
+            SMALL_FEEDFORWARD_CONFIG.replace("[run]", "primary_path_num =\n\n[run]").replace(
+                "primary_path = resonant_primary\n", ""
+            ),
+            "primary_path_num: needs at least one value",
+        ),
+        (
+            ["compare"],
+            SMALL_FEEDFORWARD_CONFIG.replace("primary_path = resonant_primary", "primary_path_num = 1, abc"),
+            "primary_path_num: could not convert string to float: 'abc'",
+        ),
+        (
+            ["run"],
+            "[scenario]\nkind = sysid\nnoise_kind = white\ntrue_params = 0.5, x\nduration_samples = 1000\n",
+            "true_params: could not convert string to float: 'x'",
+        ),
         (["bode", "--grid", "10"], None, "--grid must be between 256 and 1048576, got 10"),
         (["bode", "--presets", "--grid", "10"], None, "--grid"),
         (["bode", "--grid", "2000000000"], None, "--grid must be between 256 and 1048576, got 2000000000"),
@@ -451,6 +469,7 @@ class TestRunCompare:
     ids=["unknown-preset", "unknown-algorithm", "ini-repeated-preset", "ini-repeated-algorithm",
          "flag-repeated-preset", "flag-repeated-algorithm", "ini-seed-minus-1", "flag-seed-minus-3", "sample-rate-0",
          "white-sample-rate-minus-2500", "path-den-without-num", "path-name-and-num", "feedforward-true-params",
+         "path-num-empty", "path-num-not-a-number", "sysid-true-params-not-a-number",
          "bode-grid", "bode-no-presets-grid", "bode-grid-too-large", "bode-repeated-preset", "contour-too-many-cells",
          "bode-fs-nan", "bode-fs-0", "bode-fs-minus-5",
          "bode-fs-inf", "check-custom-nan", "check-custom-d1p-1", "check-custom-d1p-minus-1",
@@ -819,19 +838,37 @@ def sysid_trace():
     return run_sysid(scn, StepSizePolicy.plms(0.05))
 
 
+def trace_engine(engine, monkeypatch):
+    """Make ``_write_traces`` take ``engine``'s writer: the kernel's rows, skipped where it
+    does not load, or ``repr``'s fields, with the kernel out of reach."""
+    if engine == "kernel":
+        if _kernel.load() is None:
+            pytest.skip("the kernel does not build on this host")
+    else:
+        monkeypatch.setattr(_kernel, "load", lambda: None)
+
+
+TRACE_CASES = {
+    "blocks_with_atten": (lambda: synthetic_trace(2 * cli._TRACE_BLOCK_ROWS + 37, 301, window=100), None),
+    "no_atten": (lambda: synthetic_trace(1000, 150, window=None), 64),
+    "no_prefix": (lambda: synthetic_trace(1000, 0, window=7), 64),
+    "diverged": (diverged_trace, 64),
+    "sysid": (sysid_trace, 96),
+}
+
+
 class TestTraceWriter:
     @pytest.mark.parametrize(
-        "make, block_rows",
+        "engine, make, block_rows",
         [
-            (lambda: synthetic_trace(2 * cli._TRACE_BLOCK_ROWS + 37, 301, window=100), None),
-            (lambda: synthetic_trace(1000, 150, window=None), 64),
-            (lambda: synthetic_trace(1000, 0, window=7), 64),
-            (diverged_trace, 64),
-            (sysid_trace, 96),
+            # the kernel's cases under the case name alone, the repr writer's under python-<name>
+            pytest.param(engine, *case, id=name if engine == "kernel" else f"{engine}-{name}")
+            for engine in ("kernel", "python")
+            for name, case in TRACE_CASES.items()
         ],
-        ids=["blocks_with_atten", "no_atten", "no_prefix", "diverged", "sysid"],
     )
-    def test_bytes_match_row_wise_writer(self, tmp_path, monkeypatch, make, block_rows):
+    def test_bytes_match_row_wise_writer(self, tmp_path, monkeypatch, engine, make, block_rows):
+        trace_engine(engine, monkeypatch)
         if block_rows is not None:
             monkeypatch.setattr(cli, "_TRACE_BLOCK_ROWS", block_rows)
         trace = make()
@@ -840,7 +877,9 @@ class TestTraceWriter:
         row_wise_trace_csv(tmp_path / "rows.csv", trace)
         assert (tmp_path / "columnar.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
-    def test_batch_matches_row_wise_writer(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("engine", ["kernel", "python"])
+    def test_batch_matches_row_wise_writer(self, tmp_path, monkeypatch, engine):
+        trace_engine(engine, monkeypatch)
         monkeypatch.setattr(cli, "_TRACE_BLOCK_ROWS", 64)
         traces = batch_traces(3 * 64 + 21, 100)
         paths = [tmp_path / f"columnar{k}.csv" for k in range(len(traces))]

@@ -1,8 +1,8 @@
 """Engine tests: the compiled kernel, through ``run_many``, ``run_sysid`` and
 ``run_feedforward``, keeps the bits of the Python loop ``sim._adapt_loop``, the
 whole-signal filters of both engines keep those of ``scipy.signal``'s ``lfilter``
-and ``sosfilt``, and it falls back to the Python loops wherever it cannot build
-or load."""
+and ``sosfilt``, its trace rows keep the bytes of ``repr``, and it falls back to
+the Python code wherever it cannot build or load."""
 
 import logging
 import os
@@ -15,6 +15,8 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.signal
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import daglms
 from daglms import (
@@ -223,6 +225,83 @@ def test_kernel_filters_reject_bad_shapes():
         kernel.sosfilt(np.ones((2, 5)), np.ones(4))
     with pytest.raises(ValueError):
         kernel.sosfilt(np.ones((2, 6)) * 2.0, np.ones(4))
+    with pytest.raises(ValueError):
+        kernel.trace_rows(0, [np.ones(4), np.ones(3)])
+    with pytest.raises(ValueError):
+        kernel.trace_rows(-1, [np.ones(4)])
+
+
+def repr_rows(values, start=0) -> bytes:
+    """The rows that ``Kernel.trace_rows`` writes for the one column ``values``, by ``repr``."""
+    return "".join(f"{start + i},{'' if v != v else repr(v)}\r\n" for i, v in enumerate(values.tolist())).encode()
+
+
+def assert_rows_are_repr(kernel, values, start=0):
+    values = np.asarray(values, dtype=np.float64)
+    got, want = bytes(kernel.trace_rows(start, [values])), repr_rows(values, start)
+    if got != want:
+        differ = [(v, a, b) for v, a, b in zip(values.tolist(), got.split(b"\r\n"), want.split(b"\r\n")) if a != b]
+        pytest.fail(f"{len(differ)} of {values.size} rows differ from repr, the first: {differ[:5]}")
+
+
+@pytest.fixture(scope="module")
+def kernel():
+    return compiled()
+
+
+@settings(deadline=None, max_examples=300)
+@given(values=st.lists(st.floats(), min_size=1, max_size=64))
+def test_trace_rows_are_repr_on_drawn_floats(kernel, values):
+    assert_rows_are_repr(kernel, values)
+
+
+@settings(deadline=None, max_examples=300)
+@given(patterns=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64), start=st.integers(0, 2**62))
+def test_trace_rows_are_repr_on_drawn_bit_patterns(kernel, patterns, start):
+    assert_rows_are_repr(kernel, np.array(patterns, dtype=np.uint64).view(np.float64), start)
+
+
+def neighbours(values, width):
+    """Each of ``values`` with its ``width`` nearest doubles on each side."""
+    out = [np.asarray(values, dtype=np.float64)]
+    for direction in (-np.inf, np.inf):
+        x = out[0]
+        for _ in range(width):
+            x = np.nextafter(x, direction)
+            out.append(x)
+    return np.concatenate(out)
+
+
+def test_trace_rows_are_repr_on_edges(kernel):
+    """Every power of two, subnormals, the fixed/scientific switch points and their
+    neighbours, the extremes and integers up to 2**53, each of both signs."""
+    rng = np.random.default_rng(53)
+    ends = np.arange(1, 10_001, dtype=np.uint64)
+    subnormal = np.concatenate([ends, 2**52 - ends, rng.integers(1, 2**52, 50_000, dtype=np.uint64)])
+    ends = np.arange(10_001)
+    integers = np.concatenate([ends, 2**53 - ends, rng.integers(0, 2**53, 50_000, endpoint=True)])
+    values = np.concatenate([
+        np.ldexp(1.0, np.arange(-1074, 1024)),
+        subnormal.view(np.float64),
+        neighbours([1e-4, 1e-5, 1e16, 9999999999999998.0], 5),
+        [0.0, np.inf, 5e-324, np.finfo(float).max, np.finfo(float).tiny],
+        integers.astype(np.float64),
+    ])
+    assert_rows_are_repr(kernel, np.concatenate([values, -values]))
+
+
+def test_trace_rows_are_repr_on_a_million_patterns(kernel):
+    """A seeded sweep over all exponents (a full gate runs 10**8 of these)."""
+    patterns = np.random.default_rng(2018).integers(0, 2**64, 10**6, dtype=np.uint64)
+    assert_rows_are_repr(kernel, patterns.view(np.float64))
+
+
+def test_trace_rows_leave_nan_fields_empty(kernel):
+    """Every NaN, of either sign and any payload, is an empty field; the commas stay."""
+    nan = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 2**64 - 1], dtype=np.uint64)
+    other = np.array([1.5, np.nan, -0.0, 1e-300])
+    rows = bytes(kernel.trace_rows(7, [nan.view(np.float64), other, nan.view(np.float64)]))
+    assert rows == b"7,,1.5,\r\n8,,,\r\n9,,-0.0,\r\n10,,1e-300,\r\n"
 
 
 @pytest.mark.parametrize(
@@ -374,8 +453,10 @@ def fail(*args):
         ("_build", fail, "no compiler here"),  # no compiler, or the build failed
         ("_DDOT", "no_such_ddot", "no_such_ddot"),  # a NumPy on another BLAS
         ("_DDOT", "scipy_cblas_dasum64_", "where np.dot gives"),  # a BLAS call with other bits
+        # a table one power of ten off: the row writer's self-check fails
+        ("_pow10_table", lambda t=_kernel._pow10_table: np.roll(t(), 2), "differs from repr"),
     ],
-    ids=["build", "symbol", "self-check"],
+    ids=["build", "symbol", "self-check", "repr-check"],
 )
 def test_fallback_gives_the_same_bytes(monkeypatch, caplog, name, value, reason):
     """Where the kernel cannot load, runs take the Python loop, with the same bytes,
