@@ -70,10 +70,12 @@ class Polynomial:
         if np.ndim(z_inv) == 0:
             return np.polyval(self.coeffs[::-1], z_inv)
         # np.polyval's Horner steps, in place: on an 8192-point grid each temporary
-        # would be 128 KiB, which glibc maps and unmaps, page faults included
+        # would be 128 KiB, which glibc maps and unmaps, page faults included. Its first
+        # step, 0 * x + top, is top for a finite x and a nonzero top, so the loop starts there
         x = np.asarray(z_inv)
-        y = np.zeros(x.shape, np.result_type(x, np.float64))
-        for c in self.coeffs[::-1]:
+        *rest, top = self.coeffs
+        y = np.full(x.shape, top, np.result_type(x, np.float64))
+        for c in reversed(rest):
             y *= x
             y += c
         return y
@@ -98,18 +100,25 @@ def roots_inside_unit_circle(p: Polynomial) -> bool:
     needs ``|a_n| < |a_0|`` and keeps ``a_0 a_i - a_n a_{n-i}`` for i < n,
     whose zeros are inside iff those of the step before are. The circle is
     open: a root of modulus exactly 1 fails. Degree-0 polynomials have no
-    zeros and return True. Finite coefficients raise nothing.
+    zeros and return True. Finite coefficients raise nothing. The first step's
+    comparison is exact on the floats themselves, and at degree 1 it is the
+    whole test, so the integers are made only for the steps after it.
     """
-    ratios = [c.as_integer_ratio() for c in p.canonical().coeffs]
-    den = max(d for _, d in ratios)
-    a = [n * (den // d) for n, d in ratios]
+    a = list(p.canonical().coeffs)
     while len(a) > 1 and not a[0]:
         del a[0]
-    while len(a) > 1:
+    if len(a) > 1 and abs(a[-1]) >= abs(a[0]):
+        return False
+    if len(a) <= 2:
+        return True
+    ratios = [c.as_integer_ratio() for c in a]
+    den = max(d for _, d in ratios)
+    a = [n * (den // d) for n, d in ratios]
+    while len(a) > 2:  # |a_n| < |a_0| holds here: step, then compare the next ends
         a0, an = a[0], a[-1]
-        if abs(an) >= abs(a0):
-            return False
         a = [a0 * a[i] - an * a[-1 - i] for i in range(len(a) - 1)]
+        if abs(a[-1]) >= abs(a[0]):
+            return False
     return True
 
 

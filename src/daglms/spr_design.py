@@ -206,6 +206,39 @@ def _at(coeffs: list[float], z_inv: complex) -> complex:
     return y
 
 
+def _on_circle(n: list[float], d: list[float], x: float) -> tuple[float, float]:
+    """``Re{N conj D}`` and ``|D|^2`` at ``exp(-j omega)`` with cos(omega) = x, by Horner on N and D.
+
+    Taken from N and D themselves, as their Chebyshev series cancel next to a
+    zero of D. A zero ``|D|^2`` raises :class:`SingularityError`.
+    """
+    z = complex(x, -math.sqrt((1.0 - x) * (1.0 + x)))
+    n_z, d_z = _at(n, z), _at(d, z)
+    abs2 = d_z.real * d_z.real + d_z.imag * d_z.imag
+    if abs2 == 0.0:
+        raise SingularityError("pole exactly on the evaluation point")
+    return (n_z * d_z.conjugate()).real, abs2
+
+
+def _smallest(values: list[float], exponent: int) -> tuple[float, int]:
+    """The first smallest of ``values`` times ``2**exponent``, and its index.
+
+    A NaN counts as the smallest, as for ``np.argmin``, so no verdict passes
+    on it; a product beyond the double range is an infinity of its sign.
+    """
+    k = 0
+    for i, value in enumerate(values):
+        if value != value:
+            k = i
+            break
+        if value < values[k]:
+            k = i
+    try:
+        return math.ldexp(values[k], exponent), k
+    except OverflowError:
+        return math.copysign(math.inf, values[k]), k
+
+
 def _root_real_parts(a: list[float]) -> list[float]:
     """Real parts of the roots of a T series.
 
@@ -273,7 +306,8 @@ def _critical_points(p: list[float], q: list[float]) -> list[float]:
         candidates.append(x)
         last = math.inf
         for _ in range(8):
-            p0, p1, p2, q0, q1, q2 = (_cheb_val(s, x) for s in (p, dp, ddp, q, dq, ddq))
+            p0, p1, p2 = _cheb_val(p, x), _cheb_val(dp, x), _cheb_val(ddp, x)
+            q0, q1, q2 = _cheb_val(q, x), _cheb_val(dq, x), _cheb_val(ddq, x)
             slope = p2 * q0 - p0 * q2  # d/dx (p' q - p q')
             step = (p1 * q0 - p0 * q1) / slope if slope else 0.0
             if not 0.0 < abs(step) < 0.5 * last:  # converged to rounding, or not converging
@@ -291,22 +325,28 @@ def is_spr_numeric(h: TransferOperator, grid_size: int = DEFAULT_SPR_GRID) -> Sp
     unit circle and a strictly positive real part on the whole circle. With
     x = cos(omega) the real part is ``P(x)/Q(x)``: P is the Chebyshev series of
     ``Re{N conj D}`` and Q that of ``|D|^2`` on the circle. Its minimum lies at
-    one of the points of :func:`_critical_points`, where the response itself is
-    evaluated; ``argmin_omega`` is that point's frequency. No grid is sampled:
-    ``grid_size`` is still validated (at least 256) but sets no resolution. A
-    pole on the circle at a candidate raises :class:`SingularityError`.
+    one of the points of :func:`_critical_points`. There ``Re{N conj D} / |D|^2``
+    is evaluated in scalar arithmetic, by Horner's rule on N and D scaled by
+    powers of two, and the scaling is undone on the smallest value, so a
+    response beyond the double range at other points does not overflow it.
+    ``argmin_omega`` is the frequency of the first smallest value; a NaN value
+    counts as the smallest and is not SPR. No grid is sampled: ``grid_size`` is
+    still validated (at least 256) but sets no resolution. A pole on the circle
+    at a candidate raises :class:`SingularityError`.
     """
     if grid_size < 256:
         raise ValueError("grid_size must be at least 256")
     stable = roots_inside_unit_circle(h.numerator) and roots_inside_unit_circle(h.denominator)
-    n, _ = _scaled(h.numerator.coeffs)
-    d, _ = _scaled(h.denominator.coeffs)
+    n, n_exp = _scaled(h.numerator.coeffs)
+    d, d_exp = _scaled(h.denominator.coeffs)
     half = max(len(n), len(d), 2) - 1
-    x = np.array(_critical_points(_cos_series(_lags(n, d, half)), _cos_series(_lags(d, d, half))))
-    re = np.real(h.response_at(x - 1j * np.sqrt((1.0 - x) * (1.0 + x))))  # at exp(-j omega)
-    k = int(np.argmin(re))
-    min_re = float(re[k])
-    return SprVerdict(stable, bool(stable and min_re > 0.0), min_re, math.acos(x[k]))
+    xs = _critical_points(_cos_series(_lags(n, d, half)), _cos_series(_lags(d, d, half)))
+    values = []
+    for x in xs:
+        re, abs2 = _on_circle(n, d, x)
+        values.append(re / abs2)
+    min_re, k = _smallest(values, n_exp - d_exp)
+    return SprVerdict(stable, stable and min_re > 0.0, min_re, math.acos(xs[k]))
 
 
 def log_gain_integral(
@@ -463,7 +503,7 @@ def is_pr_unit_pole(
     quotient = Polynomial(tuple(itertools.accumulate(den[:-1])))
     if not roots_inside_unit_circle(quotient):
         raise ValueError("unit pole is not simple or remaining denominator is unstable")
-    residue = float(h.numerator(1.0)) / float(quotient(1.0))
+    residue = _at(h.numerator.coeffs, 1.0).real / _at(quotient.coeffs, 1.0).real
     n, n_exp = _scaled(h.numerator.coeffs)
     a, a_exp = _scaled(quotient.coeffs)
     half = max(len(n), len(a), 2) - 1
@@ -473,17 +513,9 @@ def is_pr_unit_pole(
     q = [2.0 * c for c in _cos_series(_lags(a, a, half))]
     values = []
     for x in _critical_points(p, q):
-        # Re{N conj A} and |A|^2 from N and A on the circle: their series cancel near a zero of A
-        z = complex(x, -math.sqrt((1.0 - x) * (1.0 + x)))
-        n_z, a_z = _at(n, z), _at(a, z)
-        abs2 = a_z.real * a_z.real + a_z.imag * a_z.imag
-        if abs2 == 0.0:
-            raise SingularityError("pole exactly on the evaluation point")
-        values.append(((n_z * a_z.conjugate()).real + (1.0 + x) * _cheb_val(sine, x)) / (2.0 * abs2))
-    try:
-        min_re = math.ldexp(min(values), n_exp - a_exp)
-    except OverflowError:  # beyond the double range, as the unscaled ratio would be
-        min_re = math.copysign(math.inf, min(values))
+        re, abs2 = _on_circle(n, a, x)
+        values.append((re + (1.0 + x) * _cheb_val(sine, x)) / (2.0 * abs2))
+    min_re, _ = _smallest(values, n_exp - a_exp)
     residue_positive = residue > 0.0
     return PrVerdict(bool(min_re >= -tol and residue_positive), min_re, residue_positive)
 

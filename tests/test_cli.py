@@ -108,15 +108,18 @@ class TestCheck:
         assert (row["name"], row["c1"], row["c2"], row["d1p"]) == ("custom0", "-1.5", "0.2", "0.5")
 
     def test_overflowing_row_is_quiet(self, tmp_path, capsys):
-        """A row near the float range overflows inside the verdict numerics; the table
-        keeps its bytes and nothing reaches stderr."""
+        """A row near the float range gets its verdicts with no warning and nothing on
+        stderr, and the table keeps its bytes. Its real-part minimum is finite, though
+        the response overflows elsewhere on the circle: 1 + 1e308 (cos w + cos 2w) is
+        lowest at cos w = -1/4."""
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(["check", "--custom=1e308,1e308,0", "--out", str(tmp_path)]) == 0
         assert caught == [] and capsys.readouterr().err == ""
         digest = hashlib.sha256((tmp_path / "check.csv").read_bytes()).hexdigest()
-        assert digest == "08e6bfaf378b68baf6e7f9ac7a2b3349516bcdebb1a7e6bf90485e1e017db342"
-        assert read_csv(tmp_path / "check.csv")[-1]["dag_spr"] == "N"
+        assert digest == "ad333bda135178b8ba06e3b4c64f07538018691316548e450048cedfb0012397"
+        row = read_csv(tmp_path / "check.csv")[-1]
+        assert (row["dag_spr"], row["min_re_dag"]) == ("N", "-1.125e+308")
 
     @pytest.mark.parametrize("error", [RootFindingError, SingularityError])
     def test_numerics_error_exits_4(self, tmp_path, capsys, monkeypatch, error):

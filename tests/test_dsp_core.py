@@ -207,6 +207,59 @@ class TestRootsInsideUnitCircle:
                 roots_inside_unit_circle(a) and roots_inside_unit_circle(b)
             )
 
+    def test_float_first_step_matches_the_integer_recursion(self):
+        """The first Schur–Cohn comparison, made on the floats, gives the verdict of every step on integers.
+
+        Seeded polynomials of degrees 1 to 6 with zeros inside, on and outside the
+        circle, each also with its last coefficient set to +-its first (a tie),
+        with leading zeros, and with subnormal coefficients.
+        """
+        rng = np.random.default_rng(20)
+        cases = []
+        for degree in range(1, 7):
+            for _ in range(300):
+                radius = rng.choice([0.5, 0.95, 1.0, 1.05, 2.0])
+                coeffs = np.real(np.poly(random_roots(rng, degree, radius))) * 10.0 ** rng.uniform(-300, 300)
+                cases.append(coeffs.tolist())
+                cases.append([*coeffs[:-1].tolist(), float(rng.choice([-1.0, 1.0]) * coeffs[0])])
+                cases.append([rng.choice([0.0, -0.0])] * int(rng.integers(1, 3)) + coeffs.tolist())
+                tiny = rng.integers(1, 2**52, degree + 1) * 5e-324
+                cases.append(tiny.tolist())
+                cases.append(np.where(rng.random(degree + 1) < 0.5, tiny, coeffs).tolist())
+        outcomes = set()
+        for coeffs in cases:
+            verdict = roots_inside_unit_circle(Polynomial(tuple(coeffs)))
+            assert verdict is schur_cohn_on_integers(coeffs), coeffs
+            outcomes.add(verdict)
+        assert outcomes == {True, False}
+
+
+def schur_cohn_on_integers(coeffs) -> bool:
+    """The stability test with every Schur–Cohn step, the first included, on exact integers."""
+    ratios = [c.as_integer_ratio() for c in Polynomial(tuple(coeffs)).canonical().coeffs]
+    den = max(d for _, d in ratios)
+    a = [n * (den // d) for n, d in ratios]
+    while len(a) > 1 and not a[0]:
+        del a[0]
+    while len(a) > 1:
+        a0, an = a[0], a[-1]
+        if abs(an) >= abs(a0):
+            return False
+        a = [a0 * a[i] - an * a[-1 - i] for i in range(len(a) - 1)]
+    return True
+
+
+@pytest.mark.parametrize("degree", range(5))
+def test_array_evaluation_matches_polyval(degree):
+    """Horner's rule from the leading coefficient gives np.polyval's bits, signed zeros included, on finite
+    real and complex arrays: polyval's first step, 0 * x + top, is top for a nonzero top."""
+    rng = np.random.default_rng(degree)
+    p = Polynomial(tuple(rng.standard_normal(degree + 1)))
+    for x in (rng.standard_normal(9), rng.standard_normal((3, 4)), np.exp(-1j * rng.uniform(0.0, np.pi, 9))):
+        y, expected = p(x), np.polyval(p.coeffs[::-1], x)
+        assert y.dtype == expected.dtype and y.shape == expected.shape
+        assert y.tobytes() == expected.tobytes()
+
 
 class TestFreqResponse:
     def test_identity(self):

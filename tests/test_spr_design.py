@@ -24,6 +24,7 @@ from daglms import (
     poly_mul,
     spr_region_grid,
 )
+from daglms import spr_design
 from daglms.adapt import PRESET_ORDER, preset_triple
 from daglms.spr_design import (
     MAX_REGION_CELLS,
@@ -105,11 +106,27 @@ def assert_exact_minimum(h):
     assert np.real(h.freq_response(v.argmin_omega)) == pytest.approx(v.min_real_part, abs=rounding)
 
 
+def assert_value_at_argmin(h):
+    """``min_real_part`` is the real part of the response at ``argmin_omega``, to the rounding of N/D there.
+
+    The bound is that of :func:`assert_exact_minimum` at the one point: the
+    argmin is a stationary point or an end of [0, pi], so the rounding of
+    ``argmin_omega`` itself moves the real part only quadratically.
+    """
+    v = is_spr_numeric(h)
+    z_inv = np.exp(-1j * v.argmin_omega)
+    num, den = np.abs(h.numerator.coeffs), np.abs(h.denominator.coeffs)
+    horner = 2.0 * np.finfo(float).eps * np.array([num.size * num.sum(), den.size * den.sum()])
+    rounding = 4.0 * (horner[0] + abs(h.response_at(z_inv)) * horner[1]) / abs(h.denominator(z_inv))
+    assert np.real(h.freq_response(v.argmin_omega)) == pytest.approx(v.min_real_part, abs=rounding)
+
+
 class TestIsSprNumeric:
     def test_identity(self):
         v = is_spr_numeric(TransferOperator.identity())
         assert v.is_spr and v.is_stable
         assert v.min_real_part == pytest.approx(1.0)
+        assert v.argmin_omega == 0.0  # every candidate ties; the first, x = 1, wins as in np.argmin
 
     def test_arima2_preset(self):
         v = is_spr_numeric(dag_transfer(make_preset("arima2")))
@@ -172,6 +189,39 @@ class TestIsSprNumeric:
         taps = np.random.default_rng(seed).standard_normal(21)
         taps[0] = 1.0 + abs(taps[0])
         assert_exact_minimum(TransferOperator(taps))
+
+    @given(
+        c1=st.floats(-3.0, 3.0),
+        c2=st.floats(-2.0, 2.0),
+        d1p=st.floats(-0.999, 0.999),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_cells_read_the_response_at_their_argmin(self, c1, c2, d1p):
+        assert_value_at_argmin(dag_transfer(DagConfig((c1, c2), (d1p,))))
+
+    def test_filters_read_the_response_at_their_argmin(self):
+        rng = np.random.default_rng(6)
+        for _ in range(300):
+            num = rng.standard_normal(rng.integers(1, 8)) * 10.0 ** rng.uniform(-3.0, 3.0)
+            assert_value_at_argmin(TransferOperator(num, random_stable_poly(rng, 6, 0.98)))
+
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_a_nan_candidate_is_not_spr(self, monkeypatch, at):
+        """A NaN value at any candidate is the minimum, as np.argmin reads it, so no verdict passes on it."""
+        points = [1.0, -1.0]
+        points.insert(at, float("nan"))
+        monkeypatch.setattr(spr_design, "_critical_points", lambda p, q: list(points))
+        v = is_spr_numeric(TransferOperator.identity())
+        assert v.is_stable and not v.is_spr and np.isnan(v.min_real_part)
+        pr = is_pr_unit_pole(integrated_dag(make_preset("integral")))
+        assert not pr.is_pr and np.isnan(pr.min_real_part_excluding_pole)
+
+    def test_response_beyond_the_float_range_keeps_a_finite_minimum(self):
+        """1 + 1e308 (cos w + cos 2w) exceeds the doubles near w = 0 but is lowest, -1.125e308, at cos w = -1/4."""
+        v = is_spr_numeric(TransferOperator((1.0, 1e308, 1e308)))
+        assert not v.is_stable and not v.is_spr
+        assert v.min_real_part == pytest.approx(-1.125e308, rel=1e-15)
+        assert v.argmin_omega == pytest.approx(np.arccos(-0.25), rel=1e-12)
 
     def test_spr_implies_stability_and_positive_min(self):
         rng = np.random.default_rng(33)
