@@ -36,6 +36,9 @@ _BUILD_TIMEOUT_S = 120
 
 _kernel = None  # the loaded Kernel, False once it could not load
 
+# the most float columns that one daglms_trace_rows call takes, its MAX_COLS
+MAX_TRACE_COLUMNS = 16
+
 # the decimal exponents of the powers of ten that daglms_trace_rows reads, from its POW10_MIN
 _POW10_EXPONENTS = range(-292, 325)
 
@@ -114,7 +117,7 @@ class Kernel:
         self._lfilter.restype, self._lfilter.argtypes = None, (i64, ptr, ptr, ptr, i64, ptr, ptr)
         self._sosfilt.restype, self._sosfilt.argtypes = None, (i64, ptr, ptr, i64, ptr, ptr)
         self._trace_rows = lib.daglms_trace_rows
-        self._trace_rows.restype, self._trace_rows.argtypes = i64, (ptr, i64, i64, i64, ptr, ptr)
+        self._trace_rows.restype, self._trace_rows.argtypes = i64, (ptr, i64, i64, i64, ptr, ptr, i64, i64, i64, ptr)
         self._pow10 = _pow10_table()
         self._dot = dot = lib.daglms_dot
         dot.restype, dot.argtypes = ctypes.c_double, (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p)
@@ -124,10 +127,21 @@ class Kernel:
             got, want = dot(self._ddot, x.size, x.ctypes.data, y.ctypes.data), float(np.dot(x, y))
             if got.hex() != want.hex():
                 raise RuntimeError(f"{_DDOT} gives {got!r} where np.dot gives {want!r} (n = {x.size})")
+        # the row writer on _repr_cases in three columns, the second a bit-for-bit repeat of the
+        # first and the third its negation (0.0 against -0.0, NaNs of both signs; repr(-x) is
+        # repr(x) with its sign flipped), and five-row windows from step 3 that end before the
+        # last rows; in blocks of 512 rows, which split windows and keep the check's memory small
         cases = _repr_cases()
-        want = "".join(f"{i},{'' if v != v else repr(v)}\r\n" for i, v in enumerate(cases.tolist()))
-        if bytes(self.trace_rows(0, [cases])) != want.encode():
-            raise RuntimeError("daglms_trace_rows differs from repr")
+        columns, windows = [cases, cases, -cases], (cases.size - 3) // 5 - 1
+        fields = ["" if v != v else repr(v) for v in cases.tolist()]
+        for lo in range(0, cases.size, 512):
+            want = "".join(
+                f"{i},{f},{f},{f[1:] if f[:1] == '-' else f and '-' + f},"
+                f"{fields[(i - 3) // 5] if 3 <= i < 3 + 5 * windows else ''}\r\n"
+                for i, f in enumerate(fields[lo:lo + 512], lo)
+            )
+            if self.trace_rows(lo, [c[lo:lo + 512] for c in columns], (cases[:windows], 3, 5)) != want.encode():
+                raise RuntimeError("daglms_trace_rows differs from repr")
 
     def adapt(self, state, sig, trace) -> tuple[int, float]:
         """:func:`daglms.sim._adapt_loop` in one call, with the same bits and the same contract."""
@@ -172,16 +186,31 @@ class Kernel:
         self._sosfilt(len(sos), sos.ctypes.data, zi.ctypes.data, x.size, x.ctypes.data, y.ctypes.data)
         return y
 
-    def trace_rows(self, start: int, columns) -> memoryview:
+    def trace_rows(self, start: int, columns, window=None) -> memoryview:
         """Rows ``start``... of a trace CSV as bytes: the step, then a field for each of
-        ``columns``, 1-D arrays of one length, each double as ``repr`` writes it and NaN as
-        an empty field, the fields joined by ``,`` and each row ending in ``\\r\\n``."""
+        ``columns`` (at most :data:`MAX_TRACE_COLUMNS`), 1-D arrays of one length, each double
+        as ``repr`` writes it and NaN as an empty field, the fields joined by ``,`` and each
+        row ending in ``\\r\\n``.
+
+        ``window``, a ``(values, first, length)`` triple, adds a last field that holds one
+        value per window of ``length`` steps: step ``s`` reads ``values[(s - first) // length]``
+        where ``s >= first`` and that index is in range, else an empty field. The writer
+        formats each window once, and copies a field whose bits equal an earlier field of
+        its row."""
         block = np.array(columns, dtype=np.float64)  # (columns, rows) in C order
-        if not (block.ndim == 2 and start >= 0):
-            raise ValueError("trace_rows takes 1-D columns of one length and a step from 0")
+        if not (block.ndim == 2 and block.shape[0] <= MAX_TRACE_COLUMNS and start >= 0):
+            raise ValueError(f"trace_rows takes at most {MAX_TRACE_COLUMNS} columns of one length and a step from 0")
+        values, first, length = (np.empty(0), 0, 0) if window is None else window
+        values = np.ascontiguousarray(values, dtype=np.float64)
+        if not (values.ndim == 1 and (window is None or (first >= 0 and length >= 1))):
+            raise ValueError("a trace_rows window takes 1-D values, a first step from 0 and a length from 1")
         ncols, rows = block.shape
-        out = np.empty(rows * (22 + 25 * ncols) + 16, dtype=np.uint8)  # the bound of daglms_trace_rows
-        size = self._trace_rows(self._pow10.ctypes.data, start, rows, ncols, block.ctypes.data, out.ctypes.data)
+        fields = ncols + (length > 0)
+        out = np.empty(rows * (22 + 25 * fields) + 16, dtype=np.uint8)  # the bound of daglms_trace_rows
+        size = self._trace_rows(
+            self._pow10.ctypes.data, start, rows, ncols, block.ctypes.data,
+            values.ctypes.data, values.size, first, length, out.ctypes.data,
+        )
         return out[:size].data
 
 

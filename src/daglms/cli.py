@@ -142,9 +142,7 @@ def cmd_check(args) -> int:
     expected = _read_verdicts(Path(args.expect)) if args.expect else None
 
     rows = [_preset_row(name, cfg, triple) for name, cfg, triple in entries]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "check.csv"
+    path = _out_dir(args.out) / "check.csv"
     _write_csv(path, CHECK_HEADER, [_columns([r[k] for k in CHECK_HEADER] for r in rows)])
     for r in rows:
         print(
@@ -189,9 +187,7 @@ def cmd_contour(args) -> int:
         (args.c1_min, args.c1_max, args.c1_step),
         (args.c2_min, args.c2_max, args.c2_step),
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"contour_d1p_{args.d1p:g}.csv"
+    path = _out_dir(args.out) / f"contour_d1p_{args.d1p:g}.csv"
     c1 = np.repeat(c1_values, c2_values.size)  # c1-major, as spr_flags is laid out
     c2 = np.tile(c2_values, c1_values.size)
     pr_flags = integrated_pr_closed_form(c1, c2, args.d1p)
@@ -220,8 +216,7 @@ def cmd_bode(args) -> int:
         tables.append([_fields(c) for c in (freq, omega, gain_db, phase_deg)])
         phase_ok = bool(np.all(np.abs(phase_deg) < 90.0))
         summary.append((name, row["dag_spr"], phase_ok, row["log_gain_integral"] / np.pi))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     for columns, (name, is_spr, phase_ok, mean_log_gain) in zip(tables, summary):
         path = out / f"bode_{name}.csv"
         _write_csv(path, ["freq_hz", "omega_rad", "gain_db", "phase_deg"], [columns])
@@ -382,17 +377,10 @@ def _atten_fields(trace: sim.RunTrace, steps: np.ndarray):
     return map(fields.__getitem__, np.where(shown, k - lo, -1).tolist())
 
 
-def _residual_fields(residual: np.ndarray, e0: np.ndarray, e0_fields: list[str], before) -> list[str]:
-    # _fields(residual), taking a field from e0 where the bits are e0's, then from
-    # ``before``, the (residual, fields) of an earlier trace, where they are its
+def _residual_fields(residual: np.ndarray, e0: np.ndarray, e0_fields: list[str]) -> list[str]:
+    # _fields(residual), taking a field from e0 where the bits are e0's
     fields = e0_fields.copy()
-    bits = residual.view(np.int64)
-    own = np.flatnonzero(bits != e0.view(np.int64))
-    if before is not None:
-        same = before[0].view(np.int64)[own] == bits[own]
-        for i in own[same].tolist():
-            fields[i] = before[1][i]
-        own = own[~same]
+    own = np.flatnonzero(residual.view(np.int64) != e0.view(np.int64))
     for i, field in zip(own.tolist(), _fields(residual[own])):
         fields[i] = field
     return fields
@@ -401,65 +389,52 @@ def _residual_fields(residual: np.ndarray, e0: np.ndarray, e0_fields: list[str],
 _TRACE_HEADER = b"step,time_s,e0,e_post,residual,param_err,atten_db\r\n"
 
 
-def _write_traces(paths: list[Path], traces: list[sim.RunTrace]) -> None:
-    """Write each trace of one sweep to its path, all of them block by block.
+def _write_trace(path: Path, trace: sim.RunTrace) -> None:
+    """Write ``trace`` to ``path``, block by block.
 
-    The traces share their length and sample rate, as the runs of one scenario
-    do. Nothing formatted outlives its block of ``_TRACE_BLOCK_ROWS`` rows, so
-    memory stays flat in the trace length. Where the kernel loads, its
-    :meth:`~daglms._kernel.Kernel.trace_rows` formats each block, else
-    ``repr`` does, with the same bytes.
+    Nothing formatted outlives its block of ``_TRACE_BLOCK_ROWS`` rows, so memory
+    stays flat in the trace length. Where the kernel loads, its
+    :meth:`~daglms._kernel.Kernel.trace_rows` formats each block, else ``repr``
+    does, with the same bytes.
     """
-    if not traces:  # an empty sweep
-        return
     kernel = _kernel.load()
-    size = traces[0].residual.size
-    with contextlib.ExitStack() as stack:
-        files = [stack.enter_context(path.open("wb")) for path in paths]
-        for fh in files:
-            fh.write(_TRACE_HEADER)
+    size = trace.residual.size
+    with path.open("wb") as fh:
+        fh.write(_TRACE_HEADER)
         for start in range(0, size, _TRACE_BLOCK_ROWS):
             block = slice(start, min(start + _TRACE_BLOCK_ROWS, size))
-            rows = _repr_rows(traces, block) if kernel is None else _kernel_rows(kernel, traces, block)
-            for fh, data in zip(files, rows):
-                fh.write(data)
+            fh.write(_repr_rows(trace, block) if kernel is None else _kernel_rows(kernel, trace, block))
 
 
-def _kernel_rows(kernel: _kernel.Kernel, traces: list[sim.RunTrace], block: slice):
-    # each trace's rows in block, every column formatted by the kernel
-    steps = np.arange(block.start, block.stop)
-    time_s = steps / traces[0].sample_rate_hz
-    for trace in traces:
-        records = (trace.e0, trace.e_post, trace.residual, trace.param_err)
-        yield kernel.trace_rows(block.start, [time_s, *(r[block] for r in records), _atten_column(trace, steps)])
-
-
-def _atten_column(trace: sim.RunTrace, steps: np.ndarray) -> np.ndarray:
-    # each step's atten_db: the value of its window from the prefix on, else NaN
-    column = np.full(steps.size, np.nan)
+def _kernel_rows(kernel: _kernel.Kernel, trace: sim.RunTrace, block: slice) -> memoryview:
+    # the trace's rows in block, every field formatted by the kernel, atten_db once per window
+    window = (np.empty(0), 0, 1)  # no series: every atten_db field is empty
     if trace.atten_db is not None and trace.atten_window_samples is not None:
-        k = (steps - trace.open_loop_prefix_samples) // trace.atten_window_samples
-        shown = (k >= 0) & (k < trace.atten_db.size)
-        column[shown] = trace.atten_db[k[shown]]
-    return column
+        window = (trace.atten_db, trace.open_loop_prefix_samples, trace.atten_window_samples)
+    records = (trace.e0, trace.e_post, trace.residual, trace.param_err)
+    time_s = np.arange(block.start, block.stop) / trace.sample_rate_hz
+    return kernel.trace_rows(block.start, [time_s, *(r[block] for r in records)], window)
 
 
-def _repr_rows(traces: list[sim.RunTrace], block: slice):
-    # each trace's rows in block through _fields: step and time_s formatted once for
-    # the sweep, and residual only where its bits differ both from e0's and from the
-    # trace before's (the open-loop rows, which every run of a scenario shares)
+def _repr_rows(trace: sim.RunTrace, block: slice) -> bytes:
+    # the trace's rows in block through _fields, residual formatted only where its bits differ from e0's
     steps = np.arange(block.start, block.stop)
-    shared = [list(map(str, steps.tolist())), _fields(steps / traces[0].sample_rate_hz)]
-    before = None
-    for trace in traces:
-        e0, residual = trace.e0[block], trace.residual[block]
-        e0_fields = _fields(e0)
-        residual_fields = _residual_fields(residual, e0, e0_fields, before)
-        yield _rows([
-            *shared, e0_fields, _fields(trace.e_post[block]), residual_fields,
-            _fields(trace.param_err[block]), _atten_fields(trace, steps),
-        ]).encode()
-        before = residual, residual_fields
+    e0, residual = trace.e0[block], trace.residual[block]
+    e0_fields = _fields(e0)
+    return _rows([
+        map(str, steps.tolist()), _fields(steps / trace.sample_rate_hz), e0_fields, _fields(trace.e_post[block]),
+        _residual_fields(residual, e0, e0_fields), _fields(trace.param_err[block]), _atten_fields(trace, steps),
+    ]).encode()
+
+
+def _out_dir(out: str) -> Path:
+    """Make the output directory ``--out``; a path that cannot be a directory is a config error."""
+    path = Path(out)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file there or on the way to it, or no permission
+        raise ConfigError(f"--out {out}: cannot make the output directory: {exc.strerror or exc}") from exc
+    return path
 
 
 def _distinct(kind: str, names: list[str]) -> None:
@@ -469,7 +444,7 @@ def _distinct(kind: str, names: list[str]) -> None:
             raise ConfigError(f"repeated {kind} {name!r} in {', '.join(names)}")
 
 
-def _sweep(scenario, options, out: Path) -> int:
+def _sweep(scenario, options, out: str) -> int:
     # every algorithm and preset resolved before the first run, so a bad name leaves no output
     for key in ("algorithms", "presets"):
         _distinct(key[:-1], options[key])
@@ -479,38 +454,35 @@ def _sweep(scenario, options, out: Path) -> int:
     presets = [(preset, make_preset(preset)) for preset in options["presets"]]
     names = [(algorithm, preset) for algorithm in options["algorithms"] for preset, _ in presets]
     runs = [(options["policies"][algorithm], cfg) for algorithm in options["algorithms"] for _, cfg in presets]
-    out.mkdir(parents=True, exist_ok=True)
-    traces = sim.run_many(scenario, runs)
-    for trace in traces:
-        if scenario.kind == "feedforward" and not trace.diverged:
-            # a series only at the configured window, and only where one full window fits
-            trace.atten_db = trace.atten_clamped = trace.atten_window_samples = None
-            with contextlib.suppress(ValueError):
-                sim.attenuation_db(trace, options["window_seconds"])
-    paths = [out / f"trace_{algorithm}_{preset}.csv" for algorithm, preset in names]
-    _write_traces(paths, traces)
+    out = _out_dir(out)
     summary_rows = []
-    for (algorithm, preset), trace, trace_path in zip(names, traces, paths):
-        final = None
-        tt_idx = None
-        tt_s = None
-        if trace.atten_db is not None and trace.atten_db.size:
-            final = float(trace.atten_db[-1])
-            tt_idx = sim.time_to_threshold(trace, options["threshold_db"])
-            if tt_idx is not None:
-                tt_s = (tt_idx + 1) * trace.atten_window_samples / trace.sample_rate_hz
-        summary_rows.append(
-            (algorithm, preset, trace.diverged, trace.divergence_step, trace.spr_ok, final, tt_idx, tt_s)
-        )
-        status = f"diverged at {trace.divergence_step}" if trace.diverged else (
-            f"final_atten={final:.2f} dB, t20_idx={tt_idx}" if final is not None else "done"
-        )
-        print(f"{algorithm}+{preset}: {status} ({trace.wall_time_s:.2f}s wall) -> {trace_path}")
+    with contextlib.closing(sim._stream(scenario, sim._signals(scenario), runs, options["window_seconds"])) as stream:
+        for algorithm, preset in names:
+            # written as its run ends, while the next run computes, then dropped: only its summary row stays
+            path = out / f"trace_{algorithm}_{preset}.csv"
+            fields = _write_run(next(stream), path, f"{algorithm}+{preset}", options["threshold_db"])
+            summary_rows.append((algorithm, preset, *fields))
     header = ["algorithm", "preset", "diverged", "divergence_step", "spr_ok",
               "final_atten_db", "time_to_threshold_idx", "time_to_threshold_s"]
     _write_csv(out / "summary.csv", header, [_columns(summary_rows)])
     print(f"wrote {out / 'summary.csv'}")
     return EXIT_DIVERGED if any(row[2] for row in summary_rows) else EXIT_OK  # the diverged column
+
+
+def _write_run(trace: sim.RunTrace, path: Path, label: str, threshold_db: float) -> tuple:
+    """Write one run's trace to ``path`` and print its line; returns its summary fields."""
+    _write_trace(path, trace)
+    final = tt_idx = tt_s = None
+    if trace.atten_db is not None and trace.atten_db.size:
+        final = float(trace.atten_db[-1])
+        tt_idx = sim.time_to_threshold(trace, threshold_db)
+        if tt_idx is not None:
+            tt_s = (tt_idx + 1) * trace.atten_window_samples / trace.sample_rate_hz
+    status = f"diverged at {trace.divergence_step}" if trace.diverged else (
+        f"final_atten={final:.2f} dB, t20_idx={tt_idx}" if final is not None else "done"
+    )
+    print(f"{label}: {status} ({trace.wall_time_s:.2f}s wall) -> {path}")
+    return trace.diverged, trace.divergence_step, trace.spr_ok, final, tt_idx, tt_s
 
 
 def cmd_compare(args) -> int:
@@ -521,7 +493,7 @@ def cmd_compare(args) -> int:
             options[key] = getattr(args, key)
         elif args.command == "run":
             options[key] = options[key][:1]
-    return _sweep(scenario, options, Path(args.out))
+    return _sweep(scenario, options, args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import math
+import threading
 import time
 import warnings
 from dataclasses import dataclass
@@ -208,13 +209,19 @@ def _adapt_loop(state: AdaptState, sig: _Signals, trace: RunTrace) -> tuple[int,
     return 0, math.nan
 
 
-def _run(scn: ScenarioConfig, sig: _Signals, policy: StepSizePolicy, cfg: DagConfig | None) -> RunTrace:
+def _run(
+    scn: ScenarioConfig,
+    sig: _Signals,
+    policy: StepSizePolicy,
+    cfg: DagConfig | None,
+    window_seconds: float = DEFAULT_ATTEN_WINDOW_S,
+) -> RunTrace:
     """One run on ``sig``, through the compiled kernel where it loads, else through
     :func:`_adapt_loop`, with the same bits.
 
     The residual is the measured signal before ``sig.prefix`` and ``e0`` from there
     on, and a feedforward run that does not diverge gets its attenuation series at
-    the default window, if one full window fits. Divergence raises
+    ``window_seconds``, if one full window fits. Divergence raises
     :class:`RunDiverged` with the partial trace. A record the run never writes is
     ``sig.nan``, the read-only all-NaN array that the runs on ``sig`` share.
     """
@@ -243,7 +250,7 @@ def _run(scn: ScenarioConfig, sig: _Signals, policy: StepSizePolicy, cfg: DagCon
         raise RunDiverged(step, trace, norm)
     if sig.path is not None:  # only a feedforward run has a path
         with contextlib.suppress(ValueError):  # no full window fits
-            attenuation_db(trace, DEFAULT_ATTEN_WINDOW_S)
+            attenuation_db(trace, window_seconds)
     return trace
 
 
@@ -302,7 +309,8 @@ def run_feedforward(
 
 
 def run_many(scn: ScenarioConfig, runs) -> list[RunTrace]:
-    """Run each ``(policy, cfg)`` pair of ``runs`` on ``scn``, one after another.
+    """Run each ``(policy, cfg)`` pair of ``runs`` on ``scn``, one after another on
+    one worker thread.
 
     Returns one trace per pair, in order, each with the bits that
     :func:`run_sysid` or :func:`run_feedforward` gives that pair. The signals
@@ -313,14 +321,52 @@ def run_many(scn: ScenarioConfig, runs) -> list[RunTrace]:
     trace, as :class:`RunDiverged` carries it, and the other runs go on;
     nothing is raised.
     """
-    sig = _signals(scn)
-    traces = []
-    for policy, cfg in runs:
-        try:
-            traces.append(_run(scn, sig, policy, cfg))
-        except RunDiverged as exc:  # the trace keeps the partial run
-            traces.append(exc.trace)
-    return traces
+    return list(_stream(scn, _signals(scn), runs))
+
+
+def _stream(scn: ScenarioConfig, sig: _Signals, runs, window_seconds: float = DEFAULT_ATTEN_WINDOW_S):
+    """Yield the trace of each ``(policy, cfg)`` pair of ``runs`` on ``sig``, in order, as
+    :func:`run_many` returns them, with the attenuation series at ``window_seconds``.
+
+    The runs go one after another on a single worker thread, and each starts once the
+    consumer has taken the trace before it: the next run computes while the consumer
+    handles this trace, so at most two traces are held at once where the consumer drops
+    each before it asks for the next. When the consumer stops early or raises, the runs
+    not yet started are cancelled and the worker is joined before the error goes on.
+    """
+    runs = list(runs)
+    start, done = threading.Semaphore(0), threading.Semaphore(0)
+    box = []  # the last run's trace, or what it raised, on its way to the consumer
+    cancelled = False
+
+    def work():
+        for policy, cfg in runs:
+            start.acquire()
+            if cancelled:
+                return
+            try:
+                box.append(_run(scn, sig, policy, cfg, window_seconds))
+            except RunDiverged as exc:  # the trace keeps the partial run
+                box.append(exc.trace)
+            except BaseException as exc:  # raised again in the consumer's thread
+                box.append(exc)
+            done.release()
+
+    worker = threading.Thread(target=work, name="daglms-runs", daemon=True)
+    worker.start()
+    try:
+        start.release()
+        for _ in runs:
+            done.acquire()
+            trace = box.pop()
+            if isinstance(trace, BaseException):
+                raise trace
+            start.release()  # the next run computes while the consumer handles this one
+            yield trace
+    finally:
+        cancelled = True
+        start.release()
+        worker.join()
 
 
 def attenuation_db(

@@ -6,7 +6,9 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
+import weakref
 from contextlib import nullcontext
 from pathlib import Path
 
@@ -27,6 +29,7 @@ from daglms import (
     cli,
     run_feedforward,
     run_sysid,
+    sim,
 )
 from daglms.cli import CHECK_HEADER, main
 from daglms.sim import default_feedforward_scenario
@@ -842,7 +845,7 @@ def sysid_trace():
 
 
 def trace_engine(engine, monkeypatch):
-    """Make ``_write_traces`` take ``engine``'s writer: the kernel's rows, skipped where it
+    """Make ``_write_trace`` take ``engine``'s writer: the kernel's rows, skipped where it
     does not load, or ``repr``'s fields, with the kernel out of reach."""
     if engine == "kernel":
         if _kernel.load() is None:
@@ -876,7 +879,7 @@ class TestTraceWriter:
             monkeypatch.setattr(cli, "_TRACE_BLOCK_ROWS", block_rows)
         trace = make()
         assert trace.residual.size % cli._TRACE_BLOCK_ROWS != 0
-        cli._write_traces([tmp_path / "columnar.csv"], [trace])
+        cli._write_trace(tmp_path / "columnar.csv", trace)
         row_wise_trace_csv(tmp_path / "rows.csv", trace)
         assert (tmp_path / "columnar.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
@@ -884,12 +887,10 @@ class TestTraceWriter:
     def test_batch_matches_row_wise_writer(self, tmp_path, monkeypatch, engine):
         trace_engine(engine, monkeypatch)
         monkeypatch.setattr(cli, "_TRACE_BLOCK_ROWS", 64)
-        traces = batch_traces(3 * 64 + 21, 100)
-        paths = [tmp_path / f"columnar{k}.csv" for k in range(len(traces))]
-        cli._write_traces(paths, traces)
-        for path, trace in zip(paths, traces):
+        for trace in batch_traces(3 * 64 + 21, 100):
+            cli._write_trace(tmp_path / "columnar.csv", trace)
             row_wise_trace_csv(tmp_path / "rows.csv", trace)
-            assert path.read_bytes() == (tmp_path / "rows.csv").read_bytes()
+            assert (tmp_path / "columnar.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 def batch_traces(n, prefix):
@@ -1072,3 +1073,82 @@ def test_compare_traces_equal_single_runs(tmp_path, algorithms, presets, diverge
         assert main(argv) == (2 if row["diverged"] == "Y" else 0)
         name = f"trace_{algorithm}_{preset}.csv"
         assert (out / name).read_bytes() == (tmp_path / "all" / name).read_bytes(), name
+
+
+OUT_COMMANDS = {
+    "check": ["check"],
+    "contour": ["contour", "--d1p", "0.5", "--c1-step", "0.5"],
+    "bode": ["bode", "--grid", "256"],
+    "compare": ["compare"],
+}
+
+
+def no_run(*args):
+    raise AssertionError("a run started")
+
+
+@pytest.mark.parametrize("where", ["file", "below-file"])
+@pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+def test_out_that_cannot_be_a_directory_exits_3(tmp_path, capsys, monkeypatch, command, where):
+    """An ``--out`` that is a file, or lies below one, exits 3 naming ``--out`` before any
+    run starts or any file is written."""
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    out = blocker if where == "file" else blocker / "x"
+    argv = [*OUT_COMMANDS[command], "--out", str(out)]
+    if command == "compare":
+        argv += ["--config", str(write_config(tmp_path, SYSID_TWO_BY_TWO))]
+        monkeypatch.setattr(sim, "_run", no_run)
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith(f"config error: --out {out}: cannot make the output directory: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", *(["scenario.ini"] if command == "compare" else [])]
+    assert blocker.read_text() == "kept"
+
+
+def six_runs(tmp_path):
+    """``compare`` argv for three algorithms x two presets of the small feedforward scenario."""
+    path = write_config(tmp_path, SMALL_FEEDFORWARD_CONFIG)
+    return ["compare", "--config", str(path), "--out", str(tmp_path / "out"),
+            "--algorithms", "lms,nlms,plms", "--presets", "integral,arima2"]
+
+
+def test_compare_holds_at_most_two_traces(tmp_path, monkeypatch):
+    """A 6-run ``compare`` writes each trace as its run ends and then drops it, while the
+    next run computes: no more than two of its traces are alive at once."""
+    refs, alive = [], []
+
+    class Counted(RunTrace):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            refs.append(weakref.ref(self))
+            alive.append(sum(ref() is not None for ref in refs))
+
+    monkeypatch.setattr(sim, "RunTrace", Counted)
+    assert main(six_runs(tmp_path)) in (cli.EXIT_OK, cli.EXIT_DIVERGED)
+    assert len(alive) == 6 and max(alive) <= 2, alive
+    assert len(read_csv(tmp_path / "out" / "summary.csv")) == 6
+
+
+def test_writer_error_reaches_main_and_stops_the_runs(tmp_path, monkeypatch):
+    """A trace writer that raises on the second trace: the error leaves ``cli.main``, the
+    runs not yet started never start, and no thread of the sweep is left behind."""
+    started, written = [], []
+    run = sim._run
+
+    def counted_run(*args):
+        started.append(args)
+        return run(*args)
+
+    def write(path, trace):
+        if written:
+            raise OSError("disk full")
+        written.append(path)
+
+    monkeypatch.setattr(sim, "_run", counted_run)
+    monkeypatch.setattr(cli, "_write_trace", write)
+    threads = threading.active_count()
+    with pytest.raises(OSError, match="disk full"):
+        main(six_runs(tmp_path))
+    assert threading.active_count() == threads
+    assert len(written) == 1 and len(started) <= 3  # the second trace and the one computing behind it
+    assert not (tmp_path / "out" / "summary.csv").exists()

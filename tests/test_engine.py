@@ -8,6 +8,7 @@ import logging
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -229,6 +230,14 @@ def test_kernel_filters_reject_bad_shapes():
         kernel.trace_rows(0, [np.ones(4), np.ones(3)])
     with pytest.raises(ValueError):
         kernel.trace_rows(-1, [np.ones(4)])
+    with pytest.raises(ValueError):
+        kernel.trace_rows(0, [np.ones(4)] * (_kernel.MAX_TRACE_COLUMNS + 1))
+    with pytest.raises(ValueError):
+        kernel.trace_rows(0, [np.ones(4)], (np.ones(2), 0, 0))
+    with pytest.raises(ValueError):
+        kernel.trace_rows(0, [np.ones(4)], (np.ones((2, 2)), 0, 1))
+    with pytest.raises(ValueError):
+        kernel.trace_rows(0, [np.ones(4)], (np.ones(2), -1, 1))
 
 
 def repr_rows(values, start=0) -> bytes:
@@ -302,6 +311,97 @@ def test_trace_rows_leave_nan_fields_empty(kernel):
     other = np.array([1.5, np.nan, -0.0, 1e-300])
     rows = bytes(kernel.trace_rows(7, [nan.view(np.float64), other, nan.view(np.float64)]))
     assert rows == b"7,,1.5,\r\n8,,,\r\n9,,-0.0,\r\n10,,1e-300,\r\n"
+
+
+def window_field(window, step) -> str:
+    """The field of a ``trace_rows`` window at ``step``, by ``repr``."""
+    values, first, length = window
+    k = (step - first) // length if step >= first else -1
+    return repr_field(values[k]) if 0 <= k < len(values) else ""
+
+
+def repr_field(v) -> str:
+    return "" if v != v else repr(v)
+
+
+# zeros of both signs, NaNs of both signs and subnormals among drawn doubles
+EDGE_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, np.nan, -np.nan, 5e-324, -5e-324, 2.225073858507201e-308, -1e-310, np.inf]),
+)
+
+
+@st.composite
+def trace_blocks(draw):
+    """A trace's rows as ``trace_rows`` columns and window, cut into blocks: ``e0``, an
+    unrelated column, and ``residual`` drawn from either of them (the same bits, negated,
+    so 0.0 against -0.0) or on its own; windows from a first step that may be 0 or past
+    the last row, with rows after the last window, or an empty series, or no window."""
+    rows = draw(st.lists(st.tuples(EDGE_FLOATS, EDGE_FLOATS, st.integers(0, 4), EDGE_FLOATS), min_size=1, max_size=80))
+    e0, other, residual = [], [], []
+    for a, b, source, c in rows:
+        e0.append(a)
+        other.append(b)
+        residual.append((a, -a, b, -b, c)[source])
+    n, start = len(rows), draw(st.sampled_from([0, 1, 4095, 2**40]))
+    mode = draw(st.sampled_from(["values", "empty", "none"]))
+    window = None
+    if mode != "none":
+        length = draw(st.integers(1, 9))
+        values = draw(st.lists(EDGE_FLOATS, max_size=n // length + 2)) if mode == "values" else []
+        window = (np.array(values, dtype=np.float64), start + draw(st.integers(0, n + 2)), length)
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=4)))
+    columns = [np.array(c, dtype=np.float64) for c in (e0, other, residual)]
+    return start, columns, window, [0, *cuts, n]
+
+
+@settings(deadline=None, max_examples=400)
+@given(case=trace_blocks())
+def test_trace_rows_with_windows_and_repeats_are_repr(kernel, case):
+    """Blocks of a trace through ``trace_rows``, its windows split by their boundaries,
+    give ``repr``'s rows: each window's value on every row of it, a repeated field with
+    the bits of the field it repeats."""
+    start, columns, window, cuts = case
+    got = b"".join(
+        bytes(kernel.trace_rows(start + lo, [c[lo:hi] for c in columns], window)) for lo, hi in zip(cuts, cuts[1:])
+    )
+    values = [c.tolist() for c in columns]
+    windows = None if window is None else (window[0].tolist(), *window[1:])
+    rows = []
+    for i in range(columns[0].size):
+        fields = [str(start + i), *(repr_field(v[i]) for v in values)]
+        if windows is not None:
+            fields.append(window_field(windows, start + i))
+        rows.append(",".join(fields) + "\r\n")
+    want = "".join(rows)
+    assert got == want.encode()
+
+
+def window_one_step_late(columns, window):
+    values, first, length = window
+    return columns, (values, first + 1, length)
+
+
+def repeats_by_value(columns, window):
+    # a field equal to the first column's by value, not by bits, takes that column's bits
+    return [columns[0], *(np.where(c == columns[0], columns[0], c) for c in columns[1:])], window
+
+
+@pytest.mark.parametrize("broken", [window_one_step_late, repeats_by_value])
+def test_row_writer_check_covers_windows_and_repeats(monkeypatch, caplog, broken):
+    """A row writer that places a window one step late, or repeats a field that is equal
+    only by value (-0.0 == 0.0), fails the check at load: the kernel does not load."""
+    compiled()
+    real = _kernel.Kernel.trace_rows
+
+    def trace_rows(self, start, columns, window=None):
+        return real(self, start, *broken(columns, window))
+
+    monkeypatch.setattr(_kernel.Kernel, "trace_rows", trace_rows)
+    monkeypatch.setattr(_kernel, "_kernel", None)
+    with caplog.at_level(logging.DEBUG, logger="daglms._kernel"):
+        assert _kernel.load() is None
+    assert "daglms_trace_rows differs from repr" in caplog.text
 
 
 @pytest.mark.parametrize(
@@ -441,6 +541,44 @@ def test_constant_step_ignores_overflowing_power():
 
 def test_no_runs():
     assert run_many(default_feedforward_scenario(duration_s=2.0, prefix_s=1.0, n_taps=4), []) == []
+
+
+def test_stream_keeps_order_under_fast_switching(monkeypatch):
+    """Many short streams with the interpreter switching threads as often as it can: each
+    gives every run's result once and in order, and each, read to its end or closed after
+    its first trace, leaves no worker thread behind."""
+    monkeypatch.setattr(sim, "_run", lambda scn, sig, policy, cfg, window_seconds: (policy, cfg))
+    threads, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for n in range(200):
+            runs = [(k, n) for k in range(n % 7 + 1)]
+            assert list(sim._stream(None, None, runs)) == runs
+            stream = sim._stream(None, None, runs)
+            assert next(stream) == runs[0]
+            stream.close()
+            assert threading.active_count() == threads
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_run_error_reaches_the_caller(monkeypatch):
+    """An error in a run of ``run_many`` is raised in the calling thread; the runs after it
+    never start and no worker thread is left behind."""
+    started, run = [], sim._run
+
+    def failing_run(scn, sig, policy, cfg, *args):
+        started.append(cfg)
+        if len(started) == 2:
+            raise ZeroDivisionError("in the second run")
+        return run(scn, sig, policy, cfg, *args)
+
+    monkeypatch.setattr(sim, "_run", failing_run)
+    threads = threading.active_count()
+    with pytest.raises(ZeroDivisionError, match="in the second run"):
+        run_many(sysid_scenario(), sweep([("nlms", 0.2)]))
+    assert threading.active_count() == threads
+    assert len(started) == 2
 
 
 def fail(*args):
