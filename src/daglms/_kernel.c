@@ -56,34 +56,64 @@ void daglms_sosfilt(int64_t sections, const double *sos, double *zi, int64_t n, 
     }
 }
 
-/* dim: n taps, T samples, prefix, K history slots, depth, path order (-1: no path).
-   par: mu, a, b of the gain mu / (a + b phi_f.phi_f), divergence limit.
-   hist: the (K, n) history block, updated in place; w: its K gain weights, all summed.
+/* A bound below which a sum of n squares s, added in any order, shows that the norm the
+   Python loop checks, sqrt(ddot(n, v, v)), is finite and at most limit; 0 where none is
+   derived, as no sum of squares lies below 0.
+
+   With u = 2^-53 and g = nu / (1 - nu), each order of summing n products, with or without
+   FMA, lies within g S of the exact sum S (Higham, Accuracy and Stability of Numerical
+   Algorithms, 2nd ed., section 3.1). So ddot's d <= (1 + g) S and s >= (1 - g) S, and
+   d <= s (1 + g) / (1 - g) <= s (1 + 3nu) for nu <= 2^-12. The bound is
+   limit^2 (1 - m) with m = (4n + 8) u, computed with three roundings: s < bound gives
+   d < limit^2 (1 - m) (1 + u)^3 (1 + 3nu) <= limit^2 (1 - m) (1 + (3n + 4) u) < limit^2.
+   So d is finite and sqrt(d) <= limit, as sqrt rounds correctly to the double limit.
+   Underflow adds at most n 2^-1074 to either sum, far below the slack limit^2 n u for
+   limit >= 2^-400; limit <= 2^500 keeps limit^2 finite. */
+static double norm_bound(int64_t n, double limit)
+{
+    if (!(0x1p-400 <= limit && limit <= 0x1p500 && n <= INT64_C(1) << 40))
+        return 0.0;
+    return limit * limit * (1.0 - (double)(4 * n + 8) * 0x1p-53);
+}
+
+/* n taps, T samples, the first adapting at prefix; K history slots, the first depth of
+   them estimates; path order (-1: no path). mu, rule_a, rule_b: the gain
+   mu / (rule_a + rule_b phi_f.phi_f); limit: the divergence limit.
+   hist: the (K, n) history block, newest first, updated in place; w: its K gain weights.
    b, a, z: the path's coefficients and its state after the prefix, updated in place.
-   target, e_post, err: NULL when not recorded. work: 2n doubles.
-   Returns the diverging step (from 1), with its estimate norm in *norm, or 0. */
-int64_t daglms_adapt(ddot_fn ddot, const int64_t *dim, const double *par, const double *x,
-                     const double *rev, const double *rev_f, const double *w, double *hist,
-                     const double *b, const double *a, double *z, const double *target,
+   target, e_post, err: NULL when not recorded. work: (K + 2) n doubles.
+   Returns the diverging step (from 1), with its estimate norm in *norm, or 0.
+
+   The block is a ring while the loop runs: slot j, newest first, is row (head + j) mod K,
+   so a step writes two rows where the Python loop shifts the block. Its rows go back in
+   order before the return. The loops over the taps run inside the loops over the slots,
+   so the compiler can vectorize them; each tap keeps its order of operations. */
+int64_t daglms_adapt(ddot_fn ddot, int64_t n, int64_t T, int64_t prefix, int64_t K, int64_t depth,
+                     int64_t order, double mu, double rule_a, double rule_b, double limit,
+                     const double *x, const double *rev, const double *rev_f, const double *target,
+                     const double *w, double *hist, const double *b, const double *a, double *z,
                      double *e0_rec, double *e_post, double *err, double *work, double *norm)
 {
-    const int64_t n = dim[0], T = dim[1], prefix = dim[2], K = dim[3], depth = dim[4], order = dim[5];
-    double *base = work, *corr = work + n;
+    double *restrict base = work, *restrict corr = work + n;
+    const double bound = norm_bound(n, limit);
+    int64_t head = 0, step = 0;
     for (int64_t t = prefix; t < T; t++) {
         const double *phi = rev + (T - 1 - t), *phi_f = rev_f + (T - 1 - t);
-        for (int64_t i = 0; i < n; i++) {  /* the gain sum, in order of k */
-            double s = w[0] * hist[i];
-            for (int64_t k = 1; k < K; k++)
-                s += w[k] * hist[k * n + i];
-            base[i] = s;
+        const double *h = hist + head * n;
+        for (int64_t i = 0; i < n; i++)  /* the gain sum, in order of the slots */
+            base[i] = w[0] * h[i];
+        for (int64_t k = 1; k < K; k++) {
+            h = hist + (head + k) % K * n;
+            for (int64_t i = 0; i < n; i++)
+                base[i] += w[k] * h[i];
         }
         double y = daglms_dot(ddot, n, base, phi);
         if (order >= 0)
             y = filter_step(order, b, a, z, y);
         const double e0 = x[t] - y;
-        double mu_t = par[0], scale = 1.0;
-        if (par[2] != 0.0) {  /* the constant rule never reads the power */
-            scale = par[1] + par[2] * daglms_dot(ddot, n, phi_f, phi_f);
+        double mu_t = mu, scale = 1.0;
+        if (rule_b != 0.0) {  /* the constant rule never reads the power */
+            scale = rule_a + rule_b * daglms_dot(ddot, n, phi_f, phi_f);
             mu_t /= scale;
         }
         const double g = mu_t * e0;
@@ -91,23 +121,41 @@ int64_t daglms_adapt(ddot_fn ddot, const int64_t *dim, const double *par, const 
             corr[i] = g * phi_f[i];
             base[i] += corr[i];
         }
-        *norm = sqrt(daglms_dot(ddot, n, base, base));
-        if (!(isfinite(*norm) && *norm <= par[3]))
-            return t - prefix + 1;
-        memmove(hist + n, hist, (size_t)((K - 1) * n) * sizeof *hist);
-        memcpy(hist, base, (size_t)n * sizeof *hist);
+        double acc[4] = {0.0, 0.0, 0.0, 0.0};  /* four partial sums: norm_bound takes any order */
+        int64_t i = 0;
+        for (; i + 4 <= n; i += 4)
+            for (int j = 0; j < 4; j++)
+                acc[j] += base[i + j] * base[i + j];
+        for (; i < n; i++)
+            acc[0] += base[i] * base[i];
+        const double s = (acc[0] + acc[1]) + (acc[2] + acc[3]);
+        if (!(s < bound)) {  /* NaN and inf included */
+            *norm = sqrt(daglms_dot(ddot, n, base, base));
+            if (!(isfinite(*norm) && *norm <= limit)) {
+                step = t - prefix + 1;
+                break;
+            }
+        }
+        head = head ? head - 1 : K - 1;  /* the oldest row becomes the newest */
+        memcpy(hist + head * n, base, (size_t)n * sizeof *hist);
         if (depth < K)
-            memcpy(hist + depth * n, corr, (size_t)n * sizeof *hist);
+            memcpy(hist + (head + depth) % K * n, corr, (size_t)n * sizeof *hist);
         e0_rec[t] = e0;
         if (e_post)
             e_post[t] = e0 / scale;
         if (target) {
             for (int64_t i = 0; i < n; i++)
-                base[i] = target[i] - hist[i];
+                base[i] = target[i] - base[i];
             err[t] = sqrt(daglms_dot(ddot, n, base, base));
         }
     }
-    return 0;
+    if (head) {  /* the ring back in order, through the spare rows of work */
+        double *spare = work + 2 * n;
+        for (int64_t j = 0; j < K; j++)
+            memcpy(spare + j * n, hist + (head + j) % K * n, (size_t)n * sizeof *hist);
+        memcpy(hist, spare, (size_t)(K * n) * sizeof *hist);
+    }
+    return step;
 }
 
 /* The trace CSV rows of daglms.cli._write_trace, each double with the bytes of Python's

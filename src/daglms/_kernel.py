@@ -23,14 +23,16 @@ from __future__ import annotations
 
 import ctypes
 import os
+import weakref
 import zlib
 from pathlib import Path
 
 import numpy as np
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
-# no contraction into FMA and no -ffast-math: the C loop keeps the Python loop's bits
-_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+# no contraction into FMA and no -ffast-math: the C loop keeps the Python loop's bits;
+# -O3 vectorizes the loops over the taps, which keeps each tap's operations and their order
+_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 _DDOT = "scipy_cblas_ddot64_"
 _BUILD_TIMEOUT_S = 120
 
@@ -103,6 +105,19 @@ def _repr_cases() -> np.ndarray:
     return np.concatenate([signed, -signed, np.ldexp(1.0, np.arange(-1074, 1024)), drawn])
 
 
+def _check(arrays) -> None:
+    """Raise ValueError unless each of ``arrays`` is None or C-contiguous float64."""
+    for v in arrays:
+        if v is not None and not (v.dtype == np.float64 and v.flags.c_contiguous):
+            raise ValueError("the kernel takes C-contiguous float64 arrays")
+
+
+def _address(v: np.ndarray | None) -> int | None:
+    """The address of a writable array's data, a few times quicker than ``v.ctypes.data``;
+    None for None and for an empty array, which the kernel never reads."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(v)) if v is not None and v.size else None
+
+
 class Kernel:
     """The loaded library, calling the ``ddot`` of NumPy's own OpenBLAS."""
 
@@ -110,9 +125,10 @@ class Kernel:
         lib = ctypes.CDLL(str(path))
         blas = ctypes.CDLL(np._core._multiarray_umath.__file__)  # a lookup here searches its libraries too
         self._ddot = ctypes.cast(getattr(blas, _DDOT), ctypes.c_void_p)
+        ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
         self._adapt = lib.daglms_adapt
-        self._adapt.restype, self._adapt.argtypes = ctypes.c_int64, (ctypes.c_void_p,) * 17
-        ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+        self._adapt.restype, self._adapt.argtypes = i64, (ptr, *(i64,) * 6, *(f64,) * 4, *(ptr,) * 14)
+        self._signals = (lambda: None), ()  # the last signals' weak reference and addresses
         self._lfilter, self._sosfilt = lib.daglms_lfilter, lib.daglms_sosfilt
         self._lfilter.restype, self._lfilter.argtypes = None, (i64, ptr, ptr, ptr, i64, ptr, ptr)
         self._sosfilt.restype, self._sosfilt.argtypes = None, (i64, ptr, ptr, i64, ptr, ptr)
@@ -145,23 +161,33 @@ class Kernel:
 
     def adapt(self, state, sig, trace) -> tuple[int, float]:
         """:func:`daglms.sim._adapt_loop` in one call, with the same bits and the same contract."""
-        T, n, path, target = sig.desired.size, state.n_params, sig.path, sig.target
-        b = a = z = None
+        T, n, path, hist = sig.desired.size, state.n_params, sig.path, state._hist
+        order, path_arrays = -1, (None, None, None)
         if path is not None:  # its state is the copy that the kernel steps
-            b, a, z = np.array(path._b), np.array(path._a), np.array(path._state, dtype=float)
-        dim = [n, T, sig.prefix, len(state._hist), state._depth, -1 if z is None else z.size]
-        arrays = (
-            np.array(dim, dtype=np.int64), np.array([state.policy.mu, *state._rule, state.divergence_limit]),
-            sig.desired, sig.rev, sig.rev_f, state._weights, state._hist, b, a, z, target, trace.e0,
-            *(None if record is sig.nan else record for record in (trace.e_post, trace.param_err)), np.empty(2 * n),
-        )
-        for v in arrays[2:]:
-            if v is not None and not (v.dtype == np.float64 and v.flags.c_contiguous):
-                raise ValueError("the kernel takes C-contiguous float64 arrays")
+            path_arrays = np.array(path._b), np.array(path._a), np.array(path._state, dtype=float)
+            order = path_arrays[2].size
+        records = [None if record is sig.nan else record for record in (trace.e_post, trace.param_err)]
+        work = np.empty((len(hist) + 2) * n)
+        arrays = (state._weights, hist, *path_arrays, trace.e0, *records, work)
+        _check(arrays)
         norm = ctypes.c_double()
-        step = self._adapt(self._ddot, *(None if v is None else v.ctypes.data for v in arrays), ctypes.byref(norm))
+        step = self._adapt(
+            self._ddot, n, T, sig.prefix, len(hist), state._depth, order, state.policy.mu, *state._rule,
+            state.divergence_limit, *self._signal_addresses(sig), *map(_address, arrays), ctypes.byref(norm),
+        )
         state.t += step or T - sig.prefix
         return step, norm.value
+
+    def _signal_addresses(self, sig) -> tuple:
+        """The addresses of ``sig``'s desired signal, delay lines and target, checked and taken
+        once for the runs that share ``sig``, as a sweep's runs and repeated single runs do."""
+        cached, addresses = self._signals
+        if cached() is not sig:
+            arrays = (sig.desired, sig.rev, sig.rev_f, sig.target)
+            _check(arrays)
+            addresses = tuple(None if v is None else v.ctypes.data for v in arrays)
+            self._signals = weakref.ref(sig), addresses
+        return addresses
 
     def lfilter(self, b, a, x, z: np.ndarray) -> np.ndarray:
         """:meth:`daglms.TransferOperator.filter_step` of the operator ``b / a`` (``a[0] == 1``)

@@ -369,6 +369,10 @@ def gen_noise(spec: NoiseSpec, n: int) -> np.ndarray:
     return shaped * (spec.amplitude / gain)
 
 
+# the samples that windowed_variance takes at a time, about 0.5 MB of doubles
+_VARIANCE_CHUNK = 65536
+
+
 def windowed_variance(x, window: int) -> np.ndarray:
     """Population variance of ``x`` per window, as the attenuation metric takes it:
     consecutive non-overlapping windows of ``window`` samples, with an incomplete
@@ -380,4 +384,7 @@ def windowed_variance(x, window: int) -> np.ndarray:
     if window > x.size:
         raise ValueError(f"window {window} exceeds signal length {x.size}")
     nblocks = x.size // window
-    return x[: nblocks * window].reshape(nblocks, window).var(axis=1)
+    blocks = x[: nblocks * window].reshape(nblocks, window)
+    # a few windows at a time: var's temporaries stay small, and each row keeps its bits
+    rows = max(1, _VARIANCE_CHUNK // window)
+    return np.concatenate([blocks[k:k + rows].var(axis=1) for k in range(0, nblocks, rows)])

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import math
+import pickle
 import threading
 import time
 import warnings
@@ -134,15 +135,18 @@ def _delay_line(v: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass
 class _Signals:
-    """What a scenario feeds each of its runs, built once per call.
+    """What a scenario feeds each of its runs, built once per scenario.
 
     The compensator output ``estimate . phi`` over the delay line ``rev`` passes
     through ``path`` (None: no path), whose state each run copies as the
     open-loop prefix left it, and is subtracted from ``desired``; the
     update uses the delay line ``rev_f``. Nothing adapts in the first ``prefix``
     samples; ``param_err`` is filled when ``target`` is given. ``nan`` is the
-    read-only all-NaN record that every run shares for the records it never
+    all-NaN record that every run shares for the records it never
     writes (``e_post`` of a non-posterior rule, ``param_err`` without a target).
+    Every array is read-only and private to these signals. ``spr_ok`` is the
+    secondary-path SPR screen's verdict and ``warning`` the warning it calls for,
+    None where it passes.
     """
 
     desired: np.ndarray
@@ -152,28 +156,85 @@ class _Signals:
     prefix: int
     target: np.ndarray | None
     spr_ok: bool | None
+    warning: str | None
     nan: np.ndarray
 
+    def __post_init__(self):
+        for v in (self.desired, self.rev, self.rev_f, self.target, self.nan):
+            if v is not None:
+                v.flags.writeable = False
 
-def _signals(scn: ScenarioConfig) -> _Signals:
+
+def _build_signals(scn: ScenarioConfig) -> _Signals:
     n, T = scn.n_adaptive_params, scn.duration_samples
     nan = np.full(T, np.nan)
-    nan.flags.writeable = False
     if scn.kind == "sysid":
         d = gen_noise(scn.noise, T)
         x = _measured(scn, np.convolve(scn.true_params, d)[:T])
         rev = _delay_line(d, n)
-        return _Signals(x, rev, rev, None, 0, np.ascontiguousarray(scn.true_params), None, nan)
+        return _Signals(x, rev, rev, None, 0, np.array(scn.true_params, order="C"), None, None, nan)
     prefix = scn.open_loop_prefix_samples
     w = gen_noise(scn.noise, T)
     x = _measured(scn, scn.primary_path.fresh().filter_signal(w))
-    g_model = scn.secondary_model if scn.secondary_model is not None else scn.secondary_path
-    reg_filter = scn.regressor_filter if scn.regressor_filter is not None else g_model
-    spr_ok = _screen_path_ratio(scn.secondary_path, g_model)
+    g_model, reg_filter = _models(scn)
+    spr_ok, warning = _screen_path_ratio(scn.secondary_path, g_model)
     g = scn.secondary_path.fresh()
     g.filter_signal(np.zeros(prefix))  # silence while the compensator is disconnected
     w_f = reg_filter.fresh().filter_signal(w)
-    return _Signals(x, _delay_line(w, n), _delay_line(w_f, n), g, prefix, None, spr_ok, nan)
+    return _Signals(x, _delay_line(w, n), _delay_line(w_f, n), g, prefix, None, spr_ok, warning, nan)
+
+
+def _models(scn: ScenarioConfig) -> tuple[TransferOperator, TransferOperator]:
+    """A feedforward scenario's secondary-path model and regressor filter, defaults applied."""
+    g_model = scn.secondary_model if scn.secondary_model is not None else scn.secondary_path
+    return g_model, scn.regressor_filter if scn.regressor_filter is not None else g_model
+
+
+def _signals(scn: ScenarioConfig) -> _Signals:
+    """The signals of ``scn``, built afresh; warns, at the caller's caller, where the
+    secondary path over its model fails the SPR screen."""
+    sig = _build_signals(scn)
+    if sig.warning:
+        warnings.warn(sig.warning, stacklevel=3)
+    return sig
+
+
+# (key, signals) of the last scenario that run_sysid or run_feedforward ran, so that a
+# series of single runs on one scenario builds its signals once
+_memo: tuple | None = None
+
+
+def _signal_key(scn: ScenarioConfig) -> bytes:
+    """Every input of :func:`_build_signals` by its bits: pickled, which writes a float as
+    its eight bytes, so that -0.0 and 0.0 differ where ``==`` holds, with ``true_params``
+    as its dtype, shape and bytes and each path as its coefficients. Equal keys build
+    equal signals."""
+    params = scn.true_params
+    if params is not None:
+        params = np.asarray(params)
+        params = params.dtype.str, params.shape, params.tobytes()
+    paths = ()
+    if scn.kind == "feedforward":
+        ops = (scn.primary_path, scn.secondary_path, *_models(scn))
+        paths = tuple((op.numerator.coeffs, op.denominator.coeffs) for op in ops)
+    inputs = (scn.kind, scn.n_adaptive_params, scn.duration_samples, scn.open_loop_prefix_samples)
+    return pickle.dumps((*inputs, scn.noise, scn.measurement_noise_rms, params, paths))
+
+
+def _memo_signals(scn: ScenarioConfig) -> _Signals:
+    """The signals of ``scn`` from a one-entry memo: built where the last call's scenario
+    differs from ``scn`` in any bit of an input, else those of the last call. The memo holds
+    one scenario's signals, the last, after the call returns. Warns as :func:`_signals`
+    does, also where the signals come from the memo."""
+    global _memo
+    key, memo = _signal_key(scn), _memo
+    if memo is None or memo[0] != key:
+        memo = _memo = None  # the last scenario's arrays go before the new ones are built
+        memo = _memo = key, _build_signals(scn)
+    sig = memo[1]
+    if sig.warning:
+        warnings.warn(sig.warning, stacklevel=3)
+    return sig
 
 
 def _adapt_loop(state: AdaptState, sig: _Signals, trace: RunTrace) -> tuple[int, float]:
@@ -209,32 +270,41 @@ def _adapt_loop(state: AdaptState, sig: _Signals, trace: RunTrace) -> tuple[int,
     return 0, math.nan
 
 
-def _run(
-    scn: ScenarioConfig,
-    sig: _Signals,
-    policy: StepSizePolicy,
-    cfg: DagConfig | None,
-    window_seconds: float = DEFAULT_ATTEN_WINDOW_S,
-) -> RunTrace:
-    """One run on ``sig``, through the compiled kernel where it loads, else through
-    :func:`_adapt_loop`, with the same bits.
-
-    The residual is the measured signal before ``sig.prefix`` and ``e0`` from there
-    on, and a feedforward run that does not diverge gets its attenuation series at
-    ``window_seconds``, if one full window fits. Divergence raises
-    :class:`RunDiverged` with the partial trace. A record the run never writes is
-    ``sig.nan``, the read-only all-NaN array that the runs on ``sig`` share.
-    """
-    T, prefix, nan = sig.desired.size, sig.prefix, sig.nan
-    trace = RunTrace(
+def _new_trace(scn: ScenarioConfig, sig: _Signals, policy: StepSizePolicy) -> RunTrace:
+    """The trace of a run of ``policy`` on ``sig`` before it starts, every record NaN. A
+    record the run never writes is ``sig.nan``, the read-only all-NaN array that the runs
+    on ``sig`` share."""
+    T, nan = sig.desired.size, sig.nan
+    return RunTrace(
         sample_rate_hz=scn.noise.sample_rate_hz,
-        open_loop_prefix_samples=prefix,
+        open_loop_prefix_samples=sig.prefix,
         e0=np.full(T, np.nan),
         e_post=np.full(T, np.nan) if policy.kind == "posterior" else nan,
         residual=np.full(T, np.nan),
         param_err=np.full(T, np.nan) if sig.target is not None else nan,
         spr_ok=sig.spr_ok,
     )
+
+
+def _run(
+    scn: ScenarioConfig,
+    sig: _Signals,
+    policy: StepSizePolicy,
+    cfg: DagConfig | None,
+    window_seconds: float = DEFAULT_ATTEN_WINDOW_S,
+    trace: RunTrace | None = None,
+) -> RunTrace:
+    """One run on ``sig`` into ``trace`` (default: a new :func:`_new_trace`), through the
+    compiled kernel where it loads, else through :func:`_adapt_loop`, with the same bits.
+
+    The residual is the measured signal before ``sig.prefix`` and ``e0`` from there
+    on, and a feedforward run that does not diverge gets its attenuation series at
+    ``window_seconds``, if one full window fits. Divergence raises
+    :class:`RunDiverged` with the partial trace.
+    """
+    T, prefix = sig.desired.size, sig.prefix
+    if trace is None:
+        trace = _new_trace(scn, sig, policy)
     state = AdaptState(scn.n_adaptive_params, policy, cfg)
     kernel = _kernel.load()
     started = time.perf_counter()
@@ -264,27 +334,28 @@ def run_sysid(
     The regressor is the tapped delay line of the generated input; the
     desired output is the target filter's response plus optional
     measurement noise. Divergence raises :class:`RunDiverged` carrying the
-    partial trace.
+    partial trace. A call on the scenario of the call before it, equal in
+    every bit of its inputs, reuses that call's signals: after a call
+    returns, the module holds the signals of its scenario, and of no other.
     """
     if scn.kind != "sysid":
         raise ValueError("scenario kind must be 'sysid'")
-    return _run(scn, _signals(scn), policy, cfg)
+    return _run(scn, _memo_signals(scn), policy, cfg)
 
 
-def _screen_path_ratio(g: TransferOperator, g_model: TransferOperator) -> bool:
-    """SPR screen of the secondary path over its model; warns, never fatal."""
+def _screen_path_ratio(g: TransferOperator, g_model: TransferOperator) -> tuple[bool, str | None]:
+    """SPR screen of the secondary path over its model: the verdict, and the warning it
+    calls for (None where it passes); never fatal."""
     try:
         verdict = is_spr_numeric(ratio_transfer(g, g_model))
     except (ValueError, RuntimeError) as exc:
-        warnings.warn(f"could not verify the secondary path ratio: {exc}", stacklevel=4)
-        return False
-    if not verdict.is_spr:
-        warnings.warn(
-            "secondary path over its model is not strictly positive real "
-            f"(min real part {verdict.min_real_part:.3g}); adaptation may degrade",
-            stacklevel=4,
-        )
-    return verdict.is_spr
+        return False, f"could not verify the secondary path ratio: {exc}"
+    if verdict.is_spr:
+        return True, None
+    return False, (
+        "secondary path over its model is not strictly positive real "
+        f"(min real part {verdict.min_real_part:.3g}); adaptation may degrade"
+    )
 
 
 def run_feedforward(
@@ -302,10 +373,12 @@ def run_feedforward(
     During the open-loop prefix the compensator is disconnected and no
     adaptation happens. A block attenuation series at the default window is
     attached when one full window fits the prefix and the controlled span.
+    Signals are reused as :func:`run_sysid` reuses them; the SPR screen's
+    warning is issued on every call.
     """
     if scn.kind != "feedforward":
         raise ValueError("scenario kind must be 'feedforward'")
-    return _run(scn, _signals(scn), policy, cfg)
+    return _run(scn, _memo_signals(scn), policy, cfg)
 
 
 def run_many(scn: ScenarioConfig, runs) -> list[RunTrace]:
@@ -331,12 +404,17 @@ def _stream(scn: ScenarioConfig, sig: _Signals, runs, window_seconds: float = DE
     The runs go one after another on a single worker thread, and each starts once the
     consumer has taken the trace before it: the next run computes while the consumer
     handles this trace, so at most two traces are held at once where the consumer drops
-    each before it asks for the next. When the consumer stops early or raises, the runs
-    not yet started are cancelled and the worker is joined before the error goes on.
+    each before it asks for the next. Each run's records are allocated in the consumer's
+    thread, so they can reuse the memory that the signals' temporaries and the dropped
+    traces freed there; the worker thread's own malloc arena could not. When the consumer
+    stops early or raises, the runs not yet started are cancelled and the worker is
+    joined before the error goes on.
     """
     runs = list(runs)
     start, done = threading.Semaphore(0), threading.Semaphore(0)
-    box = []  # the last run's trace, or what it raised, on its way to the consumer
+    # the next run's empty trace on its way to the worker, then that trace filled, or what
+    # the run raised, on its way back
+    box = []
     cancelled = False
 
     def work():
@@ -345,23 +423,29 @@ def _stream(scn: ScenarioConfig, sig: _Signals, runs, window_seconds: float = DE
             if cancelled:
                 return
             try:
-                box.append(_run(scn, sig, policy, cfg, window_seconds))
+                box.append(_run(scn, sig, policy, cfg, window_seconds, box.pop()))
             except RunDiverged as exc:  # the trace keeps the partial run
                 box.append(exc.trace)
             except BaseException as exc:  # raised again in the consumer's thread
                 box.append(exc)
             done.release()
 
+    def begin(k):  # run k, on records made in this thread
+        box.append(_new_trace(scn, sig, runs[k][0]))
+        start.release()
+
     worker = threading.Thread(target=work, name="daglms-runs", daemon=True)
     worker.start()
     try:
-        start.release()
-        for _ in runs:
+        if runs:
+            begin(0)
+        for k in range(len(runs)):
             done.acquire()
             trace = box.pop()
             if isinstance(trace, BaseException):
                 raise trace
-            start.release()  # the next run computes while the consumer handles this one
+            if k + 1 < len(runs):
+                begin(k + 1)  # the next run computes while the consumer handles this one
             yield trace
     finally:
         cancelled = True

@@ -555,3 +555,12 @@ class TestWindowedVariance:
             with pytest.raises(ValueError, match="integer sample count"):
                 windowed_variance([1.0, 2.0, 3.0, 4.0], window)
         assert_allclose(windowed_variance([1.0, -1.0, 1.0, -1.0], np.int64(2)), [1.0, 1.0])
+
+    @pytest.mark.parametrize("window", [1, 7, 750, 65536, 65537, 200000])
+    def test_windows_in_chunks_keep_the_bits_of_one_var(self, window):
+        """Windows taken a chunk at a time give each window the bits of one ``var`` over all
+        of them, on a signal several chunks long with a tail."""
+        x = np.random.default_rng(window).standard_normal(300_001) * 1e3
+        nblocks = x.size // window
+        whole = x[: nblocks * window].reshape(nblocks, window).var(axis=1)
+        assert windowed_variance(x, window).tobytes() == whole.tobytes()

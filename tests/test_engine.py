@@ -5,6 +5,7 @@ and ``sosfilt``, its trace rows keep the bytes of ``repr``, and it falls back to
 the Python code wherever it cannot build or load."""
 
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -37,6 +38,7 @@ from daglms import (
     run_sysid,
     sim,
 )
+from daglms.adapt import AdaptState
 from daglms.dsp_core import _bandpass_sos
 from daglms.sim import default_feedforward_scenario
 
@@ -506,6 +508,102 @@ def test_divergence_keeps_the_norm(monkeypatch):
     assert str(kernel_run.value) == f"run diverged at step {kernel_run.value.step}"
 
 
+# a gain filter with each history length K = len(d) + len(c) from 1 to 5: the presets, then
+# long c and long d'
+BY_DEPTH = [
+    *(make_preset(name) for name in PRESET_ORDER),
+    DagConfig((0.3, 0.2, 0.1, 0.05)),
+    DagConfig((), (0.5, 0.2, 0.1, 0.05)),
+    DagConfig((0.4,), (0.3, -0.2, 0.1)),
+]
+
+
+def both_loops(scn, policy, cfg, start=None, limit=None):
+    """``Kernel.adapt`` and ``sim._adapt_loop`` on one scenario's signals, each from its own
+    ``AdaptState``, started at ``start`` and checked against ``limit`` where given: the step
+    and norm each returns, its state and its trace."""
+    sig, out = sim._signals(scn), []
+    for loop in (compiled().adapt, sim._adapt_loop):
+        state = AdaptState(scn.n_adaptive_params, policy, cfg)
+        if start is not None:
+            state.theta_hist[:] = start
+        if limit is not None:
+            state.divergence_limit = limit
+        trace = sim._new_trace(scn, sig, policy)
+        out.append((*loop(state, sig, trace), state, trace))
+    return out
+
+
+def assert_same_loops(scn, policy, cfg, **kwargs):
+    """Both loops take the same steps to the same history block, bit for bit, and report the
+    same divergence with the same norm; returns the diverging step, 0 if none, and its norm."""
+    (step, norm, state, trace), (want_step, want_norm, want_state, want_trace) = both_loops(scn, policy, cfg, **kwargs)
+    assert step == want_step and state.t == want_state.t
+    if step:
+        assert norm.hex() == want_norm.hex()
+    assert bits(state._hist) == bits(want_state._hist)
+    for record in ("e0", "e_post", "param_err"):
+        assert bits(getattr(trace, record)) == bits(getattr(want_trace, record)), record
+    return step, want_norm
+
+
+@pytest.mark.parametrize("cfg", BY_DEPTH, ids=lambda cfg: f"K{len(cfg.d) + len(cfg.c)}-{cfg.c}-{cfg.d_prime}")
+def test_history_block_matches_the_python_loop(cfg):
+    """The kernel's ring leaves the history block in the Python loop's order after runs of
+    every length mod K, and after divergence at steps of every residue mod K."""
+    K = len(cfg.d) + len(cfg.c)
+    policy = StepSizePolicy.nlms(0.2)
+    for duration in range(40, 40 + K):
+        assert assert_same_loops(sysid_scenario(5, duration), policy, cfg)[0] == 0
+    scn = sysid_scenario(5, 300)
+    steps = {assert_same_loops(scn, policy, cfg, limit=norm)[0] for norm in np.linspace(0.05, 0.6, 40)}
+    steps.discard(0)
+    assert {step % K for step in steps} == set(range(K)), steps
+
+
+def running_norms(scn, policy, cfg):
+    """The estimate norm that each step of the Python loop checks, from ``AdaptState.update``
+    on the loop's own signals (a sysid loop has no path, so the two agree)."""
+    sig, n, T = sim._signals(scn), scn.n_adaptive_params, scn.duration_samples
+    state = AdaptState(n, policy, cfg)
+    state.divergence_limit = math.inf
+    norms = []
+    for t, x in enumerate(sig.desired.tolist()):
+        state.update(sig.rev[T - 1 - t:T - 1 - t + n], x)
+        norms.append(math.sqrt(float(np.dot(state.theta, state.theta))))
+    return norms
+
+
+@pytest.mark.parametrize("n", [1, 3, 16, 61])
+def test_divergence_bound_agrees_at_the_edge(n):
+    """A limit equal to the norm that a step reaches passes that step on both engines, and
+    the double below it stops the run at that step with that norm: the kernel's sum-of-squares
+    bound never decides a step that the exact norm would decide otherwise."""
+    scn, policy, cfg = sysid_scenario(n, 200), StepSizePolicy.nlms(0.2), make_preset("ipd")
+    norms = running_norms(scn, policy, cfg)
+    for step in (1, 2, int(np.argmax(norms[:50])) + 1, int(np.argmax(norms)) + 1):
+        edge = norms[step - 1]
+        assert edge > max(norms[:step - 1], default=0.0)  # the first step to reach it
+        passed, _ = assert_same_loops(scn, policy, cfg, limit=edge)
+        assert passed == 0 or passed > step
+        stopped, norm = assert_same_loops(scn, policy, cfg, limit=math.nextafter(edge, -math.inf))
+        assert (stopped, norm.hex()) == (step, edge.hex())
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "start, limit, norm",
+    [(math.nan, None, math.nan), (math.inf, None, math.nan), (1e200, None, math.inf), (1e200, math.inf, math.inf)],
+    ids=["nan", "inf", "overflow", "overflow-inf-limit"],
+)
+def test_divergence_on_a_nan_or_inf_estimate(start, limit, norm):
+    """A NaN or inf estimate, or one whose squares overflow, stops the first step on both
+    engines with the same norm, also where the limit is inf. An inf estimate meets its own
+    correction, an inf of the opposite sign, so its norm is NaN."""
+    step, got = assert_same_loops(sysid_scenario(8, 50), StepSizePolicy.lms(0.01), make_preset("ipd"), start=start, limit=limit)
+    assert (step, got.hex()) == (1, norm.hex())
+
+
 def test_silent_disturbance_matches_single_runs():
     """A zero disturbance: every error is a signed zero, kept as the single run signs it."""
     scn = default_feedforward_scenario(duration_s=4.0, prefix_s=1.0, n_taps=8, amplitude=0.0)
@@ -547,7 +645,8 @@ def test_stream_keeps_order_under_fast_switching(monkeypatch):
     """Many short streams with the interpreter switching threads as often as it can: each
     gives every run's result once and in order, and each, read to its end or closed after
     its first trace, leaves no worker thread behind."""
-    monkeypatch.setattr(sim, "_run", lambda scn, sig, policy, cfg, window_seconds: (policy, cfg))
+    monkeypatch.setattr(sim, "_new_trace", lambda scn, sig, policy: None)
+    monkeypatch.setattr(sim, "_run", lambda scn, sig, policy, cfg, window_seconds, trace: (policy, cfg))
     threads, interval = threading.active_count(), sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

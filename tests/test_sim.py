@@ -17,7 +17,9 @@ from daglms import (
     gen_noise,
     make_preset,
     run_feedforward,
+    run_many,
     run_sysid,
+    sim,
     time_to_threshold,
 )
 from daglms.adapt import step_size
@@ -338,3 +340,110 @@ def test_synthetic_paths_are_stable_and_proper():
     assert roots_inside_unit_circle(make_primary_path().numerator)
     assert roots_inside_unit_circle(make_secondary_path().numerator)
     assert not roots_inside_unit_circle(make_mismatched_model().numerator)
+
+
+RECORDS = ("e0", "e_post", "residual", "param_err", "atten_db", "theta_final")
+
+
+def trace_bits(trace):
+    arrays = [None if getattr(trace, f) is None else getattr(trace, f).tobytes() for f in RECORDS]
+    return arrays, trace.diverged, trace.divergence_step, trace.spr_ok
+
+
+def delay_scenario(taps, amplitude=0.0, lead=0.0):
+    """Silent band-free input through one-sample delays, where signed zeros reach ``e0``."""
+    delay = TransferOperator((0.0, 1.0))
+    return ScenarioConfig(
+        "feedforward", NoiseSpec(seed=0, amplitude=amplitude), taps, 200,
+        primary_path=delay, secondary_path=TransferOperator((lead, 1.0)), open_loop_prefix_samples=20,
+    )
+
+
+def set_params(scn):
+    scn.true_params[0] += 0.25
+
+
+def set_noise_rms(scn):
+    scn.measurement_noise_rms = 0.02
+
+
+def flip_amplitude(scn):
+    noise = NoiseSpec(seed=0, amplitude=-0.0)
+    assert noise == scn.noise and hash(noise) == hash(scn.noise)  # == cannot tell them apart
+    scn.noise = noise
+
+
+def flip_lead(scn):
+    path = TransferOperator((-0.0, 1.0))
+    assert path.numerator == scn.secondary_path.numerator
+    scn.secondary_path = path
+
+
+class TestSignalMemo:
+    """``run_sysid`` and ``run_feedforward`` build a scenario's signals once across calls."""
+
+    @pytest.fixture(autouse=True)
+    def builds(self, monkeypatch):
+        monkeypatch.setattr(sim, "_memo", None)
+        calls, build = [], sim._build_signals
+        monkeypatch.setattr(sim, "_build_signals", lambda scn: calls.append(scn) or build(scn))
+        return calls
+
+    @staticmethod
+    def uncached(scn, policy, cfg=None):
+        try:
+            return sim._run(scn, sim._signals(scn), policy, cfg)
+        except RunDiverged as exc:
+            return exc.trace
+
+    def test_repeat_call_reuses_the_signals(self, builds):
+        scn = sysid_scenario([0.5, -0.3, 0.1], duration=800, noise_rms=0.01)
+        runs = [(StepSizePolicy.nlms(0.2), make_preset(p)) for p in ("integral", "ipd")] * 2
+        for policy, cfg in runs:
+            assert trace_bits(run_sysid(scn, policy, cfg)) == trace_bits(self.uncached(scn, policy, cfg))
+        assert len(builds) == 1 + len(runs)  # one memo build, then one per uncached run
+
+    @pytest.mark.parametrize(
+        "make, change, run, policy",
+        [
+            (lambda: sysid_scenario([0.5, -0.3], duration=400, noise_rms=0.01), set_params, run_sysid, StepSizePolicy.nlms(0.2)),
+            (lambda: sysid_scenario([0.5, -0.3], duration=400, noise_rms=0.01), set_noise_rms, run_sysid, StepSizePolicy.nlms(0.2)),
+            (lambda: delay_scenario(2), flip_amplitude, run_feedforward, StepSizePolicy.nlms(0.1)),
+            (lambda: delay_scenario(1), flip_lead, run_feedforward, StepSizePolicy.nlms(0.1)),
+        ],
+        ids=["true-params-in-place", "noise-rms", "amplitude-minus-zero", "path-minus-zero"],
+    )
+    @pytest.mark.filterwarnings("ignore:could not verify the secondary path ratio:UserWarning")
+    def test_any_changed_bit_builds_anew(self, builds, make, change, run, policy):
+        """A change that the memo must see, each one that moves some output bit: the call
+        after it gives the bits of a call on signals built afresh."""
+        scn = make()
+        before = trace_bits(run(scn, policy))
+        change(scn)
+        after = trace_bits(run(scn, policy))
+        assert after == trace_bits(self.uncached(scn, policy))
+        assert after != before
+        assert len(builds) == 3
+
+    def test_true_params_stay_writable_and_unshared(self):
+        scn = sysid_scenario([0.5, -0.3], duration=300)
+        run_sysid(scn, StepSizePolicy.nlms(0.2))
+        sig = sim._memo[1]
+        assert scn.true_params.flags.writeable
+        assert not np.shares_memory(scn.true_params, sig.target)
+        assert not any(v.flags.writeable for v in (sig.desired, sig.rev, sig.rev_f, sig.target, sig.nan))
+
+    def test_mismatched_model_warns_on_each_call(self, builds):
+        scn = default_feedforward_scenario(duration_s=4.0, prefix_s=1.0, n_taps=4, mismatched_model=True)
+        for _ in range(2):
+            with pytest.warns(UserWarning, match="not strictly positive real"):
+                assert run_feedforward(scn, StepSizePolicy.nlms(0.0002)).spr_ok is False
+        assert len(builds) == 1
+
+    def test_sweep_leaves_the_memo_alone(self, builds):
+        """``run_many`` builds its own signals, which go when it returns."""
+        scn = sysid_scenario([0.5, -0.3], duration=300)
+        run_sysid(scn, StepSizePolicy.nlms(0.2))
+        memo = sim._memo
+        run_many(sysid_scenario([0.1, 0.2], duration=300), [(StepSizePolicy.lms(0.01), None)])
+        assert sim._memo is memo and len(builds) == 2
