@@ -1,6 +1,6 @@
 /* One run of daglms.sim._adapt_loop in C, the whole-signal filters of
    TransferOperator.filter_signal and dsp_core._sosfilt, each with the bits of its Python
-   loop, and the trace CSV rows of daglms.cli._write_trace with the bytes of repr.
+   loop, and the trace CSV rows of daglms.cli._trace_rows with the bytes of repr.
 
    Every dot product is np.dot's: the product itself for length 1, else
    0.0 + the cblas_ddot that np.dot calls, passed in as `ddot`. Every other
@@ -158,7 +158,7 @@ int64_t daglms_adapt(ddot_fn ddot, int64_t n, int64_t T, int64_t prefix, int64_t
     return step;
 }
 
-/* The trace CSV rows of daglms.cli._write_trace, each double with the bytes of Python's
+/* The trace CSV rows of daglms.cli._trace_rows, each double with the bytes of Python's
    repr: the shortest decimal that reads back as the same double, the closest such one, ties
    to an even last digit. The digits come from Schubfach (R. Giulietti, "The Schubfach way to
    render doubles", 2020). g is its table of 128-bit powers of ten, two words (high, low) per
@@ -349,12 +349,11 @@ static char *write_double(char *p, const uint64_t *g, double v)
 /* Rows start...start + rows - 1 (start >= 0) of a trace CSV into out: the step, then each
    of the ncols (at most MAX_COLS) columns of cols, a (ncols, rows) block, as repr writes it,
    NaN as an empty field; a field whose bits equal an earlier field of its row is copied from
-   that field. Where len > 0 a window column follows: step s reads win[(s - first) / len]
-   where s >= first and that index is below nwin, else an empty field; each window is
-   formatted once and its bytes copied to its rows. Fields are joined by ",", rows end in
-   "\r\n". A row takes at most 22 + 25 * (ncols + (len > 0)) bytes, and the last field's
-   junk at most 16 more, so out holds rows * (22 + 25 * (ncols + (len > 0))) + 16 bytes.
-   Returns the bytes written. */
+   that field. A window column follows (len >= 1): step s reads win[(s - first) / len] where
+   s >= first and that index is below nwin, else an empty field; each window is formatted
+   once and its bytes copied to its rows. Fields are joined by ",", rows end in "\r\n". A
+   row takes at most 22 + 25 * (ncols + 1) bytes, and the last field's junk at most 16 more,
+   so out holds rows * (22 + 25 * (ncols + 1)) + 16 bytes. Returns the bytes written. */
 #define MAX_COLS 16
 
 int64_t daglms_trace_rows(const uint64_t *g, int64_t start, int64_t rows, int64_t ncols,
@@ -382,17 +381,15 @@ int64_t daglms_trace_rows(const uint64_t *g, int64_t start, int64_t rows, int64_
                 p = write_double(p, g, *v);
             }
         }
-        if (len > 0) {
-            *p++ = ',';
-            const int64_t k = step >= first ? (step - first) / len : -1;
-            if (0 <= k && k < nwin) {
-                if (k != k_shown) {
-                    shown = write_double(window, g, win[k]) - window;
-                    k_shown = k;
-                }
-                memcpy(p, window, (size_t)shown);
-                p += shown;
+        *p++ = ',';
+        const int64_t k = step >= first ? (step - first) / len : -1;
+        if (0 <= k && k < nwin) {
+            if (k != k_shown) {
+                shown = write_double(window, g, win[k]) - window;
+                k_shown = k;
             }
+            memcpy(p, window, (size_t)shown);
+            p += shown;
         }
         *p++ = '\r';
         *p++ = '\n';

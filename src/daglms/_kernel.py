@@ -5,7 +5,7 @@ it stands in for: :meth:`Kernel.adapt` runs :func:`daglms.sim._adapt_loop`,
 :meth:`Kernel.lfilter` runs :meth:`daglms.TransferOperator.filter_step` over a
 whole signal, :meth:`Kernel.sosfilt` runs ``daglms.dsp_core._sosfilt``'s
 loop over band-pass sections, and :meth:`Kernel.trace_rows` writes the rows of
-a trace CSV with the bytes of ``repr``.
+a trace CSV as ``daglms.cli._trace_rows`` does, with the bytes of ``repr``.
 
 :func:`load` builds the library into ``$XDG_CACHE_HOME/daglms`` (else
 ``~/.cache/daglms``), one file per crc32 of the source, the flags and the
@@ -212,27 +212,26 @@ class Kernel:
         self._sosfilt(len(sos), sos.ctypes.data, zi.ctypes.data, x.size, x.ctypes.data, y.ctypes.data)
         return y
 
-    def trace_rows(self, start: int, columns, window=None) -> memoryview:
+    def trace_rows(self, start: int, columns, window) -> memoryview:
         """Rows ``start``... of a trace CSV as bytes: the step, then a field for each of
         ``columns`` (at most :data:`MAX_TRACE_COLUMNS`), 1-D arrays of one length, each double
-        as ``repr`` writes it and NaN as an empty field, the fields joined by ``,`` and each
-        row ending in ``\\r\\n``.
+        as ``repr`` writes it and NaN as an empty field, then the field of ``window``, the
+        fields joined by ``,`` and each row ending in ``\\r\\n``.
 
-        ``window``, a ``(values, first, length)`` triple, adds a last field that holds one
-        value per window of ``length`` steps: step ``s`` reads ``values[(s - first) // length]``
-        where ``s >= first`` and that index is in range, else an empty field. The writer
-        formats each window once, and copies a field whose bits equal an earlier field of
-        its row."""
+        ``window``, a ``(values, first, length)`` triple, holds one value per window of
+        ``length`` steps: step ``s`` reads ``values[(s - first) // length]`` where
+        ``s >= first`` and that index is in range, else an empty field; ``(np.empty(0), 0, 1)``
+        leaves every such field empty. The writer formats each window once, and copies a
+        field whose bits equal an earlier field of its row."""
         block = np.array(columns, dtype=np.float64)  # (columns, rows) in C order
         if not (block.ndim == 2 and block.shape[0] <= MAX_TRACE_COLUMNS and start >= 0):
             raise ValueError(f"trace_rows takes at most {MAX_TRACE_COLUMNS} columns of one length and a step from 0")
-        values, first, length = (np.empty(0), 0, 0) if window is None else window
+        values, first, length = window
         values = np.ascontiguousarray(values, dtype=np.float64)
-        if not (values.ndim == 1 and (window is None or (first >= 0 and length >= 1))):
+        if not (values.ndim == 1 and first >= 0 and length >= 1):
             raise ValueError("a trace_rows window takes 1-D values, a first step from 0 and a length from 1")
         ncols, rows = block.shape
-        fields = ncols + (length > 0)
-        out = np.empty(rows * (22 + 25 * fields) + 16, dtype=np.uint8)  # the bound of daglms_trace_rows
+        out = np.empty(rows * (22 + 25 * (ncols + 1)) + 16, dtype=np.uint8)  # the bound of daglms_trace_rows
         size = self._trace_rows(
             self._pow10.ctypes.data, start, rows, ncols, block.ctypes.data,
             values.ctypes.data, values.size, first, length, out.ctypes.data,

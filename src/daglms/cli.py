@@ -70,21 +70,10 @@ def _fmt(value) -> str:
 
 
 def _fields(column) -> list[str]:
-    # what _fmt writes for each value; a numeric array by repr, mapped over the span
-    # from its first to its last non-NaN value, with NaN as an empty field
+    # what _fmt writes for each value; a numeric array by repr, NaN as an empty field
     if not (isinstance(column, np.ndarray) and column.dtype.kind in "fi"):
         return [_fmt(v) for v in column]
-    nan = np.isnan(column)
-    if not nan.any():
-        return list(map(repr, column.tolist()))
-    known = np.flatnonzero(~nan)
-    if not known.size:
-        return [""] * column.size
-    lo, hi = int(known[0]), int(known[-1]) + 1
-    fields = [""] * lo + list(map(repr, column[lo:hi].tolist())) + [""] * (column.size - hi)
-    for i in np.flatnonzero(nan[lo:hi]).tolist():
-        fields[lo + i] = ""
-    return fields
+    return ["" if v != v else repr(v) for v in column.tolist()]
 
 
 def _columns(rows) -> list[list[str]]:
@@ -98,11 +87,9 @@ def _rows(columns) -> str:
     return "\r\n".join([*map(",".join, zip(*columns)), ""])
 
 
-def _write_csv(path: Path, header: list[str], blocks) -> None:
+def _write_csv(path: Path, header: list[str], columns) -> None:
     with path.open("w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for columns in blocks:
-            fh.write(_rows(columns))
+        fh.write(",".join(header) + "\r\n" + _rows(columns))
 
 
 def _preset_row(name: str, cfg: DagConfig, triple) -> dict:
@@ -143,7 +130,7 @@ def cmd_check(args) -> int:
 
     rows = [_preset_row(name, cfg, triple) for name, cfg, triple in entries]
     path = _out_dir(args.out) / "check.csv"
-    _write_csv(path, CHECK_HEADER, [_columns([r[k] for k in CHECK_HEADER] for r in rows)])
+    _write_csv(path, CHECK_HEADER, _columns([r[k] for k in CHECK_HEADER] for r in rows))
     for r in rows:
         print(
             f"{r['name']:>14}: dag_spr={_fmt(r['dag_spr'])} integrated_pr={_fmt(r['integrated_pr'])} "
@@ -192,7 +179,7 @@ def cmd_contour(args) -> int:
     c2 = np.tile(c2_values, c1_values.size)
     pr_flags = integrated_pr_closed_form(c1, c2, args.d1p)
     columns = [_fields(c1), _fields(c2), _fields(spr_flags.ravel().astype(int)), _fields(pr_flags.astype(int))]
-    _write_csv(path, ["c1", "c2", "spr_dag", "pr_integrated"], [columns])
+    _write_csv(path, ["c1", "c2", "spr_dag", "pr_integrated"], columns)
     print(f"wrote {path} ({c1.size} cells)")
     return EXIT_OK
 
@@ -219,13 +206,13 @@ def cmd_bode(args) -> int:
     out = _out_dir(args.out)
     for columns, (name, is_spr, phase_ok, mean_log_gain) in zip(tables, summary):
         path = out / f"bode_{name}.csv"
-        _write_csv(path, ["freq_hz", "omega_rad", "gain_db", "phase_deg"], [columns])
+        _write_csv(path, ["freq_hz", "omega_rad", "gain_db", "phase_deg"], columns)
         print(
             f"{name:>14}: spr={_fmt(is_spr)} phase_within_90deg={_fmt(phase_ok)} "
             f"mean_log_gain={mean_log_gain:.3g} ({path})"
         )
     _write_csv(
-        out / "bode_summary.csv", ["name", "spr", "phase_within_90deg", "mean_log_gain"], [_columns(summary)]
+        out / "bode_summary.csv", ["name", "spr", "phase_within_90deg", "mean_log_gain"], _columns(summary)
     )
     return EXIT_OK
 
@@ -350,8 +337,9 @@ def load_scenario(path: Path, seed_override: int | None = None):
             "threshold_db": _number(run, "threshold_db", 20.0),
             "window_seconds": _number(run, "window_seconds", sim.DEFAULT_ATTEN_WINDOW_S),
         }
-        if not options["window_seconds"] > 0.0:
-            raise ValueError("window_seconds must be positive")
+        # attenuation_db's own bound: a window of 0.5 samples or less rounds to none
+        if not options["window_seconds"] * fs > 0.5:  # NaN included
+            raise ValueError(f"window_seconds must cover at least one sample, more than {0.5 / fs!r} s at {fs!r} Hz")
         for name, unread in (("scenario", sc), ("run", run)):
             if unread:
                 raise ValueError(f"unknown key(s) in [{name}]: {', '.join(unread)}")
@@ -361,31 +349,6 @@ def load_scenario(path: Path, seed_override: int | None = None):
 
 
 _TRACE_BLOCK_ROWS = 4096
-
-
-def _atten_fields(trace: sim.RunTrace, steps: np.ndarray):
-    # each step's atten_db field: the value of its window from the prefix on, else
-    # empty; only the windows that the steps reach are formatted
-    if trace.atten_db is None or trace.atten_window_samples is None:
-        return [""] * steps.size
-    k = (steps - trace.open_loop_prefix_samples) // trace.atten_window_samples
-    shown = (k >= 0) & (k < trace.atten_db.size)
-    if not shown.any():
-        return [""] * steps.size
-    lo, hi = int(k[shown][0]), int(k[shown][-1]) + 1
-    fields = _fields(trace.atten_db[lo:hi]) + [""]
-    return map(fields.__getitem__, np.where(shown, k - lo, -1).tolist())
-
-
-def _residual_fields(residual: np.ndarray, e0: np.ndarray, e0_fields: list[str]) -> list[str]:
-    # _fields(residual), taking a field from e0 where the bits are e0's
-    fields = e0_fields.copy()
-    own = np.flatnonzero(residual.view(np.int64) != e0.view(np.int64))
-    for i, field in zip(own.tolist(), _fields(residual[own])):
-        fields[i] = field
-    return fields
-
-
 _TRACE_HEADER = b"step,time_s,e0,e_post,residual,param_err,atten_db\r\n"
 
 
@@ -394,36 +357,37 @@ def _write_trace(path: Path, trace: sim.RunTrace) -> None:
 
     Nothing formatted outlives its block of ``_TRACE_BLOCK_ROWS`` rows, so memory
     stays flat in the trace length. Where the kernel loads, its
-    :meth:`~daglms._kernel.Kernel.trace_rows` formats each block, else ``repr``
-    does, with the same bytes.
+    :meth:`~daglms._kernel.Kernel.trace_rows` formats each block, else its Python
+    twin :func:`_trace_rows` does, with the same bytes.
     """
     kernel = _kernel.load()
+    write_rows = _trace_rows if kernel is None else kernel.trace_rows
+    window = (np.empty(0), 0, 1)  # no series: every atten_db field is empty
+    if trace.atten_db is not None and trace.atten_window_samples is not None:
+        window = (trace.atten_db, trace.open_loop_prefix_samples, trace.atten_window_samples)
+    records = (trace.e0, trace.e_post, trace.residual, trace.param_err)
     size = trace.residual.size
     with path.open("wb") as fh:
         fh.write(_TRACE_HEADER)
         for start in range(0, size, _TRACE_BLOCK_ROWS):
             block = slice(start, min(start + _TRACE_BLOCK_ROWS, size))
-            fh.write(_repr_rows(trace, block) if kernel is None else _kernel_rows(kernel, trace, block))
+            time_s = np.arange(block.start, block.stop) / trace.sample_rate_hz
+            fh.write(write_rows(start, [time_s, *(r[block] for r in records)], window))
 
 
-def _kernel_rows(kernel: _kernel.Kernel, trace: sim.RunTrace, block: slice) -> memoryview:
-    # the trace's rows in block, every field formatted by the kernel, atten_db once per window
-    window = (np.empty(0), 0, 1)  # no series: every atten_db field is empty
-    if trace.atten_db is not None and trace.atten_window_samples is not None:
-        window = (trace.atten_db, trace.open_loop_prefix_samples, trace.atten_window_samples)
-    records = (trace.e0, trace.e_post, trace.residual, trace.param_err)
-    time_s = np.arange(block.start, block.stop) / trace.sample_rate_hz
-    return kernel.trace_rows(block.start, [time_s, *(r[block] for r in records)], window)
-
-
-def _repr_rows(trace: sim.RunTrace, block: slice) -> bytes:
-    # the trace's rows in block through _fields, residual formatted only where its bits differ from e0's
-    steps = np.arange(block.start, block.stop)
-    e0, residual = trace.e0[block], trace.residual[block]
-    e0_fields = _fields(e0)
+def _trace_rows(start: int, columns, window) -> bytes:
+    """:meth:`daglms._kernel.Kernel.trace_rows` in Python, with its contract and its bytes:
+    rows ``start``... of the step, a field for each of ``columns`` and the step's
+    ``window`` field; only the windows that the block reaches are formatted."""
+    values, first, length = window
+    steps = np.arange(start, start + len(columns[0]))
+    k = (steps - first) // length  # negative before the first window
+    reached = k[(k >= 0) & (k < len(values))]
+    lo, hi = (int(reached[0]), int(reached[-1]) + 1) if reached.size else (0, 0)
+    windows = _fields(values[lo:hi]) + [""]
     return _rows([
-        map(str, steps.tolist()), _fields(steps / trace.sample_rate_hz), e0_fields, _fields(trace.e_post[block]),
-        _residual_fields(residual, e0, e0_fields), _fields(trace.param_err[block]), _atten_fields(trace, steps),
+        map(str, steps.tolist()), *map(_fields, columns),
+        map(windows.__getitem__, np.where((lo <= k) & (k < hi), k - lo, -1).tolist()),
     ]).encode()
 
 
@@ -464,7 +428,7 @@ def _sweep(scenario, options, out: str) -> int:
             summary_rows.append((algorithm, preset, *fields))
     header = ["algorithm", "preset", "diverged", "divergence_step", "spr_ok",
               "final_atten_db", "time_to_threshold_idx", "time_to_threshold_s"]
-    _write_csv(out / "summary.csv", header, [_columns(summary_rows)])
+    _write_csv(out / "summary.csv", header, _columns(summary_rows))
     print(f"wrote {out / 'summary.csv'}")
     return EXIT_DIVERGED if any(row[2] for row in summary_rows) else EXIT_OK  # the diverged column
 

@@ -574,7 +574,8 @@ class TestConfigBoundary:
         assert main(["compare", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
         assert "mu must be a positive finite gain" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("window", ["0", "-1", "nan"])
+    # 0.0001 s is a quarter of a sample at 2500 Hz: attenuation_db would reject it in every run
+    @pytest.mark.parametrize("window", ["0", "-1", "nan", "0.0001"])
     def test_window_must_be_positive(self, tmp_path, capsys, window):
         path = write_config(
             tmp_path, SMALL_FEEDFORWARD_CONFIG.replace("window_seconds = 1.0", f"window_seconds = {window}")
@@ -757,9 +758,7 @@ MIXED_ROWS = [
 class TestCsvWriter:
     def test_rows_match_csv_writer(self, tmp_path):
         header = [f"c{i}" for i in range(len(MIXED_ROWS[0]))]
-        # two blocks, as the trace writer streams them
-        blocks = [cli._columns(MIXED_ROWS[:4]), cli._columns(MIXED_ROWS[4:])]
-        cli._write_csv(tmp_path / "columnar.csv", header, blocks)
+        cli._write_csv(tmp_path / "columnar.csv", header, cli._columns(MIXED_ROWS))
         row_wise_csv(tmp_path / "rows.csv", header, MIXED_ROWS)
         assert (tmp_path / "columnar.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
@@ -772,7 +771,7 @@ class TestCsvWriter:
             np.array(special, dtype=np.float32),
         ]
         header = ["f64", "i64", "flag", "f32"]
-        cli._write_csv(tmp_path / "columnar.csv", header, [[cli._fields(c) for c in columns]])
+        cli._write_csv(tmp_path / "columnar.csv", header, [cli._fields(c) for c in columns])
         row_wise_csv(tmp_path / "rows.csv", header, zip(*columns))
         assert (tmp_path / "columnar.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
@@ -846,7 +845,7 @@ def sysid_trace():
 
 def trace_engine(engine, monkeypatch):
     """Make ``_write_trace`` take ``engine``'s writer: the kernel's rows, skipped where it
-    does not load, or ``repr``'s fields, with the kernel out of reach."""
+    does not load, or its Python twin ``_trace_rows``, with the kernel out of reach."""
     if engine == "kernel":
         if _kernel.load() is None:
             pytest.skip("the kernel does not build on this host")
@@ -858,6 +857,7 @@ TRACE_CASES = {
     "blocks_with_atten": (lambda: synthetic_trace(2 * cli._TRACE_BLOCK_ROWS + 37, 301, window=100), None),
     "no_atten": (lambda: synthetic_trace(1000, 150, window=None), 64),
     "no_prefix": (lambda: synthetic_trace(1000, 0, window=7), 64),
+    "one_sample_window": (lambda: synthetic_trace(1000, 150, window=1), 64),
     "diverged": (diverged_trace, 64),
     "sysid": (sysid_trace, 96),
 }
@@ -882,6 +882,17 @@ class TestTraceWriter:
         cli._write_trace(tmp_path / "columnar.csv", trace)
         row_wise_trace_csv(tmp_path / "rows.csv", trace)
         assert (tmp_path / "columnar.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    def test_python_writer_formats_only_the_windows_of_its_block(self, tmp_path, monkeypatch):
+        # a one-sample window has a window per row: formatting the whole series in each
+        # block would make the writer quadratic in the trace length
+        trace_engine("python", monkeypatch)
+        monkeypatch.setattr(cli, "_TRACE_BLOCK_ROWS", 64)
+        sizes, fields = [], cli._fields
+        monkeypatch.setattr(cli, "_fields", lambda column: sizes.append(len(column)) or fields(column))
+        trace = synthetic_trace(1000, 150, window=1)
+        cli._write_trace(tmp_path / "columnar.csv", trace)
+        assert trace.atten_db.size > 64 and sizes and max(sizes) <= 64
 
     @pytest.mark.parametrize("engine", ["kernel", "python"])
     def test_batch_matches_row_wise_writer(self, tmp_path, monkeypatch, engine):

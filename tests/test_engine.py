@@ -229,11 +229,11 @@ def test_kernel_filters_reject_bad_shapes():
     with pytest.raises(ValueError):
         kernel.sosfilt(np.ones((2, 6)) * 2.0, np.ones(4))
     with pytest.raises(ValueError):
-        kernel.trace_rows(0, [np.ones(4), np.ones(3)])
+        kernel.trace_rows(0, [np.ones(4), np.ones(3)], NO_WINDOW)
     with pytest.raises(ValueError):
-        kernel.trace_rows(-1, [np.ones(4)])
+        kernel.trace_rows(-1, [np.ones(4)], NO_WINDOW)
     with pytest.raises(ValueError):
-        kernel.trace_rows(0, [np.ones(4)] * (_kernel.MAX_TRACE_COLUMNS + 1))
+        kernel.trace_rows(0, [np.ones(4)] * (_kernel.MAX_TRACE_COLUMNS + 1), NO_WINDOW)
     with pytest.raises(ValueError):
         kernel.trace_rows(0, [np.ones(4)], (np.ones(2), 0, 0))
     with pytest.raises(ValueError):
@@ -242,14 +242,19 @@ def test_kernel_filters_reject_bad_shapes():
         kernel.trace_rows(0, [np.ones(4)], (np.ones(2), -1, 1))
 
 
+# the window of a trace with no attenuation series: every row ends in an empty field
+NO_WINDOW = (np.empty(0), 0, 1)
+
+
 def repr_rows(values, start=0) -> bytes:
-    """The rows that ``Kernel.trace_rows`` writes for the one column ``values``, by ``repr``."""
-    return "".join(f"{start + i},{'' if v != v else repr(v)}\r\n" for i, v in enumerate(values.tolist())).encode()
+    """The rows that ``Kernel.trace_rows`` writes for the one column ``values`` and
+    :data:`NO_WINDOW`, by ``repr``."""
+    return "".join(f"{start + i},{'' if v != v else repr(v)},\r\n" for i, v in enumerate(values.tolist())).encode()
 
 
 def assert_rows_are_repr(kernel, values, start=0):
     values = np.asarray(values, dtype=np.float64)
-    got, want = bytes(kernel.trace_rows(start, [values])), repr_rows(values, start)
+    got, want = bytes(kernel.trace_rows(start, [values], NO_WINDOW)), repr_rows(values, start)
     if got != want:
         differ = [(v, a, b) for v, a, b in zip(values.tolist(), got.split(b"\r\n"), want.split(b"\r\n")) if a != b]
         pytest.fail(f"{len(differ)} of {values.size} rows differ from repr, the first: {differ[:5]}")
@@ -311,8 +316,8 @@ def test_trace_rows_leave_nan_fields_empty(kernel):
     """Every NaN, of either sign and any payload, is an empty field; the commas stay."""
     nan = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 2**64 - 1], dtype=np.uint64)
     other = np.array([1.5, np.nan, -0.0, 1e-300])
-    rows = bytes(kernel.trace_rows(7, [nan.view(np.float64), other, nan.view(np.float64)]))
-    assert rows == b"7,,1.5,\r\n8,,,\r\n9,,-0.0,\r\n10,,1e-300,\r\n"
+    rows = bytes(kernel.trace_rows(7, [nan.view(np.float64), other, nan.view(np.float64)], NO_WINDOW))
+    assert rows == b"7,,1.5,,\r\n8,,,,\r\n9,,-0.0,,\r\n10,,1e-300,,\r\n"
 
 
 def window_field(window, step) -> str:
@@ -338,7 +343,7 @@ def trace_blocks(draw):
     """A trace's rows as ``trace_rows`` columns and window, cut into blocks: ``e0``, an
     unrelated column, and ``residual`` drawn from either of them (the same bits, negated,
     so 0.0 against -0.0) or on its own; windows from a first step that may be 0 or past
-    the last row, with rows after the last window, or an empty series, or no window."""
+    the last row, with rows after the last window, or an empty series."""
     rows = draw(st.lists(st.tuples(EDGE_FLOATS, EDGE_FLOATS, st.integers(0, 4), EDGE_FLOATS), min_size=1, max_size=80))
     e0, other, residual = [], [], []
     for a, b, source, c in rows:
@@ -346,37 +351,42 @@ def trace_blocks(draw):
         other.append(b)
         residual.append((a, -a, b, -b, c)[source])
     n, start = len(rows), draw(st.sampled_from([0, 1, 4095, 2**40]))
-    mode = draw(st.sampled_from(["values", "empty", "none"]))
-    window = None
-    if mode != "none":
-        length = draw(st.integers(1, 9))
-        values = draw(st.lists(EDGE_FLOATS, max_size=n // length + 2)) if mode == "values" else []
-        window = (np.array(values, dtype=np.float64), start + draw(st.integers(0, n + 2)), length)
+    length = draw(st.integers(1, 9))
+    values = draw(st.lists(EDGE_FLOATS, max_size=n // length + 2)) if draw(st.booleans()) else []
+    window = (np.array(values, dtype=np.float64), start + draw(st.integers(0, n + 2)), length)
     cuts = sorted(draw(st.lists(st.integers(0, n), max_size=4)))
     columns = [np.array(c, dtype=np.float64) for c in (e0, other, residual)]
     return start, columns, window, [0, *cuts, n]
 
 
-@settings(deadline=None, max_examples=400)
-@given(case=trace_blocks())
-def test_trace_rows_with_windows_and_repeats_are_repr(kernel, case):
+def assert_blocks_are_repr(trace_rows, case):
     """Blocks of a trace through ``trace_rows``, its windows split by their boundaries,
     give ``repr``'s rows: each window's value on every row of it, a repeated field with
     the bits of the field it repeats."""
     start, columns, window, cuts = case
     got = b"".join(
-        bytes(kernel.trace_rows(start + lo, [c[lo:hi] for c in columns], window)) for lo, hi in zip(cuts, cuts[1:])
+        bytes(trace_rows(start + lo, [c[lo:hi] for c in columns], window)) for lo, hi in zip(cuts, cuts[1:])
     )
     values = [c.tolist() for c in columns]
-    windows = None if window is None else (window[0].tolist(), *window[1:])
-    rows = []
-    for i in range(columns[0].size):
-        fields = [str(start + i), *(repr_field(v[i]) for v in values)]
-        if windows is not None:
-            fields.append(window_field(windows, start + i))
-        rows.append(",".join(fields) + "\r\n")
-    want = "".join(rows)
+    windows = (window[0].tolist(), *window[1:])
+    want = "".join(
+        ",".join([str(start + i), *(repr_field(v[i]) for v in values), window_field(windows, start + i)]) + "\r\n"
+        for i in range(columns[0].size)
+    )
     assert got == want.encode()
+
+
+@settings(deadline=None, max_examples=400)
+@given(case=trace_blocks())
+def test_trace_rows_with_windows_and_repeats_are_repr(kernel, case):
+    assert_blocks_are_repr(kernel.trace_rows, case)
+
+
+@settings(deadline=None, max_examples=400)
+@given(case=trace_blocks())
+def test_python_trace_rows_with_windows_and_repeats_are_repr(case):
+    """The same blocks through the kernel's Python twin, ``cli._trace_rows``."""
+    assert_blocks_are_repr(cli._trace_rows, case)
 
 
 def window_one_step_late(columns, window):
@@ -396,7 +406,7 @@ def test_row_writer_check_covers_windows_and_repeats(monkeypatch, caplog, broken
     compiled()
     real = _kernel.Kernel.trace_rows
 
-    def trace_rows(self, start, columns, window=None):
+    def trace_rows(self, start, columns, window):
         return real(self, start, *broken(columns, window))
 
     monkeypatch.setattr(_kernel.Kernel, "trace_rows", trace_rows)
