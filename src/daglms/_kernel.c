@@ -1,6 +1,7 @@
 /* One run of daglms.sim._adapt_loop in C, the whole-signal filters of
    TransferOperator.filter_signal and dsp_core._sosfilt, each with the bits of its Python
-   loop, and the trace CSV rows of daglms.cli._trace_rows with the bytes of repr.
+   loop, the trace CSV rows of daglms.cli._trace_rows with the bytes of repr, and the
+   real-part minimum of daglms.spr_design._real_part_minimum with its bits.
 
    Every dot product is np.dot's: the product itself for length 1, else
    0.0 + the cblas_ddot that np.dot calls, passed in as `ddot`. Every other
@@ -395,4 +396,263 @@ int64_t daglms_trace_rows(const uint64_t *g, int64_t start, int64_t rows, int64_
         *p++ = '\n';
     }
     return p - out;
+}
+
+/* spr_design._real_part_minimum for series of at most RPM_MAX_LEN coefficients, with its bits:
+   each helper below is the Python function of its name, in its order of operations. The
+   largest magnitude, the clip to [-1, 1] and the smallest value follow Python's max, min and
+   _smallest, where a NaN is kept only as the first item. */
+#define RPM_MAX_LEN 8
+#define RPM_TERMS (2 * RPM_MAX_LEN)  /* room for each series below */
+
+static double py_max(double a, double b)  /* max(a, b): a unless b is larger */
+{
+    return b > a ? b : a;
+}
+
+static double py_min(double a, double b)
+{
+    return b < a ? b : a;
+}
+
+static double largest_magnitude(int64_t len, const double *a)  /* max(map(abs, a)) */
+{
+    double m = fabs(a[0]);
+    for (int64_t i = 1; i < len; i++)
+        m = py_max(m, fabs(a[i]));
+    return m;
+}
+
+/* out = c 2^-e with the largest magnitude in [1, 2); returns e (math.frexp's exponent of a
+   zero, an infinity or a NaN is 0) */
+static int scaled(int64_t len, const double *c, double *out)
+{
+    const double m = largest_magnitude(len, c);
+    int e = 0;
+    if (isfinite(m) && m != 0.0)
+        frexp(m, &e);
+    e -= 1;
+    for (int64_t i = 0; i < len; i++)
+        out[i] = ldexp(c[i], -e);
+    return e;
+}
+
+static void lags(int64_t lu, const double *u, int64_t lv, const double *v, int64_t half, double *w)
+{
+    for (int64_t i = 0; i <= 2 * half; i++)
+        w[i] = 0.0;
+    for (int64_t i = 0; i < lu; i++)
+        for (int64_t k = 0; k < lv; k++)
+            w[half + i - k] += u[i] * v[k];
+}
+
+static void cos_series(const double *w, int64_t half, double *out)  /* half + 1 terms */
+{
+    out[0] = w[half];
+    for (int64_t k = 1; k <= half; k++)
+        out[k] = w[half + k] + w[half - k];
+}
+
+static int64_t cheb_mul(int64_t la, const double *a, int64_t lb, const double *b, double *out)
+{
+    for (int64_t i = 0; i < la + lb - 1; i++)
+        out[i] = 0.0;
+    for (int64_t i = 0; i < la; i++)
+        for (int64_t j = 0; j < lb; j++) {
+            const double half_product = 0.5 * a[i] * b[j];
+            out[i + j] += half_product;
+            out[i > j ? i - j : j - i] += half_product;
+        }
+    return la + lb - 1;
+}
+
+static int64_t cheb_der(int64_t la, const double *a_in, double *der)  /* la >= 2 */
+{
+    double a[RPM_TERMS];
+    memcpy(a, a_in, (size_t)la * sizeof *a);
+    const int64_t n = la - 1;
+    for (int64_t j = 0; j < n; j++)
+        der[j] = 0.0;
+    for (int64_t j = n; j > 2; j--) {
+        der[j - 1] = (double)(2 * j) * a[j];
+        a[j - 2] += (double)j * a[j] / (double)(j - 2);
+    }
+    if (n > 1)
+        der[1] = 4.0 * a[2];
+    der[0] = a[1];
+    return n;
+}
+
+static void u_to_t(int64_t len, const double *b, double *t)
+{
+    memcpy(t, b, (size_t)len * sizeof *t);
+    for (int64_t k = len - 3; k >= 0; k--)
+        t[k] += t[k + 2];
+    for (int64_t k = 1; k < len; k++)
+        t[k] = 2.0 * t[k];
+}
+
+static double cheb_val(int64_t la, const double *a, double x)
+{
+    double b1 = 0.0, b2 = 0.0;
+    for (int64_t i = la - 1; i >= 1; i--) {
+        const double next = 2.0 * x * b1 - b2 + a[i];
+        b2 = b1;
+        b1 = next;
+    }
+    return x * b1 - b2 + a[0];
+}
+
+/* The real parts of the roots of a T series of finite coefficients, at most two, in *roots;
+   returns their number, or -1 where _root_real_parts takes the colleague matrix (degree 3 or
+   more) or a root is not finite. */
+static int64_t root_real_parts(int64_t la, const double *a, double *roots)
+{
+    const double floor = 0x1p-52 * largest_magnitude(la, a);
+    int64_t n = la - 1, count;
+    while (n > 0 && fabs(a[n]) <= floor)
+        n--;
+    if (n == 0) {
+        count = 0;
+    } else if (n == 1) {
+        roots[0] = -a[0] / a[1];
+        count = 1;
+    } else if (n == 2) {
+        const double qa = 2.0 * a[2], qb = a[1], qc = a[0] - a[2];
+        const double disc = qb * qb - 4.0 * qa * qc;
+        if (disc < 0.0) {
+            roots[0] = -qb / (2.0 * qa);
+            count = 1;
+        } else {
+            const double s = -0.5 * (qb + copysign(sqrt(disc), qb));
+            if (s != 0.0) {  /* NaN included, as Python's truth test reads it */
+                roots[0] = s / qa;
+                roots[1] = qc / s;
+                count = 2;
+            } else {
+                roots[0] = 0.0;
+                count = 1;
+            }
+        }
+    } else {
+        return -1;
+    }
+    for (int64_t i = 0; i < count; i++)
+        if (!isfinite(roots[i]))
+            return -1;
+    return count;
+}
+
+/* _critical_points of T series p and q of len >= 2 terms into xs; returns their number, or
+   -1 where root_real_parts declines. */
+static int64_t critical_points(int64_t len, const double *p, const double *q, double *xs)
+{
+    double dp[RPM_TERMS], dq[RPM_TERMS], ddp[RPM_TERMS] = {0.0}, ddq[RPM_TERMS] = {0.0};
+    double lhs[RPM_TERMS], rhs[RPM_TERMS], roots[2];
+    const int64_t ld = cheb_der(len, p, dp);
+    cheb_der(len, q, dq);
+    const int64_t ldd = ld > 1 ? cheb_der(ld, dp, ddp) : 1;
+    if (ld > 1)
+        cheb_der(ld, dq, ddq);
+    const int64_t lc = cheb_mul(ld, dp, len, q, lhs);
+    cheb_mul(len, p, ld, dq, rhs);
+    for (int64_t i = 0; i < lc; i++) {
+        lhs[i] -= rhs[i];
+        if (!isfinite(lhs[i]))  /* Python's floor and divisions differ on these: the twin takes them */
+            return -1;
+    }
+    const int64_t count = root_real_parts(lc, lhs, roots);
+    if (count < 0)
+        return -1;
+    int64_t m = 0;
+    xs[m++] = 1.0;
+    xs[m++] = -1.0;
+    for (int64_t r = 0; r < count; r++) {
+        double x = py_min(1.0, py_max(-1.0, roots[r]));
+        xs[m++] = x;
+        double last = INFINITY;
+        for (int it = 0; it < 8; it++) {
+            const double p0 = cheb_val(len, p, x), p1 = cheb_val(ld, dp, x), p2 = cheb_val(ldd, ddp, x);
+            const double q0 = cheb_val(len, q, x), q1 = cheb_val(ld, dq, x), q2 = cheb_val(ldd, ddq, x);
+            const double slope = p2 * q0 - p0 * q2;
+            const double step = slope != 0.0 ? (p1 * q0 - p0 * q1) / slope : 0.0;  /* NaN is true */
+            if (!(0.0 < fabs(step) && fabs(step) < 0.5 * last))
+                break;
+            x = py_min(1.0, py_max(-1.0, x - step));
+            last = fabs(step);
+        }
+        xs[m++] = x;
+    }
+    return m;
+}
+
+/* Horner's rule at zr + j zi in CPython 3.11's complex order: y * z by _Py_c_prod, and c added
+   as complex(c, 0.0) */
+static void at(int64_t len, const double *c, double zr, double zi, double *yr_out, double *yi_out)
+{
+    double yr = 0.0, yi = 0.0;
+    for (int64_t i = len - 1; i >= 0; i--) {
+        const double r = yr * zr - yi * zi + c[i];
+        yi = yr * zi + yi * zr + 0.0;
+        yr = r;
+    }
+    *yr_out = yr;
+    *yi_out = yi;
+}
+
+/* The minimum and its x in out[0], out[1] for N of ln and D of ld coefficients, N then D in
+   coeffs, the real part of N / ((1 - q^-1) D) where unit_pole is set. Returns 0, or 1 where
+   the Python twin must answer: a series too long, a critical series of degree 3 or more or
+   with a non-finite coefficient or root, or a pole on a candidate. */
+int64_t daglms_real_part_minimum(int64_t ln, int64_t ld, const double *coeffs, int64_t unit_pole,
+                                 double *out)
+{
+    if (!(0 < ln && ln <= RPM_MAX_LEN && 0 < ld && ld <= RPM_MAX_LEN))
+        return 1;
+    double n[RPM_MAX_LEN], d[RPM_MAX_LEN], w[RPM_TERMS], dd[RPM_TERMS], p[RPM_TERMS], q[RPM_TERMS];
+    double diff[RPM_MAX_LEN], sine[RPM_MAX_LEN], xs[6], values[6];
+    const int n_exp = scaled(ln, coeffs, n), d_exp = scaled(ld, coeffs + ln, d);
+    const int64_t longer = ln > ld ? ln : ld, half = (longer > 2 ? longer : 2) - 1;
+    lags(ln, n, ld, d, half, w);
+    cos_series(w, half, p);
+    lags(ld, d, ld, d, half, dd);
+    cos_series(dd, half, q);
+    if (unit_pole) {
+        double shifted[RPM_TERMS];
+        for (int64_t k = 1; k <= half; k++)
+            diff[k - 1] = w[half - k] - w[half + k];
+        u_to_t(half, diff, sine);
+        const double one_plus_x[2] = {1.0, 1.0};
+        cheb_mul(2, one_plus_x, half, sine, shifted);
+        for (int64_t k = 0; k <= half; k++) {
+            p[k] = p[k] + shifted[k];
+            q[k] = 2.0 * q[k];
+        }
+    }
+    const int64_t m = critical_points(half + 1, p, q, xs);
+    if (m < 0)
+        return 1;
+    for (int64_t i = 0; i < m; i++) {
+        const double x = xs[i], zi = -sqrt((1.0 - x) * (1.0 + x));
+        double nr, ni, dr, di;
+        at(ln, n, x, zi, &nr, &ni);
+        at(ld, d, x, zi, &dr, &di);
+        const double abs2 = dr * dr + di * di;
+        if (abs2 == 0.0)
+            return 1;
+        const double re = nr * dr - ni * -di;
+        values[i] = unit_pole ? (re + (1.0 + x) * cheb_val(half, sine, x)) / (2.0 * abs2) : re / abs2;
+    }
+    int64_t k = 0;
+    for (int64_t i = 0; i < m; i++) {
+        if (values[i] != values[i]) {
+            k = i;
+            break;
+        }
+        if (values[i] < values[k])
+            k = i;
+    }
+    out[0] = ldexp(values[k], n_exp - d_exp);  /* +-inf beyond the double range */
+    out[1] = xs[k];
+    return 0;
 }

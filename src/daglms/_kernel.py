@@ -1,22 +1,25 @@
 """The compiled loops of ``_kernel.c``, built at first use and loaded with ctypes.
 
-:class:`Kernel` has four entry points, each with the bits of the Python code
+:class:`Kernel` has five entry points, each with the bits of the Python code
 it stands in for: :meth:`Kernel.adapt` runs :func:`daglms.sim._adapt_loop`,
 :meth:`Kernel.lfilter` runs :meth:`daglms.TransferOperator.filter_step` over a
 whole signal, :meth:`Kernel.sosfilt` runs ``daglms.dsp_core._sosfilt``'s
-loop over band-pass sections, and :meth:`Kernel.trace_rows` writes the rows of
-a trace CSV as ``daglms.cli._trace_rows`` does, with the bytes of ``repr``.
+loop over band-pass sections, :meth:`Kernel.trace_rows` writes the rows of
+a trace CSV as ``daglms.cli._trace_rows`` does, with the bytes of ``repr``,
+and :meth:`Kernel.real_part_minimum` finds the real-part minimum of
+``daglms.spr_design._real_part_minimum``, which answers the calls it declines.
 
 :func:`load` builds the library into ``$XDG_CACHE_HOME/daglms`` (else
 ``~/.cache/daglms``), one file per crc32 of the source, the flags and the
 compiler, written under a temporary name and renamed into place, so that no
 process loads half a library. Its dot products call the ``cblas_ddot`` of the
 OpenBLAS that NumPy bundles, the function that ``np.dot`` calls, in this
-process; a self-check compares the two for n = 1...64, and another compares
-the row writer with ``repr`` on :func:`_repr_cases`. Where any of this fails
+process; a self-check compares the two for n = 1...64, another compares
+the row writer with ``repr`` on :func:`_repr_cases`, and a third the real-part
+minimum with its twin on :func:`_design_cases`. Where any of this fails
 (no compiler, no writable cache, another BLAS, a failed check), :func:`load`
-returns None and logs why once at debug level, and runs, filters and trace
-files take the Python code, which gives the same bits.
+returns None and logs why once at debug level, and runs, filters, trace
+files and design verdicts take the Python code, which gives the same bits.
 """
 
 from __future__ import annotations
@@ -43,6 +46,10 @@ MAX_TRACE_COLUMNS = 16
 
 # the decimal exponents of the powers of ten that daglms_trace_rows reads, from its POW10_MIN
 _POW10_EXPONENTS = range(-292, 325)
+
+# the most coefficients of a numerator or a denominator that daglms_real_part_minimum takes, its RPM_MAX_LEN
+MAX_DESIGN_COEFFS = 8
+_COEFFS, _PAIR = ctypes.c_double * (2 * MAX_DESIGN_COEFFS), ctypes.c_double * 2
 
 
 def _build() -> Path:
@@ -105,6 +112,18 @@ def _repr_cases() -> np.ndarray:
     return np.concatenate([signed, -signed, np.ldexp(1.0, np.arange(-1074, 1024)), drawn])
 
 
+def _design_cases() -> list[tuple[tuple[float, ...], tuple[float, ...]]]:
+    """The (numerator, denominator) pairs of the real-part-minimum self-check: seeded cells
+    ``(1 + c1 q^-1 + c2 q^-2) / (1 - d1p q^-1)`` with d1p at 0, +-0.5, 0.9, +-(1 - 1e-15) or
+    drawn, the lossless cell (0.5, -0.5, 0.5) and the row whose response overflows the doubles."""
+    rng = np.random.default_rng(24)
+    pool = [0.0, 0.5, -0.5, 0.9, 1.0 - 1e-15, -(1.0 - 1e-15), *rng.uniform(-1.0, 1.0, 6).tolist()]
+    d1p = [pool[i] for i in rng.integers(0, len(pool), 40).tolist()]  # rng.choice adds 0.2 MB of peak RSS
+    cells = [*zip(rng.uniform(-3.0, 3.0, 40).tolist(), rng.uniform(-2.0, 2.0, 40).tolist(), d1p)]
+    cells += [(0.5, -0.5, 0.5), (1e308, 1e308, 0.0)]
+    return [((1.0, c1, c2), (1.0, -p) if p else (1.0,)) for c1, c2, p in cells]
+
+
 def _check(arrays) -> None:
     """Raise ValueError unless each of ``arrays`` is None or C-contiguous float64."""
     for v in arrays:
@@ -158,6 +177,18 @@ class Kernel:
             )
             if self.trace_rows(lo, [c[lo:lo + 512] for c in columns], (cases[:windows], 3, 5)) != want.encode():
                 raise RuntimeError("daglms_trace_rows differs from repr")
+        from .spr_design import _real_part_minimum
+
+        self._twin = _real_part_minimum
+        self._real_part_minimum = lib.daglms_real_part_minimum
+        self._real_part_minimum.restype, self._real_part_minimum.argtypes = i64, (i64, i64, ptr, i64, ptr)
+        for num, den in _design_cases():  # each taken by the entry, none by the twin
+            for unit_pole in (False, True):
+                got = self._entry(num, den, unit_pole)
+                if got is None:
+                    raise RuntimeError(f"daglms_real_part_minimum declines {num} / {den}")
+                if [v.hex() for v in got] != [v.hex() for v in _real_part_minimum(num, den, unit_pole)]:
+                    raise RuntimeError(f"daglms_real_part_minimum differs from its twin on {num} / {den}")
 
     def adapt(self, state, sig, trace) -> tuple[int, float]:
         """:func:`daglms.sim._adapt_loop` in one call, with the same bits and the same contract."""
@@ -212,6 +243,23 @@ class Kernel:
         self._sosfilt(len(sos), sos.ctypes.data, zi.ctypes.data, x.size, x.ctypes.data, y.ctypes.data)
         return y
 
+    def real_part_minimum(self, num, den, unit_pole: bool) -> tuple[float, float]:
+        """``daglms.spr_design._real_part_minimum`` with its bits and its contract: the
+        smallest real part of ``num / den`` on the unit circle (of ``num / ((1 - q^-1) den)``
+        with ``unit_pole``) and the x = cos(omega) where it lies. The twin answers the calls
+        that the entry declines: more than :data:`MAX_DESIGN_COEFFS` coefficients, a critical
+        series of degree 3 or more, a non-finite root or a pole on a candidate, which raise
+        as the twin raises."""
+        return self._entry(num, den, unit_pole) or self._twin(num, den, unit_pole)
+
+    def _entry(self, num, den, unit_pole: bool) -> tuple[float, float] | None:
+        """``daglms_real_part_minimum``'s minimum and x; None where it declines the call."""
+        if len(num) <= MAX_DESIGN_COEFFS and len(den) <= MAX_DESIGN_COEFFS:
+            out = _PAIR()
+            if not self._real_part_minimum(len(num), len(den), _COEFFS(*num, *den), unit_pole, out):
+                return out[0], out[1]
+        return None
+
     def trace_rows(self, start: int, columns, window) -> memoryview:
         """Rows ``start``... of a trace CSV as bytes: the step, then a field for each of
         ``columns`` (at most :data:`MAX_TRACE_COLUMNS`), 1-D arrays of one length, each double
@@ -249,7 +297,8 @@ def load() -> Kernel | None:
             import logging
 
             logging.getLogger(__name__).debug(
-                "running the Python adaptation loop, filters and trace writer: %s", exc, exc_info=True
+                "running the Python adaptation loop, filters, trace writer and real-part minimum: %s",
+                exc, exc_info=True,
             )
             _kernel = False
     return _kernel or None

@@ -13,6 +13,7 @@ import argparse
 import configparser
 import contextlib
 import csv
+import math
 import re
 import sys
 from pathlib import Path
@@ -93,12 +94,13 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
 
 
 def _preset_row(name: str, cfg: DagConfig, triple) -> dict:
+    """One row of check's table; its callers ignore floating-point errors, as a row near the
+    float range overflows into its N/N verdicts."""
     c1, c2, d1p = triple
     h = dag_transfer(cfg)
-    with np.errstate(all="ignore"):  # a row near the float range overflows into its N/N verdicts
-        spr = is_spr_numeric(h)
-        pr = is_pr_unit_pole(integrated_dag(cfg))
-        integral = log_gain_integral(h, check_stability=False) if spr.is_stable else float("nan")
+    spr = is_spr_numeric(h)
+    pr = is_pr_unit_pole(integrated_dag(cfg))
+    integral = log_gain_integral(h, check_stability=False) if spr.is_stable else float("nan")
     return {
         "name": name,
         "c1": c1,
@@ -121,14 +123,15 @@ def cmd_check(args) -> int:
             c1, c2, d1p = (float(v) for v in spec.split(","))
         except ValueError as exc:
             raise ConfigError(f"bad --custom value {spec!r}: expected c1,c2,d1p") from exc
-        if not np.all(np.isfinite((c1, c2, d1p))):
+        if not all(map(math.isfinite, (c1, c2, d1p))):
             raise ConfigError(f"bad --custom value {spec!r}: c1, c2 and d1p must be finite")
         if not abs(d1p) < 1.0:  # the rule of contour --d1p
             raise ConfigError(f"bad --custom value {spec!r}: d1p must satisfy |d1p| < 1")
         entries.append((f"custom{k}", DagConfig((c1, c2), (d1p,) if d1p else ()), (c1, c2, d1p)))
     expected = _read_verdicts(Path(args.expect)) if args.expect else None
 
-    rows = [_preset_row(name, cfg, triple) for name, cfg, triple in entries]
+    with np.errstate(all="ignore"):
+        rows = [_preset_row(name, cfg, triple) for name, cfg, triple in entries]
     path = _out_dir(args.out) / "check.csv"
     _write_csv(path, CHECK_HEADER, _columns([r[k] for k in CHECK_HEADER] for r in rows))
     for r in rows:
@@ -195,10 +198,11 @@ def cmd_bode(args) -> int:
         raise ConfigError(f"--fs must be finite and positive, got {args.fs!r}")
     _distinct("preset", args.presets)
     # every preset resolved and its verdicts, check's row, computed before the first file is written
+    cfgs = [make_preset(name) for name in args.presets]
+    with np.errstate(all="ignore"):
+        rows = [_preset_row(name, cfg, preset_triple(name)) for name, cfg in zip(args.presets, cfgs)]
     tables, summary = [], []
-    for name in args.presets:
-        cfg = make_preset(name)
-        row = _preset_row(name, cfg, preset_triple(name))
+    for name, cfg, row in zip(args.presets, cfgs, rows):
         freq, omega, gain_db, phase_deg = bode_points(dag_transfer(cfg), args.grid, args.fs)
         tables.append([_fields(c) for c in (freq, omega, gain_db, phase_deg)])
         phase_ok = bool(np.all(np.abs(phase_deg) < 90.0))

@@ -223,7 +223,7 @@ class TransferOperator:
     def response_at(self, z_inv):
         """Numerator/denominator ratio at delay-variable value(s) ``z_inv``."""
         den = self._den(z_inv)
-        if np.any(den == 0):
+        if not den.all():  # a value is zero where both parts are +-0; a NaN is not
             raise SingularityError("pole exactly on the evaluation point")
         num = self._num(z_inv)
         num /= den  # in place on an array, as in Polynomial.__call__

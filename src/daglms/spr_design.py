@@ -19,6 +19,7 @@ from functools import lru_cache, wraps
 
 import numpy as np
 
+from . import _kernel
 from .dsp_core import (
     Polynomial,
     RootFindingError,
@@ -198,26 +199,13 @@ def _cheb_val(a: list[float], x: float) -> float:
     return x * b1 - b2 + a[0]
 
 
-def _at(coeffs: list[float], z_inv: complex) -> complex:
-    """A delay polynomial at one value of the delay variable, by Horner's rule."""
-    y = 0j
+def _at(coeffs: list[float], zr: float, zi: float) -> tuple[float, float]:
+    """A delay polynomial at ``zr + j zi`` by Horner's rule, each step CPython 3.11's complex
+    ``y * z + c`` on real and imaginary parts: ``_Py_c_prod``'s order, ``c`` added as ``complex(c, 0.0)``."""
+    yr = yi = 0.0
     for c in reversed(coeffs):
-        y = y * z_inv + c
-    return y
-
-
-def _on_circle(n: list[float], d: list[float], x: float) -> tuple[float, float]:
-    """``Re{N conj D}`` and ``|D|^2`` at ``exp(-j omega)`` with cos(omega) = x, by Horner on N and D.
-
-    Taken from N and D themselves, as their Chebyshev series cancel next to a
-    zero of D. A zero ``|D|^2`` raises :class:`SingularityError`.
-    """
-    z = complex(x, -math.sqrt((1.0 - x) * (1.0 + x)))
-    n_z, d_z = _at(n, z), _at(d, z)
-    abs2 = d_z.real * d_z.real + d_z.imag * d_z.imag
-    if abs2 == 0.0:
-        raise SingularityError("pole exactly on the evaluation point")
-    return (n_z * d_z.conjugate()).real, abs2
+        yr, yi = yr * zr - yi * zi + c, yr * zi + yi * zr + 0.0
+    return yr, yi
 
 
 def _smallest(values: list[float], exponent: int) -> tuple[float, int]:
@@ -288,14 +276,13 @@ def _root_real_parts(a: list[float]) -> list[float]:
 def _critical_points(p: list[float], q: list[float]) -> list[float]:
     """Where the minimum of ``p(x) / q(x)`` over [-1, 1] can lie, for T series of one length, two or more.
 
-    It lies at x = 1, at x = -1 or at a real root of ``p' q - p q'``. The real
-    part of every root, clipped to [-1, 1], is a candidate too: each candidate
-    is a point on the circle, so the smallest value over them never lies below
-    the true minimum, and an error in a root enters it only quadratically.
-    Where q nearly vanishes, as next to poles close to the circle, the
-    product's coefficients cancel and its roots move, so each root is also
-    refined by Newton steps on ``p' q - p q'`` evaluated from the series
-    themselves, and the point they reach is a candidate as well.
+    It lies at x = +-1 or at a real root of ``p' q - p q'``. The real part of
+    every root, clipped to [-1, 1], is a candidate: a point on the circle, so
+    the smallest value never lies below the true minimum, and an error in a
+    root enters it only quadratically. Where q nearly vanishes the product's
+    coefficients cancel and its roots move, so the point that Newton steps on
+    ``p' q - p q'``, evaluated from the series themselves, reach from each root
+    is a candidate as well.
     """
     dp, dq = _cheb_der(p), _cheb_der(q)
     ddp, ddq = (_cheb_der(s) if len(s) > 1 else [0.0] for s in (dp, dq))
@@ -318,35 +305,61 @@ def _critical_points(p: list[float], q: list[float]) -> list[float]:
     return candidates
 
 
+def _real_part_minimum(num, den, unit_pole: bool) -> tuple[float, float]:
+    """The smallest real part of ``N / D`` on the unit circle, N and D of coefficients ``num``
+    and ``den``, or of ``N / ((1 - q^-1) D)`` with ``unit_pole``; and the x = cos(omega) where it lies.
+
+    The real part is ``P(x)/Q(x)``: P the T series of ``Re{N conj D}`` and Q that of ``|D|^2``,
+    or ``[R(x) + (1 + x) U(x)] / (2 |D|^2)`` with ``unit_pole``, U the U series of
+    ``Im{N conj D}`` over sin(omega), as cot(omega/2) sin(omega) = 1 + x. At each point of
+    :func:`_critical_points` it is taken from N and D, whose series cancel next to a zero of D,
+    scaled by :func:`_scaled`; :func:`_smallest` undoes the scaling on the smallest value alone,
+    so a response beyond the double range elsewhere does not overflow it. A pole at a candidate
+    raises :class:`SingularityError`. ``daglms._kernel.Kernel.real_part_minimum`` has its bits.
+    """
+    n, n_exp = _scaled(num)
+    d, d_exp = _scaled(den)
+    half = max(len(n), len(d), 2) - 1
+    w = _lags(n, d, half)
+    p, q = _cos_series(w), _cos_series(_lags(d, d, half))
+    if unit_pole:
+        sine = _u_to_t([w[half - k] - w[half + k] for k in range(1, half + 1)])  # Im{N conj D} / sin(omega)
+        p = [r + s for r, s in zip(p, _cheb_mul([1.0, 1.0], sine))]
+        q = [2.0 * c for c in q]
+    xs = _critical_points(p, q)
+    values = []
+    for x in xs:
+        zi = -math.sqrt((1.0 - x) * (1.0 + x))  # exp(-j omega) = x + j zi
+        (nr, ni), (dr, di) = _at(n, x, zi), _at(d, x, zi)
+        abs2 = dr * dr + di * di
+        if abs2 == 0.0:
+            raise SingularityError("pole exactly on the evaluation point")
+        re = nr * dr - ni * -di  # Re{N conj D}
+        values.append((re + (1.0 + x) * _cheb_val(sine, x)) / (2.0 * abs2) if unit_pole else re / abs2)
+    min_re, k = _smallest(values, n_exp - d_exp)
+    return min_re, xs[k]
+
+
+def _minimum(num, den, unit_pole: bool) -> tuple[float, float]:
+    """:func:`_real_part_minimum`, by the kernel's entry where it loads."""
+    kernel = _kernel.load()
+    return (_real_part_minimum if kernel is None else kernel.real_part_minimum)(num, den, unit_pole)
+
+
 def is_spr_numeric(h: TransferOperator, grid_size: int = DEFAULT_SPR_GRID) -> SprVerdict:
     """Strict-positive-realness test with the exact real-part minimum over [0, pi].
 
-    Strict positive realness requires zeros and poles strictly inside the
-    unit circle and a strictly positive real part on the whole circle. With
-    x = cos(omega) the real part is ``P(x)/Q(x)``: P is the Chebyshev series of
-    ``Re{N conj D}`` and Q that of ``|D|^2`` on the circle. Its minimum lies at
-    one of the points of :func:`_critical_points`. There ``Re{N conj D} / |D|^2``
-    is evaluated in scalar arithmetic, by Horner's rule on N and D scaled by
-    powers of two, and the scaling is undone on the smallest value, so a
-    response beyond the double range at other points does not overflow it.
-    ``argmin_omega`` is the frequency of the first smallest value; a NaN value
-    counts as the smallest and is not SPR. No grid is sampled: ``grid_size`` is
-    still validated (at least 256) but sets no resolution. A pole on the circle
-    at a candidate raises :class:`SingularityError`.
+    Strict positive realness requires zeros and poles strictly inside the unit
+    circle and a strictly positive real part on the whole circle, whose minimum
+    :func:`_real_part_minimum` finds: ``argmin_omega`` is its frequency, and a
+    NaN minimum is not SPR. No grid is sampled: ``grid_size`` is still
+    validated (at least 256) but sets no resolution.
     """
     if grid_size < 256:
         raise ValueError("grid_size must be at least 256")
     stable = roots_inside_unit_circle(h.numerator) and roots_inside_unit_circle(h.denominator)
-    n, n_exp = _scaled(h.numerator.coeffs)
-    d, d_exp = _scaled(h.denominator.coeffs)
-    half = max(len(n), len(d), 2) - 1
-    xs = _critical_points(_cos_series(_lags(n, d, half)), _cos_series(_lags(d, d, half)))
-    values = []
-    for x in xs:
-        re, abs2 = _on_circle(n, d, x)
-        values.append(re / abs2)
-    min_re, k = _smallest(values, n_exp - d_exp)
-    return SprVerdict(stable, stable and min_re > 0.0, min_re, math.acos(xs[k]))
+    min_re, x = _minimum(h.numerator.coeffs, h.denominator.coeffs, False)
+    return SprVerdict(stable, stable and min_re > 0.0, min_re, math.acos(x))
 
 
 def log_gain_integral(
@@ -485,14 +498,12 @@ def is_pr_unit_pole(
     """Positive-realness test for an operator with a simple pole at z = 1.
 
     The unit-circle factor is deflated from the denominator symbolically,
-    ``D = (1 - q^-1) A``; A must be strictly stable. On the circle,
-    ``Re H = [R(x) + (1 + x) U(x)] / (2 |A|^2)`` with x = cos(omega): R is the
-    Chebyshev series of ``Re{N conj A}`` and U the U series of ``Im{N conj A}``
-    over sin(omega), since ``cot(omega/2) sin(omega) = 1 + x``. The ratio is
-    smooth on [-1, 1], its omega -> 0 limit is its value at x = 1, and its
-    exact minimum is found as in :func:`is_spr_numeric`. The operator is PR
-    iff that minimum is at least ``-tol`` and the residue of the pole at z = 1
-    is positive. ``grid_size`` is validated as in :func:`is_spr_numeric`.
+    ``D = (1 - q^-1) A``; A must be strictly stable. The real part on the
+    circle is smooth on [-1, 1] in x = cos(omega), its omega -> 0 limit is its
+    value at x = 1, and :func:`_real_part_minimum` finds its exact minimum
+    from N and A. The operator is PR iff that minimum is at least ``-tol``
+    and the residue of the pole at z = 1 is positive. ``grid_size`` is
+    validated as in :func:`is_spr_numeric`.
     """
     if grid_size < 256:
         raise ValueError("grid_size must be at least 256")
@@ -503,19 +514,8 @@ def is_pr_unit_pole(
     quotient = Polynomial(tuple(itertools.accumulate(den[:-1])))
     if not roots_inside_unit_circle(quotient):
         raise ValueError("unit pole is not simple or remaining denominator is unstable")
-    residue = _at(h.numerator.coeffs, 1.0).real / _at(quotient.coeffs, 1.0).real
-    n, n_exp = _scaled(h.numerator.coeffs)
-    a, a_exp = _scaled(quotient.coeffs)
-    half = max(len(n), len(a), 2) - 1
-    w = _lags(n, a, half)
-    sine = _u_to_t([w[half - k] - w[half + k] for k in range(1, half + 1)])  # Im{N conj A} / sin(omega)
-    p = [r + s for r, s in zip(_cos_series(w), _cheb_mul([1.0, 1.0], sine))]
-    q = [2.0 * c for c in _cos_series(_lags(a, a, half))]
-    values = []
-    for x in _critical_points(p, q):
-        re, abs2 = _on_circle(n, a, x)
-        values.append((re + (1.0 + x) * _cheb_val(sine, x)) / (2.0 * abs2))
-    min_re, _ = _smallest(values, n_exp - a_exp)
+    residue = _at(h.numerator.coeffs, 1.0, 0.0)[0] / _at(quotient.coeffs, 1.0, 0.0)[0]
+    min_re, _ = _minimum(h.numerator.coeffs, quotient.coeffs, True)
     residue_positive = residue > 0.0
     return PrVerdict(bool(min_re >= -tol and residue_positive), min_re, residue_positive)
 

@@ -280,6 +280,20 @@ class TestFreqResponse:
         with pytest.raises(SingularityError):
             h.freq_response(0.0)
 
+    @pytest.mark.parametrize("zero", [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0)])
+    def test_a_pole_on_the_grid_raises(self, zero):
+        """A value of the denominator is a pole where both of its parts are +-0."""
+        h = TransferOperator((1.0,), (1.0, -1.0))
+        with pytest.raises(SingularityError):
+            h.response_at(np.array([0.5j, 1.0, -1.0]))  # 1 - q^-1 at q^-1 = 1
+        h._den = lambda z_inv: np.array([1.0, zero, 2.0])
+        with pytest.raises(SingularityError):
+            h.response_at(np.zeros(3))
+
+    def test_a_nan_is_not_a_pole(self):
+        h = TransferOperator((1.0,), (1.0, -1.0))
+        assert np.isnan(h.response_at(np.array([0.5, np.nan, 2.0]))).tolist() == [False, True, False]
+
     def test_monic_denominator_required(self):
         with pytest.raises(ValueError):
             TransferOperator((1.0,), (2.0, 1.0))

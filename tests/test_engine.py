@@ -37,6 +37,7 @@ from daglms import (
     run_many,
     run_sysid,
     sim,
+    spr_design,
 )
 from daglms.adapt import AdaptState
 from daglms.dsp_core import _bandpass_sos
@@ -416,6 +417,128 @@ def test_row_writer_check_covers_windows_and_repeats(monkeypatch, caplog, broken
     assert "daglms_trace_rows differs from repr" in caplog.text
 
 
+def minimum_bits(result):
+    return tuple(v.hex() for v in result)
+
+
+def counted_twin(monkeypatch, kernel) -> list:
+    """The calls that ``kernel.real_part_minimum`` hands to its Python twin, recorded."""
+    calls, twin = [], kernel._twin
+    monkeypatch.setattr(kernel, "_twin", lambda *args: calls.append(args) or twin(*args))
+    return calls
+
+
+def arima2(c1, c2, d1p):
+    """The numerator and denominator of the cell, as check passes them: no pole term at d1p = 0."""
+    return (1.0, c1, c2), (1.0, -d1p) if d1p else (1.0,)
+
+
+def test_real_part_minimum_is_its_twin_on_seeded_cells(kernel, monkeypatch):
+    """10^4 seeded cells, d1p at 0, +-0.5, 0.9, +-(1 - 1e-15) or drawn, for both verdicts:
+    the entry answers every call itself, with the minimum and the x of the twin, bit for bit."""
+    rng = np.random.default_rng(242)
+    n = 10_000
+    edges = [0.0, 0.5, -0.5, 0.9, 1.0 - 1e-15, -(1.0 - 1e-15)]
+    d1p = rng.choice([*edges, *rng.uniform(-1.0, 1.0, len(edges))], n).tolist()
+    calls = counted_twin(monkeypatch, kernel)
+    for c1, c2, p in zip(rng.uniform(-3.0, 3.0, n).tolist(), rng.uniform(-2.0, 2.0, n).tolist(), d1p):
+        num, den = arima2(c1, c2, p)
+        for unit_pole in (False, True):
+            want = minimum_bits(spr_design._real_part_minimum(num, den, unit_pole))
+            assert minimum_bits(kernel.real_part_minimum(num, den, unit_pole)) == want, (c1, c2, p, unit_pole)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "num, den, unit_pole, want",
+    [
+        # the response overflows the doubles near omega = 0; the minimum, at x = -1/4, does not
+        ((1.0, 1e308, 1e308), (1.0,), False, (-1.125e308, -0.25)),
+        # the lossless cell (0.5, -0.5, 0.5): its PR minimum is exactly 0
+        (*arima2(0.5, -0.5, 0.5), True, (0.0, 1.0)),
+        ((-1.0, 2.0, 2.0), (1.0, 2.0), False, (-0.0, -0.5)),  # a minimum of -0.0
+        ((-1.0, 0.0, 0.5), (1.0,), False, (-1.5, -0.0)),  # at x = -0.0, a root of -0.0 / a1
+        # a zero at x = -1 whose sign rests on each c being added as complex(c, 0.0)
+        ((1.0, 1.0), (1.0, 1.0, -1.0), False, (0.0, -1.0)),
+        ((1.0,), (1.0,), False, (1.0, 1.0)),  # a critical series of degree 0
+        ((0.0, 1.0), (1.0,), True, (-0.5, 1.0)),
+        # the scaling undone on the minimum: a subnormal, and a value below the doubles
+        ((1e-160, 0.5e-160), (1e150,), False, (5e-311, -1.0)),
+        ((1e-300, 0.5e-300), (1e300,), False, (0.0, -1.0)),
+    ],
+    ids=[
+        "overflow", "lossless", "minus-zero-minimum", "minus-zero-x", "plus-zero", "degree-0", "unit-pole", "subnormal", "underflow",
+    ],
+)
+def test_real_part_minimum_on_edge_rows(kernel, monkeypatch, num, den, unit_pole, want):
+    calls = counted_twin(monkeypatch, kernel)
+    got = kernel.real_part_minimum(num, den, unit_pole)
+    assert minimum_bits(got) == minimum_bits(want) == minimum_bits(spr_design._real_part_minimum(num, den, unit_pole))
+    assert calls == []
+
+
+def test_real_part_minimum_overflows_to_an_infinity(kernel):
+    """A minimum beyond the double range is an infinity of its sign, as the twin's
+    ``OverflowError`` branch gives it."""
+    for num in ((1e308, 1e308, 1e308), (-1e308, -1e308, -1e308)):
+        got = kernel.real_part_minimum(num, (1e-308, -0.999e-308), False)
+        assert minimum_bits(got) == minimum_bits(spr_design._real_part_minimum(num, (1e-308, -0.999e-308), False))
+        assert math.isinf(got[0])
+
+
+def test_a_pole_on_a_candidate_raises_on_both_engines(kernel, monkeypatch):
+    """D = 1 + q^-1 vanishes at x = -1: the entry declines and its twin raises."""
+    calls = counted_twin(monkeypatch, kernel)
+    h = TransferOperator((1.0,), (1.0, 1.0))
+    with pytest.raises(dsp_core.SingularityError, match="pole exactly on the evaluation point"):
+        daglms.is_spr_numeric(h)
+    assert len(calls) == 1
+    with mock.patch.object(_kernel, "load", return_value=None), pytest.raises(dsp_core.SingularityError):
+        daglms.is_spr_numeric(h)
+
+
+@pytest.mark.parametrize("fs", [2500.0, 8000.0])
+def test_secondary_path_ratio_takes_the_twin(kernel, monkeypatch, fs):
+    """The degree-6 ratios of the secondary-path screen need the colleague matrix: the
+    entry hands them to the twin, which gives the verdict of the Python engine."""
+    calls = counted_twin(monkeypatch, kernel)
+    g = sim.make_secondary_path(fs)
+    for model in (g, sim.make_mismatched_model(fs)):
+        h = spr_design.ratio_transfer(g, model)
+        got = daglms.is_spr_numeric(h)
+        with mock.patch.object(_kernel, "load", return_value=None):
+            assert daglms.is_spr_numeric(h) == got
+    assert len(calls) == 2
+
+
+def test_check_gives_the_same_bytes_without_the_kernel(kernel, tmp_path):
+    """``check`` on 200 seeded cells and the edge rows writes the same table on both engines."""
+    rng = np.random.default_rng(7)
+    cells = zip(rng.uniform(-2.0, 2.0, 200), rng.uniform(-1.0, 1.0, 200), rng.choice([0.0, 0.5, 0.9], 200))
+    custom = [f"--custom={c1!r},{c2!r},{d1p!r}" for c1, c2, d1p in (map(float, cell) for cell in cells)]
+    argv = ["check", *custom, "--custom=1e308,1e308,0", "--custom=0.5,-0.5,0.5"]
+    assert cli.main([*argv, "--out", str(tmp_path / "kernel")]) == 0
+    with mock.patch.object(_kernel, "load", return_value=None):
+        assert cli.main([*argv, "--out", str(tmp_path / "python")]) == 0
+    assert (tmp_path / "kernel" / "check.csv").read_bytes() == (tmp_path / "python" / "check.csv").read_bytes()
+
+
+def test_design_check_fails_on_a_differing_twin(monkeypatch, caplog):
+    """A twin one ulp off on the self-check's rows fails the check at load: the kernel does not load."""
+    compiled()
+    real = spr_design._real_part_minimum
+
+    def twin(num, den, unit_pole):
+        value, x = real(num, den, unit_pole)
+        return math.nextafter(value, math.inf), x
+
+    monkeypatch.setattr(spr_design, "_real_part_minimum", twin)
+    monkeypatch.setattr(_kernel, "_kernel", None)
+    with caplog.at_level(logging.DEBUG, logger="daglms._kernel"):
+        assert _kernel.load() is None
+    assert "daglms_real_part_minimum differs from its twin" in caplog.text
+
+
 @pytest.mark.parametrize(
     "mismatched, gains, diverged",
     [
@@ -752,8 +875,9 @@ def test_cached_build_is_reused(monkeypatch, tmp_path):
     assert _kernel.load() is not None
 
 
-def test_import_and_design_commands_leave_the_kernel_unbuilt(tmp_path):
-    """``import daglms`` and ``check``/``contour``/``bode`` neither build nor load the kernel."""
+def test_import_and_contour_leave_the_kernel_unbuilt(tmp_path):
+    """``import daglms`` and ``contour`` neither build nor load the kernel; ``check`` loads it
+    for its verdicts."""
     src = str(Path(daglms.__file__).resolve().parents[1])
     env = {
         **os.environ,
@@ -764,9 +888,9 @@ def test_import_and_design_commands_leave_the_kernel_unbuilt(tmp_path):
     code = (
         "import sys, daglms; from daglms import _kernel, cli\n"
         "assert 'hashlib' not in sys.modules\n"
-        f"for argv in (['check'], ['contour', '--d1p', '0.5', '--c1-step', '0.5'], ['bode', '--grid', '256']):\n"
-        f"    assert cli.main([*argv, '--out', {str(out)!r}]) == 0\n"
+        f"assert cli.main(['contour', '--d1p', '0.5', '--c1-step', '0.5', '--out', {str(out)!r}]) == 0\n"
         "assert _kernel._kernel is None\n"
+        f"assert cli.main(['check', '--out', {str(out)!r}]) == 0\n"
+        "assert _kernel._kernel is not None\n"  # the Kernel, or False where it cannot build
     )
     subprocess.run([sys.executable, "-c", code], check=True, env=env, capture_output=True)
-    assert not (tmp_path / "cache").exists()

@@ -24,7 +24,7 @@ from daglms import (
     poly_mul,
     spr_region_grid,
 )
-from daglms import spr_design
+from daglms import _kernel, spr_design
 from daglms.adapt import PRESET_ORDER, preset_triple
 from daglms.spr_design import (
     MAX_REGION_CELLS,
@@ -207,10 +207,12 @@ class TestIsSprNumeric:
 
     @pytest.mark.parametrize("at", [0, 1, 2])
     def test_a_nan_candidate_is_not_spr(self, monkeypatch, at):
-        """A NaN value at any candidate is the minimum, as np.argmin reads it, so no verdict passes on it."""
+        """A NaN value at any candidate is the minimum, as np.argmin reads it, so no verdict passes on it.
+        The candidates are replaced in the Python twin, so the kernel's entry is kept out of reach."""
         points = [1.0, -1.0]
         points.insert(at, float("nan"))
         monkeypatch.setattr(spr_design, "_critical_points", lambda p, q: list(points))
+        monkeypatch.setattr(_kernel, "load", lambda: None)
         v = is_spr_numeric(TransferOperator.identity())
         assert v.is_stable and not v.is_spr and np.isnan(v.min_real_part)
         pr = is_pr_unit_pole(integrated_dag(make_preset("integral")))
