@@ -7,7 +7,8 @@ whole signal, :meth:`Kernel.sosfilt` runs ``daglms.dsp_core._sosfilt``'s
 loop over band-pass sections, :meth:`Kernel.trace_rows` writes the rows of
 a trace CSV as ``daglms.cli._trace_rows`` does, with the bytes of ``repr``,
 and :meth:`Kernel.real_part_minimum` finds the real-part minimum of
-``daglms.spr_design._real_part_minimum``, which answers the calls it declines.
+``daglms.spr_design._real_part_minimum``, to which ``daglms.spr_design._minimum``
+falls back on the calls it declines.
 
 :func:`load` builds the library into ``$XDG_CACHE_HOME/daglms`` (else
 ``~/.cache/daglms``), one file per crc32 of the source, the flags and the
@@ -179,12 +180,11 @@ class Kernel:
                 raise RuntimeError("daglms_trace_rows differs from repr")
         from .spr_design import _real_part_minimum
 
-        self._twin = _real_part_minimum
         self._real_part_minimum = lib.daglms_real_part_minimum
         self._real_part_minimum.restype, self._real_part_minimum.argtypes = i64, (i64, i64, ptr, i64, ptr)
         for num, den in _design_cases():  # each taken by the entry, none by the twin
             for unit_pole in (False, True):
-                got = self._entry(num, den, unit_pole)
+                got = self.real_part_minimum(num, den, unit_pole)
                 if got is None:
                     raise RuntimeError(f"daglms_real_part_minimum declines {num} / {den}")
                 if [v.hex() for v in got] != [v.hex() for v in _real_part_minimum(num, den, unit_pole)]:
@@ -243,17 +243,13 @@ class Kernel:
         self._sosfilt(len(sos), sos.ctypes.data, zi.ctypes.data, x.size, x.ctypes.data, y.ctypes.data)
         return y
 
-    def real_part_minimum(self, num, den, unit_pole: bool) -> tuple[float, float]:
+    def real_part_minimum(self, num, den, unit_pole: bool) -> tuple[float, float] | None:
         """``daglms.spr_design._real_part_minimum`` with its bits and its contract: the
         smallest real part of ``num / den`` on the unit circle (of ``num / ((1 - q^-1) den)``
-        with ``unit_pole``) and the x = cos(omega) where it lies. The twin answers the calls
-        that the entry declines: more than :data:`MAX_DESIGN_COEFFS` coefficients, a critical
-        series of degree 3 or more, a non-finite root or a pole on a candidate, which raise
-        as the twin raises."""
-        return self._entry(num, den, unit_pole) or self._twin(num, den, unit_pole)
-
-    def _entry(self, num, den, unit_pole: bool) -> tuple[float, float] | None:
-        """``daglms_real_part_minimum``'s minimum and x; None where it declines the call."""
+        with ``unit_pole``) and the x = cos(omega) where it lies. None where the entry
+        declines the call, for the twin to answer: more than :data:`MAX_DESIGN_COEFFS`
+        coefficients, a critical series of degree 3 or more, a non-finite root or a pole
+        on a candidate, which the twin raises on."""
         if len(num) <= MAX_DESIGN_COEFFS and len(den) <= MAX_DESIGN_COEFFS:
             out = _PAIR()
             if not self._real_part_minimum(len(num), len(den), _COEFFS(*num, *den), unit_pole, out):

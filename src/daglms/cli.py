@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import contextlib
 import csv
 import math
 import re
@@ -341,9 +340,7 @@ def load_scenario(path: Path, seed_override: int | None = None):
             "threshold_db": _number(run, "threshold_db", 20.0),
             "window_seconds": _number(run, "window_seconds", sim.DEFAULT_ATTEN_WINDOW_S),
         }
-        # attenuation_db's own bound: a window of 0.5 samples or less rounds to none
-        if not options["window_seconds"] * fs > 0.5:  # NaN included
-            raise ValueError(f"window_seconds must cover at least one sample, more than {0.5 / fs!r} s at {fs!r} Hz")
+        sim._window_samples(options["window_seconds"], fs)  # attenuation_db's own bound
         for name, unread in (("scenario", sc), ("run", run)):
             if unread:
                 raise ValueError(f"unknown key(s) in [{name}]: {', '.join(unread)}")
@@ -420,16 +417,19 @@ def _sweep(scenario, options, out: str) -> int:
         if algorithm not in options["policies"]:
             raise ConfigError(f"unknown algorithm {algorithm!r} (known: {', '.join(options['policies'])})")
     presets = [(preset, make_preset(preset)) for preset in options["presets"]]
-    names = [(algorithm, preset) for algorithm in options["algorithms"] for preset, _ in presets]
-    runs = [(options["policies"][algorithm], cfg) for algorithm in options["algorithms"] for _, cfg in presets]
     out = _out_dir(out)
-    summary_rows = []
-    with contextlib.closing(sim._stream(scenario, sim._signals(scenario), runs, options["window_seconds"])) as stream:
-        for algorithm, preset in names:
-            # written as its run ends, while the next run computes, then dropped: only its summary row stays
-            path = out / f"trace_{algorithm}_{preset}.csv"
-            fields = _write_run(next(stream), path, f"{algorithm}+{preset}", options["threshold_db"])
-            summary_rows.append((algorithm, preset, *fields))
+    from concurrent.futures import ThreadPoolExecutor  # only a sweep loads it
+
+    sig, summary_rows, pending = sim._signals(scenario), [], []
+    # each run computes here while the trace before it is written on the one writer thread,
+    # whose row is taken before this trace goes to it: at most two traces are alive
+    with ThreadPoolExecutor(1, "daglms-writer") as writer:
+        for algorithm in options["algorithms"]:
+            for preset, cfg in presets:
+                trace = sim._sweep_run(scenario, sig, options["policies"][algorithm], cfg, options["window_seconds"])
+                summary_rows += [row.result() for row in pending]
+                pending = [writer.submit(_write_run, trace, out, algorithm, preset, options["threshold_db"])]
+        summary_rows += [row.result() for row in pending]
     header = ["algorithm", "preset", "diverged", "divergence_step", "spr_ok",
               "final_atten_db", "time_to_threshold_idx", "time_to_threshold_s"]
     _write_csv(out / "summary.csv", header, _columns(summary_rows))
@@ -437,8 +437,9 @@ def _sweep(scenario, options, out: str) -> int:
     return EXIT_DIVERGED if any(row[2] for row in summary_rows) else EXIT_OK  # the diverged column
 
 
-def _write_run(trace: sim.RunTrace, path: Path, label: str, threshold_db: float) -> tuple:
-    """Write one run's trace to ``path`` and print its line; returns its summary fields."""
+def _write_run(trace: sim.RunTrace, out: Path, algorithm: str, preset: str, threshold_db: float) -> tuple:
+    """Write one run's trace into ``out`` and print its line; returns its summary row."""
+    path = out / f"trace_{algorithm}_{preset}.csv"
     _write_trace(path, trace)
     final = tt_idx = tt_s = None
     if trace.atten_db is not None and trace.atten_db.size:
@@ -449,8 +450,8 @@ def _write_run(trace: sim.RunTrace, path: Path, label: str, threshold_db: float)
     status = f"diverged at {trace.divergence_step}" if trace.diverged else (
         f"final_atten={final:.2f} dB, t20_idx={tt_idx}" if final is not None else "done"
     )
-    print(f"{label}: {status} ({trace.wall_time_s:.2f}s wall) -> {path}")
-    return trace.diverged, trace.divergence_step, trace.spr_ok, final, tt_idx, tt_s
+    print(f"{algorithm}+{preset}: {status} ({trace.wall_time_s:.2f}s wall) -> {path}")
+    return algorithm, preset, trace.diverged, trace.divergence_step, trace.spr_ok, final, tt_idx, tt_s
 
 
 def cmd_compare(args) -> int:

@@ -13,7 +13,6 @@ import contextlib
 import copy
 import math
 import pickle
-import threading
 import time
 import warnings
 from dataclasses import dataclass
@@ -292,10 +291,9 @@ def _run(
     policy: StepSizePolicy,
     cfg: DagConfig | None,
     window_seconds: float = DEFAULT_ATTEN_WINDOW_S,
-    trace: RunTrace | None = None,
 ) -> RunTrace:
-    """One run on ``sig`` into ``trace`` (default: a new :func:`_new_trace`), through the
-    compiled kernel where it loads, else through :func:`_adapt_loop`, with the same bits.
+    """One run on ``sig``, in the calling thread, into a new :func:`_new_trace`, through
+    the compiled kernel where it loads, else through :func:`_adapt_loop`, with the same bits.
 
     The residual is the measured signal before ``sig.prefix`` and ``e0`` from there
     on, and a feedforward run that does not diverge gets its attenuation series at
@@ -303,8 +301,7 @@ def _run(
     :class:`RunDiverged` with the partial trace.
     """
     T, prefix = sig.desired.size, sig.prefix
-    if trace is None:
-        trace = _new_trace(scn, sig, policy)
+    trace = _new_trace(scn, sig, policy)
     state = AdaptState(scn.n_adaptive_params, policy, cfg)
     kernel = _kernel.load()
     started = time.perf_counter()
@@ -382,8 +379,8 @@ def run_feedforward(
 
 
 def run_many(scn: ScenarioConfig, runs) -> list[RunTrace]:
-    """Run each ``(policy, cfg)`` pair of ``runs`` on ``scn``, one after another on
-    one worker thread.
+    """Run each ``(policy, cfg)`` pair of ``runs`` on ``scn``, one after another in the
+    calling thread.
 
     Returns one trace per pair, in order, each with the bits that
     :func:`run_sysid` or :func:`run_feedforward` gives that pair. The signals
@@ -394,63 +391,36 @@ def run_many(scn: ScenarioConfig, runs) -> list[RunTrace]:
     trace, as :class:`RunDiverged` carries it, and the other runs go on;
     nothing is raised.
     """
-    return list(_stream(scn, _signals(scn), runs))
+    sig = _signals(scn)
+    return [_sweep_run(scn, sig, policy, cfg) for policy, cfg in runs]
 
 
-def _stream(scn: ScenarioConfig, sig: _Signals, runs, window_seconds: float = DEFAULT_ATTEN_WINDOW_S):
-    """Yield the trace of each ``(policy, cfg)`` pair of ``runs`` on ``sig``, in order, as
-    :func:`run_many` returns them, with the attenuation series at ``window_seconds``.
-
-    The runs go one after another on a single worker thread, and each starts once the
-    consumer has taken the trace before it: the next run computes while the consumer
-    handles this trace, so at most two traces are held at once where the consumer drops
-    each before it asks for the next. Each run's records are allocated in the consumer's
-    thread, so they can reuse the memory that the signals' temporaries and the dropped
-    traces freed there; the worker thread's own malloc arena could not. When the consumer
-    stops early or raises, the runs not yet started are cancelled and the worker is
-    joined before the error goes on.
-    """
-    runs = list(runs)
-    start, done = threading.Semaphore(0), threading.Semaphore(0)
-    # the next run's empty trace on its way to the worker, then that trace filled, or what
-    # the run raised, on its way back
-    box = []
-    cancelled = False
-
-    def work():
-        for policy, cfg in runs:
-            start.acquire()
-            if cancelled:
-                return
-            try:
-                box.append(_run(scn, sig, policy, cfg, window_seconds, box.pop()))
-            except RunDiverged as exc:  # the trace keeps the partial run
-                box.append(exc.trace)
-            except BaseException as exc:  # raised again in the consumer's thread
-                box.append(exc)
-            done.release()
-
-    def begin(k):  # run k, on records made in this thread
-        box.append(_new_trace(scn, sig, runs[k][0]))
-        start.release()
-
-    worker = threading.Thread(target=work, name="daglms-runs", daemon=True)
-    worker.start()
+def _sweep_run(
+    scn: ScenarioConfig,
+    sig: _Signals,
+    policy: StepSizePolicy,
+    cfg: DagConfig | None,
+    window_seconds: float = DEFAULT_ATTEN_WINDOW_S,
+) -> RunTrace:
+    """:func:`_run` as a sweep's runs take it: a diverged run gives its partial trace."""
     try:
-        if runs:
-            begin(0)
-        for k in range(len(runs)):
-            done.acquire()
-            trace = box.pop()
-            if isinstance(trace, BaseException):
-                raise trace
-            if k + 1 < len(runs):
-                begin(k + 1)  # the next run computes while the consumer handles this one
-            yield trace
-    finally:
-        cancelled = True
-        start.release()
-        worker.join()
+        return _run(scn, sig, policy, cfg, window_seconds)
+    except RunDiverged as exc:
+        return exc.trace
+
+
+def _window_samples(window_seconds: float, sample_rate_hz: float) -> float:
+    """The attenuation window ``window_seconds`` in whole samples at ``sample_rate_hz``, inf
+    where it is beyond the doubles. A window that rounds to fewer than two samples (NaN
+    included) raises ValueError: one sample has variance 0, so every window would clamp."""
+    win = window_seconds * float(sample_rate_hz)
+    count = round(win) if abs(win) < math.inf else win  # round() rounds half to even
+    if not count >= 2:
+        raise ValueError(
+            f"window_seconds must cover at least two samples; {window_seconds!r} s at {sample_rate_hz!r} Hz"
+            f" is {win!r} samples"
+        )
+    return count
 
 
 def attenuation_db(
@@ -463,14 +433,14 @@ def attenuation_db(
     the controlled span, with the open-loop variance taken over the whole
     open-loop prefix. Zero controlled variance clamps at +120 dB with the
     companion ``atten_clamped`` mask set; a silent run (both variances
-    zero) reads 0 dB. Windows are counted in samples at ``trace.sample_rate_hz``.
-    The series is stored on the trace and returned; a window that does not fit
-    both the prefix and the controlled span raises ValueError.
+    zero) reads 0 dB. Windows are counted in samples at ``trace.sample_rate_hz``,
+    at least two (:func:`_window_samples`). The series is stored on the trace and
+    returned; a window that does not fit both the prefix and the controlled span
+    raises ValueError.
     """
-    win = window_seconds * float(trace.sample_rate_hz)
-    if not 0.5 < win < math.inf:  # NaN included; round(win) >= 1 exactly when win > 0.5
-        raise ValueError("window must cover at least one sample and a finite number of them")
-    win = int(round(win))
+    win = _window_samples(window_seconds, trace.sample_rate_hz)
+    if win == math.inf:
+        raise ValueError("window_seconds must cover at least two samples and a finite number of them")
     prefix = trace.open_loop_prefix_samples
     if prefix < win:
         raise ValueError("open-loop prefix shorter than one window")

@@ -341,9 +341,9 @@ def _real_part_minimum(num, den, unit_pole: bool) -> tuple[float, float]:
 
 
 def _minimum(num, den, unit_pole: bool) -> tuple[float, float]:
-    """:func:`_real_part_minimum`, by the kernel's entry where it loads."""
+    """:func:`_real_part_minimum`, by the kernel's entry where it loads and takes the call."""
     kernel = _kernel.load()
-    return (_real_part_minimum if kernel is None else kernel.real_part_minimum)(num, den, unit_pole)
+    return (kernel and kernel.real_part_minimum(num, den, unit_pole)) or _real_part_minimum(num, den, unit_pole)
 
 
 def is_spr_numeric(h: TransferOperator, grid_size: int = DEFAULT_SPR_GRID) -> SprVerdict:

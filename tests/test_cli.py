@@ -574,8 +574,9 @@ class TestConfigBoundary:
         assert main(["compare", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
         assert "mu must be a positive finite gain" in capsys.readouterr().err
 
-    # 0.0001 s is a quarter of a sample at 2500 Hz: attenuation_db would reject it in every run
-    @pytest.mark.parametrize("window", ["0", "-1", "nan", "0.0001"])
+    # 0.0001 s is a quarter of a sample at 2500 Hz and 0.0004 s one sample, whose variance is
+    # always 0: attenuation_db would reject either in every run
+    @pytest.mark.parametrize("window", ["0", "-1", "nan", "0.0001", "0.0004"])
     def test_window_must_be_positive(self, tmp_path, capsys, window):
         path = write_config(
             tmp_path, SMALL_FEEDFORWARD_CONFIG.replace("window_seconds = 1.0", f"window_seconds = {window}")

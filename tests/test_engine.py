@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import threading
+import types
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -421,10 +422,11 @@ def minimum_bits(result):
     return tuple(v.hex() for v in result)
 
 
-def counted_twin(monkeypatch, kernel) -> list:
-    """The calls that ``kernel.real_part_minimum`` hands to its Python twin, recorded."""
-    calls, twin = [], kernel._twin
-    monkeypatch.setattr(kernel, "_twin", lambda *args: calls.append(args) or twin(*args))
+def counted_twin(monkeypatch) -> list:
+    """The calls that the verdicts hand to the Python twin where the kernel's entry declines
+    them, recorded; called after the kernel loads, so that the load's self-check does not count."""
+    calls, twin = [], spr_design._real_part_minimum
+    monkeypatch.setattr(spr_design, "_real_part_minimum", lambda *args: calls.append(args) or twin(*args))
     return calls
 
 
@@ -433,20 +435,20 @@ def arima2(c1, c2, d1p):
     return (1.0, c1, c2), (1.0, -d1p) if d1p else (1.0,)
 
 
-def test_real_part_minimum_is_its_twin_on_seeded_cells(kernel, monkeypatch):
+def test_real_part_minimum_is_its_twin_on_seeded_cells(kernel):
     """10^4 seeded cells, d1p at 0, +-0.5, 0.9, +-(1 - 1e-15) or drawn, for both verdicts:
-    the entry answers every call itself, with the minimum and the x of the twin, bit for bit."""
+    the entry answers every call itself (None would be a decline), with the minimum and the
+    x of the twin, bit for bit."""
     rng = np.random.default_rng(242)
     n = 10_000
     edges = [0.0, 0.5, -0.5, 0.9, 1.0 - 1e-15, -(1.0 - 1e-15)]
     d1p = rng.choice([*edges, *rng.uniform(-1.0, 1.0, len(edges))], n).tolist()
-    calls = counted_twin(monkeypatch, kernel)
     for c1, c2, p in zip(rng.uniform(-3.0, 3.0, n).tolist(), rng.uniform(-2.0, 2.0, n).tolist(), d1p):
         num, den = arima2(c1, c2, p)
         for unit_pole in (False, True):
+            got = kernel.real_part_minimum(num, den, unit_pole)
             want = minimum_bits(spr_design._real_part_minimum(num, den, unit_pole))
-            assert minimum_bits(kernel.real_part_minimum(num, den, unit_pole)) == want, (c1, c2, p, unit_pole)
-    assert calls == []
+            assert got is not None and minimum_bits(got) == want, (c1, c2, p, unit_pole)
 
 
 @pytest.mark.parametrize(
@@ -470,11 +472,10 @@ def test_real_part_minimum_is_its_twin_on_seeded_cells(kernel, monkeypatch):
         "overflow", "lossless", "minus-zero-minimum", "minus-zero-x", "plus-zero", "degree-0", "unit-pole", "subnormal", "underflow",
     ],
 )
-def test_real_part_minimum_on_edge_rows(kernel, monkeypatch, num, den, unit_pole, want):
-    calls = counted_twin(monkeypatch, kernel)
+def test_real_part_minimum_on_edge_rows(kernel, num, den, unit_pole, want):
     got = kernel.real_part_minimum(num, den, unit_pole)
+    assert got is not None  # answered by the entry itself
     assert minimum_bits(got) == minimum_bits(want) == minimum_bits(spr_design._real_part_minimum(num, den, unit_pole))
-    assert calls == []
 
 
 def test_real_part_minimum_overflows_to_an_infinity(kernel):
@@ -488,7 +489,8 @@ def test_real_part_minimum_overflows_to_an_infinity(kernel):
 
 def test_a_pole_on_a_candidate_raises_on_both_engines(kernel, monkeypatch):
     """D = 1 + q^-1 vanishes at x = -1: the entry declines and its twin raises."""
-    calls = counted_twin(monkeypatch, kernel)
+    assert kernel.real_part_minimum((1.0,), (1.0, 1.0), False) is None
+    calls = counted_twin(monkeypatch)
     h = TransferOperator((1.0,), (1.0, 1.0))
     with pytest.raises(dsp_core.SingularityError, match="pole exactly on the evaluation point"):
         daglms.is_spr_numeric(h)
@@ -501,13 +503,12 @@ def test_a_pole_on_a_candidate_raises_on_both_engines(kernel, monkeypatch):
 def test_secondary_path_ratio_takes_the_twin(kernel, monkeypatch, fs):
     """The degree-6 ratios of the secondary-path screen need the colleague matrix: the
     entry hands them to the twin, which gives the verdict of the Python engine."""
-    calls = counted_twin(monkeypatch, kernel)
     g = sim.make_secondary_path(fs)
-    for model in (g, sim.make_mismatched_model(fs)):
-        h = spr_design.ratio_transfer(g, model)
-        got = daglms.is_spr_numeric(h)
-        with mock.patch.object(_kernel, "load", return_value=None):
-            assert daglms.is_spr_numeric(h) == got
+    ratios = [spr_design.ratio_transfer(g, model) for model in (g, sim.make_mismatched_model(fs))]
+    with mock.patch.object(_kernel, "load", return_value=None):
+        want = [daglms.is_spr_numeric(h) for h in ratios]
+    calls = counted_twin(monkeypatch)
+    assert [daglms.is_spr_numeric(h) for h in ratios] == want
     assert len(calls) == 2
 
 
@@ -774,21 +775,46 @@ def test_no_runs():
     assert run_many(default_feedforward_scenario(duration_s=2.0, prefix_s=1.0, n_taps=4), []) == []
 
 
-def test_stream_keeps_order_under_fast_switching(monkeypatch):
-    """Many short streams with the interpreter switching threads as often as it can: each
-    gives every run's result once and in order, and each, read to its end or closed after
-    its first trace, leaves no worker thread behind."""
-    monkeypatch.setattr(sim, "_new_trace", lambda scn, sig, policy: None)
-    monkeypatch.setattr(sim, "_run", lambda scn, sig, policy, cfg, window_seconds, trace: (policy, cfg))
+def test_sweep_keeps_order_under_fast_switching(monkeypatch, tmp_path):
+    """Many short sweeps of 1 to 7 runs with the interpreter switching threads as often as
+    it can: each writes every trace once and in run order and its summary rows in that
+    order, and each, whole or stopped by a writer error at a seeded run, leaves no writer
+    thread behind."""
+    rng, written, failing = np.random.default_rng(25), [], [None]
+
+    def run(scn, sig, policy, cfg, window_seconds):  # a finished trace that names its run
+        return types.SimpleNamespace(
+            atten_db=None, diverged=False, divergence_step=policy, spr_ok=None, wall_time_s=0.0
+        )
+
+    def write(path, trace):
+        if trace.divergence_step == failing[0]:
+            raise OSError("disk full")
+        written.append(trace.divergence_step)
+
+    monkeypatch.setattr(sim, "_signals", lambda scn: None)
+    monkeypatch.setattr(sim, "_sweep_run", run)
+    monkeypatch.setattr(cli, "_write_trace", write)
     threads, interval = threading.active_count(), sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for n in range(200):
-            runs = [(k, n) for k in range(n % 7 + 1)]
-            assert list(sim._stream(None, None, runs)) == runs
-            stream = sim._stream(None, None, runs)
-            assert next(stream) == runs[0]
-            stream.close()
+            order = list(range(n % 7 + 1))
+            algorithms = [f"a{k}" for k in order]
+            options = {"algorithms": algorithms, "presets": ["integral"], "policies": dict(zip(algorithms, order)),
+                       "window_seconds": 1.0, "threshold_db": 20.0}
+            written.clear()
+            failing[0] = None
+            assert cli._sweep(None, options, tmp_path) == cli.EXIT_OK
+            assert written == order
+            summary = (tmp_path / "summary.csv").read_text().splitlines()[1:]
+            assert [int(row.split(",")[3]) for row in summary] == order  # the divergence_step column
+            assert threading.active_count() == threads
+            written.clear()
+            failing[0] = int(rng.integers(len(order)))
+            with pytest.raises(OSError, match="disk full"):
+                cli._sweep(None, options, tmp_path)
+            assert written == order[:failing[0]]
             assert threading.active_count() == threads
     finally:
         sys.setswitchinterval(interval)

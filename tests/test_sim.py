@@ -306,6 +306,19 @@ class TestAttenuation:
         with pytest.raises(ValueError):
             attenuation_db(trace, window_seconds=0.5)
 
+    @pytest.mark.parametrize("window_seconds, samples", [(0.01, 1), (0.0149, 1), (0.015, 2), (0.025, 2)])
+    def test_window_of_one_sample(self, window_seconds, samples):
+        # at 100 Hz: one sample has variance 0, and every window would clamp at +120 dB;
+        # 1.5 and 2.5 samples both round, half to even, to two
+        trace = trace_with_residual(np.arange(100.0), 10, fs=100.0)
+        if samples == 1:
+            with pytest.raises(ValueError, match="window_seconds must cover at least two samples"):
+                attenuation_db(trace, window_seconds=window_seconds)
+            assert trace.atten_db is None
+        else:
+            attenuation_db(trace, window_seconds=window_seconds)
+            assert trace.atten_window_samples == 2 and not trace.atten_clamped.any()
+
     def test_window_of_infinite_samples(self):
         # 1e308 s at 100 Hz overflows to inf samples, which no trace holds
         trace = trace_with_residual(np.ones(100), 10, fs=100.0)
