@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import ctypes
 import os
-import weakref
+import random  # the stdlib's, which NumPy imports: numpy.random would be most of a load
 import zlib
 from pathlib import Path
 
@@ -109,7 +109,8 @@ def _repr_cases() -> np.ndarray:
             x = np.nextafter(x, direction)
             near.append(x)
     signed = np.concatenate([*near, [0.0, np.inf, np.nan, 5e-324, np.finfo(float).max, np.finfo(float).tiny]])
-    drawn = np.random.default_rng(19).integers(0, 2**64, 2000, dtype=np.uint64).view(np.float64)
+    rng = random.Random(19)
+    drawn = np.array([rng.getrandbits(64) for _ in range(2000)], dtype=np.uint64).view(np.float64)
     return np.concatenate([signed, -signed, np.ldexp(1.0, np.arange(-1074, 1024)), drawn])
 
 
@@ -117,10 +118,9 @@ def _design_cases() -> list[tuple[tuple[float, ...], tuple[float, ...]]]:
     """The (numerator, denominator) pairs of the real-part-minimum self-check: seeded cells
     ``(1 + c1 q^-1 + c2 q^-2) / (1 - d1p q^-1)`` with d1p at 0, +-0.5, 0.9, +-(1 - 1e-15) or
     drawn, the lossless cell (0.5, -0.5, 0.5) and the row whose response overflows the doubles."""
-    rng = np.random.default_rng(24)
-    pool = [0.0, 0.5, -0.5, 0.9, 1.0 - 1e-15, -(1.0 - 1e-15), *rng.uniform(-1.0, 1.0, 6).tolist()]
-    d1p = [pool[i] for i in rng.integers(0, len(pool), 40).tolist()]  # rng.choice adds 0.2 MB of peak RSS
-    cells = [*zip(rng.uniform(-3.0, 3.0, 40).tolist(), rng.uniform(-2.0, 2.0, 40).tolist(), d1p)]
+    rng = random.Random(24)
+    pool = [0.0, 0.5, -0.5, 0.9, 1.0 - 1e-15, -(1.0 - 1e-15), *(rng.uniform(-1.0, 1.0) for _ in range(6))]
+    cells = [(rng.uniform(-3.0, 3.0), rng.uniform(-2.0, 2.0), rng.choice(pool)) for _ in range(40)]
     cells += [(0.5, -0.5, 0.5), (1e308, 1e308, 0.0)]
     return [((1.0, c1, c2), (1.0, -p) if p else (1.0,)) for c1, c2, p in cells]
 
@@ -148,7 +148,6 @@ class Kernel:
         ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
         self._adapt = lib.daglms_adapt
         self._adapt.restype, self._adapt.argtypes = i64, (ptr, *(i64,) * 6, *(f64,) * 4, *(ptr,) * 14)
-        self._signals = (lambda: None), ()  # the last signals' weak reference and addresses
         self._lfilter, self._sosfilt = lib.daglms_lfilter, lib.daglms_sosfilt
         self._lfilter.restype, self._lfilter.argtypes = None, (i64, ptr, ptr, ptr, i64, ptr, ptr)
         self._sosfilt.restype, self._sosfilt.argtypes = None, (i64, ptr, ptr, i64, ptr, ptr)
@@ -157,8 +156,9 @@ class Kernel:
         self._pow10 = _pow10_table()
         self._dot = dot = lib.daglms_dot
         dot.restype, dot.argtypes = ctypes.c_double, (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p)
-        rng = np.random.default_rng(0)
-        pairs = [np.split(rng.standard_normal(2 * n) * 10.0 ** rng.uniform(-3, 3), 2) for n in range(1, 65)]
+        rng = random.Random(0)
+        pairs = [np.array([rng.gauss(0.0, 1.0) for _ in range(2 * n)]).reshape(2, n) for n in range(1, 65)]
+        pairs = [xy * 10.0 ** rng.uniform(-3, 3) for xy in pairs]
         for x, y in [*pairs, (np.zeros(1), -np.ones(1))]:  # np.dot gives the last -0.0
             got, want = dot(self._ddot, x.size, x.ctypes.data, y.ctypes.data), float(np.dot(x, y))
             if got.hex() != want.hex():
@@ -204,21 +204,10 @@ class Kernel:
         norm = ctypes.c_double()
         step = self._adapt(
             self._ddot, n, T, sig.prefix, len(hist), state._depth, order, state.policy.mu, *state._rule,
-            state.divergence_limit, *self._signal_addresses(sig), *map(_address, arrays), ctypes.byref(norm),
+            state.divergence_limit, *sig.addresses, *map(_address, arrays), ctypes.byref(norm),
         )
         state.t += step or T - sig.prefix
         return step, norm.value
-
-    def _signal_addresses(self, sig) -> tuple:
-        """The addresses of ``sig``'s desired signal, delay lines and target, checked and taken
-        once for the runs that share ``sig``, as a sweep's runs and repeated single runs do."""
-        cached, addresses = self._signals
-        if cached() is not sig:
-            arrays = (sig.desired, sig.rev, sig.rev_f, sig.target)
-            _check(arrays)
-            addresses = tuple(None if v is None else v.ctypes.data for v in arrays)
-            self._signals = weakref.ref(sig), addresses
-        return addresses
 
     def lfilter(self, b, a, x, z: np.ndarray) -> np.ndarray:
         """:meth:`daglms.TransferOperator.filter_step` of the operator ``b / a`` (``a[0] == 1``)

@@ -3,8 +3,8 @@
 Verdict checks, SPR/PR region grids, frequency-response export and
 experiment sweeps, all written as deterministic CSV for external plotting.
 Exit codes: 0 ok, 1 verdict mismatch against an expected-values file,
-2 divergence in a run, 3 configuration error, 4 numerics error (a root
-solve that failed, or a response evaluated on a pole).
+2 divergence in a run, 3 configuration error (out of memory included),
+4 numerics error (a root solve that failed, or a response evaluated on a pole).
 """
 
 from __future__ import annotations
@@ -417,10 +417,11 @@ def _sweep(scenario, options, out: str) -> int:
         if algorithm not in options["policies"]:
             raise ConfigError(f"unknown algorithm {algorithm!r} (known: {', '.join(options['policies'])})")
     presets = [(preset, make_preset(preset)) for preset in options["presets"]]
+    sig = sim._signals(scenario)  # before the output directory: signals that do not fit write nothing
     out = _out_dir(out)
     from concurrent.futures import ThreadPoolExecutor  # only a sweep loads it
 
-    sig, summary_rows, pending = sim._signals(scenario), [], []
+    summary_rows, pending = [], []
     # each run computes here while the trace before it is written on the one writer thread,
     # whose row is taken before this trace goes to it: at most two traces are alive
     with ThreadPoolExecutor(1, "daglms-writer") as writer:
@@ -518,6 +519,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICS
     except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # a scenario too large for this process
+        print(f"config error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -15,7 +15,7 @@ import math
 import pickle
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,13 +81,13 @@ class ScenarioConfig:
         if self.kind == "sysid":
             if self.open_loop_prefix_samples:
                 raise ValueError("open_loop_prefix_samples must be 0 for a sysid scenario, which adapts from sample 0")
-            for field in ("primary_path", "secondary_path", "secondary_model", "regressor_filter"):
-                if getattr(self, field) is not None:
-                    raise ValueError(f"{field} must be unset for a sysid scenario, which runs no path")
+            for name in ("primary_path", "secondary_path", "secondary_model", "regressor_filter"):
+                if getattr(self, name) is not None:
+                    raise ValueError(f"{name} must be unset for a sysid scenario, which runs no path")
             if self.true_params is None:
                 raise ValueError("sysid scenario needs true_params")
             self.true_params = np.asarray(self.true_params, dtype=float)
-            if self.true_params.size != self.n_adaptive_params:
+            if self.true_params.shape != (self.n_adaptive_params,):
                 raise ValueError("n_adaptive_params must match true_params length")
         else:
             if self.true_params is not None:
@@ -132,7 +132,7 @@ def _delay_line(v: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate((np.zeros(n - 1), v))[::-1].copy()
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Signals:
     """What a scenario feeds each of its runs, built once per scenario.
 
@@ -143,9 +143,10 @@ class _Signals:
     samples; ``param_err`` is filled when ``target`` is given. ``nan`` is the
     all-NaN record that every run shares for the records it never
     writes (``e_post`` of a non-posterior rule, ``param_err`` without a target).
-    Every array is read-only and private to these signals. ``spr_ok`` is the
-    secondary-path SPR screen's verdict and ``warning`` the warning it calls for,
-    None where it passes.
+    Every array is checked to be C-contiguous float64, made read-only and private to these
+    signals; the compiled loop reads ``desired``, ``rev``, ``rev_f`` and ``target`` at
+    ``addresses``. ``spr_ok`` is the secondary-path SPR screen's verdict and ``warning`` the
+    warning it calls for, None where it passes.
     """
 
     desired: np.ndarray
@@ -157,21 +158,29 @@ class _Signals:
     spr_ok: bool | None
     warning: str | None
     nan: np.ndarray
+    addresses: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        for v in (self.desired, self.rev, self.rev_f, self.target, self.nan):
+        read = (self.desired, self.rev, self.rev_f, self.target)
+        _kernel._check((*read, self.nan))
+        for v in (*read, self.nan):
             if v is not None:
                 v.flags.writeable = False
+        object.__setattr__(self, "addresses", tuple(None if v is None else v.ctypes.data for v in read))
 
 
 def _build_signals(scn: ScenarioConfig) -> _Signals:
     n, T = scn.n_adaptive_params, scn.duration_samples
     nan = np.full(T, np.nan)
     if scn.kind == "sysid":
+        # true_params may have been reassigned since construction: coerced and checked as there
+        params = np.array(scn.true_params, dtype=float)
+        if params.shape != (n,):
+            raise ValueError("n_adaptive_params must match true_params length")
         d = gen_noise(scn.noise, T)
-        x = _measured(scn, np.convolve(scn.true_params, d)[:T])
+        x = _measured(scn, np.convolve(params, d)[:T])
         rev = _delay_line(d, n)
-        return _Signals(x, rev, rev, None, 0, np.array(scn.true_params, order="C"), None, None, nan)
+        return _Signals(x, rev, rev, None, 0, params, None, None, nan)
     prefix = scn.open_loop_prefix_samples
     w = gen_noise(scn.noise, T)
     x = _measured(scn, scn.primary_path.fresh().filter_signal(w))
@@ -189,17 +198,8 @@ def _models(scn: ScenarioConfig) -> tuple[TransferOperator, TransferOperator]:
     return g_model, scn.regressor_filter if scn.regressor_filter is not None else g_model
 
 
-def _signals(scn: ScenarioConfig) -> _Signals:
-    """The signals of ``scn``, built afresh; warns, at the caller's caller, where the
-    secondary path over its model fails the SPR screen."""
-    sig = _build_signals(scn)
-    if sig.warning:
-        warnings.warn(sig.warning, stacklevel=3)
-    return sig
-
-
-# (key, signals) of the last scenario that run_sysid or run_feedforward ran, so that a
-# series of single runs on one scenario builds its signals once
+# (key, signals) of the last scenario that a run or a sweep ran, so that a series of
+# runs on one scenario builds its signals once
 _memo: tuple | None = None
 
 
@@ -220,11 +220,12 @@ def _signal_key(scn: ScenarioConfig) -> bytes:
     return pickle.dumps((*inputs, scn.noise, scn.measurement_noise_rms, params, paths))
 
 
-def _memo_signals(scn: ScenarioConfig) -> _Signals:
+def _signals(scn: ScenarioConfig) -> _Signals:
     """The signals of ``scn`` from a one-entry memo: built where the last call's scenario
     differs from ``scn`` in any bit of an input, else those of the last call. The memo holds
-    one scenario's signals, the last, after the call returns. Warns as :func:`_signals`
-    does, also where the signals come from the memo."""
+    one scenario's signals, the last, after the call returns. Warns, at the caller's caller,
+    where the secondary path over its model fails the SPR screen, also where the signals
+    come from the memo."""
     global _memo
     key, memo = _signal_key(scn), _memo
     if memo is None or memo[0] != key:
@@ -337,7 +338,7 @@ def run_sysid(
     """
     if scn.kind != "sysid":
         raise ValueError("scenario kind must be 'sysid'")
-    return _run(scn, _memo_signals(scn), policy, cfg)
+    return _run(scn, _signals(scn), policy, cfg)
 
 
 def _screen_path_ratio(g: TransferOperator, g_model: TransferOperator) -> tuple[bool, str | None]:
@@ -375,7 +376,7 @@ def run_feedforward(
     """
     if scn.kind != "feedforward":
         raise ValueError("scenario kind must be 'feedforward'")
-    return _run(scn, _memo_signals(scn), policy, cfg)
+    return _run(scn, _signals(scn), policy, cfg)
 
 
 def run_many(scn: ScenarioConfig, runs) -> list[RunTrace]:
@@ -383,8 +384,8 @@ def run_many(scn: ScenarioConfig, runs) -> list[RunTrace]:
     calling thread.
 
     Returns one trace per pair, in order, each with the bits that
-    :func:`run_sysid` or :func:`run_feedforward` gives that pair. The signals
-    and the secondary-path SPR screen are built once and shared, and so is the
+    :func:`run_sysid` or :func:`run_feedforward` gives that pair, and shares with them
+    the memo of signals and the secondary-path SPR screen; the runs share those and the
     read-only all-NaN array that stands for every record a run never writes
     (``e_post`` of a non-posterior rule, ``param_err`` of a feedforward
     scenario). A diverged run is returned with ``diverged=True`` and its partial

@@ -491,6 +491,29 @@ def test_config_error_leaves_no_output(tmp_path, capsys, argv, config, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["duration_samples", "n_adaptive_params"])
+def test_scenario_too_large_for_memory_exits_3(tmp_path, key):
+    """A scenario whose signals do not fit exits 3 with a one-line message and writes nothing.
+    The process runs under a 2 GB address-space cap, so the allocation fails at once even
+    on a host that overcommits, where it would otherwise touch the pages."""
+    config = write_config(tmp_path, re.sub(rf"^{key} = \d+$", f"{key} = 100000000000", SMALL_FEEDFORWARD_CONFIG, flags=re.M))
+    assert f"{key} = 100000000000" in config.read_text()
+    out = tmp_path / "out"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2_000_000_000, 2_000_000_000))\n"
+        "from daglms import cli\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    argv = [sys.executable, "-c", code, "compare", "--config", str(config), "--out", str(out)]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 3, done.stderr
+    assert done.stderr.startswith("config error: out of memory: ") and done.stderr.count("\n") == 1, done.stderr
+    assert not out.exists()
+
+
 def test_cli_import_leaves_scipy_signal_unloaded():
     """No command needs SciPy, so the command line starts without it."""
     src = str(Path(cli.__file__).resolve().parents[1])

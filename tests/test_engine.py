@@ -59,9 +59,10 @@ def single(run, *args):
 
 
 def oracle(scn, policy, cfg):
-    """The run through the Python loop ``sim._adapt_loop``, on signals of its own."""
+    """The run through the Python loop ``sim._adapt_loop``, on signals of its own, built
+    under the patched load and not taken from the memo that the runs it checks fill."""
     with mock.patch.object(_kernel, "load", return_value=None):
-        trace = single(sim._run, scn, sim._signals(scn), policy, cfg)
+        trace = single(sim._run, scn, sim._build_signals(scn), policy, cfg)
     assert trace.engine == "python"
     return trace
 
@@ -581,6 +582,33 @@ def test_sysid_sweep_matches_single_runs():
     assert 0 < sum(trace.diverged for trace in many) < len(runs)
 
 
+@pytest.mark.parametrize("params", [[0.5, -0.3], [0.5, -0.3, 0.1, 0.2, 0.0]], ids=["short", "long"])
+def test_reassigned_true_params_of_another_length_raise_on_both_engines(params):
+    """``true_params`` reassigned after construction to a length other than the tap count is
+    rejected where the signals are built, with the constructor's message, before either loop
+    reads it: a single run, a sweep, with the kernel and without."""
+    scn = sysid_scenario(3, 100)
+    scn.true_params = np.array(params)
+    for load in (_kernel.load, lambda: None):
+        with mock.patch.object(_kernel, "load", load):
+            for call in (lambda: run_sysid(scn, StepSizePolicy.nlms(0.2)), lambda: run_many(scn, sweep([("nlms", 0.2)]))):
+                with pytest.raises(ValueError, match="n_adaptive_params must match true_params length"):
+                    call()
+
+
+def test_integer_true_params_give_the_bits_of_floats_on_both_engines():
+    """Integer ``true_params`` reassigned after construction are taken as the floats they
+    equal, as the constructor takes them: both engines run, with the bits of the float scenario."""
+    floats = sysid_scenario(3, 300)
+    floats.true_params = np.array([1.0, -2.0, 0.0])
+    integers = sysid_scenario(3, 300)
+    integers.true_params = np.array([1, -2, 0])
+    runs = sweep([("nlms", 0.2)])
+    for (policy, cfg), want in zip(runs, run_many(floats, runs)):
+        assert_same_trace(oracle(integers, policy, cfg), want, (policy, cfg))
+    assert_same_runs(integers, runs, run_sysid)
+
+
 SHAPES = {
     "sysid": (lambda n: sysid_scenario(n, 400), run_sysid),
     "feedforward": (lambda n: default_feedforward_scenario(duration_s=0.24, prefix_s=0.08, n_taps=n), run_feedforward),
@@ -656,7 +684,7 @@ def both_loops(scn, policy, cfg, start=None, limit=None):
     """``Kernel.adapt`` and ``sim._adapt_loop`` on one scenario's signals, each from its own
     ``AdaptState``, started at ``start`` and checked against ``limit`` where given: the step
     and norm each returns, its state and its trace."""
-    sig, out = sim._signals(scn), []
+    sig, out = sim._build_signals(scn), []
     for loop in (compiled().adapt, sim._adapt_loop):
         state = AdaptState(scn.n_adaptive_params, policy, cfg)
         if start is not None:
@@ -698,7 +726,7 @@ def test_history_block_matches_the_python_loop(cfg):
 def running_norms(scn, policy, cfg):
     """The estimate norm that each step of the Python loop checks, from ``AdaptState.update``
     on the loop's own signals (a sysid loop has no path, so the two agree)."""
-    sig, n, T = sim._signals(scn), scn.n_adaptive_params, scn.duration_samples
+    sig, n, T = sim._build_signals(scn), scn.n_adaptive_params, scn.duration_samples
     state = AdaptState(n, policy, cfg)
     state.divergence_limit = math.inf
     norms = []
@@ -918,5 +946,19 @@ def test_import_and_contour_leave_the_kernel_unbuilt(tmp_path):
         "assert _kernel._kernel is None\n"
         f"assert cli.main(['check', '--out', {str(out)!r}]) == 0\n"
         "assert _kernel._kernel is not None\n"  # the Kernel, or False where it cannot build
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, capture_output=True)
+
+
+def test_check_leaves_numpy_random_unloaded(tmp_path):
+    """The kernel's self-checks draw their cases from the stdlib's ``random``: a ``check`` in a
+    fresh process, which loads the kernel, never imports ``numpy.random``."""
+    src = str(Path(daglms.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = (
+        "import sys; from daglms import _kernel, cli\n"
+        f"assert cli.main(['check', '--out', {str(tmp_path)!r}]) == 0\n"
+        "assert _kernel._kernel is not None\n"
+        "assert 'numpy.random' not in sys.modules\n"
     )
     subprocess.run([sys.executable, "-c", code], check=True, env=env, capture_output=True)

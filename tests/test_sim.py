@@ -1,5 +1,7 @@
 """Scenario and metric tests: identification, feedforward loop, attenuation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -120,6 +122,13 @@ class TestRunSysid:
                 true_params=[0.5, -0.3],
                 open_loop_prefix_samples=100,
             )
+
+    @pytest.mark.parametrize("theta", [[0.5], [[0.5], [-0.3]]], ids=["short", "column"])
+    def test_true_params_are_one_value_per_tap(self, theta):
+        """A column of the right size is rejected where it enters, as a wrong length is, and
+        as the signals reject a ``true_params`` assigned after construction."""
+        with pytest.raises(ValueError, match="n_adaptive_params must match true_params length"):
+            ScenarioConfig("sysid", NoiseSpec(kind="white"), 2, 500, true_params=theta)
 
 
 @pytest.mark.parametrize(
@@ -405,7 +414,7 @@ class TestSignalMemo:
     @staticmethod
     def uncached(scn, policy, cfg=None):
         try:
-            return sim._run(scn, sim._signals(scn), policy, cfg)
+            return sim._run(scn, sim._build_signals(scn), policy, cfg)
         except RunDiverged as exc:
             return exc.trace
 
@@ -453,10 +462,61 @@ class TestSignalMemo:
                 assert run_feedforward(scn, StepSizePolicy.nlms(0.0002)).spr_ok is False
         assert len(builds) == 1
 
-    def test_sweep_leaves_the_memo_alone(self, builds):
-        """``run_many`` builds its own signals, which go when it returns."""
+    def test_sweep_fills_the_memo(self, builds):
+        """``run_many`` takes its signals from the memo, as a single run does: a sweep and then
+        a single run on one scenario build them once, and the single run gives the sweep's bits."""
         scn = sysid_scenario([0.5, -0.3], duration=300)
-        run_sysid(scn, StepSizePolicy.nlms(0.2))
-        memo = sim._memo
-        run_many(sysid_scenario([0.1, 0.2], duration=300), [(StepSizePolicy.lms(0.01), None)])
-        assert sim._memo is memo and len(builds) == 2
+        pair = StepSizePolicy.nlms(0.2), make_preset("ipd")
+        [swept] = run_many(scn, [pair])
+        assert sim._memo is not None
+        assert trace_bits(run_sysid(scn, *pair)) == trace_bits(swept)
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("run", ["run_many", "run_feedforward"])
+    def test_screen_warning_points_at_the_caller(self, builds, run):
+        """The secondary-path screen's warning names the line that called the sweep or the run,
+        on the call that builds the signals and on the one that takes them from the memo."""
+        scn = default_feedforward_scenario(duration_s=4.0, prefix_s=1.0, n_taps=4, mismatched_model=True)
+        call = {"run_many": lambda: run_many(scn, [(StepSizePolicy.nlms(0.0002), None)]),
+                "run_feedforward": lambda: run_feedforward(scn, StepSizePolicy.nlms(0.0002))}[run]
+        for _ in range(2):
+            with pytest.warns(UserWarning, match="not strictly positive real") as record:
+                call()
+            assert [w.filename for w in record] == [__file__]
+        assert len(builds) == 1
+
+
+def plain_signals(**arrays):
+    arrays = {"desired": np.zeros(4), "rev": np.zeros(5), "rev_f": np.zeros(5), "target": np.zeros(2),
+              "nan": np.full(4, np.nan), **arrays}
+    return sim._Signals(path=None, prefix=0, spr_ok=None, warning=None, **arrays)
+
+
+class TestSignals:
+    """``_Signals`` checks its arrays where they are built, for both loops, and is frozen."""
+
+    @pytest.mark.parametrize(
+        "name, array",
+        [
+            ("desired", np.zeros(4, dtype=np.int64)),
+            ("rev", np.zeros(10)[::2]),
+            ("rev_f", np.zeros(5, dtype=np.float32)),
+            ("target", np.zeros((2, 2)).T[0]),
+            ("nan", np.full(8, np.nan)[::2]),
+        ],
+        ids=["int-desired", "strided-rev", "float32-rev-f", "strided-target", "strided-nan"],
+    )
+    def test_rejects_an_array_the_loop_cannot_read(self, name, array):
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            plain_signals(**{name: array})
+        assert array.flags.writeable  # rejected before any array is made read-only
+
+    def test_takes_the_addresses_once_and_cannot_be_reassigned(self):
+        sig = sim._build_signals(sysid_scenario([0.5, -0.3], duration=50))
+        read = (sig.desired, sig.rev, sig.rev_f, sig.target)
+        assert sig.addresses == tuple(v.ctypes.data for v in read)
+        assert plain_signals(target=None).addresses[3] is None
+        for name in ("desired", "target", "addresses"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(sig, name, np.zeros(2))
+        assert not any(v.flags.writeable for v in (*read, sig.nan))
