@@ -25,11 +25,11 @@ from .dsp_core import NoiseSpec, Polynomial, RootFindingError, SingularityError,
 from .spr_design import (
     DEFAULT_SPR_GRID,
     DagConfig,
+    _pr_unit_pole,
     bode_points,
     dag_transfer,
-    integrated_dag,
     integrated_pr_closed_form,
-    is_pr_unit_pole,
+    is_pr_unit_pole,  # not called here; bench/tracer.py wraps it as cli.is_pr_unit_pole
     is_spr_numeric,
     log_gain_integral,
     spr_region_grid,
@@ -92,13 +92,12 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
         fh.write(",".join(header) + "\r\n" + _rows(columns))
 
 
-def _preset_row(name: str, cfg: DagConfig, triple) -> dict:
-    """One row of check's table; its callers ignore floating-point errors, as a row near the
-    float range overflows into its N/N verdicts."""
+def _preset_row(name: str, h: TransferOperator, triple) -> dict:
+    """One row of check's table for the gain filter ``h = N / A``, integrated_pr that of ``N / ((1 - q^-1) A)``;
+    its callers ignore floating-point errors, as a row near the float range overflows into its N/N verdicts."""
     c1, c2, d1p = triple
-    h = dag_transfer(cfg)
     spr = is_spr_numeric(h)
-    pr = is_pr_unit_pole(integrated_dag(cfg))
+    pr = _pr_unit_pole(h.numerator.coeffs, h.denominator.coeffs)
     integral = log_gain_integral(h, check_stability=False) if spr.is_stable else float("nan")
     return {
         "name": name,
@@ -130,7 +129,7 @@ def cmd_check(args) -> int:
     expected = _read_verdicts(Path(args.expect)) if args.expect else None
 
     with np.errstate(all="ignore"):
-        rows = [_preset_row(name, cfg, triple) for name, cfg, triple in entries]
+        rows = [_preset_row(name, dag_transfer(cfg), triple) for name, cfg, triple in entries]
     path = _out_dir(args.out) / "check.csv"
     _write_csv(path, CHECK_HEADER, _columns([r[k] for k in CHECK_HEADER] for r in rows))
     for r in rows:
@@ -197,12 +196,12 @@ def cmd_bode(args) -> int:
         raise ConfigError(f"--fs must be finite and positive, got {args.fs!r}")
     _distinct("preset", args.presets)
     # every preset resolved and its verdicts, check's row, computed before the first file is written
-    cfgs = [make_preset(name) for name in args.presets]
+    filters = [dag_transfer(make_preset(name)) for name in args.presets]
     with np.errstate(all="ignore"):
-        rows = [_preset_row(name, cfg, preset_triple(name)) for name, cfg in zip(args.presets, cfgs)]
+        rows = [_preset_row(name, h, preset_triple(name)) for name, h in zip(args.presets, filters)]
     tables, summary = [], []
-    for name, cfg, row in zip(args.presets, cfgs, rows):
-        freq, omega, gain_db, phase_deg = bode_points(dag_transfer(cfg), args.grid, args.fs)
+    for name, h, row in zip(args.presets, filters, rows):
+        freq, omega, gain_db, phase_deg = bode_points(h, args.grid, args.fs)
         tables.append([_fields(c) for c in (freq, omega, gain_db, phase_deg)])
         phase_ok = bool(np.all(np.abs(phase_deg) < 90.0))
         summary.append((name, row["dag_spr"], phase_ok, row["log_gain_integral"] / np.pi))
@@ -427,7 +426,7 @@ def _sweep(scenario, options, out: str) -> int:
     with ThreadPoolExecutor(1, "daglms-writer") as writer:
         for algorithm in options["algorithms"]:
             for preset, cfg in presets:
-                trace = sim._sweep_run(scenario, sig, options["policies"][algorithm], cfg, options["window_seconds"])
+                trace = sim._run(scenario, sig, options["policies"][algorithm], cfg, options["window_seconds"])
                 summary_rows += [row.result() for row in pending]
                 pending = [writer.submit(_write_run, trace, out, algorithm, preset, options["threshold_db"])]
         summary_rows += [row.result() for row in pending]
@@ -459,7 +458,7 @@ def cmd_compare(args) -> int:
     """``compare``, and ``run``: one algorithm x one preset, the config's first by default."""
     scenario, options = load_scenario(Path(args.config), args.seed)
     for key in ("algorithms", "presets"):
-        if getattr(args, key):
+        if getattr(args, key) is not None:  # an explicit empty list runs nothing, as an empty one in the config
             options[key] = getattr(args, key)
         elif args.command == "run":
             options[key] = options[key][:1]

@@ -99,7 +99,9 @@ class ScenarioConfig:
 @dataclass
 class RunTrace:
     """Per-step records of one run plus run-level flags; ``engine`` names the loop
-    that ran it, ``"kernel"`` (compiled) or ``"python"``, which give the same bits."""
+    that ran it, ``"kernel"`` (compiled) or ``"python"``, which give the same bits.
+    ``divergence_norm`` is the estimate norm that failed the divergence check, as
+    :class:`RunDiverged` carries it; None where the run did not diverge."""
 
     sample_rate_hz: float
     open_loop_prefix_samples: int
@@ -116,6 +118,7 @@ class RunTrace:
     atten_window_samples: int | None = None
     theta_final: np.ndarray | None = None
     engine: str = "python"
+    divergence_norm: float | None = None
 
 
 def _measured(scn: ScenarioConfig, x: np.ndarray) -> np.ndarray:
@@ -298,8 +301,8 @@ def _run(
 
     The residual is the measured signal before ``sig.prefix`` and ``e0`` from there
     on, and a feedforward run that does not diverge gets its attenuation series at
-    ``window_seconds``, if one full window fits. Divergence raises
-    :class:`RunDiverged` with the partial trace.
+    ``window_seconds``, if one full window fits. A diverged run returns its partial
+    trace, its divergence recorded on it; nothing is raised.
     """
     T, prefix = sig.desired.size, sig.prefix
     trace = _new_trace(scn, sig, policy)
@@ -314,11 +317,17 @@ def _run(
     trace.residual[:prefix] = sig.desired[:prefix]
     trace.residual[prefix:stop] = trace.e0[prefix:stop]
     if step:
-        trace.diverged, trace.divergence_step = True, step
-        raise RunDiverged(step, trace, norm)
-    if sig.path is not None:  # only a feedforward run has a path
+        trace.diverged, trace.divergence_step, trace.divergence_norm = True, step, norm
+    elif sig.path is not None:  # only a feedforward run has a path
         with contextlib.suppress(ValueError):  # no full window fits
             attenuation_db(trace, window_seconds)
+    return trace
+
+
+def _single(trace: RunTrace) -> RunTrace:
+    """``trace`` as a single run returns it: a diverged one raises :class:`RunDiverged`."""
+    if trace.diverged:
+        raise RunDiverged(trace.divergence_step, trace, trace.divergence_norm)
     return trace
 
 
@@ -338,7 +347,7 @@ def run_sysid(
     """
     if scn.kind != "sysid":
         raise ValueError("scenario kind must be 'sysid'")
-    return _run(scn, _signals(scn), policy, cfg)
+    return _single(_run(scn, _signals(scn), policy, cfg))
 
 
 def _screen_path_ratio(g: TransferOperator, g_model: TransferOperator) -> tuple[bool, str | None]:
@@ -376,7 +385,7 @@ def run_feedforward(
     """
     if scn.kind != "feedforward":
         raise ValueError("scenario kind must be 'feedforward'")
-    return _run(scn, _signals(scn), policy, cfg)
+    return _single(_run(scn, _signals(scn), policy, cfg))
 
 
 def run_many(scn: ScenarioConfig, runs) -> list[RunTrace]:
@@ -388,26 +397,12 @@ def run_many(scn: ScenarioConfig, runs) -> list[RunTrace]:
     the memo of signals and the secondary-path SPR screen; the runs share those and the
     read-only all-NaN array that stands for every record a run never writes
     (``e_post`` of a non-posterior rule, ``param_err`` of a feedforward
-    scenario). A diverged run is returned with ``diverged=True`` and its partial
-    trace, as :class:`RunDiverged` carries it, and the other runs go on;
-    nothing is raised.
+    scenario). A diverged run is returned with ``diverged=True``, its partial trace
+    and its ``divergence_norm``, as :class:`RunDiverged` carries them, and the other
+    runs go on; nothing is raised.
     """
     sig = _signals(scn)
-    return [_sweep_run(scn, sig, policy, cfg) for policy, cfg in runs]
-
-
-def _sweep_run(
-    scn: ScenarioConfig,
-    sig: _Signals,
-    policy: StepSizePolicy,
-    cfg: DagConfig | None,
-    window_seconds: float = DEFAULT_ATTEN_WINDOW_S,
-) -> RunTrace:
-    """:func:`_run` as a sweep's runs take it: a diverged run gives its partial trace."""
-    try:
-        return _run(scn, sig, policy, cfg, window_seconds)
-    except RunDiverged as exc:
-        return exc.trace
+    return [_run(scn, sig, policy, cfg) for policy, cfg in runs]
 
 
 def _window_samples(window_seconds: float, sample_rate_hz: float) -> float:

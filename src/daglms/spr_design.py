@@ -103,8 +103,9 @@ def dag_transfer(cfg: DagConfig) -> TransferOperator:
 def integrated_dag(cfg: DagConfig) -> TransferOperator:
     """Gain filter cascaded with a discrete integrator.
 
-    The denominator is built from :attr:`DagConfig.d`, so it carries a
-    root at z = 1 exactly (the weights telescope to sum 1).
+    The denominator is built from :attr:`DagConfig.d`, whose weights telescope to sum 1.
+    That product is rounded, and its root at z = 1 is exact only where the product is:
+    at d1p = 0.9999999999999999, ``1 + d1p`` rounds to 2.0 and the root is double.
     """
     den = Polynomial((1.0, *(-v for v in cfg.d)))
     return TransferOperator(cfg.numerator, den)
@@ -495,27 +496,31 @@ def is_pr_unit_pole(
     grid_size: int = DEFAULT_SPR_GRID,
     tol: float = PR_TOL,
 ) -> PrVerdict:
-    """Positive-realness test for an operator with a simple pole at z = 1.
-
-    The unit-circle factor is deflated from the denominator symbolically,
-    ``D = (1 - q^-1) A``; A must be strictly stable. The real part on the
-    circle is smooth on [-1, 1] in x = cos(omega), its omega -> 0 limit is its
-    value at x = 1, and :func:`_real_part_minimum` finds its exact minimum
-    from N and A. The operator is PR iff that minimum is at least ``-tol``
-    and the residue of the pole at z = 1 is positive. ``grid_size`` is
-    validated as in :func:`is_spr_numeric`.
-    """
+    """Positive-realness test for an operator ``N / D`` with a simple pole at z = 1: :func:`_pr_unit_pole`
+    on N and ``A = D / (1 - q^-1)``, by synthetic division, which is exact only where D's coefficients
+    are the exact product. ``grid_size`` is validated as in :func:`is_spr_numeric`."""
     if grid_size < 256:
         raise ValueError("grid_size must be at least 256")
     den = h.denominator.coeffs
     if abs(sum(den)) > 1e-9 * sum(map(abs, den)):
         raise ValueError("denominator has no root at z = 1")
     # synthetic division by (1 - q^-1): quotient coefficients are prefix sums
-    quotient = Polynomial(tuple(itertools.accumulate(den[:-1])))
-    if not roots_inside_unit_circle(quotient):
+    return _pr_unit_pole(h.numerator.coeffs, tuple(itertools.accumulate(den[:-1])), tol)
+
+
+def _pr_unit_pole(num, den, tol: float = PR_TOL) -> PrVerdict:
+    """Positive realness of ``N / ((1 - q^-1) A)``, N and A of coefficients ``num`` and ``den``.
+
+    A must be strictly stable. The real part on the circle is smooth on [-1, 1]
+    in x = cos(omega), its omega -> 0 limit is its value at x = 1, and
+    :func:`_real_part_minimum` finds its exact minimum from N and A. The operator
+    is PR iff that minimum is at least ``-tol`` and the residue of the pole at
+    z = 1 is positive.
+    """
+    if not roots_inside_unit_circle(Polynomial(den)):
         raise ValueError("unit pole is not simple or remaining denominator is unstable")
-    residue = _at(h.numerator.coeffs, 1.0, 0.0)[0] / _at(quotient.coeffs, 1.0, 0.0)[0]
-    min_re, _ = _minimum(h.numerator.coeffs, quotient.coeffs, True)
+    residue = _at(num, 1.0, 0.0)[0] / _at(den, 1.0, 0.0)[0]
+    min_re, _ = _minimum(num, den, True)
     residue_positive = residue > 0.0
     return PrVerdict(bool(min_re >= -tol and residue_positive), min_re, residue_positive)
 

@@ -34,6 +34,8 @@ from daglms import (
 from daglms.cli import CHECK_HEADER, main
 from daglms.sim import default_feedforward_scenario
 from daglms.spr_design import (
+    PR_TOL,
+    DagConfig,
     arima2_spr_closed_form,
     dag_transfer,
     integrated_dag,
@@ -196,10 +198,64 @@ class TestCheck:
         row = read_csv(tmp_path / "check.csv")[-1]
         assert (row["name"], row["dag_spr"], row["integrated_pr"]) == ("custom0", "N", "N")
 
+    def test_cells_next_to_the_unit_pole(self, tmp_path, monkeypatch):
+        """At d1p = 0.9999999999999999, ``1 + d1p`` rounds to 2.0: the integrated filter in
+        floats has a double root at z = 1, and ``is_pr_unit_pole`` rejects it. The rows take
+        their PR verdict from the gain filter's own N and A, so they exit 0 and read the closed
+        form's N, and the mirror cell at -d1p reads Y/Y, with the same bytes on either engine."""
+        d1p = 0.9999999999999999
+        cells = [(0.5, 0.2, d1p), (1.0, 0.0, d1p), (0.5, 0.2, -d1p)]
+        argv = [f"--custom={c1!r},{c2!r},{d!r}" for c1, c2, d in cells]
+        for engine in ("host", "python"):
+            if engine == "python":
+                monkeypatch.setattr(_kernel, "load", lambda: None)
+            assert main(["check", "--out", str(tmp_path / engine), *argv]) == 0
+        table = (tmp_path / "host" / "check.csv").read_bytes()
+        assert table == (tmp_path / "python" / "check.csv").read_bytes()
+        rows = read_csv(tmp_path / "host" / "check.csv")[len(PRESET_ORDER):]
+        assert [r["integrated_pr"] for r in rows] == ["N", "N", "Y"]
+        assert [r["integrated_pr"] == "Y" for r in rows] == [integrated_pr_closed_form(*cell) for cell in cells]
+        assert (rows[2]["dag_spr"], rows[2]["integrated_pr"]) == ("Y", "Y")
+        h = integrated_dag(DagConfig((0.5, 0.2), (d1p,)))
+        assert h.denominator.coeffs == (1.0, -2.0, d1p)  # the rounded product
+        with pytest.raises(ValueError, match="unit pole is not simple"):
+            is_pr_unit_pole(h)
+
     def test_deterministic_bytes(self, tmp_path):
         main(["check", "--out", str(tmp_path / "x")])
         main(["check", "--out", str(tmp_path / "y")])
         assert (tmp_path / "x" / "check.csv").read_bytes() == (tmp_path / "y" / "check.csv").read_bytes()
+
+
+# d1p values at and next to the edges of |d1p| < 1, and the presets' own
+PR_EDGE_POOL = [0.0, 0.5, -0.5, 0.9, 0.99, -0.9, 1 - 1e-15, -(1 - 1e-15), 0.9999999999999999]
+
+
+@pytest.mark.parametrize("engine", ["host", "python"])
+def test_row_pr_verdict_agrees_with_the_integrated_filter(monkeypatch, engine):
+    """On 10^4 seeded cells, d1p drawn from (-0.999, 0.999) or from the edge pool, check's
+    integrated_pr equals ``is_pr_unit_pole`` on the integrated filter wherever that test takes
+    the filter (it rejects the rounded product only at d1p = 0.9999999999999999), and, outside
+    a ``PR_TOL`` band about the boundary, the closed form."""
+    if engine == "python":
+        monkeypatch.setattr(_kernel, "load", lambda: None)
+    rng = np.random.default_rng(27)
+    n = 10_000
+    drawn = np.where(rng.random(n) < 0.5, rng.uniform(-0.999, 0.999, n), rng.choice(PR_EDGE_POOL, n))
+    rejected = set()
+    with np.errstate(all="ignore"):
+        for c1, c2, d1p in zip(rng.uniform(-2, 2, n).tolist(), rng.uniform(-1, 1, n).tolist(), drawn.tolist()):
+            cfg = DagConfig((c1, c2), (d1p,) if d1p else ())
+            row = cli._preset_row("cell", dag_transfer(cfg), (c1, c2, d1p))["integrated_pr"]
+            try:
+                assert row == is_pr_unit_pole(integrated_dag(cfg)).is_pr, (c1, c2, d1p)
+            except ValueError:
+                rejected.add(d1p)
+            at_zero = (1.0 - c1 - 3.0 * c2 - d1p * (c1 - c2 + 3.0)) / (2.0 * (1.0 - d1p) ** 2)
+            at_pi = (1.0 - c1 + c2) / (2.0 * (1.0 + d1p))
+            if abs(min(at_zero, at_pi) + PR_TOL) > PR_TOL and abs(1.0 + c1 + c2) > PR_TOL:
+                assert row == integrated_pr_closed_form(c1, c2, d1p), (c1, c2, d1p)
+    assert rejected == {0.9999999999999999}
 
 
 class TestContour:
@@ -760,6 +816,17 @@ def test_empty_sweep_writes_only_the_summary(tmp_path):
     assert read_csv(out / "summary.csv") == []
 
 
+@pytest.mark.parametrize("flag, value", [("--algorithms", ""), ("--presets", " , ")])
+def test_empty_override_runs_nothing(tmp_path, flag, value):
+    """An explicit empty ``--algorithms`` or ``--presets`` runs nothing, as an empty list in
+    the config does, and writes a header-only summary."""
+    path = write_config(tmp_path, SYSID_TWO_BY_TWO)
+    out = tmp_path / "out"
+    assert main(["compare", "--config", str(path), "--out", str(out), flag, value]) == 0
+    assert [p.name for p in out.iterdir()] == ["summary.csv"]
+    assert read_csv(out / "summary.csv") == []
+
+
 def row_wise_csv(path, header, rows):
     """The row-by-row ``csv.writer`` + ``_fmt`` writer: the byte oracle."""
     with path.open("w", newline="") as fh:
@@ -1108,6 +1175,29 @@ def test_compare_traces_equal_single_runs(tmp_path, algorithms, presets, diverge
         assert main(argv) == (2 if row["diverged"] == "Y" else 0)
         name = f"trace_{algorithm}_{preset}.csv"
         assert (out / name).read_bytes() == (tmp_path / "all" / name).read_bytes(), name
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # the mismatched model's SPR screen
+@pytest.mark.parametrize("engine", ["host", "python"])
+def test_sweep_traces_keep_the_norm(tmp_path, monkeypatch, engine):
+    """Each diverged trace of a ``compare`` sweep carries the bits of the ``RunDiverged.norm``
+    that the same single run raises, on either engine; the others read None."""
+    if engine == "python":
+        monkeypatch.setattr(_kernel, "load", lambda: None)
+    path = write_config(tmp_path, GOLDEN_FEEDFORWARD_CONFIG + "window_seconds = 0.2\n")
+    traces, write = [], cli._write_trace
+    monkeypatch.setattr(cli, "_write_trace", lambda file, trace: traces.append(trace) or write(file, trace))
+    assert main(["compare", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    scenario, options = cli.load_scenario(path)
+    pairs = [(algorithm, preset) for algorithm in options["algorithms"] for preset in options["presets"]]
+    assert len(traces) == len(pairs) and any(trace.diverged for trace in traces)
+    for trace, (algorithm, preset) in zip(traces, pairs):
+        if not trace.diverged:
+            assert trace.divergence_norm is None
+            continue
+        with pytest.raises(RunDiverged) as single_run:
+            run_feedforward(scenario, options["policies"][algorithm], make_preset(preset))
+        assert trace.divergence_norm.hex() == single_run.value.norm.hex(), (algorithm, preset)
 
 
 OUT_COMMANDS = {

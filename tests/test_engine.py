@@ -62,15 +62,20 @@ def oracle(scn, policy, cfg):
     """The run through the Python loop ``sim._adapt_loop``, on signals of its own, built
     under the patched load and not taken from the memo that the runs it checks fill."""
     with mock.patch.object(_kernel, "load", return_value=None):
-        trace = single(sim._run, scn, sim._build_signals(scn), policy, cfg)
+        trace = sim._run(scn, sim._build_signals(scn), policy, cfg)
     assert trace.engine == "python"
     return trace
+
+
+def norm_bits(trace):
+    return None if trace.divergence_norm is None else float(trace.divergence_norm).hex()
 
 
 def assert_same_trace(got, want, label):
     for field in FIELDS:
         assert bits(getattr(got, field)) == bits(getattr(want, field)), (label, field)
     assert (got.diverged, got.divergence_step) == (want.diverged, want.divergence_step), label
+    assert norm_bits(got) == norm_bits(want), label
     assert (got.spr_ok, got.atten_window_samples, got.open_loop_prefix_samples) == (
         want.spr_ok, want.atten_window_samples, want.open_loop_prefix_samples
     ), label
@@ -670,6 +675,23 @@ def test_divergence_keeps_the_norm(monkeypatch):
     assert str(kernel_run.value) == f"run diverged at step {kernel_run.value.step}"
 
 
+@pytest.mark.parametrize("engine", ["host", "python"])
+def test_sweep_trace_keeps_the_norm(monkeypatch, engine):
+    """A diverged trace of ``run_many`` carries the bits of the ``RunDiverged.norm`` that the
+    same single run raises, on either engine; a run that did not diverge reads None."""
+    if engine == "python":
+        monkeypatch.setattr(sim._kernel, "load", lambda: None)
+    scn = sysid_scenario()
+    runs = [(StepSizePolicy.plms(0.05), make_preset("arima2")), (StepSizePolicy.nlms(0.2), make_preset("integral"))]
+    diverged, calm = run_many(scn, runs)
+    with pytest.raises(RunDiverged) as single_run:
+        run_sysid(scn, *runs[0])
+    assert (diverged.diverged, calm.diverged) == (True, False)
+    assert diverged.divergence_norm.hex() == single_run.value.norm.hex()
+    assert single_run.value.trace.divergence_norm is single_run.value.norm
+    assert calm.divergence_norm is None and run_sysid(scn, *runs[1]).divergence_norm is None
+
+
 # a gain filter with each history length K = len(d) + len(c) from 1 to 5: the presets, then
 # long c and long d'
 BY_DEPTH = [
@@ -821,7 +843,7 @@ def test_sweep_keeps_order_under_fast_switching(monkeypatch, tmp_path):
         written.append(trace.divergence_step)
 
     monkeypatch.setattr(sim, "_signals", lambda scn: None)
-    monkeypatch.setattr(sim, "_sweep_run", run)
+    monkeypatch.setattr(sim, "_run", run)
     monkeypatch.setattr(cli, "_write_trace", write)
     threads, interval = threading.active_count(), sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -413,10 +413,7 @@ class TestSignalMemo:
 
     @staticmethod
     def uncached(scn, policy, cfg=None):
-        try:
-            return sim._run(scn, sim._build_signals(scn), policy, cfg)
-        except RunDiverged as exc:
-            return exc.trace
+        return sim._run(scn, sim._build_signals(scn), policy, cfg)
 
     def test_repeat_call_reuses_the_signals(self, builds):
         scn = sysid_scenario([0.5, -0.3, 0.1], duration=800, noise_rms=0.01)
