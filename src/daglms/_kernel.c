@@ -166,30 +166,13 @@ int64_t daglms_adapt(ddot_fn ddot, int64_t n, int64_t T, int64_t prefix, int64_t
    exponent E = -292...324: floor(10^E * 2^(127 - floor(log2 10^E))) + 1. */
 #define POW10_MIN (-292)
 
-static void mul_64x64(uint64_t a, uint64_t b, uint64_t *hi, uint64_t *lo)
-{
-#ifdef __SIZEOF_INT128__
-    const unsigned __int128 p = (unsigned __int128)a * b;
-    *hi = (uint64_t)(p >> 64);
-    *lo = (uint64_t)p;
-#else
-    const uint64_t a0 = (uint32_t)a, a1 = a >> 32, b0 = (uint32_t)b, b1 = b >> 32;
-    const uint64_t p00 = a0 * b0, p01 = a0 * b1, p10 = a1 * b0, p11 = a1 * b1;
-    const uint64_t mid = (p00 >> 32) + (uint32_t)p01 + (uint32_t)p10;
-    *hi = p11 + (p01 >> 32) + (p10 >> 32) + (mid >> 32);
-    *lo = (mid << 32) | (uint32_t)p00;
-#endif
-}
-
-/* floor(g * cp / 2^128), its lowest bit set where the rest is inexact */
+/* floor(g * cp / 2^128), its lowest bit set where the rest is inexact; unsigned __int128 is
+   there on every 64-bit gcc or clang target, and the library loads only on 64-bit NumPy */
 static uint64_t round_to_odd(const uint64_t *g, uint64_t cp)
 {
-    uint64_t x1, x0, y1, y0;
-    mul_64x64(g[1], cp, &x1, &x0);
-    mul_64x64(g[0], cp, &y1, &y0);
-    y0 += x1;
-    y1 += y0 < x1;
-    return y1 | (y0 > 1);
+    const unsigned __int128 x = (unsigned __int128)g[1] * cp,
+                            y = (unsigned __int128)g[0] * cp + (uint64_t)(x >> 64);
+    return (uint64_t)(y >> 64) | ((uint64_t)y > 1);
 }
 
 static int64_t floor_shift(int64_t x, int n)  /* floor(x / 2^n), shifting no negative value */

@@ -11,6 +11,7 @@ plain update.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,6 +116,15 @@ def preset_triple(name: str) -> tuple[float, float, float]:
     return c1, c2, d1p
 
 
+def _count(value, name: str) -> int:
+    """``value`` as a Python ``int`` by ``operator.index``, so a NumPy integer passes and a
+    float, which ``int()`` would truncate, does not; else ValueError naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 class AdaptState:
     """Mutable state of one adaptation loop.
 
@@ -133,7 +143,7 @@ class AdaptState:
     divergence_limit = DIVERGENCE_LIMIT
 
     def __init__(self, n_params: int, policy: StepSizePolicy, cfg: DagConfig | None = None):
-        n_params = int(n_params)
+        n_params = _count(n_params, "n_params")
         if n_params < 1:
             raise ValueError("n_params must be at least 1")
         self.n_params = n_params

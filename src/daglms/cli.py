@@ -64,9 +64,7 @@ def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     value = float(value)
-    if np.isnan(value):
-        return ""
-    return repr(value)
+    return "" if value != value else repr(value)  # NaN as an empty field, as _fields writes it
 
 
 def _fields(column) -> list[str]:
@@ -93,12 +91,14 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
 
 
 def _preset_row(name: str, h: TransferOperator, triple) -> dict:
-    """One row of check's table for the gain filter ``h = N / A``, integrated_pr that of ``N / ((1 - q^-1) A)``;
-    its callers ignore floating-point errors, as a row near the float range overflows into its N/N verdicts."""
+    """One row of check's table for the gain filter ``h = N / A``, integrated_pr that of ``N / ((1 - q^-1) A)``,
+    A stable as ``|d1p| < 1`` makes it; floating-point errors are ignored, as a row near the float range
+    overflows into its N/N verdicts."""
     c1, c2, d1p = triple
-    spr = is_spr_numeric(h)
-    pr = _pr_unit_pole(h.numerator.coeffs, h.denominator.coeffs)
-    integral = log_gain_integral(h, check_stability=False) if spr.is_stable else float("nan")
+    with np.errstate(all="ignore"):
+        spr = is_spr_numeric(h)
+        pr = _pr_unit_pole(h.numerator.coeffs, h.denominator.coeffs)
+        integral = log_gain_integral(h, check_stability=False) if spr.is_stable else float("nan")
     return {
         "name": name,
         "c1": c1,
@@ -128,8 +128,7 @@ def cmd_check(args) -> int:
         entries.append((f"custom{k}", DagConfig((c1, c2), (d1p,) if d1p else ()), (c1, c2, d1p)))
     expected = _read_verdicts(Path(args.expect)) if args.expect else None
 
-    with np.errstate(all="ignore"):
-        rows = [_preset_row(name, dag_transfer(cfg), triple) for name, cfg, triple in entries]
+    rows = [_preset_row(name, dag_transfer(cfg), triple) for name, cfg, triple in entries]
     path = _out_dir(args.out) / "check.csv"
     _write_csv(path, CHECK_HEADER, _columns([r[k] for k in CHECK_HEADER] for r in rows))
     for r in rows:
@@ -197,8 +196,7 @@ def cmd_bode(args) -> int:
     _distinct("preset", args.presets)
     # every preset resolved and its verdicts, check's row, computed before the first file is written
     filters = [dag_transfer(make_preset(name)) for name in args.presets]
-    with np.errstate(all="ignore"):
-        rows = [_preset_row(name, h, preset_triple(name)) for name, h in zip(args.presets, filters)]
+    rows = [_preset_row(name, h, preset_triple(name)) for name, h in zip(args.presets, filters)]
     tables, summary = [], []
     for name, h, row in zip(args.presets, filters, rows):
         freq, omega, gain_db, phase_deg = bode_points(h, args.grid, args.fs)
@@ -288,8 +286,8 @@ def load_scenario(path: Path, seed_override: int | None = None):
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     try:
         read = parser.read(path)
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    except configparser.Error as exc:  # its message spans lines: one line here
+        raise ConfigError(f"cannot parse {path}: {' '.join(str(exc).split())}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
     if "scenario" not in parser:

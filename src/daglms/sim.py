@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernel
-from .adapt import AdaptState, DivergenceError, StepSizePolicy
+from .adapt import AdaptState, DivergenceError, StepSizePolicy, _count
 from .dsp_core import NoiseSpec, Polynomial, TransferOperator, gen_noise, poly_mul, windowed_variance
 from .spr_design import DagConfig, _unit_circle_grid, is_spr_numeric, ratio_transfer
 
@@ -52,7 +52,8 @@ class ScenarioConfig:
     ``feedforward`` needs the primary and secondary paths (the secondary
     model defaults to the secondary path itself, and the regressor filter
     defaults to the secondary model) and takes no ``true_params``. A field
-    that the kind would ignore is an error naming it.
+    that the kind would ignore is an error naming it, and so is a count that is not
+    an integer; counts are stored as Python ``int``.
     """
 
     kind: str
@@ -70,6 +71,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.kind not in ("sysid", "feedforward"):
             raise ValueError(f"unknown scenario kind {self.kind!r}")
+        for name in ("n_adaptive_params", "duration_samples", "open_loop_prefix_samples"):
+            setattr(self, name, _count(getattr(self, name), name))
         if self.n_adaptive_params < 1:
             raise ValueError("n_adaptive_params must be at least 1")
         if self.open_loop_prefix_samples < 0:
@@ -276,14 +279,14 @@ def _adapt_loop(state: AdaptState, sig: _Signals, trace: RunTrace) -> tuple[int,
 def _new_trace(scn: ScenarioConfig, sig: _Signals, policy: StepSizePolicy) -> RunTrace:
     """The trace of a run of ``policy`` on ``sig`` before it starts, every record NaN. A
     record the run never writes is ``sig.nan``, the read-only all-NaN array that the runs
-    on ``sig`` share."""
+    on ``sig`` share; so is ``residual``, which :func:`_run` builds when the loop ends."""
     T, nan = sig.desired.size, sig.nan
     return RunTrace(
         sample_rate_hz=scn.noise.sample_rate_hz,
         open_loop_prefix_samples=sig.prefix,
         e0=np.full(T, np.nan),
         e_post=np.full(T, np.nan) if policy.kind == "posterior" else nan,
-        residual=np.full(T, np.nan),
+        residual=nan,
         param_err=np.full(T, np.nan) if sig.target is not None else nan,
         spr_ok=sig.spr_ok,
     )
@@ -304,7 +307,6 @@ def _run(
     ``window_seconds``, if one full window fits. A diverged run returns its partial
     trace, its divergence recorded on it; nothing is raised.
     """
-    T, prefix = sig.desired.size, sig.prefix
     trace = _new_trace(scn, sig, policy)
     state = AdaptState(scn.n_adaptive_params, policy, cfg)
     kernel = _kernel.load()
@@ -313,9 +315,8 @@ def _run(
     trace.wall_time_s = time.perf_counter() - started
     trace.engine = "kernel" if kernel else "python"
     trace.theta_final = state.theta.copy()
-    stop = prefix + step - 1 if step else T  # the diverging step stores nothing
-    trace.residual[:prefix] = sig.desired[:prefix]
-    trace.residual[prefix:stop] = trace.e0[prefix:stop]
+    # e0 is NaN from a diverging step on, since that step stores nothing, and so is the residual
+    trace.residual = np.concatenate((sig.desired[:sig.prefix], trace.e0[sig.prefix:]))
     if step:
         trace.diverged, trace.divergence_step, trace.divergence_norm = True, step, norm
     elif sig.path is not None:  # only a feedforward run has a path

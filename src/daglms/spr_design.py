@@ -498,27 +498,31 @@ def is_pr_unit_pole(
 ) -> PrVerdict:
     """Positive-realness test for an operator ``N / D`` with a simple pole at z = 1: :func:`_pr_unit_pole`
     on N and ``A = D / (1 - q^-1)``, by synthetic division, which is exact only where D's coefficients
-    are the exact product. ``grid_size`` is validated as in :func:`is_spr_numeric`."""
+    are the exact product. A quotient A that is not strictly stable (a repeated unit pole included)
+    raises ValueError. ``grid_size`` is validated as in :func:`is_spr_numeric`."""
     if grid_size < 256:
         raise ValueError("grid_size must be at least 256")
     den = h.denominator.coeffs
     if abs(sum(den)) > 1e-9 * sum(map(abs, den)):
         raise ValueError("denominator has no root at z = 1")
     # synthetic division by (1 - q^-1): quotient coefficients are prefix sums
-    return _pr_unit_pole(h.numerator.coeffs, tuple(itertools.accumulate(den[:-1])), tol)
+    quotient = tuple(itertools.accumulate(den[:-1]))
+    if not roots_inside_unit_circle(Polynomial(quotient)):
+        raise ValueError("unit pole is not simple or remaining denominator is unstable")
+    return _pr_unit_pole(h.numerator.coeffs, quotient, tol)
 
 
 def _pr_unit_pole(num, den, tol: float = PR_TOL) -> PrVerdict:
     """Positive realness of ``N / ((1 - q^-1) A)``, N and A of coefficients ``num`` and ``den``.
 
-    A must be strictly stable. The real part on the circle is smooth on [-1, 1]
+    A must be strictly stable, and its callers check that: :func:`is_pr_unit_pole` tests
+    its quotient, and every row of ``check`` and ``bode`` has ``A = 1 - d1p q^-1`` with
+    ``|d1p| < 1``. The real part on the circle is smooth on [-1, 1]
     in x = cos(omega), its omega -> 0 limit is its value at x = 1, and
     :func:`_real_part_minimum` finds its exact minimum from N and A. The operator
     is PR iff that minimum is at least ``-tol`` and the residue of the pole at
     z = 1 is positive.
     """
-    if not roots_inside_unit_circle(Polynomial(den)):
-        raise ValueError("unit pole is not simple or remaining denominator is unstable")
     residue = _at(num, 1.0, 0.0)[0] / _at(den, 1.0, 0.0)[0]
     min_re, _ = _minimum(num, den, True)
     residue_positive = residue > 0.0

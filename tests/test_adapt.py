@@ -1,6 +1,7 @@
 """Adaptation engine tests: step sizes, predictions, updates, presets."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -207,6 +208,24 @@ class TestPosteriorIdentities:
             phi = rng.standard_normal(3)
             pair = state.update(phi, rng.standard_normal())
             assert abs(pair.e_post) <= abs(pair.e0)
+
+
+@pytest.mark.parametrize(
+    "n_params, message",
+    [(0, "n_params must be at least 1"), (-2, "n_params must be at least 1"),
+     (2.7, "n_params must be an integer, got 2.7"), (np.float64(3.0), "n_params must be an integer, got "),
+     ("3", "n_params must be an integer, got '3'")],
+    ids=["zero", "negative", "fractional", "float64", "string"],
+)
+def test_bad_tap_count_is_named(n_params, message):
+    """A tap count that is not a positive integer is rejected, not truncated by ``int()``."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        AdaptState(n_params, StepSizePolicy.lms(0.1))
+
+
+def test_numpy_tap_count_is_an_int():
+    s = AdaptState(np.int64(3), StepSizePolicy.lms(0.1))
+    assert type(s.n_params) is int and s.theta.shape == (3,)
 
 
 def test_gradient_matches_regressor():

@@ -547,6 +547,35 @@ def test_config_error_leaves_no_output(tmp_path, capsys, argv, config, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["check", "--custom=1,2"], None, "config error: bad --custom value '1,2': expected c1,c2,d1p"),
+        (["check", "--custom=1,2,3,4"], None, "config error: bad --custom value '1,2,3,4': expected c1,c2,d1p"),
+        (["compare"], "kind = feedforward\n" + SMALL_FEEDFORWARD_CONFIG, "File contains no section headers."),
+        (["compare"], SMALL_FEEDFORWARD_CONFIG + "= 1\n", "Source contains parsing errors:"),
+        (["compare"], SMALL_FEEDFORWARD_CONFIG.replace("[scenario]", "[scenarios]"), "missing [scenario] section"),
+        (
+            ["compare"],
+            SMALL_FEEDFORWARD_CONFIG.replace("resonant_primary", "resonant_tertiary"),
+            "unknown path name 'resonant_tertiary' for primary_path",
+        ),
+    ],
+    ids=["custom-two-values", "custom-four-values", "ini-no-section-header", "ini-unparsable-line", "ini-no-scenario",
+         "ini-unknown-path"],
+)
+def test_input_error_is_named(tmp_path, capsys, argv, config, message):
+    """A --custom value that is not three numbers, and a scenario file that cannot be read as
+    one, exit 3 with one config error line naming the fault and make no output directory."""
+    out = tmp_path / "out"
+    if config is not None:
+        argv = [*argv, "--config", str(write_config(tmp_path, config))]
+    assert main([*argv, "--out", str(out)]) == 3
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error: ") and message in line
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["duration_samples", "n_adaptive_params"])
 def test_scenario_too_large_for_memory_exits_3(tmp_path, key):
     """A scenario whose signals do not fit exits 3 with a one-line message and writes nothing.

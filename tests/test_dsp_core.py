@@ -1,6 +1,7 @@
 """Core primitive tests: polynomials, transfer operators, noise, variance."""
 
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -540,6 +541,26 @@ class TestGenNoise:
     def test_bad_count(self):
         with pytest.raises(ValueError):
             gen_noise(NoiseSpec(kind="white", seed=0), 0)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Polynomial((1.0, np.nan)), "polynomial coefficients must be finite"),
+        (lambda: Polynomial((np.inf,)), "polynomial coefficients must be finite"),
+        (lambda: TransferOperator((1.0,), (1.0, -np.inf)), "polynomial coefficients must be finite"),
+        (lambda: NoiseSpec(kind="pink"), "unknown noise kind 'pink'"),
+        (lambda: NoiseSpec(amplitude=-1.0), "amplitude must be a finite non-negative RMS target"),
+        (lambda: NoiseSpec(amplitude=np.nan), "amplitude must be a finite non-negative RMS target"),
+        (lambda: NoiseSpec(amplitude=np.inf), "amplitude must be a finite non-negative RMS target"),
+    ],
+    ids=["polynomial-nan", "polynomial-inf", "denominator-inf", "noise-kind", "amplitude-negative",
+         "amplitude-nan", "amplitude-inf"],
+)
+def test_bad_input_is_named(build, message):
+    """Coefficients and noise descriptions are checked where they are built."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
 
 
 class TestWindowedVariance:

@@ -4,6 +4,7 @@ whole-signal filters of both engines keep those of ``scipy.signal``'s ``lfilter`
 and ``sosfilt``, its trace rows keep the bytes of ``repr``, and it falls back to
 the Python code wherever it cannot build or load."""
 
+import dataclasses
 import logging
 import math
 import os
@@ -585,6 +586,27 @@ def test_sysid_sweep_matches_single_runs():
     runs += [(StepSizePolicy.nlms(0.2), cfg) for cfg in (DagConfig((0.0, 0.5, 0.0, -0.0)), DagConfig((0.5, 0.0), (-0.5,)))]
     many = assert_same_runs(scn, runs, run_sysid)
     assert 0 < sum(trace.diverged for trace in many) < len(runs)
+
+
+@pytest.mark.parametrize("engine", ["host", "python"])
+def test_numpy_integer_counts_keep_the_bits(monkeypatch, engine):
+    """Counts given as NumPy integers are stored as Python ints, and their runs, sysid and
+    feedforward, keep the bits of the same runs with plain int counts."""
+    if engine == "python":
+        monkeypatch.setattr(_kernel, "load", lambda: None)
+    feedforward = default_feedforward_scenario(duration_s=2.0, prefix_s=0.5, n_taps=12)
+    for scn, run in ((sysid_scenario(), run_sysid), (feedforward, run_feedforward)):
+        counts = {name: np.int64(getattr(scn, name))
+                  for name in ("n_adaptive_params", "duration_samples", "open_loop_prefix_samples")}
+        numpy = dataclasses.replace(scn, **counts)
+        assert all(type(getattr(numpy, name)) is int for name in counts)
+        for policy, cfg in sweep([("nlms", 0.01), ("plms", 0.05)]):
+            traces = []
+            for config in (scn, numpy):
+                monkeypatch.setattr(sim, "_memo", None)  # each builds its own signals
+                traces.append(single(run, config, policy, cfg))
+            assert_same_trace(*traces, (run.__name__, policy, cfg))
+            assert traces[1].engine == (host_engine() if engine == "host" else "python")
 
 
 @pytest.mark.parametrize("params", [[0.5, -0.3], [0.5, -0.3, 0.1, 0.2, 0.0]], ids=["short", "long"])

@@ -1,6 +1,7 @@
 """Scenario and metric tests: identification, feedforward loop, attenuation."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -143,6 +144,33 @@ def test_field_the_kind_ignores_is_named(kind, field):
     ignored = {field: theta if field == "true_params" else unit}
     with pytest.raises(ValueError, match=f"{field} must be unset for a {kind} scenario"):
         ScenarioConfig(kind, NoiseSpec(kind="white"), 2, 500, **valid, **ignored)
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"kind": "arx"}, "unknown scenario kind 'arx'"),
+        ({"n_adaptive_params": 0}, "n_adaptive_params must be at least 1"),
+        ({"kind": "sysid", "primary_path": None, "secondary_path": None}, "sysid scenario needs true_params"),
+        ({"primary_path": None}, "feedforward scenario needs primary and secondary paths"),
+        ({"secondary_path": None}, "feedforward scenario needs primary and secondary paths"),
+        ({"n_adaptive_params": 2.5}, "n_adaptive_params must be an integer, got 2.5"),
+        ({"duration_samples": 100.5}, "duration_samples must be an integer, got 100.5"),
+        ({"open_loop_prefix_samples": 10.5}, "open_loop_prefix_samples must be an integer, got 10.5"),
+        ({"duration_samples": np.float64(500.0)}, "duration_samples must be an integer, got "),
+        ({"n_adaptive_params": "2"}, "n_adaptive_params must be an integer, got '2'"),
+    ],
+    ids=["unknown-kind", "no-taps", "sysid-without-true-params", "no-primary-path", "no-secondary-path",
+         "fractional-taps", "fractional-duration", "fractional-prefix", "float64-duration", "string-taps"],
+)
+def test_bad_scenario_is_named(changes, message):
+    """A scenario that cannot run is rejected where it is built, with a message naming what is
+    wrong; a count must be an integer, which ``int()`` would have truncated."""
+    unit = TransferOperator.identity()
+    fields = {"kind": "feedforward", "noise": NoiseSpec(kind="white"), "n_adaptive_params": 2,
+              "duration_samples": 500, "primary_path": unit, "secondary_path": unit, **changes}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ScenarioConfig(**fields)
 
 
 def feedforward_like_sysid(theta, seed, duration, taps):
@@ -309,6 +337,22 @@ class TestAttenuation:
         db = attenuation_db(trace, window_seconds=1.0)
         assert db[0] == 120.0
         assert trace.atten_clamped[0]
+
+    def test_no_full_controlled_window(self):
+        # a 100-sample window fits the prefix but not the 50 controlled samples after it
+        trace = trace_with_residual(np.ones(150), 100, fs=100.0)
+        with pytest.raises(ValueError, match="no full controlled window in the trace"):
+            attenuation_db(trace, window_seconds=1.0)
+        assert trace.atten_db is None
+
+    def test_silent_prefix(self):
+        # nothing to attenuate: a window with any signal reads -120 dB and is clamped, a
+        # silent one reads 0 dB and is not
+        controlled = np.concatenate([np.arange(50.0), np.zeros(100), np.arange(100.0)])
+        trace = trace_with_residual(np.concatenate([np.zeros(100), controlled]), 100, fs=100.0)
+        db = attenuation_db(trace, window_seconds=0.5)
+        assert db.tolist() == [-120.0, 0.0, 0.0, -120.0, -120.0]
+        assert trace.atten_clamped.tolist() == [True, False, False, True, True]
 
     def test_window_must_fit(self):
         trace = trace_with_residual(np.ones(100), 10, fs=100.0)

@@ -36,6 +36,21 @@ from daglms.spr_design import (
 from conftest import random_stable_poly
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: DagConfig((0.5, np.nan)), "gain filter coefficients must be finite"),
+        (lambda: DagConfig((), (np.inf,)), "gain filter coefficients must be finite"),
+        (lambda: log_gain_integral(dag_transfer(make_preset("ip")), quad_points=0), "quad_points must be positive"),
+        (lambda: log_gain_integral(dag_transfer(make_preset("ip")), quad_points=-4), "quad_points must be positive"),
+    ],
+    ids=["c-nan", "d-prime-inf", "quad-points-0", "quad-points-minus-4"],
+)
+def test_bad_input_is_named(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestDFromDPrime:
     def test_empty_is_integrator(self):
         assert d_from_dprime(()) == (1.0,)
@@ -503,6 +518,34 @@ class TestIsPrUnitPole:
         den = poly_mul(Polynomial((1.0, -1.0)), Polynomial((1.0, -1.5)))
         with pytest.raises(ValueError, match="unstable|not simple"):
             is_pr_unit_pole(TransferOperator((1.0,), den))
+
+    @pytest.mark.parametrize("engine", ["host", "python"])
+    def test_high_order_minimum_matches_a_dense_grid(self, monkeypatch, engine):
+        """Numerators of 4 to 6 coefficients, whose sine series runs ``_u_to_t``'s recurrence in
+        the Python twin: the minimum is never above a 200 001-point grid over [1e-3, pi], and
+        equals the grid's where that lies inside it. The grid stops short of omega -> 0, where
+        1/(1 - e^{-j omega}) cancels and a grid loses about 1e-8 relative."""
+        series = []
+        if engine == "python":
+            monkeypatch.setattr(_kernel, "load", lambda: None)
+            u_to_t = spr_design._u_to_t
+            monkeypatch.setattr(spr_design, "_u_to_t", lambda b: series.append(len(b)) or u_to_t(b))
+        z_inv = np.exp(-1j * np.linspace(1e-3, np.pi, 200_001))
+        rng = np.random.default_rng(28)
+        inside = 0
+        for _ in range(12):
+            c = tuple(rng.uniform(-0.6, 0.6, rng.integers(3, 6)))
+            dp = tuple(rng.uniform(-0.5, 0.5, rng.integers(0, 3)))
+            h = integrated_dag(DagConfig(c, dp))
+            min_re = is_pr_unit_pole(h).min_real_part_excluding_pole
+            grid = np.real(h.response_at(z_inv))
+            k = int(np.argmin(grid))
+            assert grid[k] >= min_re - 1e-12 * max(1.0, abs(min_re)), (c, dp)
+            if 0 < k < grid.size - 1:
+                inside += 1
+                assert grid[k] == pytest.approx(min_re, rel=1e-8, abs=1e-10), (c, dp)
+        assert inside >= 6
+        assert engine == "host" or max(series) >= 3
 
 
 class TestIntegratedPrClosedForm:
