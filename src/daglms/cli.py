@@ -15,6 +15,7 @@ import csv
 import math
 import re
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -75,8 +76,12 @@ def _fields(column) -> list[str]:
 
 
 def _columns(rows) -> list[list[str]]:
-    """One block of formatted columns from rows of values."""
-    return [_fields(column) for column in zip(*rows)]
+    """One block of formatted columns from rows of values; a column of floats alone is formatted
+    as an array, in bulk, with the fields _fmt gives its values."""
+    return [
+        _fields(np.array(column) if all(isinstance(v, float) for v in column) else column)
+        for column in zip(*rows)
+    ]
 
 
 def _rows(columns) -> str:
@@ -90,15 +95,21 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
         fh.write(",".join(header) + "\r\n" + _rows(columns))
 
 
-def _preset_row(name: str, h: TransferOperator, triple) -> dict:
-    """One row of check's table for the gain filter ``h = N / A``, integrated_pr that of ``N / ((1 - q^-1) A)``,
-    A stable as ``|d1p| < 1`` makes it; floating-point errors are ignored, as a row near the float range
-    overflows into its N/N verdicts."""
-    c1, c2, d1p = triple
+def _spr_and_log_gain(h: TransferOperator) -> tuple:
+    """The SPR verdict of the gain filter ``h`` and its log-gain integral, NaN where ``h`` is not stable;
+    floating-point errors are ignored, as a row near the float range overflows into its N/N verdicts."""
     with np.errstate(all="ignore"):
         spr = is_spr_numeric(h)
+        return spr, log_gain_integral(h, check_stability=False) if spr.is_stable else float("nan")
+
+
+def _preset_row(name: str, h: TransferOperator, triple) -> dict:
+    """One row of check's table for the gain filter ``h = N / A``, integrated_pr that of ``N / ((1 - q^-1) A)``,
+    A stable as ``|d1p| < 1`` makes it; floating-point errors are ignored, as in :func:`_spr_and_log_gain`."""
+    c1, c2, d1p = triple
+    spr, integral = _spr_and_log_gain(h)
+    with np.errstate(all="ignore"):
         pr = _pr_unit_pole(h.numerator.coeffs, h.denominator.coeffs)
-        integral = log_gain_integral(h, check_stability=False) if spr.is_stable else float("nan")
     return {
         "name": name,
         "c1": c1,
@@ -194,15 +205,15 @@ def cmd_bode(args) -> int:
     if not 0.0 < args.fs < np.inf:  # NaN included
         raise ConfigError(f"--fs must be finite and positive, got {args.fs!r}")
     _distinct("preset", args.presets)
-    # every preset resolved and its verdicts, check's row, computed before the first file is written
+    # every preset resolved, and its SPR verdict and log-gain integral as check's, before the first file is written
     filters = [dag_transfer(make_preset(name)) for name in args.presets]
-    rows = [_preset_row(name, h, preset_triple(name)) for name, h in zip(args.presets, filters)]
+    verdicts = [_spr_and_log_gain(h) for h in filters]
     tables, summary = [], []
-    for name, h, row in zip(args.presets, filters, rows):
+    for name, h, (spr, integral) in zip(args.presets, filters, verdicts):
         freq, omega, gain_db, phase_deg = bode_points(h, args.grid, args.fs)
         tables.append([_fields(c) for c in (freq, omega, gain_db, phase_deg)])
         phase_ok = bool(np.all(np.abs(phase_deg) < 90.0))
-        summary.append((name, row["dag_spr"], phase_ok, row["log_gain_integral"] / np.pi))
+        summary.append((name, spr.is_spr, phase_ok, integral / np.pi))
     out = _out_dir(args.out)
     for columns, (name, is_spr, phase_ok, mean_log_gain) in zip(tables, summary):
         path = out / f"bode_{name}.csv"
@@ -464,6 +475,12 @@ def cmd_compare(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the command line.
+
+    It holds each command by its name, which :func:`main` looks up in this module at call
+    time, so a command patched here after the parser was built still runs; and no default
+    is a mutable object, which one parse could change for the next.
+    """
     parser = _Parser(prog="daglms", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     out, config = (argparse.ArgumentParser(add_help=False) for _ in range(2))
@@ -476,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--custom", action="append", metavar="C1,C2,D1P")
     # read "--custom -1.5,0.2,0.5" as a value, as argparse reads "-1.5"
     p._negative_number_matcher = re.compile(r"^-\.?\d")
-    p.set_defaults(func=cmd_check)
+    p.set_defaults(func="cmd_check")
 
     p = sub.add_parser("contour", parents=[out], help="SPR/PR flags over a (c1, c2) grid")
     p.add_argument("--d1p", type=float, required=True)
@@ -486,31 +503,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c2-min", type=float, default=-1.0)
     p.add_argument("--c2-max", type=float, default=1.0)
     p.add_argument("--c2-step", type=float, default=0.05)
-    p.set_defaults(func=cmd_contour)
+    p.set_defaults(func="cmd_contour")
 
     p = sub.add_parser("bode", parents=[out], help="gain/phase tables for the presets")
     p.add_argument("--grid", type=int, default=DEFAULT_SPR_GRID)
-    p.add_argument("--presets", nargs="*", default=list(PRESET_ORDER))
+    p.add_argument("--presets", nargs="*", default=PRESET_ORDER)
     p.add_argument("--fs", type=float, default=DEFAULT_SAMPLE_RATE)
-    p.set_defaults(func=cmd_bode)
+    p.set_defaults(func="cmd_bode")
 
     p = sub.add_parser("run", parents=[out, config], help="one algorithm x one preset from a config file")
     p.add_argument("--algorithm", dest="algorithms", type=lambda name: [name], metavar="NAME")
     p.add_argument("--preset", dest="presets", type=lambda name: [name], metavar="NAME")
-    p.set_defaults(func=cmd_compare)
+    p.set_defaults(func="cmd_compare")
 
     p = sub.add_parser("compare", parents=[out, config], help="sweep algorithms x presets from a config file")
     p.add_argument("--algorithms", type=_names, help="comma list overriding the config")
     p.add_argument("--presets", type=_names, help="comma list overriding the config")
-    p.set_defaults(func=cmd_compare)
+    p.set_defaults(func="cmd_compare")
     return parser
 
 
+@lru_cache(maxsize=1)
+def _shared_parser() -> argparse.ArgumentParser:
+    # main's parser: built at its first call and kept for the process
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[args.func](args)
     except (RootFindingError, SingularityError) as exc:  # before ValueError, which SingularityError is
         print(f"numerics error: {exc}", file=sys.stderr)
         return EXIT_NUMERICS

@@ -1,5 +1,6 @@
 """Command-line front end tests: verdict tables, exports, runs, exit codes."""
 
+import argparse
 import csv
 import hashlib
 import os
@@ -49,6 +50,11 @@ from daglms.adapt import PRESET_ORDER, make_preset
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def tree_bytes(path):
+    """Every file below ``path`` by its path relative to ``path``, with its bytes."""
+    return {str(p.relative_to(path)): p.read_bytes() for p in sorted(path.rglob("*")) if p.is_file()}
 
 
 SMALL_FEEDFORWARD_CONFIG = """
@@ -352,6 +358,18 @@ class TestBode:
         for row in rows:
             assert row["phase_within_90deg"] == "Y"
             assert abs(float(row["mean_log_gain"])) < 1e-3
+
+    def test_no_pr_verdict(self, tmp_path, monkeypatch):
+        """bode writes no integrated_pr, so it runs no PR test: with one that raises it exits 0
+        and writes the same tables."""
+        assert main(["bode", "--out", str(tmp_path / "a"), "--grid", "512"]) == 0
+
+        def fail(*args, **kwargs):
+            raise AssertionError("bode ran a PR test")
+
+        monkeypatch.setattr(cli, "_pr_unit_pole", fail)
+        assert main(["bode", "--out", str(tmp_path / "b"), "--grid", "512"]) == 0
+        assert tree_bytes(tmp_path / "b") == tree_bytes(tmp_path / "a")
 
 
 class TestRunCompare:
@@ -882,6 +900,23 @@ class TestCsvWriter:
         row_wise_csv(tmp_path / "rows.csv", header, MIXED_ROWS)
         assert (tmp_path / "columnar.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
+    def test_float_columns_match_csv_writer(self, tmp_path, monkeypatch):
+        """A column of floats alone, Python or NumPy, is formatted in bulk with _fmt's fields."""
+        rows = [
+            (0.1, np.float64(-0.0), float("nan"), 1e300),
+            (np.float64("nan"), -0.0, 5e-324, np.float64(np.inf)),
+            (-np.inf, np.float64(0.1), np.float64(-5e-324), 123456789.0),
+        ]
+        header = ["a", "b", "c", "d"]
+        row_wise_csv(tmp_path / "rows.csv", header, rows)
+
+        def no_fmt(value):
+            raise AssertionError(f"{value!r} formatted one by one")
+
+        monkeypatch.setattr(cli, "_fmt", no_fmt)
+        cli._write_csv(tmp_path / "columnar.csv", header, cli._columns(rows))
+        assert (tmp_path / "columnar.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
     def test_arrays_match_csv_writer(self, tmp_path):
         special = [np.nan, -0.0, 0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e16, 0.1, 123456789.0]
         columns = [
@@ -1306,3 +1341,60 @@ def test_writer_error_reaches_main_and_stops_the_runs(tmp_path, monkeypatch):
     assert threading.active_count() == threads
     assert len(written) == 1 and len(started) <= 3  # the second trace and the one computing behind it
     assert not (tmp_path / "out" / "summary.csv").exists()
+
+
+# check with custom cells, check alone, a usage error, contour and bode, each with the exit code,
+# standard output and error, and files it gives in a fresh interpreter
+REUSE_SEQUENCE = [
+    (["check", "--custom=0.5,-0.5,0.5", "--custom=-1.5,0.2,0.9", "--out", "custom"], 0),
+    (["check", "--out", "presets"], 0),
+    (["check", "--custom=0.5,0.2,0.5", "--no-such-option"], 3),
+    (["contour", "--d1p", "0.5", "--c1-step", "0.2", "--c2-step", "0.2", "--out", "contour"], 0),
+    (["bode", "--grid", "512", "--out", "bode"], 0),
+]
+
+
+def test_one_parser_serves_every_call(tmp_path, monkeypatch, capsys):
+    """The parser is built once per process; each command of a sequence run through it in
+    one process gives what it gives alone in a fresh interpreter, so no parse leaves state
+    behind for the next (the second check writes the 5 preset rows alone)."""
+    assert cli._shared_parser() is cli._shared_parser()
+    assert cli.build_parser() is not cli.build_parser()
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    for name in ("shared", "fresh"):
+        (tmp_path / name).mkdir()
+    monkeypatch.chdir(tmp_path / "shared")
+    for argv, code in REUSE_SEQUENCE:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "daglms", *argv], cwd=tmp_path / "fresh", env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert fresh.returncode == code, fresh.stderr
+        if code == cli.EXIT_CONFIG:  # a usage error leaves by SystemExit
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == code
+        else:
+            assert main(argv) == code
+        assert capsys.readouterr() == (fresh.stdout, fresh.stderr), argv
+    assert tree_bytes(tmp_path / "shared") == tree_bytes(tmp_path / "fresh")
+    assert [r["name"] for r in read_csv(tmp_path / "shared" / "presets" / "check.csv")] == list(PRESET_ORDER)
+
+
+def test_command_patched_after_the_first_call_runs(tmp_path, monkeypatch):
+    """The parser holds each command by name, so a command patched on the module after
+    the parser was built, as the benchmark's tracer patches ``cli.cmd_contour``, runs."""
+    argv = ["contour", "--d1p", "0.5", "--c1-step", "1", "--c2-step", "1", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    calls = []
+    monkeypatch.setattr(cli, "cmd_contour", lambda args: calls.append(args.d1p) or cli.EXIT_MISMATCH)
+    assert main(argv) == cli.EXIT_MISMATCH and calls == [0.5]
+
+
+def test_parser_defaults_are_immutable():
+    """No default of the shared parser is an object that one call could change for the next."""
+    subparsers = next(a for a in cli._shared_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command, parser in subparsers.choices.items():
+        defaults = [*(action.default for action in parser._actions), *parser._defaults.values()]
+        assert all(isinstance(v, (type(None), str, int, float, tuple)) for v in defaults), (command, defaults)
