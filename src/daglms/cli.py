@@ -3,7 +3,8 @@
 Verdict checks, SPR/PR region grids, frequency-response export and
 experiment sweeps, all written as deterministic CSV for external plotting.
 Exit codes: 0 ok, 1 verdict mismatch against an expected-values file,
-2 divergence in a run, 3 configuration error (out of memory included),
+2 divergence in a run, 3 configuration error (out of memory, or an output file
+that cannot be written, included),
 4 numerics error (a root solve that failed, or a response evaluated on a pole).
 """
 
@@ -13,8 +14,11 @@ import argparse
 import configparser
 import csv
 import math
+import os
 import re
+import stat
 import sys
+from contextlib import contextmanager
 from functools import lru_cache
 from pathlib import Path
 
@@ -90,9 +94,35 @@ def _rows(columns) -> str:
     return "\r\n".join([*map(",".join, zip(*columns)), ""])
 
 
+@contextmanager
+def _rewrite(path: Path):
+    """Open ``path`` to write its new bytes over its old ones; on leaving, normally or by an
+    exception, a regular file longer than the bytes that reached it is cut to them.
+
+    Unlike ``O_TRUNC``, a rerun that writes the same bytes frees and allocates no disk block,
+    and a new file or one that grew is not cut at all. The inode stays, as with ``O_TRUNC``:
+    a link at the path is written through, and mode and owner are kept. An ``OSError`` from
+    the open, a write or the cut is a config error that names the path.
+    """
+    try:
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666), "wb") as fh:
+            try:
+                yield fh
+            finally:
+                try:
+                    fh.flush()
+                finally:  # the offset counts the bytes that reached the file, a failed flush's too
+                    fd = fh.fileno()
+                    st = os.fstat(fd)  # a device or a pipe has no length to cut, nor an offset
+                    if stat.S_ISREG(st.st_mode) and st.st_size > (end := os.lseek(fd, 0, os.SEEK_CUR)):
+                        os.ftruncate(fd, end)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _write_csv(path: Path, header: list[str], columns) -> None:
-    with path.open("w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n" + _rows(columns))
+    with _rewrite(path) as fh:
+        fh.write((",".join(header) + "\r\n" + _rows(columns)).encode())
 
 
 def _spr_and_log_gain(h: TransferOperator) -> tuple:
@@ -376,7 +406,7 @@ def _write_trace(path: Path, trace: sim.RunTrace) -> None:
         window = (trace.atten_db, trace.open_loop_prefix_samples, trace.atten_window_samples)
     records = (trace.e0, trace.e_post, trace.residual, trace.param_err)
     size = trace.residual.size
-    with path.open("wb") as fh:
+    with _rewrite(path) as fh:
         fh.write(_TRACE_HEADER)
         for start in range(0, size, _TRACE_BLOCK_ROWS):
             block = slice(start, min(start + _TRACE_BLOCK_ROWS, size))

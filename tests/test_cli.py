@@ -1343,6 +1343,183 @@ def test_writer_error_reaches_main_and_stops_the_runs(tmp_path, monkeypatch):
     assert not (tmp_path / "out" / "summary.csv").exists()
 
 
+# two runs with an attenuation series each, short enough for the Python loop
+REWRITE_CONFIG = (
+    SMALL_FEEDFORWARD_CONFIG.replace("duration_samples = 30000", "duration_samples = 4000")
+    .replace("open_loop_prefix_samples = 5000", "open_loop_prefix_samples = 1000")
+    .replace("window_seconds = 1.0", "window_seconds = 0.2")
+)
+
+
+def rewrite_argv(tmp_path, command, out):
+    """``command``'s argv from :data:`OUT_COMMANDS` into ``out``; ``compare`` runs :data:`REWRITE_CONFIG`."""
+    argv = [*OUT_COMMANDS[command], "--out", str(out)]
+    if command == "compare":
+        argv += ["--config", str(write_config(tmp_path, REWRITE_CONFIG))]
+    return argv
+
+
+def engine_of(engine, monkeypatch):
+    # "host" takes the kernel where it loads; "python" takes the Python twins with the kernel out of reach
+    if engine == "python":
+        monkeypatch.setattr(_kernel, "load", lambda: None)
+
+
+def pad(path, junk=b"stale,tail\r\n" * 5000):
+    with path.open("ab") as fh:
+        fh.write(junk)
+
+
+@pytest.mark.parametrize("engine", ["host", "python"])
+@pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+def test_rerun_rewrites_each_file_in_place(tmp_path, monkeypatch, command, engine):
+    """A rerun into the same ``--out`` gives the bytes of a run into a fresh directory, over
+    the first run's files and over files made longer with junk, whose old tail is cut; each
+    file keeps its inode. A file of the same bytes is not cut; a longer one is cut once, at
+    its new length, after its last byte reached it (a cut before a buffered tail would free
+    blocks that the tail then allocates again)."""
+    engine_of(engine, monkeypatch)
+    assert main(rewrite_argv(tmp_path, command, tmp_path / "fresh")) == 0
+    fresh = tree_bytes(tmp_path / "fresh")
+    out = tmp_path / "out"
+    assert main(rewrite_argv(tmp_path, command, out)) == 0
+    inodes = {name: (out / name).stat().st_ino for name in fresh}
+    cuts, cut = [], os.ftruncate
+    monkeypatch.setattr(os, "ftruncate", lambda fd, length: cuts.append(length) or cut(fd, length))
+    assert main(rewrite_argv(tmp_path, command, out)) == 0
+    assert tree_bytes(out) == fresh and cuts == []
+    for name in fresh:
+        pad(out / name)
+    assert main(rewrite_argv(tmp_path, command, out)) == 0
+    assert tree_bytes(out) == fresh
+    assert sorted(cuts) == sorted(map(len, fresh.values()))
+    assert {name: (out / name).stat().st_ino for name in fresh} == inodes
+
+
+@pytest.mark.skipif(os.name != "posix", reason="symlinks, hard links and modes as POSIX has them")
+@pytest.mark.parametrize("engine", ["host", "python"])
+def test_rerun_writes_through_links_and_keeps_the_mode(tmp_path, monkeypatch, engine):
+    """A symlink and a hard link at output paths are written through, not replaced, and a
+    file's mode survives the rerun, as with a truncating open."""
+    engine_of(engine, monkeypatch)
+    assert main(rewrite_argv(tmp_path, "compare", tmp_path / "fresh")) == 0
+    fresh = tree_bytes(tmp_path / "fresh")
+    out = tmp_path / "out"
+    assert main(rewrite_argv(tmp_path, "compare", out)) == 0
+    target, hard = tmp_path / "target.csv", tmp_path / "hard.csv"
+    os.replace(out / "trace_nlms_integral.csv", target)
+    (out / "trace_nlms_integral.csv").symlink_to(target)
+    os.link(out / "summary.csv", hard)
+    (out / "trace_nlms_arima2.csv").chmod(0o640)
+    for path in (target, hard, out / "trace_nlms_arima2.csv"):
+        pad(path)
+    assert main(rewrite_argv(tmp_path, "compare", out)) == 0
+    assert (out / "trace_nlms_integral.csv").is_symlink()
+    assert target.read_bytes() == fresh["trace_nlms_integral.csv"]
+    assert hard.read_bytes() == fresh["summary.csv"] and hard.samefile(out / "summary.csv")
+    assert (out / "trace_nlms_arima2.csv").stat().st_mode & 0o777 == 0o640
+    assert tree_bytes(out) == fresh
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null") or os.name != "posix", reason="needs /dev/null, symlinks and FIFOs")
+@pytest.mark.parametrize("engine", ["host", "python"])
+@pytest.mark.parametrize("target", ["dev-null", "fifo"])
+def test_trace_into_a_device_or_pipe_exits_0(tmp_path, monkeypatch, engine, target):
+    """A symlink to ``/dev/null``, or a FIFO, at a trace path has no length to cut, and a
+    FIFO no offset: each is written without the cut, and the FIFO's reader gets the bytes of
+    a fresh run; the other files are written as into a fresh directory."""
+    engine_of(engine, monkeypatch)
+    assert main(rewrite_argv(tmp_path, "compare", tmp_path / "fresh")) == 0
+    fresh = tree_bytes(tmp_path / "fresh")
+    out, name, read = tmp_path / "out", "trace_nlms_arima2.csv", []
+    out.mkdir()
+    if target == "dev-null":
+        (out / name).symlink_to("/dev/null")
+    else:
+        os.mkfifo(out / name)
+        reader = threading.Thread(target=lambda: read.append((out / name).read_bytes()), daemon=True)
+        reader.start()
+    assert main(rewrite_argv(tmp_path, "compare", out)) == 0
+    if target == "fifo":
+        reader.join(timeout=60)
+        assert not reader.is_alive() and read == [fresh[name]]
+    del fresh[name]
+    assert tree_bytes(out) == fresh  # which lists regular files alone
+
+
+@pytest.mark.parametrize("engine", ["kernel", "python"])
+def test_failed_trace_write_leaves_the_blocks_written(tmp_path, monkeypatch, engine):
+    """A row writer that raises on the second block, over an old file longer than the new
+    one: the error leaves ``_write_trace``, and the file holds the header and the first
+    block alone."""
+    trace_engine(engine, monkeypatch)
+    trace = synthetic_trace(3 * cli._TRACE_BLOCK_ROWS, 301, window=100)
+    path = tmp_path / "trace.csv"
+    cli._write_trace(path, trace)
+    whole = path.read_bytes()
+    pad(path)
+    kernel = _kernel.load()
+    owner, name = (cli, "_trace_rows") if kernel is None else (kernel, "trace_rows")
+    write_rows, blocks = getattr(owner, name), []
+
+    def failing(*args):
+        if blocks:
+            raise RuntimeError("row writer failed")
+        blocks.append(write_rows(*args))
+        return blocks[-1]
+
+    monkeypatch.setattr(owner, name, failing)
+    with pytest.raises(RuntimeError, match="row writer failed"):
+        cli._write_trace(path, trace)
+    assert path.read_bytes() == cli._TRACE_HEADER + blocks[0]
+    assert whole.startswith(path.read_bytes()) and len(blocks[0]) > 0
+
+
+UNWRITABLE = [
+    ("check", "check.csv"),
+    ("contour", "contour_d1p_0.5.csv"),
+    ("bode", "bode_integral.csv"),
+    ("bode", "bode_summary.csv"),
+    ("compare", "trace_nlms_arima2.csv"),
+    ("compare", "summary.csv"),
+]
+
+
+@pytest.mark.parametrize("engine", ["host", "python"])
+@pytest.mark.parametrize("command, name", UNWRITABLE, ids=[f"{c}-{n}" for c, n in UNWRITABLE])
+def test_output_file_that_cannot_be_written_exits_3(tmp_path, capsys, monkeypatch, command, name, engine):
+    """A directory at an output path exits 3 with one config error line that names the path;
+    the files written before it stay as a fresh run writes them, and no thread is left behind."""
+    engine_of(engine, monkeypatch)
+    assert main(rewrite_argv(tmp_path, command, tmp_path / "fresh")) == 0
+    fresh = tree_bytes(tmp_path / "fresh")
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    capsys.readouterr()
+    threads = threading.active_count()
+    assert main(rewrite_argv(tmp_path, command, out)) == 3
+    assert threading.active_count() == threads
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {out / name}: ") and err.count("\n") == 1, err
+    written = tree_bytes(out)
+    assert all(fresh[k] == v for k, v in written.items())
+    if name == "trace_nlms_arima2.csv":  # the trace before it is written, the summary is not
+        assert sorted(written) == ["trace_nlms_integral.csv"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full") or os.name != "posix", reason="needs /dev/full and symlinks")
+@pytest.mark.parametrize("command, name", [("check", "check.csv"), ("compare", "trace_nlms_integral.csv")])
+def test_full_device_exits_3(tmp_path, capsys, command, name):
+    """A write that fails, here into ``/dev/full`` (no space left on the device), exits 3
+    with one config error line that names the path."""
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / name).symlink_to("/dev/full")
+    assert main(rewrite_argv(tmp_path, command, out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {out / name}: ") and err.count("\n") == 1, err
+
+
 # check with custom cells, check alone, a usage error, contour and bode, each with the exit code,
 # standard output and error, and files it gives in a fresh interpreter
 REUSE_SEQUENCE = [
