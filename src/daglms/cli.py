@@ -100,22 +100,29 @@ def _rewrite(path: Path):
     exception, a regular file longer than the bytes that reached it is cut to them.
 
     Unlike ``O_TRUNC``, a rerun that writes the same bytes frees and allocates no disk block,
-    and a new file or one that grew is not cut at all. The inode stays, as with ``O_TRUNC``:
-    a link at the path is written through, and mode and owner are kept. An ``OSError`` from
-    the open, a write or the cut is a config error that names the path.
+    and a file that grew is not cut at all. A new file has no old bytes, so it is created
+    with ``O_EXCL`` and takes no ``fstat``, offset or cut: it costs what ``O_TRUNC`` costs.
+    The inode stays, as with ``O_TRUNC``: a link at the path is written through, and mode
+    and owner are kept. An ``OSError`` from the open, a write or the cut is a config error
+    that names the path.
     """
+    flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
     try:
-        with open(os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666), "wb") as fh:
+        try:
+            fd, old = os.open(path, flags | os.O_EXCL, 0o666), False
+        except FileExistsError:  # a file, a link, a device or a directory is there already
+            fd, old = os.open(path, flags, 0o666), True
+        with open(fd, "wb") as fh:
             try:
                 yield fh
             finally:
-                try:
-                    fh.flush()
-                finally:  # the offset counts the bytes that reached the file, a failed flush's too
-                    fd = fh.fileno()
-                    st = os.fstat(fd)  # a device or a pipe has no length to cut, nor an offset
-                    if stat.S_ISREG(st.st_mode) and st.st_size > (end := os.lseek(fd, 0, os.SEEK_CUR)):
-                        os.ftruncate(fd, end)
+                if old:
+                    try:
+                        fh.flush()
+                    finally:  # the offset counts the bytes that reached the file, a failed flush's too
+                        st = os.fstat(fd)  # a device or a pipe has no length to cut, nor an offset
+                        if stat.S_ISREG(st.st_mode) and st.st_size > (end := os.lseek(fd, 0, os.SEEK_CUR)):
+                            os.ftruncate(fd, end)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 

@@ -1359,18 +1359,12 @@ def rewrite_argv(tmp_path, command, out):
     return argv
 
 
-def engine_of(engine, monkeypatch):
-    # "host" takes the kernel where it loads; "python" takes the Python twins with the kernel out of reach
-    if engine == "python":
-        monkeypatch.setattr(_kernel, "load", lambda: None)
-
-
 def pad(path, junk=b"stale,tail\r\n" * 5000):
     with path.open("ab") as fh:
         fh.write(junk)
 
 
-@pytest.mark.parametrize("engine", ["host", "python"])
+@pytest.mark.parametrize("engine", ["kernel", "python"])
 @pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
 def test_rerun_rewrites_each_file_in_place(tmp_path, monkeypatch, command, engine):
     """A rerun into the same ``--out`` gives the bytes of a run into a fresh directory, over
@@ -1378,7 +1372,7 @@ def test_rerun_rewrites_each_file_in_place(tmp_path, monkeypatch, command, engin
     file keeps its inode. A file of the same bytes is not cut; a longer one is cut once, at
     its new length, after its last byte reached it (a cut before a buffered tail would free
     blocks that the tail then allocates again)."""
-    engine_of(engine, monkeypatch)
+    trace_engine(engine, monkeypatch)
     assert main(rewrite_argv(tmp_path, command, tmp_path / "fresh")) == 0
     fresh = tree_bytes(tmp_path / "fresh")
     out = tmp_path / "out"
@@ -1396,12 +1390,25 @@ def test_rerun_rewrites_each_file_in_place(tmp_path, monkeypatch, command, engin
     assert {name: (out / name).stat().st_ino for name in fresh} == inodes
 
 
+@pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+def test_new_file_takes_no_stat_offset_or_cut(tmp_path, monkeypatch, command):
+    """A file that is not there yet has no old bytes: the opener creates it and takes no
+    ``fstat``, offset or cut for it, so a run into a fresh directory costs what it did with
+    ``O_TRUNC``."""
+    calls = []
+    for name in ("fstat", "lseek", "ftruncate"):
+        real = getattr(os, name)
+        monkeypatch.setattr(os, name, lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    assert main(rewrite_argv(tmp_path, command, tmp_path / "fresh")) == 0
+    assert calls == []
+
+
 @pytest.mark.skipif(os.name != "posix", reason="symlinks, hard links and modes as POSIX has them")
-@pytest.mark.parametrize("engine", ["host", "python"])
+@pytest.mark.parametrize("engine", ["kernel", "python"])
 def test_rerun_writes_through_links_and_keeps_the_mode(tmp_path, monkeypatch, engine):
     """A symlink and a hard link at output paths are written through, not replaced, and a
     file's mode survives the rerun, as with a truncating open."""
-    engine_of(engine, monkeypatch)
+    trace_engine(engine, monkeypatch)
     assert main(rewrite_argv(tmp_path, "compare", tmp_path / "fresh")) == 0
     fresh = tree_bytes(tmp_path / "fresh")
     out = tmp_path / "out"
@@ -1422,13 +1429,13 @@ def test_rerun_writes_through_links_and_keeps_the_mode(tmp_path, monkeypatch, en
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/null") or os.name != "posix", reason="needs /dev/null, symlinks and FIFOs")
-@pytest.mark.parametrize("engine", ["host", "python"])
+@pytest.mark.parametrize("engine", ["kernel", "python"])
 @pytest.mark.parametrize("target", ["dev-null", "fifo"])
 def test_trace_into_a_device_or_pipe_exits_0(tmp_path, monkeypatch, engine, target):
     """A symlink to ``/dev/null``, or a FIFO, at a trace path has no length to cut, and a
     FIFO no offset: each is written without the cut, and the FIFO's reader gets the bytes of
     a fresh run; the other files are written as into a fresh directory."""
-    engine_of(engine, monkeypatch)
+    trace_engine(engine, monkeypatch)
     assert main(rewrite_argv(tmp_path, "compare", tmp_path / "fresh")) == 0
     fresh = tree_bytes(tmp_path / "fresh")
     out, name, read = tmp_path / "out", "trace_nlms_arima2.csv", []
@@ -1485,12 +1492,12 @@ UNWRITABLE = [
 ]
 
 
-@pytest.mark.parametrize("engine", ["host", "python"])
+@pytest.mark.parametrize("engine", ["kernel", "python"])
 @pytest.mark.parametrize("command, name", UNWRITABLE, ids=[f"{c}-{n}" for c, n in UNWRITABLE])
 def test_output_file_that_cannot_be_written_exits_3(tmp_path, capsys, monkeypatch, command, name, engine):
     """A directory at an output path exits 3 with one config error line that names the path;
     the files written before it stay as a fresh run writes them, and no thread is left behind."""
-    engine_of(engine, monkeypatch)
+    trace_engine(engine, monkeypatch)
     assert main(rewrite_argv(tmp_path, command, tmp_path / "fresh")) == 0
     fresh = tree_bytes(tmp_path / "fresh")
     out = tmp_path / "out"
