@@ -152,7 +152,8 @@ class Kernel:
         self._lfilter.restype, self._lfilter.argtypes = None, (i64, ptr, ptr, ptr, i64, ptr, ptr)
         self._sosfilt.restype, self._sosfilt.argtypes = None, (i64, ptr, ptr, i64, ptr, ptr)
         self._trace_rows = lib.daglms_trace_rows
-        self._trace_rows.restype, self._trace_rows.argtypes = i64, (ptr, i64, i64, i64, ptr, ptr, i64, i64, i64, ptr)
+        rows_args = (ptr, *(i64,) * 3, ptr, ptr, *(i64,) * 3, ptr, ptr, ptr)
+        self._trace_rows.restype, self._trace_rows.argtypes = i64, rows_args
         self._pow10 = _pow10_table()
         self._dot = dot = lib.daglms_dot
         dot.restype, dot.argtypes = ctypes.c_double, (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p)
@@ -245,11 +246,16 @@ class Kernel:
                 return out[0], out[1]
         return None
 
-    def trace_rows(self, start: int, columns, window) -> memoryview:
-        """Rows ``start``... of a trace CSV as bytes: the step, then a field for each of
-        ``columns`` (at most :data:`MAX_TRACE_COLUMNS`), 1-D arrays of one length, each double
-        as ``repr`` writes it and NaN as an empty field, then the field of ``window``, the
-        fields joined by ``,`` and each row ending in ``\\r\\n``.
+    def trace_rows(self, start: int, columns, window, lead=None) -> memoryview:
+        """Rows ``start``... of a trace CSV as bytes: the row's lead, then a field for each
+        of ``columns`` (at most :data:`MAX_TRACE_COLUMNS`), 1-D arrays of one length, each
+        double as ``repr`` writes it and NaN as an empty field, then the field of ``window``,
+        the fields joined by ``,`` and each row ending in ``\\r\\n``.
+
+        ``lead``, a ``(text, ends)`` pair, gives row ``i`` the bytes ``text[ends[i]:ends[i + 1]]``:
+        ``ends`` holds one more offset than there are rows, increasing, the last within
+        ``text``. None leads each row with its step. The writer copies a lead as it is, so
+        text that many calls share, such as rows of this writer cut short, is formatted once.
 
         ``window``, a ``(values, first, length)`` triple, holds one value per window of
         ``length`` steps: step ``s`` reads ``values[(s - first) // length]`` where
@@ -264,10 +270,17 @@ class Kernel:
         if not (values.ndim == 1 and first >= 0 and length >= 1):
             raise ValueError("a trace_rows window takes 1-D values, a first step from 0 and a length from 1")
         ncols, rows = block.shape
-        out = np.empty(rows * (22 + 25 * (ncols + 1)) + 16, dtype=np.uint8)  # the bound of daglms_trace_rows
+        lead_at, lead_bytes = (None, None), 20 * rows  # NULL: each row's step, of at most 20 digits
+        if lead is not None:
+            text, ends = np.frombuffer(lead[0], dtype=np.uint8), np.ascontiguousarray(lead[1], dtype=np.int64)
+            if not (ends.shape == (rows + 1,) and ends[0] >= 0 and ends[-1] <= text.size
+                    and np.all(ends[1:] > ends[:-1])):
+                raise ValueError("a trace_rows lead takes increasing ends into its text, one more than there are rows")
+            lead_at, lead_bytes = (text.ctypes.data, ends.ctypes.data), int(ends[-1] - ends[0])
+        out = np.empty(lead_bytes + rows * (2 + 25 * (ncols + 1)) + 16, dtype=np.uint8)  # daglms_trace_rows' bound
         size = self._trace_rows(
             self._pow10.ctypes.data, start, rows, ncols, block.ctypes.data,
-            values.ctypes.data, values.size, first, length, out.ctypes.data,
+            values.ctypes.data, values.size, first, length, *lead_at, out.ctypes.data,
         )
         return out[:size].data
 

@@ -396,43 +396,84 @@ def load_scenario(path: Path, seed_override: int | None = None):
 
 _TRACE_BLOCK_ROWS = 4096
 _TRACE_HEADER = b"step,time_s,e0,e_post,residual,param_err,atten_db\r\n"
+_NO_WINDOW = (np.empty(0), 0, 1)  # no attenuation series: every atten_db field is empty
 
 
-def _write_trace(path: Path, trace: sim.RunTrace) -> None:
+def _row_writer():
+    # the kernel's trace_rows where it loads, else its Python twin, with the same bytes
+    kernel = _kernel.load()
+    return _trace_rows if kernel is None else kernel.trace_rows
+
+
+def _trace_text(open_loop, size: int, sample_rate_hz: float):
+    """The text of a trace of ``size`` rows that its controlled rows' records leave as it is,
+    block by block of at most ``_TRACE_BLOCK_ROWS`` rows, as ``(start, stop, text)`` triples.
+
+    ``open_loop`` is the prefix of the records e0, e_post, residual and param_err: before its
+    length, each block's text is its rows whole, whose atten_db fields are empty; after it,
+    each block's text is the ``trace_rows`` lead of its rows, their step and time_s. The row
+    writer formats each block as it is taken: whole, the text is about 20 bytes a row, and
+    the ends of a controlled row's lead 8 more. Every run of a sweep has the same open-loop
+    records, length and rate, so its traces can share this text."""
+    write_rows, prefix = _row_writer(), len(open_loop[0])
+    for lo, hi in ((0, prefix), (prefix, size)):
+        for start in range(lo, hi, _TRACE_BLOCK_ROWS):
+            stop = min(start + _TRACE_BLOCK_ROWS, hi)
+            time_s = np.arange(start, stop) / sample_rate_hz
+            if stop <= prefix:
+                yield start, stop, bytes(write_rows(start, [time_s, *(r[start:stop] for r in open_loop)], _NO_WINDOW))
+                continue
+            # "step,time_s,\r\n" a row: each row's lead is its text before the ",\r\n" that is cut
+            rows = np.frombuffer(write_rows(start, [time_s], _NO_WINDOW), dtype=np.uint8)
+            cut = np.flatnonzero(rows == ord("\r")) + np.array([[-1], [0], [1]])
+            keep = np.ones(rows.size, dtype=bool)
+            keep[cut] = False
+            ends = np.zeros(stop - start + 1, dtype=np.int64)
+            ends[1:] = cut[0] - 3 * np.arange(stop - start)
+            yield start, stop, (rows[keep].tobytes(), ends)
+
+
+def _write_trace(path: Path, trace: sim.RunTrace, text=None) -> None:
     """Write ``trace`` to ``path``, block by block.
 
-    Nothing formatted outlives its block of ``_TRACE_BLOCK_ROWS`` rows, so memory
-    stays flat in the trace length. Where the kernel loads, its
+    ``text`` is the trace's :func:`_trace_text`, which a sweep formats once for all its
+    traces; None formats it here, a block at a time. The rows of each controlled block are
+    that block's lead and the trace's records, so nothing of this trace outlives its block
+    of ``_TRACE_BLOCK_ROWS`` rows: memory stays flat in the trace length, beside the shared
+    text that a sweep holds. Where the kernel loads, its
     :meth:`~daglms._kernel.Kernel.trace_rows` formats each block, else its Python
     twin :func:`_trace_rows` does, with the same bytes.
     """
-    kernel = _kernel.load()
-    write_rows = _trace_rows if kernel is None else kernel.trace_rows
-    window = (np.empty(0), 0, 1)  # no series: every atten_db field is empty
+    write_rows, prefix = _row_writer(), trace.open_loop_prefix_samples
+    window = _NO_WINDOW
     if trace.atten_db is not None and trace.atten_window_samples is not None:
-        window = (trace.atten_db, trace.open_loop_prefix_samples, trace.atten_window_samples)
+        window = (trace.atten_db, prefix, trace.atten_window_samples)
     records = (trace.e0, trace.e_post, trace.residual, trace.param_err)
-    size = trace.residual.size
+    if text is None:
+        text = _trace_text([r[:prefix] for r in records], trace.residual.size, trace.sample_rate_hz)
     with _rewrite(path) as fh:
         fh.write(_TRACE_HEADER)
-        for start in range(0, size, _TRACE_BLOCK_ROWS):
-            block = slice(start, min(start + _TRACE_BLOCK_ROWS, size))
-            time_s = np.arange(block.start, block.stop) / trace.sample_rate_hz
-            fh.write(write_rows(start, [time_s, *(r[block] for r in records)], window))
+        for start, stop, shared in text:
+            fh.write(shared if stop <= prefix else write_rows(start, [r[start:stop] for r in records], window, shared))
 
 
-def _trace_rows(start: int, columns, window) -> bytes:
+def _trace_rows(start: int, columns, window, lead=None) -> bytes:
     """:meth:`daglms._kernel.Kernel.trace_rows` in Python, with its contract and its bytes:
-    rows ``start``... of the step, a field for each of ``columns`` and the step's
-    ``window`` field; only the windows that the block reaches are formatted."""
+    rows ``start``... of the row's ``lead`` (None: its step), a field for each of ``columns``
+    and the step's ``window`` field; only the windows that the block reaches are formatted."""
     values, first, length = window
     steps = np.arange(start, start + len(columns[0]))
+    if lead is None:
+        leads = map(str, steps.tolist())
+    else:
+        text, ends = str(lead[0], "ascii"), np.asarray(lead[1]).tolist()
+        leads = map(text.__getitem__, map(slice, ends[:-1], ends[1:]))
     k = (steps - first) // length  # negative before the first window
     reached = k[(k >= 0) & (k < len(values))]
     lo, hi = (int(reached[0]), int(reached[-1]) + 1) if reached.size else (0, 0)
     windows = _fields(values[lo:hi]) + [""]
     return _rows([
-        map(str, steps.tolist()), *map(_fields, columns),
+        leads, *map(_fields, columns),
         map(windows.__getitem__, np.where((lo <= k) & (k < hi), k - lo, -1).tolist()),
     ]).encode()
 
@@ -468,13 +509,17 @@ def _sweep(scenario, options, out: str) -> int:
 
     summary_rows, pending = [], []
     # each run computes here while the trace before it is written on the one writer thread,
-    # whose row is taken before this trace goes to it: at most two traces are alive
+    # whose row is taken before this trace goes to it: at most two traces are alive; the
+    # text that every trace shares is formatted there first, while the first run computes
     with ThreadPoolExecutor(1, "daglms-writer") as writer:
+        text = writer.submit(_sweep_text, scenario, sig)
         for algorithm in options["algorithms"]:
             for preset, cfg in presets:
                 trace = sim._run(scenario, sig, options["policies"][algorithm], cfg, options["window_seconds"])
                 summary_rows += [row.result() for row in pending]
-                pending = [writer.submit(_write_run, trace, out, algorithm, preset, options["threshold_db"])]
+                pending = [writer.submit(
+                    _write_run, trace, out, algorithm, preset, options["threshold_db"], text.result()
+                )]
         summary_rows += [row.result() for row in pending]
     header = ["algorithm", "preset", "diverged", "divergence_step", "spr_ok",
               "final_atten_db", "time_to_threshold_idx", "time_to_threshold_s"]
@@ -483,10 +528,18 @@ def _sweep(scenario, options, out: str) -> int:
     return EXIT_DIVERGED if any(row[2] for row in summary_rows) else EXIT_OK  # the diverged column
 
 
-def _write_run(trace: sim.RunTrace, out: Path, algorithm: str, preset: str, threshold_db: float) -> tuple:
-    """Write one run's trace into ``out`` and print its line; returns its summary row."""
+def _sweep_text(scenario, sig) -> list:
+    """The :func:`_trace_text` of every run on ``sig``, whole: before ``sig.prefix`` a run
+    records NaN but for its residual, the measured signal ``sig.desired``."""
+    nan = sig.nan[:sig.prefix]
+    return list(_trace_text([nan, nan, sig.desired[:sig.prefix], nan], sig.desired.size, scenario.noise.sample_rate_hz))
+
+
+def _write_run(trace: sim.RunTrace, out: Path, algorithm: str, preset: str, threshold_db: float, text) -> tuple:
+    """Write one run's trace into ``out``, with the sweep's shared ``text``, and print its
+    line; returns its summary row."""
     path = out / f"trace_{algorithm}_{preset}.csv"
-    _write_trace(path, trace)
+    _write_trace(path, trace, text)
     final = tt_idx = tt_s = None
     if trace.atten_db is not None and trace.atten_db.size:
         final = float(trace.atten_db[-1])

@@ -362,10 +362,15 @@ def gen_noise(spec: NoiseSpec, n: int) -> np.ndarray:
     rng = np.random.default_rng(spec.seed)
     if spec.kind == "white":
         return spec.amplitude * rng.standard_normal(n)
-    sos = _bandpass_sos(spec.band_low_hz, spec.band_high_hz, spec.sample_rate_hz)
+    band = spec.band_low_hz, spec.band_high_hz, spec.sample_rate_hz
+    gain = _bandpass_rms_gain(*band)
+    if not 0.0 < gain < math.inf:  # it underflows at a rate far above the band
+        raise ValueError(
+            "band_low_hz = {!r}, band_high_hz = {!r} at sample_rate_hz = {!r}: the band-pass filter's RMS gain "
+            "is {!r}, so the noise cannot be scaled to its amplitude".format(*band, gain)
+        )
     raw = rng.standard_normal(n + _WARMUP_SAMPLES)
-    shaped = _sosfilt(sos, raw)[_WARMUP_SAMPLES:]
-    gain = _bandpass_rms_gain(spec.band_low_hz, spec.band_high_hz, spec.sample_rate_hz)
+    shaped = _sosfilt(_bandpass_sos(*band), raw)[_WARMUP_SAMPLES:]
     return shaped * (spec.amplitude / gain)
 
 

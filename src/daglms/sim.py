@@ -152,7 +152,9 @@ class _Signals:
     Every array is checked to be C-contiguous float64, made read-only and private to these
     signals; the compiled loop reads ``desired``, ``rev``, ``rev_f`` and ``target`` at
     ``addresses``. ``spr_ok`` is the secondary-path SPR screen's verdict and ``warning`` the
-    warning it calls for, None where it passes.
+    warning it calls for, None where it passes. ``open_loop_var`` is the variance of
+    ``desired`` before ``prefix``, the open-loop variance of every run's attenuation series
+    (NaN with no prefix).
     """
 
     desired: np.ndarray
@@ -165,6 +167,7 @@ class _Signals:
     warning: str | None
     nan: np.ndarray
     addresses: tuple = field(init=False, repr=False)
+    open_loop_var: float = field(init=False, repr=False)
 
     def __post_init__(self):
         read = (self.desired, self.rev, self.rev_f, self.target)
@@ -173,6 +176,7 @@ class _Signals:
             if v is not None:
                 v.flags.writeable = False
         object.__setattr__(self, "addresses", tuple(None if v is None else v.ctypes.data for v in read))
+        object.__setattr__(self, "open_loop_var", float(self.desired[:self.prefix].var()) if self.prefix else math.nan)
 
 
 def _build_signals(scn: ScenarioConfig) -> _Signals:
@@ -321,7 +325,7 @@ def _run(
         trace.diverged, trace.divergence_step, trace.divergence_norm = True, step, norm
     elif sig.path is not None:  # only a feedforward run has a path
         with contextlib.suppress(ValueError):  # no full window fits
-            attenuation_db(trace, window_seconds)
+            _attenuation_db(trace, window_seconds, sig.open_loop_var)
     return trace
 
 
@@ -435,6 +439,12 @@ def attenuation_db(
     returned; a window that does not fit both the prefix and the controlled span
     raises ValueError.
     """
+    return _attenuation_db(trace, window_seconds, None)
+
+
+def _attenuation_db(trace: RunTrace, window_seconds: float, var_open: float | None) -> np.ndarray:
+    """:func:`attenuation_db`, with the variance of ``trace.residual`` before its prefix
+    given as ``var_open``, or taken here where it is None."""
     win = _window_samples(window_seconds, trace.sample_rate_hz)
     if win == math.inf:
         raise ValueError("window_seconds must cover at least two samples and a finite number of them")
@@ -443,7 +453,8 @@ def attenuation_db(
         raise ValueError("open-loop prefix shorter than one window")
     if trace.residual.size - prefix < win:
         raise ValueError("no full controlled window in the trace")
-    var_open = float(trace.residual[:prefix].var())
+    if var_open is None:
+        var_open = float(trace.residual[:prefix].var())
     var_ctrl = windowed_variance(trace.residual[prefix:], win)
     quiet = var_ctrl == 0.0
     db = np.zeros(var_ctrl.size)

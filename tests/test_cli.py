@@ -578,13 +578,22 @@ def test_config_error_leaves_no_output(tmp_path, capsys, argv, config, message):
             SMALL_FEEDFORWARD_CONFIG.replace("resonant_primary", "resonant_tertiary"),
             "unknown path name 'resonant_tertiary' for primary_path",
         ),
+        *(
+            (
+                ["compare"],
+                SMALL_FEEDFORWARD_CONFIG.replace("sample_rate_hz = 2500", f"sample_rate_hz = {rate}"),
+                f"band_low_hz = 70.0, band_high_hz = 170.0 at sample_rate_hz = {rate}: the band-pass filter's RMS gain",
+            )
+            for rate in ("1e+100", "1e+200")
+        ),
     ],
     ids=["custom-two-values", "custom-four-values", "ini-no-section-header", "ini-unparsable-line", "ini-no-scenario",
-         "ini-unknown-path"],
+         "ini-unknown-path", "ini-bandpass-rate-1e100", "ini-bandpass-rate-1e200"],
 )
 def test_input_error_is_named(tmp_path, capsys, argv, config, message):
-    """A --custom value that is not three numbers, and a scenario file that cannot be read as
-    one, exit 3 with one config error line naming the fault and make no output directory."""
+    """A --custom value that is not three numbers, a scenario file that cannot be read as
+    one, and band-pass noise at a rate where its filter's gain underflows to 0, exit 3 with one
+    config error line naming the fault and make no output directory."""
     out = tmp_path / "out"
     if config is not None:
         argv = [*argv, "--config", str(write_config(tmp_path, config))]
@@ -1241,6 +1250,52 @@ def test_compare_traces_equal_single_runs(tmp_path, algorithms, presets, diverge
         assert (out / name).read_bytes() == (tmp_path / "all" / name).read_bytes(), name
 
 
+# (open_loop_prefix_samples, duration_samples, window_seconds) of sweeps that place the text
+# that their traces share at its edges, in blocks of 64 rows
+SHARED_TEXT_CASES = {
+    "blocks": (1500, 6000, 0.2),  # both spans cross blocks, neither in whole blocks
+    "one_controlled_row": (1500, 1501, 0.2),
+    "no_prefix": (0, 6000, 0.2),
+    "no_window_fits": (1500, 6000, 1.0),  # 2500 samples, more than the prefix
+}
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # the mismatched model's SPR screen
+@pytest.mark.parametrize("engine", ["kernel", "python"])
+@pytest.mark.parametrize("case", SHARED_TEXT_CASES)
+def test_sweep_traces_from_shared_text(tmp_path, monkeypatch, engine, case):
+    """A sweep of lms with integral and with arima2 (which diverges in the "blocks" case),
+    its traces written from the open-loop rows and the step,time_s leads that they share,
+    writes each trace with the bytes of the row-by-row writer and of ``run`` on its pair
+    alone, through either engine's row writer."""
+    trace_engine(engine, monkeypatch)
+    monkeypatch.setattr(cli, "_TRACE_BLOCK_ROWS", 64)
+    prefix, duration, window = SHARED_TEXT_CASES[case]
+    config = (
+        GOLDEN_FEEDFORWARD_CONFIG.replace("lms, nlms, plms", "lms")
+        .replace("open_loop_prefix_samples = 1500", f"open_loop_prefix_samples = {prefix}")
+        .replace("duration_samples = 6000", f"duration_samples = {duration}")
+    )
+    path = write_config(tmp_path, config + f"window_seconds = {window}\n")
+    traces, write = [], cli._write_trace
+    monkeypatch.setattr(cli, "_write_trace", lambda file, trace, text: traces.append(trace) or write(file, trace, text))
+    code = main(["compare", "--config", str(path), "--out", str(tmp_path / "all")])
+    swept = dict(zip(["integral", "arima2"], traces))
+    assert len(traces) == 2 and code == (2 if any(t.diverged for t in traces) else 0)
+    if case == "blocks":
+        assert swept["arima2"].diverged and swept["integral"].atten_db is not None
+        assert prefix % 64 and (duration - prefix) % 64
+    if case == "no_window_fits":
+        assert all(t.atten_db is None for t in traces)
+    for preset, trace in swept.items():
+        name = f"trace_lms_{preset}.csv"
+        row_wise_trace_csv(tmp_path / name, trace)
+        argv = ["run", "--config", str(path), "--out", str(tmp_path / preset), "--algorithm", "lms", "--preset", preset]
+        assert main(argv) == (2 if trace.diverged else 0)
+        want = (tmp_path / name).read_bytes()
+        assert (tmp_path / "all" / name).read_bytes() == want == (tmp_path / preset / name).read_bytes()
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning")  # the mismatched model's SPR screen
 @pytest.mark.parametrize("engine", ["host", "python"])
 def test_sweep_traces_keep_the_norm(tmp_path, monkeypatch, engine):
@@ -1250,7 +1305,7 @@ def test_sweep_traces_keep_the_norm(tmp_path, monkeypatch, engine):
         monkeypatch.setattr(_kernel, "load", lambda: None)
     path = write_config(tmp_path, GOLDEN_FEEDFORWARD_CONFIG + "window_seconds = 0.2\n")
     traces, write = [], cli._write_trace
-    monkeypatch.setattr(cli, "_write_trace", lambda file, trace: traces.append(trace) or write(file, trace))
+    monkeypatch.setattr(cli, "_write_trace", lambda file, trace, text: traces.append(trace) or write(file, trace, text))
     assert main(["compare", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     scenario, options = cli.load_scenario(path)
     pairs = [(algorithm, preset) for algorithm in options["algorithms"] for preset in options["presets"]]
@@ -1328,7 +1383,7 @@ def test_writer_error_reaches_main_and_stops_the_runs(tmp_path, monkeypatch):
         started.append(args)
         return run(*args)
 
-    def write(path, trace):
+    def write(path, trace, text):
         if written:
             raise OSError("disk full")
         written.append(path)

@@ -542,6 +542,14 @@ class TestGenNoise:
         with pytest.raises(ValueError):
             gen_noise(NoiseSpec(kind="white", seed=0), 0)
 
+    @pytest.mark.parametrize("fs", [1e100, 1e200, np.finfo(float).max])
+    def test_bandpass_gain_rounded_to_zero_names_the_band_and_rate(self, fs):
+        # far above the band the filter's RMS gain underflows to 0.0: a ValueError naming
+        # the keys, not a ZeroDivisionError
+        message = f"band_low_hz = 70.0, band_high_hz = 170.0 at sample_rate_hz = {fs!r}: "
+        with pytest.raises(ValueError, match=re.escape(message) + ".* RMS gain is 0.0,"):
+            gen_noise(NoiseSpec(kind="bandpass", sample_rate_hz=fs), 16)
+
 
 @pytest.mark.parametrize(
     "build, message",

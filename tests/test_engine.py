@@ -249,6 +249,18 @@ def test_kernel_filters_reject_bad_shapes():
         kernel.trace_rows(0, [np.ones(4)], (np.ones((2, 2)), 0, 1))
     with pytest.raises(ValueError):
         kernel.trace_rows(0, [np.ones(4)], (np.ones(2), -1, 1))
+    lead = (b"0123", np.arange(5))  # four one-byte leads, each row's step
+    assert bytes(kernel.trace_rows(0, [np.ones(4)], NO_WINDOW, lead)) == repr_rows(np.ones(4))
+    for text, ends in [
+        (b"0123", np.arange(4)),  # three rows' ends for four rows
+        (b"0123", np.arange(6)),  # five rows' ends
+        (b"0123", np.array([0, 2, 1, 3, 4])),  # a row that ends before it starts
+        (b"0123", np.array([0, 1, 1, 3, 4])),  # a row with no lead
+        (b"0123", np.arange(1, 6)),  # the last lead past the text
+        (b"0123", np.arange(-1, 4)),  # the first lead before it
+    ]:
+        with pytest.raises(ValueError, match="lead"):
+            kernel.trace_rows(0, [np.ones(4)], NO_WINDOW, (text, ends))
 
 
 # the window of a trace with no attenuation series: every row ends in an empty field
@@ -365,21 +377,26 @@ def trace_blocks(draw):
     window = (np.array(values, dtype=np.float64), start + draw(st.integers(0, n + 2)), length)
     cuts = sorted(draw(st.lists(st.integers(0, n), max_size=4)))
     columns = [np.array(c, dtype=np.float64) for c in (e0, other, residual)]
-    return start, columns, window, [0, *cuts, n]
+    leads = draw(st.none() | st.lists(st.text("0123456789.e+-,", min_size=1, max_size=30), min_size=n, max_size=n))
+    return start, columns, window, [0, *cuts, n], leads
 
 
 def assert_blocks_are_repr(trace_rows, case):
     """Blocks of a trace through ``trace_rows``, its windows split by their boundaries,
     give ``repr``'s rows: each window's value on every row of it, a repeated field with
-    the bits of the field it repeats."""
-    start, columns, window, cuts = case
+    the bits of the field it repeats, each row led by its step or by its drawn lead, which
+    each block takes from one text of all the rows' leads."""
+    start, columns, window, cuts, leads = case
+    text, ends = "".join(leads or ()).encode(), np.cumsum([0, *map(len, leads or ())])
     got = b"".join(
-        bytes(trace_rows(start + lo, [c[lo:hi] for c in columns], window)) for lo, hi in zip(cuts, cuts[1:])
+        bytes(trace_rows(start + lo, [c[lo:hi] for c in columns], window, leads and (text, ends[lo:hi + 1])))
+        for lo, hi in zip(cuts, cuts[1:])
     )
     values = [c.tolist() for c in columns]
     windows = (window[0].tolist(), *window[1:])
+    leads = leads or [str(start + i) for i in range(columns[0].size)]
     want = "".join(
-        ",".join([str(start + i), *(repr_field(v[i]) for v in values), window_field(windows, start + i)]) + "\r\n"
+        ",".join([leads[i], *(repr_field(v[i]) for v in values), window_field(windows, start + i)]) + "\r\n"
         for i in range(columns[0].size)
     )
     assert got == want.encode()
@@ -859,12 +876,13 @@ def test_sweep_keeps_order_under_fast_switching(monkeypatch, tmp_path):
             atten_db=None, diverged=False, divergence_step=policy, spr_ok=None, wall_time_s=0.0
         )
 
-    def write(path, trace):
+    def write(path, trace, text):
         if trace.divergence_step == failing[0]:
             raise OSError("disk full")
         written.append(trace.divergence_step)
 
     monkeypatch.setattr(sim, "_signals", lambda scn: None)
+    monkeypatch.setattr(cli, "_sweep_text", lambda scenario, sig: None)
     monkeypatch.setattr(sim, "_run", run)
     monkeypatch.setattr(cli, "_write_trace", write)
     threads, interval = threading.active_count(), sys.getswitchinterval()

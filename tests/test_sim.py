@@ -378,6 +378,22 @@ class TestAttenuation:
         with pytest.raises(ValueError, match="a finite number of them"):
             attenuation_db(trace, window_seconds=1e308)
 
+    @pytest.mark.parametrize("amplitude", [0.006, 0.0])
+    def test_runs_take_the_bits_of_attenuation_db(self, amplitude):
+        """A run's series, whose open-loop variance its signals take once for all their runs,
+        has the bits that attenuation_db gives on its trace: every run on one signal set, at
+        two windows, and with a silent disturbance, whose open-loop variance is 0."""
+        scn = default_feedforward_scenario(duration_s=2.0, prefix_s=0.5, n_taps=8, amplitude=amplitude)
+        sig = sim._signals(scn)
+        for window_seconds in (0.1, 0.24):
+            for policy in (StepSizePolicy.lms(0.2), StepSizePolicy.nlms(0.0002), StepSizePolicy.plms(0.22)):
+                for preset in ("integral", "arima2"):
+                    trace = sim._run(scn, sig, policy, make_preset(preset), window_seconds)
+                    series = [trace.atten_db.tobytes(), trace.atten_clamped.tobytes()]
+                    again = dataclasses.replace(trace, atten_db=None, atten_clamped=None)
+                    assert attenuation_db(again, window_seconds).tobytes() == series[0]
+                    assert again.atten_clamped.tobytes() == series[1]
+
 
 class TestTimeToThreshold:
     def test_first_sustained(self):
