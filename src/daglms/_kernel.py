@@ -13,7 +13,18 @@ falls back on the calls it declines.
 :func:`load` builds the library into ``$XDG_CACHE_HOME/daglms`` (else
 ``~/.cache/daglms``), one file per crc32 of the source, the flags and the
 compiler, written under a temporary name and renamed into place, so that no
-process loads half a library. Its dot products call the ``cblas_ddot`` of the
+process loads half a library. The whole library is built at one x86-64
+level, which :func:`_flags` chooses from the CPU that NumPy detects:
+:data:`_FLAGS` plus ``-march=x86-64-v4`` where NumPy reports ``X86_V4``, else
+``-march=x86-64-v3`` where it reports ``X86_V3``, else :data:`_FLAGS` alone, as
+on every machine that is not x86-64. Where the compiler rejects the level's
+``-march`` (gcc before 11, clang before 12), :func:`_build` logs why at debug
+level and builds with :data:`_FLAGS` alone, never falling back to the Python
+code for that. Every level gives the same bits: the wider vectors run more taps
+at once, each tap with its own operations in their order, and without
+``-ffast-math`` no sum is reassociated.
+
+The library's dot products call the ``cblas_ddot`` of the
 OpenBLAS that NumPy bundles, the function that ``np.dot`` calls, in this
 process; a self-check compares the two for n = 1...64, another compares
 the row writer with ``repr`` on :func:`_repr_cases`, and a third the real-part
@@ -27,6 +38,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+import platform
 import random  # the stdlib's, which NumPy imports: numpy.random would be most of a load
 import zlib
 from pathlib import Path
@@ -37,6 +49,8 @@ _SOURCE = Path(__file__).with_name("_kernel.c")
 # no contraction into FMA and no -ffast-math: the C loop keeps the Python loop's bits;
 # -O3 vectorizes the loops over the taps, which keeps each tap's operations and their order
 _FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+# the x86-64 levels the library is built at, widest first, under NumPy's names for them
+_LEVELS = (("X86_V4", "-march=x86-64-v4"), ("X86_V3", "-march=x86-64-v3"))
 _DDOT = "scipy_cblas_ddot64_"
 _BUILD_TIMEOUT_S = 120
 
@@ -53,31 +67,66 @@ MAX_DESIGN_COEFFS = 8
 _COEFFS, _PAIR = ctypes.c_double * (2 * MAX_DESIGN_COEFFS), ctypes.c_double * 2
 
 
-def _build() -> Path:
-    """The library's path, compiled first unless the cache holds this build."""
-    import shlex
-    import sysconfig
+def _flags(features, machine: str) -> tuple[str, ...]:
+    """The build flags on a CPU of NumPy's ``__cpu_features__`` ``features`` and of
+    ``platform.machine()`` ``machine``: :data:`_FLAGS` plus the widest of :data:`_LEVELS`
+    that an x86-64 CPU has, else :data:`_FLAGS` alone."""
+    if machine.lower() in ("x86_64", "amd64"):
+        for feature, march in _LEVELS:
+            if features.get(feature):
+                return (*_FLAGS, march)
+    return _FLAGS
 
-    cc = sysconfig.get_config_var("CC") or "cc"
-    key = zlib.crc32(b"\0".join((_SOURCE.read_bytes(), " ".join(_FLAGS).encode(), cc.encode())))
+
+def _library(cc: str, flags) -> Path:
+    """Where the cache keeps the build of the source by ``cc`` with ``flags``."""
+    key = zlib.crc32(b"\0".join((_SOURCE.read_bytes(), " ".join(flags).encode(), cc.encode())))
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache", "daglms")
-    lib = cache / f"_kernel-{key:08x}.so"
+    return cache / f"_kernel-{key:08x}.so"
+
+
+def _compile(cc: str, flags) -> Path:
+    """The library's path, compiled by ``cc`` with ``flags`` first unless the cache holds it."""
+    lib = _library(cc, flags)
     if lib.exists():
         return lib
+    import shlex
     import subprocess
     import tempfile
 
-    cache.mkdir(mode=0o700, parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+    lib.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=lib.parent)
     os.close(fd)
     try:
-        cmd = [*shlex.split(cc), *_FLAGS, "-o", tmp, str(_SOURCE), "-lm"]
+        cmd = [*shlex.split(cc), *flags, "-o", tmp, str(_SOURCE), "-lm"]
         subprocess.run(cmd, check=True, capture_output=True, timeout=_BUILD_TIMEOUT_S)
         os.replace(tmp, lib)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
     return lib
+
+
+def _build() -> Path:
+    """The library's path at this CPU's level, built with :data:`_FLAGS` alone where the
+    compiler fails at that level."""
+    import subprocess
+    import sysconfig
+
+    cc = sysconfig.get_config_var("CC") or "cc"
+    flags = _flags(np._core._multiarray_umath.__cpu_features__, platform.machine())
+    try:
+        return _compile(cc, flags)
+    except subprocess.CalledProcessError as exc:
+        if flags == _FLAGS:
+            raise
+        import logging
+
+        logging.getLogger(__name__).debug(
+            "building the kernel without %s, which %s fails with: %s",
+            flags[-1], cc, exc.stderr.decode(errors="replace").strip(),
+        )
+        return _compile(cc, _FLAGS)
 
 
 def _pow10_table() -> np.ndarray:

@@ -26,7 +26,14 @@ import numpy as np
 
 from . import _kernel, sim
 from .adapt import PRESET_ORDER, StepSizePolicy, make_preset, preset_triple
-from .dsp_core import NoiseSpec, Polynomial, RootFindingError, SingularityError, TransferOperator
+from .dsp_core import (
+    NoiseSpec,
+    Polynomial,
+    RootFindingError,
+    SingularityError,
+    TransferOperator,
+    roots_inside_unit_circle,
+)
 from .spr_design import (
     DEFAULT_SPR_GRID,
     DagConfig,
@@ -313,7 +320,9 @@ def _integer(section: dict, key: str, default: int) -> int:
 
 
 def _path_from_config(section: dict, key: str, fs: float) -> TransferOperator | None:
-    """Pop the path ``key``: a name, or ``<key>_num`` with an optional ``<key>_den`` (1.0)."""
+    """Pop the path ``key``: a name, or ``<key>_num`` with an optional ``<key>_den`` (1.0),
+    whose roots must lie strictly inside the unit circle: an unstable path's output grows
+    without bound whatever the adaptation does."""
     name, num, den = (section.pop(k, None) for k in (key, f"{key}_num", f"{key}_den"))
     if num is None and den is not None:
         raise ValueError(f"{key}_den is set without {key}_num")
@@ -321,7 +330,10 @@ def _path_from_config(section: dict, key: str, fs: float) -> TransferOperator | 
         raise ValueError(f"{key} and {key}_num both set the path; give one")
     if num is not None:
         den = (1.0,) if den is None else _parse_floats(den, f"{key}_den")
-        return TransferOperator(Polynomial(_parse_floats(num, f"{key}_num")), Polynomial(den))
+        path = TransferOperator(Polynomial(_parse_floats(num, f"{key}_num")), Polynomial(den))
+        if not roots_inside_unit_circle(path.denominator):
+            raise ValueError(f"{key}_den has a root on or outside the unit circle: the path is unstable")
+        return path
     if name is None:
         return None
     if name not in _PATHS:

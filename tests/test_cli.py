@@ -565,6 +565,25 @@ def test_config_error_leaves_no_output(tmp_path, capsys, argv, config, message):
     assert not out.exists()
 
 
+# a path of each key whose denominator the exact Schur-Cohn test rejects: a real root at 1.5 (the
+# disturbance itself overflows), a root exactly on the circle, a complex pair of modulus just
+# above 1, and a double root at z = 1
+UNSTABLE_PATHS = {
+    "primary_path": SMALL_FEEDFORWARD_CONFIG.replace(
+        "primary_path = resonant_primary", "primary_path_num = 0.5\nprimary_path_den = 1.0, -1.5"
+    ),
+    "secondary_path": SMALL_FEEDFORWARD_CONFIG.replace(
+        "secondary_path = resonant_secondary", "secondary_path_num = 0.0, 1.0\nsecondary_path_den = 1.0, -1.0"
+    ),
+    "secondary_model": SMALL_FEEDFORWARD_CONFIG.replace(
+        "[run]", "secondary_model_num = 0.0, 1.0\nsecondary_model_den = 1.0, 0.0, 1.0000000000000002\n\n[run]"
+    ),
+    "regressor_filter": SMALL_FEEDFORWARD_CONFIG.replace(
+        "[run]", "regressor_filter_num = 1.0\nregressor_filter_den = 1.0, -2.0, 1.0\n\n[run]"
+    ),
+}
+
+
 @pytest.mark.parametrize(
     "argv, config, message",
     [
@@ -586,14 +605,20 @@ def test_config_error_leaves_no_output(tmp_path, capsys, argv, config, message):
             )
             for rate in ("1e+100", "1e+200")
         ),
+        *(
+            (["compare"], config, f"{key}_den has a root on or outside the unit circle: the path is unstable")
+            for key, config in UNSTABLE_PATHS.items()
+        ),
     ],
     ids=["custom-two-values", "custom-four-values", "ini-no-section-header", "ini-unparsable-line", "ini-no-scenario",
-         "ini-unknown-path", "ini-bandpass-rate-1e100", "ini-bandpass-rate-1e200"],
+         "ini-unknown-path", "ini-bandpass-rate-1e100", "ini-bandpass-rate-1e200",
+         *(f"ini-unstable-{key}" for key in UNSTABLE_PATHS)],
 )
 def test_input_error_is_named(tmp_path, capsys, argv, config, message):
     """A --custom value that is not three numbers, a scenario file that cannot be read as
-    one, and band-pass noise at a rate where its filter's gain underflows to 0, exit 3 with one
-    config error line naming the fault and make no output directory."""
+    one, band-pass noise at a rate where its filter's gain underflows to 0, and a path whose
+    denominator has a root on or outside the unit circle, exit 3 with one config error line
+    naming the fault and make no output directory."""
     out = tmp_path / "out"
     if config is not None:
         argv = [*argv, "--config", str(write_config(tmp_path, config))]
@@ -601,6 +626,30 @@ def test_input_error_is_named(tmp_path, capsys, argv, config, message):
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("config error: ") and message in line
     assert not out.exists()
+
+
+def test_stable_path_coefficients_give_the_named_paths_bytes(tmp_path):
+    """The named paths written out as ``<key>_num`` and ``<key>_den``, all four keys, pass the
+    stability check and give the bytes of the named paths: a stable denominator moves nothing."""
+    paths = {"primary_path": sim.make_primary_path(2500.0), "secondary_path": sim.make_secondary_path(2500.0)}
+    paths["secondary_model"] = paths["regressor_filter"] = paths["secondary_path"]
+    named = SMALL_FEEDFORWARD_CONFIG.replace("[run]", "secondary_model = resonant_secondary\n"
+                                                      "regressor_filter = resonant_secondary\n\n[run]")
+    spelled = "\n".join(
+        line for line in named.splitlines() if line.split(" = ")[0] not in paths
+    ).replace("[run]", "".join(
+        f"{key}_num = {', '.join(map(repr, op.numerator.coeffs))}\n"
+        f"{key}_den = {', '.join(map(repr, op.denominator.coeffs))}\n"
+        for key, op in paths.items()
+    ) + "\n[run]")
+    outs = []
+    for k, text in enumerate((named, spelled)):
+        (tmp_path / str(k)).mkdir()
+        outs.append(tmp_path / str(k) / "out")
+        assert main(["compare", "--config", str(write_config(tmp_path / str(k), text)), "--out", str(outs[-1])]) == 0
+    assert sorted(p.name for p in outs[0].iterdir()) == sorted(p.name for p in outs[1].iterdir())
+    for f in outs[0].iterdir():
+        assert f.read_bytes() == (outs[1] / f.name).read_bytes(), f.name
 
 
 @pytest.mark.parametrize("key", ["duration_samples", "n_adaptive_params"])

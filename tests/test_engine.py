@@ -991,6 +991,169 @@ def test_cached_build_is_reused(monkeypatch, tmp_path):
     assert _kernel.load() is not None
 
 
+@pytest.mark.parametrize(
+    "features, machine, level",
+    [
+        ({"X86_V2": True, "X86_V3": True, "X86_V4": True}, "x86_64", "-march=x86-64-v4"),
+        ({"X86_V3": True, "X86_V4": True}, "AMD64", "-march=x86-64-v4"),
+        ({"X86_V2": True, "X86_V3": True, "X86_V4": False}, "x86_64", "-march=x86-64-v3"),
+        ({"X86_V3": True}, "AMD64", "-march=x86-64-v3"),
+        ({"X86_V2": True, "X86_V3": False, "X86_V4": False}, "x86_64", None),
+        ({}, "x86_64", None),
+        ({"X86_V3": True, "X86_V4": True}, "aarch64", None),
+        ({"ASIMD": True, "SVE": True}, "aarch64", None),
+    ],
+    ids=["v4", "v4-amd64", "v3", "v3-amd64", "v2", "none", "aarch64-with-x86-features", "aarch64"],
+)
+def test_flags_take_the_widest_x86_64_level(features, machine, level):
+    """The flags add the widest x86-64 level that NumPy reports, on an x86-64 machine only,
+    and always keep the baseline flags."""
+    flags = _kernel._flags(features, machine)
+    assert flags == (_kernel._FLAGS if level is None else (*_kernel._FLAGS, level))
+    assert "-ffp-contract=off" in flags and "-ffast-math" not in flags and "-march=native" not in flags
+
+
+def test_each_level_has_its_own_cache_name(monkeypatch, tmp_path):
+    """The cache names each flag set apart, so a cache that two hosts share never hands one
+    the other's level."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    names = {_kernel._library("cc", _kernel._flags(f, "x86_64")) for f in ({"X86_V4": True}, {"X86_V3": True}, {})}
+    assert len(names) == 3 and {path.parent for path in names} == {tmp_path / "daglms"}
+
+
+def test_a_compiler_without_the_level_builds_the_baseline(monkeypatch, caplog, tmp_path):
+    """A compiler that rejects the level's ``-march`` (gcc before 11, clang before 12) gives
+    a kernel built with the baseline flags, not the Python loop, and the reason is logged."""
+    if host_engine() != "kernel":
+        pytest.skip("the kernel does not build on this host")
+    import sysconfig
+
+    get = sysconfig.get_config_var
+    wrapper = tmp_path / "old-cc"
+    wrapper.write_text(
+        "#!/bin/sh\n"
+        'for arg; do [ "$arg" = -march=x86-64-v4 ] && { echo "bad value for -march=" >&2; exit 1; }; done\n'
+        f'exec {get("CC") or "cc"} "$@"\n'
+    )
+    wrapper.chmod(0o755)
+    monkeypatch.setattr(sysconfig, "get_config_var", lambda name: str(wrapper) if name == "CC" else get(name))
+    monkeypatch.setattr(_kernel, "_flags", lambda features, machine: (*_kernel._FLAGS, "-march=x86-64-v4"))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(_kernel, "_kernel", None)
+    with caplog.at_level(logging.DEBUG, logger="daglms._kernel"):
+        [trace] = assert_same_runs(sysid_scenario(), [(StepSizePolicy.nlms(0.2), make_preset("ipd"))], run_sysid)
+    assert trace.engine == "kernel"
+    [record] = caplog.records
+    assert "without -march=x86-64-v4" in record.getMessage() and "bad value for -march=" in record.getMessage()
+    lib = _kernel._library(str(wrapper), _kernel._FLAGS)
+    assert [path.name for path in lib.parent.iterdir()] == [lib.name]
+
+
+# the levels the kernel is built at, as the feature that _kernel._flags reads for each: the
+# baseline on every host, x86-64-v3 and x86-64-v4 where this CPU has them
+LEVEL_FEATURES = {"baseline": None, "x86-64-v3": "X86_V3", "x86-64-v4": "X86_V4"}
+
+
+@pytest.fixture(scope="module")
+def level_kernel(tmp_path_factory):
+    """A function from a level of :data:`LEVEL_FEATURES` to the kernel built at that level into a
+    cache of its own, once, and loaded with :class:`_kernel.Kernel`, whose self-checks run; it
+    skips a level that this CPU lacks."""
+    if host_engine() != "kernel":
+        pytest.skip("the kernel does not build on this host")
+    import platform
+    import sysconfig
+
+    host = np._core._multiarray_umath.__cpu_features__
+    cache, built = tmp_path_factory.mktemp("levels"), {}
+
+    def build(level):
+        feature = LEVEL_FEATURES[level]
+        if feature is not None and not (host.get(feature) and platform.machine().lower() in ("x86_64", "amd64")):
+            pytest.skip(f"this CPU has no {level}: NumPy reports no {feature} on {platform.machine()}")
+        if level not in built:
+            flags = _kernel._flags({feature: True} if feature else {}, "x86_64")
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setenv("XDG_CACHE_HOME", str(cache))
+                built[level] = _kernel.Kernel(_kernel._compile(sysconfig.get_config_var("CC") or "cc", flags))
+        return built[level]
+
+    return build
+
+
+# sysid at tap counts on each side of the vector widths and ddot's kernels, every preset, and
+# five gains (lms(0.2) diverges from 60 taps on, nlms(3.0) on every run), then ff_compare's runs
+LEVEL_POLICIES = [StepSizePolicy.lms(0.01), StepSizePolicy.nlms(0.2), StepSizePolicy.plms(0.05),
+                  StepSizePolicy.lms(0.2), StepSizePolicy.nlms(3.0)]
+LEVEL_SCENARIOS = [
+    *(sysid_scenario(n, 400) for n in (1, 2, 3, 7, 16, 33, 60, 61)),
+    default_feedforward_scenario(duration_s=1.2, prefix_s=0.3, n_taps=60),
+]
+FF_POLICIES = [StepSizePolicy.lms(0.2), StepSizePolicy.nlms(0.0002), StepSizePolicy.plms(0.22)]
+
+
+def level_outcomes(kernel):
+    """Each run of the level matrix through ``kernel`` (None: the Python loop and filters), on
+    signals that the same engine builds: the signals' bits, then per run the step and norm
+    that the loop returns, the history block it leaves and its records."""
+    out = []
+    with mock.patch.object(_kernel, "load", return_value=kernel), warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the SPR screen of the mismatched model
+        for scn in LEVEL_SCENARIOS:
+            sig = sim._build_signals(scn)
+            out.append([bits(getattr(sig, name)) for name in ("desired", "rev", "rev_f", "target")])
+            loop = kernel.adapt if kernel else sim._adapt_loop
+            policies = FF_POLICIES if scn.kind == "feedforward" else LEVEL_POLICIES
+            for policy in policies:
+                for name in PRESET_ORDER:
+                    state = AdaptState(scn.n_adaptive_params, policy, make_preset(name))
+                    trace = sim._new_trace(scn, sig, policy)
+                    step, norm = loop(state, sig, trace)
+                    records = [bits(getattr(trace, record)) for record in ("e0", "e_post", "param_err")]
+                    out.append((scn.kind, scn.n_adaptive_params, policy, name, step, norm.hex() if step else None,
+                                state.t, bits(state._hist), *records))
+    return out
+
+
+@pytest.fixture(scope="module")
+def python_outcomes():
+    return level_outcomes(None)
+
+
+@pytest.mark.parametrize("level", LEVEL_FEATURES)
+def test_every_level_gives_the_same_bits(level_kernel, python_outcomes, level, monkeypatch):
+    """The kernel built at each x86-64 level gives the baseline build's bits and the Python
+    twins', on runs (diverging ones included), on whole-signal filters of band-pass noise, on
+    trace rows with and without a lead, and on real-part minima."""
+    kernel, baseline = level_kernel(level), level_kernel("baseline")
+    assert sum(1 for run in python_outcomes if isinstance(run, tuple) and run[4]) >= 40  # diverged runs
+    for run, want, twin in zip(level_outcomes(kernel), level_outcomes(baseline), python_outcomes, strict=True):
+        assert run == want == twin, run[:6] if isinstance(run, tuple) else "signals"
+    noise = daglms.gen_noise(NoiseSpec(kind="bandpass", seed=3), 20000)
+    lfilter, sosfilt = engine_filters("python", monkeypatch)
+    for b, a in FILTERS:
+        zi = np.random.default_rng(len(b)).standard_normal(len(b) - 1)
+        results = []
+        for run in (kernel.lfilter, baseline.lfilter, lfilter):
+            z = zi.copy()
+            results.append((bits(run(b, a, noise, z)), bits(z)))
+        assert results[0] == results[1] == results[2], (b, a)
+    for sos in [_bandpass_sos(fs / 40, fs / 15, fs) for fs in (2500.0, 8000.0, 48000.0)]:
+        assert bits(kernel.sosfilt(sos, noise)) == bits(baseline.sosfilt(sos, noise)) == bits(sosfilt(sos, noise))
+    cases = _kernel._repr_cases()
+    columns, window = [cases, cases, -cases], (cases[:cases.size // 5], 3, 5)
+    text = b"".join(b"%d,%d.5," % (i, i) for i in range(cases.size))
+    ends = np.cumsum([0] + [len(b"%d,%d.5," % (i, i)) for i in range(cases.size)])
+    for lead in (None, (text, ends)):
+        rows = [bytes(entry.trace_rows(0, columns, window, lead)) for entry in (kernel, baseline)]
+        assert rows[0] == rows[1] == cli._trace_rows(0, columns, window, lead)
+    for num, den in _kernel._design_cases():
+        for unit_pole in (False, True):
+            want = [v.hex() for v in spr_design._real_part_minimum(num, den, unit_pole)]
+            for entry in (kernel, baseline):
+                assert [v.hex() for v in entry.real_part_minimum(num, den, unit_pole)] == want, (num, den, unit_pole)
+
+
 def test_import_and_contour_leave_the_kernel_unbuilt(tmp_path):
     """``import daglms`` and ``contour`` neither build nor load the kernel; ``check`` loads it
     for its verdicts."""
