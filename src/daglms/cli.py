@@ -517,22 +517,16 @@ def _sweep(scenario, options, out: str) -> int:
     presets = [(preset, make_preset(preset)) for preset in options["presets"]]
     sig = sim._signals(scenario)  # before the output directory: signals that do not fit write nothing
     out = _out_dir(out)
-    from concurrent.futures import ThreadPoolExecutor  # only a sweep loads it
-
-    summary_rows, pending = [], []
-    # each run computes here while the trace before it is written on the one writer thread,
-    # whose row is taken before this trace goes to it: at most two traces are alive; the
-    # text that every trace shares is formatted there first, while the first run computes
-    with ThreadPoolExecutor(1, "daglms-writer") as writer:
-        text = writer.submit(_sweep_text, scenario, sig)
-        for algorithm in options["algorithms"]:
-            for preset, cfg in presets:
-                trace = sim._run(scenario, sig, options["policies"][algorithm], cfg, options["window_seconds"])
-                summary_rows += [row.result() for row in pending]
-                pending = [writer.submit(
-                    _write_run, trace, out, algorithm, preset, options["threshold_db"], text.result()
-                )]
-        summary_rows += [row.result() for row in pending]
+    text = _sweep_text(scenario, sig)
+    summary_rows = []
+    # each trace goes to its writer as its run returns, bound to no name here, so it is freed
+    # before the next run starts: one trace is alive at a time
+    for algorithm in options["algorithms"]:
+        for preset, cfg in presets:
+            summary_rows.append(_write_run(
+                sim._run(scenario, sig, options["policies"][algorithm], cfg, options["window_seconds"]),
+                out, algorithm, preset, options["threshold_db"], text,
+            ))
     header = ["algorithm", "preset", "diverged", "divergence_step", "spr_ok",
               "final_atten_db", "time_to_threshold_idx", "time_to_threshold_s"]
     _write_csv(out / "summary.csv", header, _columns(summary_rows))

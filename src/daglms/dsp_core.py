@@ -274,6 +274,12 @@ class NoiseSpec:
 _BANDPASS_HALF_ORDER = 4
 _BANDPASS_CORNER_INSET = 0.10
 _WARMUP_SAMPLES = 1024
+# the RMS gain sums _GAIN_SAMPLES of the filter's impulse response; a band whose first
+# _WARMUP_SAMPLES carry less than 1 - _BANDPASS_RMS_TOLERANCE of that gain is rejected, and
+# where they carry more, the energy past _GAIN_SAMPLES read below 1e-12 of the total over
+# 208 random bands (the response decays geometrically)
+_GAIN_SAMPLES = 8192
+_BANDPASS_RMS_TOLERANCE = 0.01
 
 
 def _sosfilt(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -341,12 +347,14 @@ def _bandpass_sos(low: float, high: float, fs: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _bandpass_rms_gain(low: float, high: float, fs: float) -> float:
-    # white-noise RMS gain = sqrt of the impulse-response energy
-    imp = np.zeros(8192)
+def _bandpass_rms_gain(low: float, high: float, fs: float) -> tuple[float, float]:
+    """The band-pass filter's white-noise RMS gain, the root of its impulse response's energy
+    over ``_GAIN_SAMPLES`` samples, and that root over the first ``_WARMUP_SAMPLES`` alone."""
+    imp = np.zeros(_GAIN_SAMPLES)
     imp[0] = 1.0
     h = _sosfilt(_bandpass_sos(low, high, fs), imp)
-    return float(np.sqrt(np.dot(h, h)))
+    warm = h[:_WARMUP_SAMPLES]
+    return float(np.sqrt(np.dot(h, h))), float(np.sqrt(np.dot(warm, warm)))
 
 
 def gen_noise(spec: NoiseSpec, n: int) -> np.ndarray:
@@ -355,7 +363,14 @@ def gen_noise(spec: NoiseSpec, n: int) -> np.ndarray:
     Identical specs produce identical sequences, and longer requests extend
     shorter ones sample-for-sample. Band-pass noise is white noise shaped by
     the band-pass filter above, scaled so the stationary RMS equals
-    ``spec.amplitude`` (a fixed warm-up stretch is discarded).
+    ``spec.amplitude`` (a fixed warm-up stretch of ``_WARMUP_SAMPLES`` is discarded).
+
+    Band-pass noise keeps its amplitude within ``_BANDPASS_RMS_TOLERANCE`` (1%): from its
+    first sample on, its RMS is at least 99% of ``spec.amplitude``, and the gain it is scaled
+    by misses the filter's own by less than 1e-12. A band so narrow against the rate that
+    the filter's response has not settled within the warm-up (the default 70-170 Hz band
+    from about 35 kHz) raises a ValueError naming the band and the rate, as does one whose
+    gain underflows.
     """
     if n <= 0:
         raise ValueError("sample count must be positive")
@@ -363,11 +378,17 @@ def gen_noise(spec: NoiseSpec, n: int) -> np.ndarray:
     if spec.kind == "white":
         return spec.amplitude * rng.standard_normal(n)
     band = spec.band_low_hz, spec.band_high_hz, spec.sample_rate_hz
-    gain = _bandpass_rms_gain(*band)
+    gain, warm = _bandpass_rms_gain(*band)
+    keys = "band_low_hz = {!r}, band_high_hz = {!r} at sample_rate_hz = {!r}: ".format(*band)
     if not 0.0 < gain < math.inf:  # it underflows at a rate far above the band
         raise ValueError(
-            "band_low_hz = {!r}, band_high_hz = {!r} at sample_rate_hz = {!r}: the band-pass filter's RMS gain "
-            "is {!r}, so the noise cannot be scaled to its amplitude".format(*band, gain)
+            f"{keys}the band-pass filter's RMS gain is {gain!r}, so the noise cannot be scaled to its amplitude"
+        )
+    if warm < (1.0 - _BANDPASS_RMS_TOLERANCE) * gain:
+        raise ValueError(
+            f"{keys}the band-pass filter's response has not settled within the {_WARMUP_SAMPLES}-sample "
+            f"warm-up, which carries {warm / gain:.4f} of its RMS gain, so the noise would miss its "
+            f"amplitude by more than {_BANDPASS_RMS_TOLERANCE:.0%}"
         )
     raw = rng.standard_normal(n + _WARMUP_SAMPLES)
     shaped = _sosfilt(_bandpass_sos(*band), raw)[_WARMUP_SAMPLES:]

@@ -605,6 +605,12 @@ UNSTABLE_PATHS = {
             )
             for rate in ("1e+100", "1e+200")
         ),
+        (
+            ["compare"],
+            SMALL_FEEDFORWARD_CONFIG.replace("sample_rate_hz = 2500", "sample_rate_hz = 1e6"),
+            "band_low_hz = 70.0, band_high_hz = 170.0 at sample_rate_hz = 1000000.0: the band-pass filter's "
+            "response has not settled within the 1024-sample warm-up",
+        ),
         *(
             (["compare"], config, f"{key}_den has a root on or outside the unit circle: the path is unstable")
             for key, config in UNSTABLE_PATHS.items()
@@ -612,13 +618,14 @@ UNSTABLE_PATHS = {
     ],
     ids=["custom-two-values", "custom-four-values", "ini-no-section-header", "ini-unparsable-line", "ini-no-scenario",
          "ini-unknown-path", "ini-bandpass-rate-1e100", "ini-bandpass-rate-1e200",
+         "ini-bandpass-rate-1e6",
          *(f"ini-unstable-{key}" for key in UNSTABLE_PATHS)],
 )
 def test_input_error_is_named(tmp_path, capsys, argv, config, message):
     """A --custom value that is not three numbers, a scenario file that cannot be read as
-    one, band-pass noise at a rate where its filter's gain underflows to 0, and a path whose
-    denominator has a root on or outside the unit circle, exit 3 with one config error line
-    naming the fault and make no output directory."""
+    one, band-pass noise at a rate where its filter's gain underflows to 0 or its response
+    outlasts the warm-up, and a path whose denominator has a root on or outside the unit
+    circle, exit 3 with one config error line naming the fault and make no output directory."""
     out = tmp_path / "out"
     if config is not None:
         argv = [*argv, "--config", str(write_config(tmp_path, config))]
@@ -1406,8 +1413,8 @@ def six_runs(tmp_path):
 
 
 def test_compare_holds_at_most_two_traces(tmp_path, monkeypatch):
-    """A 6-run ``compare`` writes each trace as its run ends and then drops it, while the
-    next run computes: no more than two of its traces are alive at once."""
+    """A 6-run ``compare`` writes each trace as its run ends and drops it before the next
+    run starts: no more than one of its traces is alive at once."""
     refs, alive = [], []
 
     class Counted(RunTrace):
@@ -1418,7 +1425,7 @@ def test_compare_holds_at_most_two_traces(tmp_path, monkeypatch):
 
     monkeypatch.setattr(sim, "RunTrace", Counted)
     assert main(six_runs(tmp_path)) in (cli.EXIT_OK, cli.EXIT_DIVERGED)
-    assert len(alive) == 6 and max(alive) <= 2, alive
+    assert len(alive) == 6 and max(alive) <= 1, alive
     assert len(read_csv(tmp_path / "out" / "summary.csv")) == 6
 
 
@@ -1443,7 +1450,7 @@ def test_writer_error_reaches_main_and_stops_the_runs(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="disk full"):
         main(six_runs(tmp_path))
     assert threading.active_count() == threads
-    assert len(written) == 1 and len(started) <= 3  # the second trace and the one computing behind it
+    assert len(written) == 1 and len(started) == 2  # the run whose trace failed is the last to start
     assert not (tmp_path / "out" / "summary.csv").exists()
 
 

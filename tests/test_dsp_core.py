@@ -1,5 +1,6 @@
 """Core primitive tests: polynomials, transfer operators, noise, variance."""
 
+import hashlib
 import os
 import re
 import subprocess
@@ -30,6 +31,7 @@ from daglms import (
 from daglms.dsp_core import (
     _BANDPASS_CORNER_INSET,
     _BANDPASS_HALF_ORDER,
+    _BANDPASS_RMS_TOLERANCE,
     _bandpass_rms_gain,
     _bandpass_sos,
 )
@@ -549,6 +551,27 @@ class TestGenNoise:
         message = f"band_low_hz = 70.0, band_high_hz = 170.0 at sample_rate_hz = {fs!r}: "
         with pytest.raises(ValueError, match=re.escape(message) + ".* RMS gain is 0.0,"):
             gen_noise(NoiseSpec(kind="bandpass", sample_rate_hz=fs), 16)
+
+    @pytest.mark.parametrize("fs", [36000.0, 1e5, 1e6])
+    def test_bandpass_response_unsettled_in_the_warmup_names_the_band_and_rate(self, fs):
+        # the warm-up carries less than 99% of the RMS gain: at 1e6 Hz the 8192-sample gain
+        # sum alone is 2.5x too low, so the noise would come out 2.5x too loud
+        message = f"band_low_hz = 70.0, band_high_hz = 170.0 at sample_rate_hz = {fs!r}: "
+        with pytest.raises(ValueError, match=re.escape(message) + ".* not settled within the 1024-sample warm-up"):
+            gen_noise(NoiseSpec(kind="bandpass", sample_rate_hz=fs), 16)
+
+    def test_bandpass_bytes_at_the_default_rate_are_pinned(self):
+        noise = gen_noise(NoiseSpec(kind="bandpass", seed=1), 20000)
+        digest = "d01e0eb68d2224c5178c4c055fd71a6456d31e20d67ab73a7567dfaee807a372"
+        assert hashlib.sha256(noise.tobytes()).hexdigest() == digest
+
+    def test_bandpass_rms_within_tolerance_at_an_accepted_rate(self):
+        # 8 kHz is accepted for the default band; the RMS of 2M samples, whose own sampling
+        # spread is about 0.4%, meets the 1% the amplitude is held to
+        noise = gen_noise(NoiseSpec(kind="bandpass", sample_rate_hz=8000.0, seed=1, amplitude=0.5), 2_000_000)
+        assert abs(np.sqrt(np.mean(noise**2)) / 0.5 - 1.0) <= _BANDPASS_RMS_TOLERANCE
+        gain, warm = _bandpass_rms_gain(70.0, 170.0, 8000.0)
+        assert warm >= (1.0 - _BANDPASS_RMS_TOLERANCE) * gain
 
 
 @pytest.mark.parametrize(
