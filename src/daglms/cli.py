@@ -36,12 +36,12 @@ from .dsp_core import (
 )
 from .spr_design import (
     DEFAULT_SPR_GRID,
-    DagConfig,
-    _pr_unit_pole,
+    _filter_rows,
+    _gain_filter,
     bode_points,
     dag_transfer,
     integrated_pr_closed_form,
-    is_pr_unit_pole,  # not called here; bench/tracer.py wraps it as cli.is_pr_unit_pole
+    is_pr_unit_pole,  # these three are not called here; bench/tracer.py wraps them as cli.<name>
     is_spr_numeric,
     log_gain_integral,
     spr_region_grid,
@@ -139,38 +139,13 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
         fh.write((",".join(header) + "\r\n" + _rows(columns)).encode())
 
 
-def _spr_and_log_gain(h: TransferOperator) -> tuple:
-    """The SPR verdict of the gain filter ``h`` and its log-gain integral, NaN where ``h`` is not stable;
-    floating-point errors are ignored, as a row near the float range overflows into its N/N verdicts."""
-    with np.errstate(all="ignore"):
-        spr = is_spr_numeric(h)
-        return spr, log_gain_integral(h, check_stability=False) if spr.is_stable else float("nan")
-
-
-def _preset_row(name: str, h: TransferOperator, triple) -> dict:
-    """One row of check's table for the gain filter ``h = N / A``, integrated_pr that of ``N / ((1 - q^-1) A)``,
-    A stable as ``|d1p| < 1`` makes it; floating-point errors are ignored, as in :func:`_spr_and_log_gain`."""
-    c1, c2, d1p = triple
-    spr, integral = _spr_and_log_gain(h)
-    with np.errstate(all="ignore"):
-        pr = _pr_unit_pole(h.numerator.coeffs, h.denominator.coeffs)
-    return {
-        "name": name,
-        "c1": c1,
-        "c2": c2,
-        "d1p": d1p,
-        "dag_spr": spr.is_spr,
-        "integrated_pr": pr.is_pr,
-        "min_re_dag": spr.min_real_part,
-        "log_gain_integral": integral,
-    }
-
-
 CHECK_HEADER = ["name", "c1", "c2", "d1p", "dag_spr", "integrated_pr", "min_re_dag", "log_gain_integral"]
 
 
 def cmd_check(args) -> int:
-    entries = [(name, make_preset(name), preset_triple(name)) for name in PRESET_ORDER]
+    # each row's name and (c1, c2, d1p), and its gain filter's coefficients
+    cells = [(name, *preset_triple(name)) for name in PRESET_ORDER]
+    filters = [_gain_filter(cfg.c, cfg.d_prime) for cfg in map(make_preset, PRESET_ORDER)]
     for k, spec in enumerate(args.custom or []):
         try:
             c1, c2, d1p = (float(v) for v in spec.split(","))
@@ -180,21 +155,26 @@ def cmd_check(args) -> int:
             raise ConfigError(f"bad --custom value {spec!r}: c1, c2 and d1p must be finite")
         if not abs(d1p) < 1.0:  # the rule of contour --d1p
             raise ConfigError(f"bad --custom value {spec!r}: d1p must satisfy |d1p| < 1")
-        entries.append((f"custom{k}", DagConfig((c1, c2), (d1p,) if d1p else ()), (c1, c2, d1p)))
+        cells.append((f"custom{k}", c1, c2, d1p))
+        filters.append(_gain_filter((c1, c2), (d1p,)))
     expected = _read_verdicts(Path(args.expect)) if args.expect else None
 
-    rows = [_preset_row(name, dag_transfer(cfg), triple) for name, cfg, triple in entries]
+    # rows as CHECK_HEADER lays them out
+    rows = [
+        (*cell, spr.is_spr, pr.is_pr, spr.min_real_part, integral)
+        for cell, (spr, integral, pr) in zip(cells, _filter_rows(filters, unit_pole=True))
+    ]
     path = _out_dir(args.out) / "check.csv"
-    _write_csv(path, CHECK_HEADER, _columns([r[k] for k in CHECK_HEADER] for r in rows))
-    for r in rows:
+    _write_csv(path, CHECK_HEADER, _columns(rows))
+    for name, _, _, _, dag_spr, integrated_pr, min_re, integral in rows:
         print(
-            f"{r['name']:>14}: dag_spr={_fmt(r['dag_spr'])} integrated_pr={_fmt(r['integrated_pr'])} "
-            f"min_re={r['min_re_dag']:.6g} log_gain_integral={r['log_gain_integral']:.3g}"
+            f"{name:>14}: dag_spr={_fmt(dag_spr)} integrated_pr={_fmt(integrated_pr)} "
+            f"min_re={min_re:.6g} log_gain_integral={integral:.3g}"
         )
     print(f"wrote {path}")
 
     if expected is not None:
-        actual = {r["name"]: (_fmt(r["dag_spr"]), _fmt(r["integrated_pr"])) for r in rows}
+        actual = {row[0]: (_fmt(row[4]), _fmt(row[5])) for row in rows}
         mismatches = [
             name
             for name, verdicts in expected.items()
@@ -251,9 +231,9 @@ def cmd_bode(args) -> int:
     _distinct("preset", args.presets)
     # every preset resolved, and its SPR verdict and log-gain integral as check's, before the first file is written
     filters = [dag_transfer(make_preset(name)) for name in args.presets]
-    verdicts = [_spr_and_log_gain(h) for h in filters]
+    verdicts = _filter_rows([(h.numerator.coeffs, h.denominator.coeffs) for h in filters], unit_pole=False)
     tables, summary = [], []
-    for name, h, (spr, integral) in zip(args.presets, filters, verdicts):
+    for name, h, (spr, integral, _) in zip(args.presets, filters, verdicts):
         freq, omega, gain_db, phase_deg = bode_points(h, args.grid, args.fs)
         tables.append([_fields(c) for c in (freq, omega, gain_db, phase_deg)])
         phase_ok = bool(np.all(np.abs(phase_deg) < 90.0))

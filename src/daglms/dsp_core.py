@@ -55,33 +55,44 @@ class Polynomial:
     @property
     def degree(self) -> int:
         """Index of the last nonzero coefficient (0 for the zero polynomial)."""
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            if self.coeffs[k] != 0.0:
-                return k
-        return 0
+        return len(_canonical(self.coeffs)) - 1
 
     def canonical(self) -> Polynomial:
         """Trailing zero coefficients stripped: ``self`` when there are none (it is frozen), else a copy."""
-        size = self.degree + 1
-        return self if size == len(self.coeffs) else Polynomial(self.coeffs[:size])
+        coeffs = _canonical(self.coeffs)
+        return self if len(coeffs) == len(self.coeffs) else Polynomial(coeffs)
 
     def __call__(self, z_inv):
         """Evaluate at a value (or array) of the delay variable."""
         if np.ndim(z_inv) == 0:
             return np.polyval(self.coeffs[::-1], z_inv)
-        # np.polyval's Horner steps, in place: on an 8192-point grid each temporary
-        # would be 128 KiB, which glibc maps and unmaps, page faults included. Its first
-        # step, 0 * x + top, is top for a finite x and a nonzero top, so the loop starts there
-        x = np.asarray(z_inv)
-        *rest, top = self.coeffs
-        y = np.full(x.shape, top, np.result_type(x, np.float64))
-        for c in reversed(rest):
-            y *= x
-            y += c
-        return y
+        return _polyval(self.coeffs, np.asarray(z_inv))
 
     def __mul__(self, other: Polynomial) -> Polynomial:
         return poly_mul(self, other)
+
+
+def _canonical(coeffs: tuple[float, ...]) -> tuple[float, ...]:
+    """``coeffs`` without its trailing zeros (``-0.0`` is one), the first coefficient kept."""
+    size = len(coeffs)
+    while size > 1 and coeffs[size - 1] == 0.0:
+        size -= 1
+    return coeffs[:size]
+
+
+def _polyval(coeffs, x: np.ndarray) -> np.ndarray:
+    """The polynomial of ``coeffs`` at the array ``x``, a new array: np.polyval's Horner steps, in place.
+
+    On an 8192-point grid each temporary would be 128 KiB, which glibc maps and unmaps,
+    page faults included. Its first step, 0 * x + top, is top for a finite x and a nonzero
+    top, so the loop starts there.
+    """
+    *rest, top = coeffs
+    y = np.full(x.shape, top, np.result_type(x, np.float64))
+    for c in reversed(rest):
+        y *= x
+        y += c
+    return y
 
 
 def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:

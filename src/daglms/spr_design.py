@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import struct
 import sys
 from dataclasses import dataclass
 from functools import lru_cache, wraps
@@ -25,6 +26,8 @@ from .dsp_core import (
     RootFindingError,
     SingularityError,
     TransferOperator,
+    _canonical,
+    _polyval,
     poly_mul,
     roots_inside_unit_circle,
 )
@@ -96,8 +99,13 @@ class PrVerdict:
 
 def dag_transfer(cfg: DagConfig) -> TransferOperator:
     """The adaptation-gain filter itself (numerator over AR part)."""
-    den = Polynomial((1.0, *(-v for v in cfg.d_prime)))
-    return TransferOperator(cfg.numerator, den)
+    return TransferOperator(*_gain_filter(cfg.c, cfg.d_prime))
+
+
+def _gain_filter(c, d_prime) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The gain filter's numerator ``1 + c`` and AR part ``1 - d_prime`` as canonical coefficient
+    tuples, their trailing zeros stripped as :meth:`Polynomial.canonical` strips them."""
+    return _canonical((1.0, *c)), _canonical((1.0, *(-v for v in d_prime)))
 
 
 def integrated_dag(cfg: DagConfig) -> TransferOperator:
@@ -358,8 +366,13 @@ def is_spr_numeric(h: TransferOperator, grid_size: int = DEFAULT_SPR_GRID) -> Sp
     """
     if grid_size < 256:
         raise ValueError("grid_size must be at least 256")
-    stable = roots_inside_unit_circle(h.numerator) and roots_inside_unit_circle(h.denominator)
-    min_re, x = _minimum(h.numerator.coeffs, h.denominator.coeffs, False)
+    return _spr_verdict(h.numerator.coeffs, h.denominator.coeffs)
+
+
+def _spr_verdict(num, den) -> SprVerdict:
+    """:func:`is_spr_numeric`'s verdict on ``N / D``, N and D of canonical coefficients ``num`` and ``den``."""
+    stable = roots_inside_unit_circle(Polynomial(num)) and roots_inside_unit_circle(Polynomial(den))
+    min_re, x = _minimum(num, den, False)
     return SprVerdict(stable, stable and min_re > 0.0, min_re, math.acos(x))
 
 
@@ -384,8 +397,51 @@ def log_gain_integral(
         if not roots_inside_unit_circle(h.denominator):
             raise ValueError("denominator has zeros on or outside the unit circle")
     step, z_inv = _midpoint_grid(int(quad_points))
-    mag = np.abs(h.response_at(z_inv))
-    return float(np.sum(np.log(mag)) * step)
+    return _log_gain(h.numerator.coeffs, _den_response(h.denominator.coeffs, z_inv), step, z_inv)
+
+
+def _den_response(den, z_inv: np.ndarray) -> np.ndarray:
+    """The response of the denominator of coefficients ``den`` at ``z_inv``; a zero in it raises
+    :class:`SingularityError`, as :meth:`TransferOperator.response_at` does."""
+    response = _polyval(den, z_inv)
+    if not response.all():  # a value is zero where both parts are +-0; a NaN is not
+        raise SingularityError("pole exactly on the evaluation point")
+    return response
+
+
+def _log_gain(num, den_response: np.ndarray, step: float, z_inv: np.ndarray) -> float:
+    """The midpoint quadrature of log|N / D| over ``z_inv``, N of coefficients ``num`` and D's response
+    ``den_response``: the ratio divided in place, as :meth:`TransferOperator.response_at` divides it."""
+    response = _polyval(num, z_inv)
+    response /= den_response
+    return float(np.sum(np.log(np.abs(response))) * step)
+
+
+def _filter_rows(filters, unit_pole: bool) -> list[tuple[SprVerdict, float, PrVerdict | None]]:
+    """The rows of ``check`` and ``bode``, in the order of ``filters``, pairs of canonical coefficient
+    tuples of gain filters ``N / A``: each filter's :func:`is_spr_numeric` verdict, its
+    :func:`log_gain_integral` (NaN where it is not stable) and, with ``unit_pole``, the
+    :func:`_pr_unit_pole` verdict of ``N / ((1 - q^-1) A)``, whose A must be strictly stable, else None.
+
+    Stable rows with the same denominator bits (not ``==``: ``0.0 == -0.0``) share its response on
+    the quadrature grid, evaluated once and freed before the next group's, with the bits each
+    row's integral would have alone. Floating-point errors are ignored: a row near the float range
+    overflows into its N/N verdicts.
+    """
+    rows, groups = [], {}
+    with np.errstate(all="ignore"):
+        for k, (num, den) in enumerate(filters):
+            spr = _spr_verdict(num, den)
+            rows.append([spr, math.nan, _pr_unit_pole(num, den) if unit_pole else None])
+            if spr.is_stable:
+                groups.setdefault(struct.pack(f"{len(den)}d", *den), []).append(k)
+        step, z_inv = _midpoint_grid(DEFAULT_QUAD_POINTS)
+        for members in groups.values():
+            response = _den_response(filters[members[0]][1], z_inv)
+            for k in members:
+                rows[k][1] = _log_gain(filters[k][0], response, step, z_inv)
+            del response  # before the next group's is evaluated
+    return [tuple(row) for row in rows]
 
 
 def _over_coefficient_arrays(verdict):
@@ -468,6 +524,11 @@ def grid_axis(start: float, stop: float, step: float) -> np.ndarray:
 MAX_REGION_CELLS = 10**6
 
 
+def _count_text(count: int) -> str:
+    """``count`` in digits, or in scientific notation from 10**12 on: a step of 1e-300 gives 301 digits."""
+    return str(count) if count < 10**12 else f"{count:.3e}"
+
+
 def spr_region_grid(d1p: float, c1_range, c2_range):
     """Closed-form SPR verdict per cell of a (c1, c2) grid.
 
@@ -484,8 +545,9 @@ def spr_region_grid(d1p: float, c1_range, c2_range):
         except ValueError as exc:
             raise ValueError(f"{name} axis: {exc}") from exc
     if counts[0] * counts[1] > MAX_REGION_CELLS:
+        c1_count, c2_count = map(_count_text, counts)
         raise ValueError(
-            f"c1 axis ({counts[0]} values) x c2 axis ({counts[1]} values) is more than {MAX_REGION_CELLS} cells"
+            f"c1 axis ({c1_count} values) x c2 axis ({c2_count} values) is more than {MAX_REGION_CELLS} cells"
         )
     c1_values, c2_values = grid_axis(*c1_range), grid_axis(*c2_range)
     return c1_values, c2_values, arima2_spr_closed_form(c1_values[:, None], c2_values[None, :], d1p)
@@ -516,8 +578,8 @@ def _pr_unit_pole(num, den, tol: float = PR_TOL) -> PrVerdict:
     """Positive realness of ``N / ((1 - q^-1) A)``, N and A of coefficients ``num`` and ``den``.
 
     A must be strictly stable, and its callers check that: :func:`is_pr_unit_pole` tests
-    its quotient, and every row of ``check`` and ``bode`` has ``A = 1 - d1p q^-1`` with
-    ``|d1p| < 1``. The real part on the circle is smooth on [-1, 1]
+    its quotient, and every row of ``check`` has ``A = 1 - d1p q^-1`` with ``|d1p| < 1``.
+    The real part on the circle is smooth on [-1, 1]
     in x = cos(omega), its omega -> 0 limit is its value at x = 1, and
     :func:`_real_part_minimum` finds its exact minimum from N and A. The operator
     is PR iff that minimum is at least ``-tol`` and the residue of the pole at

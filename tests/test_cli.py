@@ -2,11 +2,15 @@
 
 import argparse
 import csv
+import dataclasses
 import hashlib
+import math
 import os
 import re
+import struct
 import subprocess
 import sys
+import tempfile
 import threading
 import warnings
 import weakref
@@ -15,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from daglms import (
@@ -31,6 +35,7 @@ from daglms import (
     run_feedforward,
     run_sysid,
     sim,
+    spr_design,
 )
 from daglms.cli import CHECK_HEADER, main
 from daglms.sim import default_feedforward_scenario
@@ -43,8 +48,9 @@ from daglms.spr_design import (
     integrated_pr_closed_form,
     is_pr_unit_pole,
     is_spr_numeric,
+    log_gain_integral,
 )
-from daglms.adapt import PRESET_ORDER, make_preset
+from daglms.adapt import PRESET_ORDER, make_preset, preset_triple
 
 
 def read_csv(path):
@@ -139,7 +145,7 @@ class TestCheck:
         def fail(*args, **kwargs):
             raise error("no verdict here")
 
-        monkeypatch.setattr(cli, "is_spr_numeric", fail)
+        monkeypatch.setattr(spr_design, "_minimum", fail)
         assert main(["check", "--out", str(tmp_path / "out")]) == cli.EXIT_NUMERICS == 4
         assert capsys.readouterr().err == "numerics error: no verdict here\n"
         assert not (tmp_path / "out").exists()
@@ -249,10 +255,12 @@ def test_row_pr_verdict_agrees_with_the_integrated_filter(monkeypatch, engine):
     n = 10_000
     drawn = np.where(rng.random(n) < 0.5, rng.uniform(-0.999, 0.999, n), rng.choice(PR_EDGE_POOL, n))
     rejected = set()
+    cells = list(zip(rng.uniform(-2, 2, n).tolist(), rng.uniform(-1, 1, n).tolist(), drawn.tolist()))
+    rows = spr_design._filter_rows([spr_design._gain_filter((c1, c2), (d1p,)) for c1, c2, d1p in cells], unit_pole=True)
     with np.errstate(all="ignore"):
-        for c1, c2, d1p in zip(rng.uniform(-2, 2, n).tolist(), rng.uniform(-1, 1, n).tolist(), drawn.tolist()):
+        for (c1, c2, d1p), (_, _, pr) in zip(cells, rows):
             cfg = DagConfig((c1, c2), (d1p,) if d1p else ())
-            row = cli._preset_row("cell", dag_transfer(cfg), (c1, c2, d1p))["integrated_pr"]
+            row = pr.is_pr
             try:
                 assert row == is_pr_unit_pole(integrated_dag(cfg)).is_pr, (c1, c2, d1p)
             except ValueError:
@@ -262,6 +270,117 @@ def test_row_pr_verdict_agrees_with_the_integrated_filter(monkeypatch, engine):
             if abs(min(at_zero, at_pi) + PR_TOL) > PR_TOL and abs(1.0 + c1 + c2) > PR_TOL:
                 assert row == integrated_pr_closed_form(c1, c2, d1p), (c1, c2, d1p)
     assert rejected == {0.9999999999999999}
+
+
+def _public_row(cfg: DagConfig) -> tuple:
+    """The verdicts of the gain filter ``cfg`` by the public per-row calls: its SPR verdict, its
+    log-gain integral (NaN where it is unstable) and the PR verdict of its N and A."""
+    h = dag_transfer(cfg)
+    with np.errstate(all="ignore"):
+        spr = is_spr_numeric(h)
+        integral = log_gain_integral(h, check_stability=False) if spr.is_stable else math.nan
+        return spr, integral, spr_design._pr_unit_pole(h.numerator.coeffs, h.denominator.coeffs)
+
+
+def _bits(value):
+    """``value`` with each float as its eight bytes, so that -0.0 and 0.0 differ and NaN equals NaN."""
+    if dataclasses.is_dataclass(value):
+        return _bits(dataclasses.astuple(value))
+    if isinstance(value, tuple):
+        return tuple(map(_bits, value))
+    return struct.pack("d", value) if isinstance(value, float) else value
+
+
+def _custom(cells) -> list[str]:
+    return [f"--custom={c1!r},{c2!r},{d1p!r}" for c1, c2, d1p in cells]
+
+
+def _check_text(cells) -> bytes:
+    """check.csv for the custom ``cells`` from the public per-row calls: the presets' rows, then a row per cell."""
+    rows = [(name, *preset_triple(name), make_preset(name)) for name in PRESET_ORDER]
+    rows += [(f"custom{k}", c1, c2, d1p, DagConfig((c1, c2), (d1p,) if d1p else ())) for k, (c1, c2, d1p) in enumerate(cells)]
+    lines = [",".join(CHECK_HEADER)]
+    for *cell, cfg in rows:
+        spr, integral, pr = _public_row(cfg)
+        lines.append(",".join(map(cli._fmt, [*cell, spr.is_spr, pr.is_pr, spr.min_real_part, integral])))
+    return "".join(line + "\r\n" for line in lines).encode()
+
+
+# d1p at the edges of |d1p| < 1 and of the doubles, signed zeros included, and values that rows share
+CHECK_D1P = [0.0, -0.0, 5e-324, -5e-324, 0.9999999999999999, -0.9999999999999999, 0.5, 0.9]
+CHECK_C = st.one_of(
+    st.floats(-2.0, 2.0), st.floats(-1e308, 1e308), st.sampled_from([0.0, -0.0, 5e-324, 0.5, 1e308, -1e308])
+)
+
+
+@pytest.mark.parametrize("engine", ["host", "python"])
+@settings(deadline=None, max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    cells=st.lists(
+        st.tuples(
+            CHECK_C,
+            st.one_of(CHECK_C, st.sampled_from([0.0, -0.0])),  # c2 = +-0 is stripped from the numerator
+            st.one_of(st.floats(-0.9999999999999999, 0.9999999999999999), st.sampled_from(CHECK_D1P)),
+        ),
+        max_size=12,
+    )
+)
+def test_check_rows_are_the_public_calls_bit_for_bit(monkeypatch, engine, cells):
+    """Each row of ``check``, in input order, is bit for bit what the public per-row calls give its
+    cell: ``is_spr_numeric`` on the gain filter, ``log_gain_integral`` (NaN where it is unstable) and
+    ``_pr_unit_pole`` on its N and A, whether or not rows share a denominator's response."""
+    if engine == "python":
+        monkeypatch.setattr(_kernel, "load", lambda: None)
+    filters = [spr_design._gain_filter((c1, c2), (d1p,)) for c1, c2, d1p in cells]
+    rows = spr_design._filter_rows(filters, unit_pole=True)
+    want = [_public_row(DagConfig((c1, c2), (d1p,) if d1p else ())) for c1, c2, d1p in cells]
+    assert _bits(tuple(rows)) == _bits(tuple(want))
+    with tempfile.TemporaryDirectory() as out:
+        assert main(["check", "--out", out, *_custom(cells)]) == 0
+        assert Path(out, "check.csv").read_bytes() == _check_text(cells)
+
+
+def test_rows_share_a_denominator_by_its_bits(monkeypatch):
+    """A check evaluates one quadrature response per distinct stable denominator: d1p = -0.0 and
+    0.0 both leave A = 1, which the presets integral, ipd and ip have too, and a row whose numerator
+    is unstable gets none. Denominators that differ only in the sign of a zero are two groups."""
+    calls = []
+    response = spr_design._den_response
+    monkeypatch.setattr(spr_design, "_den_response", lambda den, z_inv: calls.append(den) or response(den, z_inv))
+    cells = [(0.5, 0.2, 0.5), (0.1, 0.1, 0.5), (0.3, 0.0, -0.0), (0.3, -0.0, 0.0), (1.5, 0.0, 0.7), (0.2, 0.1, 0.9)]
+    with tempfile.TemporaryDirectory() as out:
+        assert main(["check", "--out", out, *_custom(cells)]) == 0
+    assert calls == [(1.0,), (1.0, -0.9), (1.0, -0.5)]
+    calls.clear()
+    filters = [((1.0, 0.3), (1.0, 0.0, -0.25)), ((1.0, 0.4), (1.0, -0.0, -0.25)), ((1.0, 0.5), (1.0, 0.0, -0.25))]
+    rows = spr_design._filter_rows(filters, unit_pole=False)
+    assert _bits(calls) == _bits([(1.0, 0.0, -0.25), (1.0, -0.0, -0.25)])
+    want = [_public_row(DagConfig(num[1:], tuple(-v for v in den[1:]))) for num, den in filters]
+    assert _bits(tuple(row[:2] for row in rows)) == _bits(tuple(w[:2] for w in want))
+
+
+def test_distinct_denominators_hold_one_response_at_a_time(tmp_path, monkeypatch):
+    """A 200-row check in which every row has its own d1p evaluates 200 responses, and each earlier
+    one is freed before the next is evaluated; its bytes are the same on both engines."""
+    rng = np.random.default_rng(34)
+    cells = list(zip(rng.uniform(-0.5, 0.5, 200).tolist(), rng.uniform(-0.4, 0.4, 200).tolist(),
+                     rng.uniform(-0.999, 0.999, 200).tolist()))
+    assert len({d1p for _, _, d1p in cells} | {0.0, 0.9}) == 202  # the presets' d1p are 0 and 0.9
+    alive, refs = [], []
+    response = spr_design._den_response
+
+    def spy(den, z_inv):
+        alive.append(sum(ref() is not None for ref in refs))
+        value = response(den, z_inv)
+        refs.append(weakref.ref(value))
+        return value
+
+    monkeypatch.setattr(spr_design, "_den_response", spy)
+    assert main(["check", "--out", str(tmp_path / "host"), *_custom(cells)]) == 0
+    assert len(refs) == 202 and alive == [0] * 202
+    monkeypatch.setattr(_kernel, "load", lambda: None)
+    assert main(["check", "--out", str(tmp_path / "python"), *_custom(cells)]) == 0
+    assert (tmp_path / "python" / "check.csv").read_bytes() == (tmp_path / "host" / "check.csv").read_bytes()
 
 
 class TestContour:
@@ -367,7 +486,7 @@ class TestBode:
         def fail(*args, **kwargs):
             raise AssertionError("bode ran a PR test")
 
-        monkeypatch.setattr(cli, "_pr_unit_pole", fail)
+        monkeypatch.setattr(spr_design, "_pr_unit_pole", fail)
         assert main(["bode", "--out", str(tmp_path / "b"), "--grid", "512"]) == 0
         assert tree_bytes(tmp_path / "b") == tree_bytes(tmp_path / "a")
 
@@ -589,6 +708,11 @@ UNSTABLE_PATHS = {
     [
         (["check", "--custom=1,2"], None, "config error: bad --custom value '1,2': expected c1,c2,d1p"),
         (["check", "--custom=1,2,3,4"], None, "config error: bad --custom value '1,2,3,4': expected c1,c2,d1p"),
+        (
+            ["contour", "--d1p", "0.5", "--c1-step", "1e-300"],
+            None,
+            "config error: c1 axis (4.000e+300 values) x c2 axis (41 values) is more than 1000000 cells",
+        ),
         (["compare"], "kind = feedforward\n" + SMALL_FEEDFORWARD_CONFIG, "File contains no section headers."),
         (["compare"], SMALL_FEEDFORWARD_CONFIG + "= 1\n", "Source contains parsing errors:"),
         (["compare"], SMALL_FEEDFORWARD_CONFIG.replace("[scenario]", "[scenarios]"), "missing [scenario] section"),
@@ -616,14 +740,14 @@ UNSTABLE_PATHS = {
             for key, config in UNSTABLE_PATHS.items()
         ),
     ],
-    ids=["custom-two-values", "custom-four-values", "ini-no-section-header", "ini-unparsable-line", "ini-no-scenario",
+    ids=["custom-two-values", "custom-four-values", "contour-huge-axis", "ini-no-section-header", "ini-unparsable-line", "ini-no-scenario",
          "ini-unknown-path", "ini-bandpass-rate-1e100", "ini-bandpass-rate-1e200",
          "ini-bandpass-rate-1e6",
          *(f"ini-unstable-{key}" for key in UNSTABLE_PATHS)],
 )
 def test_input_error_is_named(tmp_path, capsys, argv, config, message):
-    """A --custom value that is not three numbers, a scenario file that cannot be read as
-    one, band-pass noise at a rate where its filter's gain underflows to 0 or its response
+    """A --custom value that is not three numbers, a contour axis of a 301-digit count (shown
+    in scientific notation), a scenario file that cannot be read as one, band-pass noise at a rate where its filter's gain underflows to 0 or its response
     outlasts the warm-up, and a path whose denominator has a root on or outside the unit
     circle, exit 3 with one config error line naming the fault and make no output directory."""
     out = tmp_path / "out"
