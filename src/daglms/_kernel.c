@@ -3,19 +3,88 @@
    loop, the trace CSV rows of daglms.cli._trace_rows with the bytes of repr, and the
    real-part minimum of daglms.spr_design._real_part_minimum with its bits.
 
-   Every dot product is np.dot's: the product itself for length 1, else
-   0.0 + the cblas_ddot that np.dot calls, passed in as `ddot`. Every other
-   operation is an IEEE double operation in the order of the Python loop;
-   built with -ffp-contract=off, so that no product is fused into an FMA. */
+   Every dot product is np.dot's: the product itself for length 1, else 0.0 + the
+   cblas_ddot that np.dot calls. That is either the ddot passed in, or, where the caller
+   sets inline_dot and n <= INLINE_DOT_MAX, the same sum inline, in the order of OpenBLAS's
+   SkylakeX ddot kernel (built only with AVX-512; the caller sets inline_dot only where its
+   self-check finds np.dot's bits). Every other operation is an IEEE double operation in
+   the order of the Python loop; built with -ffp-contract=off, so that no product is fused
+   into an FMA but those of that kernel order. */
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
 
 typedef double (*ddot_fn)(int64_t, const double *, int64_t, const double *, int64_t);
 
-double daglms_dot(ddot_fn ddot, int64_t n, const double *x, const double *y)
+#ifdef __AVX512F__
+#include <immintrin.h>
+
+/* the longest dot OpenBLAS sums in one thread; a longer one it may split across threads */
+#define INLINE_DOT_MAX 10000
+
+/* The sum of OpenBLAS 0.3's ddot (kernel/x86_64/ddot.c with ddot_microk_skylakex-2.c) for
+   unit strides: over n1 = n & -16 elements, four 8-lane FMA accumulators over each 32 and
+   each folded to 4 lanes by adding its halves, then four 4-lane FMA accumulators over the
+   16 left, the four summed in order, low half plus high half and a horizontal add; then an
+   FMA for each element from n1 on. */
+static double skylakex_ddot(int64_t n, const double *x, const double *y)
 {
-    return n == 1 ? x[0] * y[0] : 0.0 + ddot(n, x, 1, y, 1);
+    const int64_t n1 = n & -16;
+    double dot = 0.0;
+    int64_t i = 0;
+    if (n1) {
+        __m256d a0 = _mm256_setzero_pd(), a1 = a0, a2 = a0, a3 = a0;
+        if (n1 >= 32) {
+            __m512d b0 = _mm512_setzero_pd(), b1 = b0, b2 = b0, b3 = b0;
+            for (; i < (n1 & -32); i += 32) {
+                b0 = _mm512_fmadd_pd(_mm512_loadu_pd(x + i), _mm512_loadu_pd(y + i), b0);
+                b1 = _mm512_fmadd_pd(_mm512_loadu_pd(x + i + 8), _mm512_loadu_pd(y + i + 8), b1);
+                b2 = _mm512_fmadd_pd(_mm512_loadu_pd(x + i + 16), _mm512_loadu_pd(y + i + 16), b2);
+                b3 = _mm512_fmadd_pd(_mm512_loadu_pd(x + i + 24), _mm512_loadu_pd(y + i + 24), b3);
+            }
+            a0 = _mm256_add_pd(_mm512_castpd512_pd256(b0), _mm512_extractf64x4_pd(b0, 1));
+            a1 = _mm256_add_pd(_mm512_castpd512_pd256(b1), _mm512_extractf64x4_pd(b1, 1));
+            a2 = _mm256_add_pd(_mm512_castpd512_pd256(b2), _mm512_extractf64x4_pd(b2, 1));
+            a3 = _mm256_add_pd(_mm512_castpd512_pd256(b3), _mm512_extractf64x4_pd(b3, 1));
+        }
+        for (; i < n1; i += 16) {
+            a0 = _mm256_fmadd_pd(_mm256_loadu_pd(x + i), _mm256_loadu_pd(y + i), a0);
+            a1 = _mm256_fmadd_pd(_mm256_loadu_pd(x + i + 4), _mm256_loadu_pd(y + i + 4), a1);
+            a2 = _mm256_fmadd_pd(_mm256_loadu_pd(x + i + 8), _mm256_loadu_pd(y + i + 8), a2);
+            a3 = _mm256_fmadd_pd(_mm256_loadu_pd(x + i + 12), _mm256_loadu_pd(y + i + 12), a3);
+        }
+        a0 = _mm256_add_pd(_mm256_add_pd(_mm256_add_pd(a1, a0), a2), a3);
+        __m128d h = _mm_add_pd(_mm256_castpd256_pd128(a0), _mm256_extractf128_pd(a0, 1));
+        dot = _mm_cvtsd_f64(_mm_hadd_pd(h, h));
+    }
+    for (; i < n; i++)
+        dot = fma(y[i], x[i], dot);
+    return dot;
+}
+#else
+#define INLINE_DOT_MAX 0  /* no inline order: every dot calls ddot */
+#endif
+
+/* the longest dot that a set inline_dot sums inline, 0 where this build has no inline order */
+const int64_t daglms_inline_dot_max = INLINE_DOT_MAX;
+
+static inline double dot(ddot_fn ddot, int inline_dot, int64_t n, const double *x, const double *y)
+{
+    if (n == 1)
+        return x[0] * y[0];
+#ifdef __AVX512F__
+    if (inline_dot)
+        return 0.0 + skylakex_ddot(n, x, y);
+#else
+    (void)inline_dot;
+#endif
+    return 0.0 + ddot(n, x, 1, y, 1);
+}
+
+/* np.dot of n doubles, inline where inline_dot is set and n <= daglms_inline_dot_max */
+double daglms_dot(ddot_fn ddot, int64_t inline_dot, int64_t n, const double *x, const double *y)
+{
+    return dot(ddot, inline_dot && n <= INLINE_DOT_MAX, n, x, y);
 }
 
 /* One step of TransferOperator.filter_step over its order delays z, updated in place: direct
@@ -77,44 +146,77 @@ static double norm_bound(int64_t n, double limit)
     return limit * limit * (1.0 - (double)(4 * n + 8) * 0x1p-53);
 }
 
-/* n taps, T samples, the first adapting at prefix; K history slots, the first depth of
+/* Make the new estimate and correction, the two spare rows after the K slots of row, slots 0
+   and depth, as the Python loop's shift of the history block does: each estimate moves one
+   slot on, and each correction, where there are any. The rows that drop out, the oldest
+   estimate where corrections are kept and the oldest slot, become the spares. The pointers
+   move through a carry, not as a block, so the compiler makes no memmove call of them. */
+static void rotate(double **row, int64_t K, int64_t depth)
+{
+    double *carry = row[K], *next;
+    for (int64_t j = 0; j < depth; j++) {
+        next = row[j];
+        row[j] = carry;
+        carry = next;
+    }
+    row[K] = carry;  /* the oldest estimate, or with no correction kept the oldest slot */
+    carry = row[K + 1];
+    for (int64_t j = depth; j < K; j++) {
+        next = row[j];
+        row[j] = carry;
+        carry = next;
+    }
+    row[K + 1] = carry;
+}
+
+/* n taps, T samples, the first adapting at prefix; K history slots, the first depth >= 1 of
    them estimates; path order (-1: no path). mu, rule_a, rule_b: the gain
    mu / (rule_a + rule_b phi_f.phi_f); limit: the divergence limit.
    hist: the (K, n) history block, newest first, updated in place; w: its K gain weights.
    b, a, z: the path's coefficients and its state after the prefix, updated in place.
-   target, e_post, err: NULL when not recorded. work: (K + 2) n doubles.
+   target, e_post, err: NULL when not recorded. work: (K + 2) n doubles, then room for
+   K + 2 row pointers (K + 2 doubles). inline_dot: see daglms_dot.
    Returns the diverging step (from 1), with its estimate norm in *norm, or 0.
 
-   The block is a ring while the loop runs: slot j, newest first, is row (head + j) mod K,
-   so a step writes two rows where the Python loop shifts the block. Its rows go back in
-   order before the return. The loops over the taps run inside the loops over the slots,
-   so the compiler can vectorize them; each tap keeps its order of operations. */
-int64_t daglms_adapt(ddot_fn ddot, int64_t n, int64_t T, int64_t prefix, int64_t K, int64_t depth,
-                     int64_t order, double mu, double rule_a, double rule_b, double limit,
-                     const double *x, const double *rev, const double *rev_f, const double *target,
-                     const double *w, double *hist, const double *b, const double *a, double *z,
-                     double *e0_rec, double *e_post, double *err, double *work, double *norm)
+   The rows live in work while the loop runs, slot j at row[j], newest first, and two
+   spares after them: a step writes its new estimate and correction into the spares and
+   then rotates the pointers (a diverging step rotates nothing), so no row is copied and
+   no index wraps. The rows go back into hist, in order, at the return. The loops over the
+   taps run inside the loops over the slots, so the compiler can vectorize them; each tap
+   keeps its order of operations. */
+int64_t daglms_adapt(ddot_fn ddot, int64_t inline_dot, int64_t n, int64_t T, int64_t prefix,
+                     int64_t K, int64_t depth, int64_t order, double mu, double rule_a,
+                     double rule_b, double limit, const double *x, const double *rev,
+                     const double *rev_f, const double *target, const double *w, double *hist,
+                     const double *b, const double *a, double *z, double *e0_rec, double *e_post,
+                     double *err, double *work, double *norm)
 {
-    double *restrict base = work, *restrict corr = work + n;
+    _Static_assert(sizeof(double *) <= sizeof(double), "a row pointer fits where a double does");
+    double **row = (double **)(work + (K + 2) * n);
+    memcpy(work, hist, (size_t)(K * n) * sizeof *hist);
+    for (int64_t j = 0; j < K + 2; j++)
+        row[j] = work + j * n;
+    const int fast = inline_dot && n <= INLINE_DOT_MAX;
     const double bound = norm_bound(n, limit);
-    int64_t head = 0, step = 0;
+    int64_t step = 0;
     for (int64_t t = prefix; t < T; t++) {
         const double *phi = rev + (T - 1 - t), *phi_f = rev_f + (T - 1 - t);
-        const double *h = hist + head * n;
+        double *restrict base = row[K], *restrict corr = row[K + 1];
+        const double *h = row[0];
         for (int64_t i = 0; i < n; i++)  /* the gain sum, in order of the slots */
             base[i] = w[0] * h[i];
         for (int64_t k = 1; k < K; k++) {
-            h = hist + (head + k) % K * n;
+            h = row[k];
             for (int64_t i = 0; i < n; i++)
                 base[i] += w[k] * h[i];
         }
-        double y = daglms_dot(ddot, n, base, phi);
+        double y = dot(ddot, fast, n, base, phi);
         if (order >= 0)
             y = filter_step(order, b, a, z, y);
         const double e0 = x[t] - y;
         double mu_t = mu, scale = 1.0;
         if (rule_b != 0.0) {  /* the constant rule never reads the power */
-            scale = rule_a + rule_b * daglms_dot(ddot, n, phi_f, phi_f);
+            scale = rule_a + rule_b * dot(ddot, fast, n, phi_f, phi_f);
             mu_t /= scale;
         }
         const double g = mu_t * e0;
@@ -131,31 +233,25 @@ int64_t daglms_adapt(ddot_fn ddot, int64_t n, int64_t T, int64_t prefix, int64_t
             acc[0] += base[i] * base[i];
         const double s = (acc[0] + acc[1]) + (acc[2] + acc[3]);
         if (!(s < bound)) {  /* NaN and inf included */
-            *norm = sqrt(daglms_dot(ddot, n, base, base));
+            *norm = sqrt(dot(ddot, fast, n, base, base));
             if (!(isfinite(*norm) && *norm <= limit)) {
                 step = t - prefix + 1;
                 break;
             }
         }
-        head = head ? head - 1 : K - 1;  /* the oldest row becomes the newest */
-        memcpy(hist + head * n, base, (size_t)n * sizeof *hist);
-        if (depth < K)
-            memcpy(hist + (head + depth) % K * n, corr, (size_t)n * sizeof *hist);
+        rotate(row, K, depth);
         e0_rec[t] = e0;
         if (e_post)
             e_post[t] = e0 / scale;
-        if (target) {
+        if (target) {  /* into a spare, as base is now slot 0 */
+            double *restrict diff = row[K];
             for (int64_t i = 0; i < n; i++)
-                base[i] = target[i] - base[i];
-            err[t] = sqrt(daglms_dot(ddot, n, base, base));
+                diff[i] = target[i] - base[i];
+            err[t] = sqrt(dot(ddot, fast, n, diff, diff));
         }
     }
-    if (head) {  /* the ring back in order, through the spare rows of work */
-        double *spare = work + 2 * n;
-        for (int64_t j = 0; j < K; j++)
-            memcpy(spare + j * n, hist + (head + j) % K * n, (size_t)n * sizeof *hist);
-        memcpy(hist, spare, (size_t)(K * n) * sizeof *hist);
-    }
+    for (int64_t j = 0; j < K; j++)
+        memcpy(hist + j * n, row[j], (size_t)n * sizeof *hist);
     return step;
 }
 

@@ -24,14 +24,20 @@ code for that. Every level gives the same bits: the wider vectors run more taps
 at once, each tap with its own operations in their order, and without
 ``-ffast-math`` no sum is reassociated.
 
-The library's dot products call the ``cblas_ddot`` of the
-OpenBLAS that NumPy bundles, the function that ``np.dot`` calls, in this
-process; a self-check compares the two for n = 1...64, another compares
-the row writer with ``repr`` on :func:`_repr_cases`, and a third the real-part
-minimum with its twin on :func:`_design_cases`. Where any of this fails
-(no compiler, no writable cache, another BLAS, a failed check), :func:`load`
-returns None and logs why once at debug level, and runs, filters, trace
-files and design verdicts take the Python code, which gives the same bits.
+The library's dot products give the bits of ``np.dot``, which calls the
+``cblas_ddot`` of the OpenBLAS that NumPy bundles. A build with AVX-512
+(x86-64-v4) can sum a dot of up to 10 000 elements inline, in the order of
+OpenBLAS's SkylakeX ``ddot`` kernel, with no call out of the library; every
+other dot calls that ``cblas_ddot`` through a pointer. :class:`Kernel` chooses
+once, at the load, from a self-check of :func:`_dot_cases` (n = 1...130, 1000,
+4097 and 10 000) against ``np.dot``: the inline order where it gives every
+case's bits, else the pointer, which must give them too. It logs the choice at
+debug level. Another self-check compares the row writer with ``repr`` on
+:func:`_repr_cases`, and a third the real-part minimum with its twin on
+:func:`_design_cases`. Where any of this fails (no compiler, no writable cache,
+another BLAS, a failed check), :func:`load` returns None and logs why once at
+debug level, and runs, filters, trace files and design verdicts take the Python
+code, which gives the same bits.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ import ctypes
 import os
 import platform
 import random  # the stdlib's, which NumPy imports: numpy.random would be most of a load
+import sys
 import zlib
 from pathlib import Path
 
@@ -174,6 +181,23 @@ def _design_cases() -> list[tuple[tuple[float, ...], tuple[float, ...]]]:
     return [((1.0, c1, c2), (1.0, -p) if p else (1.0,)) for c1, c2, p in cells]
 
 
+def _dot_cases() -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+    """The dot self-check's cases: an array of 10240 values drawn uniform in [-1, 1) and
+    scaled by 2^-8...2^7, then 0.0 and -1.0, and the ``(x, y, n)`` of each case, the offsets of
+    its two vectors in it: for n = 1...130, 1000, 4097 and 10000 at seeded offsets, then
+    (0.0, -1.0), whose np.dot is -0.0. Drawn from the stdlib's ``random``, in place."""
+    size, rng = 10240, random.Random(0)
+    words = np.frombuffer(rng.randbytes(8 * size), dtype=np.uint64)
+    values = np.empty(size + 2)
+    drawn = values[:size]
+    np.multiply(words >> np.uint64(11), 2.0**-52, out=drawn)
+    drawn -= 1.0
+    np.ldexp(drawn, (words & np.uint64(15)).astype(np.int32) - 8, out=drawn)
+    values[size:] = 0.0, -1.0
+    lengths = (*range(1, 131), 1000, 4097, 10000)
+    return values, [*((rng.randrange(size + 1 - n), rng.randrange(size + 1 - n), n) for n in lengths), (size, size + 1, 1)]
+
+
 def _check(arrays) -> None:
     """Raise ValueError unless each of ``arrays`` is None or C-contiguous float64."""
     for v in arrays:
@@ -196,7 +220,7 @@ class Kernel:
         self._ddot = ctypes.cast(getattr(blas, _DDOT), ctypes.c_void_p)
         ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
         self._adapt = lib.daglms_adapt
-        self._adapt.restype, self._adapt.argtypes = i64, (ptr, *(i64,) * 6, *(f64,) * 4, *(ptr,) * 14)
+        self._adapt.restype, self._adapt.argtypes = i64, (ptr, *(i64,) * 7, *(f64,) * 4, *(ptr,) * 14)
         self._lfilter, self._sosfilt = lib.daglms_lfilter, lib.daglms_sosfilt
         self._lfilter.restype, self._lfilter.argtypes = None, (i64, ptr, ptr, ptr, i64, ptr, ptr)
         self._sosfilt.restype, self._sosfilt.argtypes = None, (i64, ptr, ptr, i64, ptr, ptr)
@@ -205,14 +229,27 @@ class Kernel:
         self._trace_rows.restype, self._trace_rows.argtypes = i64, rows_args
         self._pow10 = _pow10_table()
         self._dot = dot = lib.daglms_dot
-        dot.restype, dot.argtypes = ctypes.c_double, (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p)
-        rng = random.Random(0)
-        pairs = [np.array([rng.gauss(0.0, 1.0) for _ in range(2 * n)]).reshape(2, n) for n in range(1, 65)]
-        pairs = [xy * 10.0 ** rng.uniform(-3, 3) for xy in pairs]
-        for x, y in [*pairs, (np.zeros(1), -np.ones(1))]:  # np.dot gives the last -0.0
-            got, want = dot(self._ddot, x.size, x.ctypes.data, y.ctypes.data), float(np.dot(x, y))
-            if got.hex() != want.hex():
-                raise RuntimeError(f"{_DDOT} gives {got!r} where np.dot gives {want!r} (n = {x.size})")
+        dot.restype, dot.argtypes = f64, (ptr, i64, i64, ptr, ptr)
+        values, cases = _dot_cases()
+        at = values.ctypes.data
+        want = [float(np.dot(values[x:x + n], values[y:y + n])).hex() for x, y, n in cases]
+
+        def mismatch(inline: int) -> str | None:
+            for (x, y, n), w in zip(cases, want):
+                got = dot(self._ddot, inline, n, at + 8 * x, at + 8 * y).hex()
+                if got != w:
+                    return f"gives {float.fromhex(got)!r} where np.dot gives {float.fromhex(w)!r} (n = {n})"
+            return None
+
+        wrong = mismatch(0)  # the pointer sums the dots that the inline order leaves, and all where it fails
+        if wrong:
+            raise RuntimeError(f"{_DDOT} {wrong}")
+        if ctypes.c_int64.in_dll(lib, "daglms_inline_dot_max").value:
+            wrong = mismatch(1)
+            why = wrong and f"the inline order {wrong}"
+        else:
+            why = "this build has no AVX-512, so no inline order"
+        self._inline = int(not why)  # daglms_adapt's inline_dot
         # the row writer on _repr_cases in three columns, the second a bit-for-bit repeat of the
         # first and the third its negation (0.0 against -0.0, NaNs of both signs; repr(-x) is
         # repr(x) with its sign flipped), and five-row windows from step 3 that end before the
@@ -239,6 +276,14 @@ class Kernel:
                     raise RuntimeError(f"daglms_real_part_minimum declines {num} / {den}")
                 if [v.hex() for v in got] != [v.hex() for v in _real_part_minimum(num, den, unit_pole)]:
                     raise RuntimeError(f"daglms_real_part_minimum differs from its twin on {num} / {den}")
+        if "logging" in sys.modules:  # else no handler can have been set up to read it, and the import is slow
+            import logging
+
+            log = logging.getLogger(__name__)
+            if why:
+                log.debug("dot products through %s: %s", _DDOT, why)
+            else:
+                log.debug("dot products inline in the order of OpenBLAS's SkylakeX ddot")
 
     def adapt(self, state, sig, trace) -> tuple[int, float]:
         """:func:`daglms.sim._adapt_loop` in one call, with the same bits and the same contract."""
@@ -248,12 +293,12 @@ class Kernel:
             path_arrays = np.array(path._b), np.array(path._a), np.array(path._state, dtype=float)
             order = path_arrays[2].size
         records = [None if record is sig.nan else record for record in (trace.e_post, trace.param_err)]
-        work = np.empty((len(hist) + 2) * n)
+        work = np.empty((len(hist) + 2) * (n + 1))  # K + 2 rows, then K + 2 row pointers
         arrays = (state._weights, hist, *path_arrays, trace.e0, *records, work)
         _check(arrays)
         norm = ctypes.c_double()
         step = self._adapt(
-            self._ddot, n, T, sig.prefix, len(hist), state._depth, order, state.policy.mu, *state._rule,
+            self._ddot, self._inline, n, T, sig.prefix, len(hist), state._depth, order, state.policy.mu, *state._rule,
             state.divergence_limit, *sig.addresses, *map(_address, arrays), ctypes.byref(norm),
         )
         state.t += step or T - sig.prefix

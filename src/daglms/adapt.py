@@ -149,10 +149,11 @@ class AdaptState:
         self.n_params = n_params
         self.policy = policy
         self.cfg = cfg if cfg is not None else DagConfig()
-        self._depth = depth = len(self.cfg.d)
+        d = self.cfg.d  # derived from d' at each read
+        self._depth = depth = len(d)
         self._hist = np.zeros((depth + len(self.cfg.c), n_params))
         self.theta_hist, self.corr_hist = self._hist[:depth], self._hist[depth:]
-        self._weights = np.array((*self.cfg.d, *self.cfg.c))[:, None]
+        self._weights = np.array((*d, *self.cfg.c))[:, None]
         # (a, b) of the exact gain mu / (a + b * phi.phi)
         rules = {"constant": (1.0, 0.0), "normalized": (policy.delta, 1.0), "posterior": (1.0, policy.mu)}
         self._rule = rules[policy.kind]

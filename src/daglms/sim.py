@@ -43,6 +43,17 @@ class RunDiverged(RuntimeError):
         self.norm = norm
 
 
+def _target(params, n: int) -> np.ndarray:
+    """``params`` as float64, checked to be ``n`` finite values: a NaN or an infinite target
+    would read as a divergence of every run."""
+    params = np.asarray(params, dtype=float)
+    if params.shape != (n,):
+        raise ValueError("n_adaptive_params must match true_params length")
+    if not np.isfinite(params).all():
+        raise ValueError(f"true_params must be finite, got {params.tolist()}")
+    return params
+
+
 @dataclass
 class ScenarioConfig:
     """Inputs of one experiment run.
@@ -89,9 +100,7 @@ class ScenarioConfig:
                     raise ValueError(f"{name} must be unset for a sysid scenario, which runs no path")
             if self.true_params is None:
                 raise ValueError("sysid scenario needs true_params")
-            self.true_params = np.asarray(self.true_params, dtype=float)
-            if self.true_params.shape != (self.n_adaptive_params,):
-                raise ValueError("n_adaptive_params must match true_params length")
+            self.true_params = _target(self.true_params, self.n_adaptive_params)
         else:
             if self.true_params is not None:
                 raise ValueError("true_params must be unset for a feedforward scenario, which has no target")
@@ -183,10 +192,9 @@ def _build_signals(scn: ScenarioConfig) -> _Signals:
     n, T = scn.n_adaptive_params, scn.duration_samples
     nan = np.full(T, np.nan)
     if scn.kind == "sysid":
-        # true_params may have been reassigned since construction: coerced and checked as there
-        params = np.array(scn.true_params, dtype=float)
-        if params.shape != (n,):
-            raise ValueError("n_adaptive_params must match true_params length")
+        # true_params may have been reassigned since construction: coerced and checked as there,
+        # into a copy that only these signals hold
+        params = _target(scn.true_params, n).copy()
         d = gen_noise(scn.noise, T)
         x = _measured(scn, np.convolve(params, d)[:T])
         rev = _delay_line(d, n)

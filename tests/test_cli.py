@@ -739,17 +739,27 @@ UNSTABLE_PATHS = {
             (["compare"], config, f"{key}_den has a root on or outside the unit circle: the path is unstable")
             for key, config in UNSTABLE_PATHS.items()
         ),
+        *(
+            (
+                ["compare"],
+                f"[scenario]\nkind = sysid\nnoise_kind = white\ntrue_params = 0.5, {value}\nduration_samples = 1000\n",
+                f"true_params must be finite, got [0.5, {value}]",
+            )
+            for value in ("nan", "inf")
+        ),
     ],
     ids=["custom-two-values", "custom-four-values", "contour-huge-axis", "ini-no-section-header", "ini-unparsable-line", "ini-no-scenario",
          "ini-unknown-path", "ini-bandpass-rate-1e100", "ini-bandpass-rate-1e200",
          "ini-bandpass-rate-1e6",
-         *(f"ini-unstable-{key}" for key in UNSTABLE_PATHS)],
+         *(f"ini-unstable-{key}" for key in UNSTABLE_PATHS),
+         "ini-true-params-nan", "ini-true-params-inf"],
 )
 def test_input_error_is_named(tmp_path, capsys, argv, config, message):
     """A --custom value that is not three numbers, a contour axis of a 301-digit count (shown
     in scientific notation), a scenario file that cannot be read as one, band-pass noise at a rate where its filter's gain underflows to 0 or its response
-    outlasts the warm-up, and a path whose denominator has a root on or outside the unit
-    circle, exit 3 with one config error line naming the fault and make no output directory."""
+    outlasts the warm-up, a path whose denominator has a root on or outside the unit
+    circle, and a NaN or infinite target (which every run would report as a divergence),
+    exit 3 with one config error line naming the fault and make no output directory."""
     out = tmp_path / "out"
     if config is not None:
         argv = [*argv, "--config", str(write_config(tmp_path, config))]

@@ -124,8 +124,8 @@ def test_stacked_matmul_gives_dot_bits(n, B):
         assert bits(own) == bits(np.array([np.dot(row, row) for row in base]))
         if kernel is not None:
             for row, s, o in zip(base, shared, own):
-                assert kernel._dot(kernel._ddot, n, row.ctypes.data, phi.ctypes.data).hex() == float(s).hex()
-                assert kernel._dot(kernel._ddot, n, row.ctypes.data, row.ctypes.data).hex() == float(o).hex()
+                assert kernel._dot(kernel._ddot, kernel._inline, n, row.ctypes.data, phi.ctypes.data).hex() == float(s).hex()
+                assert kernel._dot(kernel._ddot, kernel._inline, n, row.ctypes.data, row.ctypes.data).hex() == float(o).hex()
 
 
 def compiled():
@@ -640,6 +640,22 @@ def test_reassigned_true_params_of_another_length_raise_on_both_engines(params):
                     call()
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_true_params_raise_on_both_engines(bad):
+    """A NaN or infinite target is rejected where it enters, naming ``true_params``, and so
+    where the signals re-check one assigned after construction, before either loop reads it:
+    it would otherwise read as a divergence of every run."""
+    with pytest.raises(ValueError, match=r"true_params must be finite, got \[0\.5, -?(nan|inf)\]"):
+        ScenarioConfig("sysid", NoiseSpec(kind="white"), 2, 500, true_params=[0.5, bad])
+    scn = sysid_scenario(2, 100)
+    scn.true_params = np.array([0.5, bad])
+    for load in (_kernel.load, lambda: None):
+        with mock.patch.object(_kernel, "load", load):
+            for call in (lambda: run_sysid(scn, StepSizePolicy.nlms(0.2)), lambda: run_many(scn, sweep([("nlms", 0.2)]))):
+                with pytest.raises(ValueError, match="true_params must be finite"):
+                    call()
+
+
 def test_integer_true_params_give_the_bits_of_floats_on_both_engines():
     """Integer ``true_params`` reassigned after construction are taken as the floats they
     equal, as the constructor takes them: both engines run, with the bits of the float scenario."""
@@ -782,6 +798,58 @@ def test_history_block_matches_the_python_loop(cfg):
     steps = {assert_same_loops(scn, policy, cfg, limit=norm)[0] for norm in np.linspace(0.05, 0.6, 40)}
     steps.discard(0)
     assert {step % K for step in steps} == set(range(K)), steps
+
+
+# tap counts on each side of the inline dot's 16- and 32-element blocks and of its FMA tail
+DOT_EDGES = [1, 2, 15, 16, 17, 31, 32, 33, 47, 48, 60, 63, 64, 65, 100]
+
+
+@pytest.mark.parametrize("n", DOT_EDGES)
+def test_steps_at_the_dot_block_edges_match_the_python_loop(n):
+    """At each of :data:`DOT_EDGES` taps the kernel takes the Python loop's steps, bit for
+    bit, to the same history block and records, diverging runs included."""
+    scn, diverged = sysid_scenario(n, 300), 0
+    for policy in LEVEL_POLICIES:
+        for name in ("integral", "ipd", "arima2"):
+            step, _ = assert_same_loops(scn, policy, make_preset(name))
+            diverged += step > 0
+    assert diverged
+
+
+@pytest.mark.parametrize("n", [10000, 10001])
+def test_the_longest_inline_dot_and_the_next_match_the_python_loop(n):
+    """10000 taps, the longest dot summed inline, and 10001, the shortest that calls
+    ``ddot``, which may split it across threads: short runs keep the Python loop's bits."""
+    scn = sysid_scenario(n, 30)
+    for policy, name in ((StepSizePolicy.nlms(0.2), "ipd"), (StepSizePolicy.plms(0.05), "arima2")):
+        assert_same_loops(scn, policy, make_preset(name))
+
+
+def test_a_history_of_more_than_64_slots_matches_the_python_loop():
+    """40 c and 30 d' coefficients, so 71 history slots: the kernel's table of row pointers
+    has no fixed bound, and its rows go back into the block in order, after runs of several
+    lengths and after divergence."""
+    cfg = DagConfig(tuple(0.01 * (-1) ** k for k in range(40)), tuple(0.01 / (k + 1) for k in range(30)))
+    assert len(cfg.d) + len(cfg.c) == 71
+    steps = [
+        assert_same_loops(sysid_scenario(5, duration), policy, cfg)[0]
+        for duration in (200, 237, 271) for policy in (StepSizePolicy.nlms(0.2), StepSizePolicy.nlms(3.0))
+    ]
+    assert 0 in steps and any(steps), steps
+
+
+def test_inline_dot_is_np_dot():
+    """The kernel's dot products give ``np.dot``'s bits at n = 1...299, 1000, 4097, 10000
+    and 10001 (the pointer from there on), on seeded draws of mixed magnitude, for a pair and
+    for a vector with itself; where the load took the inline order, so does each of these."""
+    kernel = compiled()
+    rng = np.random.default_rng(36)
+    for n in [*range(1, 300), 1000, 4097, 10000, 10001]:
+        for _ in range(4 if n < 300 else 2):
+            x, y = np.ldexp(rng.uniform(-1, 1, (2, n)), rng.integers(-30, 30, (2, n)))
+            for a, b in ((x, y), (x, x)):
+                got = kernel._dot(kernel._ddot, kernel._inline, n, a.ctypes.data, b.ctypes.data)
+                assert got.hex() == float(np.dot(a, b)).hex(), n
 
 
 def running_norms(scn, policy, cfg):
@@ -1023,7 +1091,8 @@ def test_each_level_has_its_own_cache_name(monkeypatch, tmp_path):
 
 def test_a_compiler_without_the_level_builds_the_baseline(monkeypatch, caplog, tmp_path):
     """A compiler that rejects the level's ``-march`` (gcc before 11, clang before 12) gives
-    a kernel built with the baseline flags, not the Python loop, and the reason is logged."""
+    a kernel built with the baseline flags, not the Python loop, and the reason is logged,
+    then the dot that the baseline build takes."""
     if host_engine() != "kernel":
         pytest.skip("the kernel does not build on this host")
     import sysconfig
@@ -1043,10 +1112,21 @@ def test_a_compiler_without_the_level_builds_the_baseline(monkeypatch, caplog, t
     with caplog.at_level(logging.DEBUG, logger="daglms._kernel"):
         [trace] = assert_same_runs(sysid_scenario(), [(StepSizePolicy.nlms(0.2), make_preset("ipd"))], run_sysid)
     assert trace.engine == "kernel"
-    [record] = caplog.records
+    record, choice = caplog.records
     assert "without -march=x86-64-v4" in record.getMessage() and "bad value for -march=" in record.getMessage()
+    # the baseline build has no inline order: its dot products call the pointer
+    assert choice.getMessage() == f"dot products through {_kernel._DDOT}: this build has no AVX-512, so no inline order"
     lib = _kernel._library(str(wrapper), _kernel._FLAGS)
     assert [path.name for path in lib.parent.iterdir()] == [lib.name]
+
+
+def blas_core() -> str:
+    """The name of the OpenBLAS kernel set that NumPy's ``np.dot`` runs on this CPU."""
+    import ctypes
+
+    name = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_get_corename64_
+    name.restype = ctypes.c_char_p
+    return name().decode()
 
 
 # the levels the kernel is built at, as the feature that _kernel._flags reads for each: the
@@ -1126,6 +1206,15 @@ def test_every_level_gives_the_same_bits(level_kernel, python_outcomes, level, m
     twins', on runs (diverging ones included), on whole-signal filters of band-pass noise, on
     trace rows with and without a lead, and on real-part minima."""
     kernel, baseline = level_kernel(level), level_kernel("baseline")
+    # the dot each level took: at v4 the inline order wherever it gives np.dot's bits on the
+    # self-check's cases, which it does on OpenBLAS's SkylakeX kernel; the pointer without AVX-512
+    if level == "x86-64-v4":
+        values, cases = _kernel._dot_cases()
+        inline = [kernel._dot(kernel._ddot, 1, n, values[x:].ctypes.data, values[y:].ctypes.data).hex() for x, y, n in cases]
+        assert kernel._inline == (inline == [float(np.dot(values[x:x + n], values[y:y + n])).hex() for x, y, n in cases])
+        assert kernel._inline or blas_core() != "SkylakeX"
+    else:
+        assert kernel._inline == 0
     assert sum(1 for run in python_outcomes if isinstance(run, tuple) and run[4]) >= 40  # diverged runs
     for run, want, twin in zip(level_outcomes(kernel), level_outcomes(baseline), python_outcomes, strict=True):
         assert run == want == twin, run[:6] if isinstance(run, tuple) else "signals"
