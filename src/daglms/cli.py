@@ -61,6 +61,12 @@ class ConfigError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # read every float spelling of a negative number as a value, as argparse reads "-1.5":
+        # "-5e-1", "-.5", "-1E-3", and "--custom -1.5,0.2,0.5"
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):  # usage errors exit 3: argparse's 2 means "diverged" here
         self.print_usage(sys.stderr)
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
@@ -143,9 +149,8 @@ CHECK_HEADER = ["name", "c1", "c2", "d1p", "dag_spr", "integrated_pr", "min_re_d
 
 
 def cmd_check(args) -> int:
-    # each row's name and (c1, c2, d1p), and its gain filter's coefficients
+    # each row's name and (c1, c2, d1p): the presets', then the --custom cells'
     cells = [(name, *preset_triple(name)) for name in PRESET_ORDER]
-    filters = [_gain_filter(cfg.c, cfg.d_prime) for cfg in map(make_preset, PRESET_ORDER)]
     for k, spec in enumerate(args.custom or []):
         try:
             c1, c2, d1p = (float(v) for v in spec.split(","))
@@ -156,10 +161,10 @@ def cmd_check(args) -> int:
         if not abs(d1p) < 1.0:  # the rule of contour --d1p
             raise ConfigError(f"bad --custom value {spec!r}: d1p must satisfy |d1p| < 1")
         cells.append((f"custom{k}", c1, c2, d1p))
-        filters.append(_gain_filter((c1, c2), (d1p,)))
     expected = _read_verdicts(Path(args.expect)) if args.expect else None
 
-    # rows as CHECK_HEADER lays them out
+    # rows as CHECK_HEADER lays them out, each judged by the gain filter of the cell it prints
+    filters = [_gain_filter((c1, c2), (d1p,)) for _, c1, c2, d1p in cells]
     rows = [
         (*cell, spr.is_spr, pr.is_pr, spr.min_real_part, integral)
         for cell, (spr, integral, pr) in zip(cells, _filter_rows(filters, unit_pole=True))
@@ -405,8 +410,7 @@ def _trace_text(open_loop, size: int, sample_rate_hz: float):
     length, each block's text is its rows whole, whose atten_db fields are empty; after it,
     each block's text is the ``trace_rows`` lead of its rows, their step and time_s. The row
     writer formats each block as it is taken: whole, the text is about 20 bytes a row, and
-    the ends of a controlled row's lead 8 more. Every run of a sweep has the same open-loop
-    records, length and rate, so its traces can share this text."""
+    the ends of a controlled row's lead 8 more."""
     write_rows, prefix = _row_writer(), len(open_loop[0])
     for lo, hi in ((0, prefix), (prefix, size)):
         for start in range(lo, hi, _TRACE_BLOCK_ROWS):
@@ -425,34 +429,38 @@ def _trace_text(open_loop, size: int, sample_rate_hz: float):
             yield start, stop, (rows[keep].tobytes(), ends)
 
 
-def _write_trace(path: Path, trace: sim.RunTrace, text=None) -> None:
-    """Write ``trace`` to ``path``, block by block.
+def _write_trace(path: Path, trace: sim.RunTrace, text=None) -> list:
+    """Write ``trace`` to ``path``, block by block, and return its :func:`_trace_text`, whole.
 
-    ``text`` is the trace's :func:`_trace_text`, which a sweep formats once for all its
-    traces; None formats it here, a block at a time. The rows of each controlled block are
-    that block's lead and the trace's records, so nothing of this trace outlives its block
-    of ``_TRACE_BLOCK_ROWS`` rows: memory stays flat in the trace length, beside the shared
-    text that a sweep holds. Where the kernel loads, its
-    :meth:`~daglms._kernel.Kernel.trace_rows` formats each block, else its Python
-    twin :func:`_trace_rows` does, with the same bytes.
+    ``text`` is that text, as an earlier write returned it; None formats it here from the
+    trace's own records before its prefix. Every run of a sweep records the same values
+    there, with the same length and rate, so a sweep formats the text from its first trace
+    and writes every later one with it. The rows of each controlled block are that block's
+    lead and the trace's records, so nothing of this trace outlives its block of
+    ``_TRACE_BLOCK_ROWS`` rows: memory stays flat in the trace length, beside the text.
+    Where the kernel loads, its :meth:`~daglms._kernel.Kernel.trace_rows` formats each
+    block, else its Python twin :func:`_trace_rows` does, with the same bytes.
     """
     write_rows, prefix = _row_writer(), trace.open_loop_prefix_samples
     window = _NO_WINDOW
     if trace.atten_db is not None and trace.atten_window_samples is not None:
         window = (trace.atten_db, prefix, trace.atten_window_samples)
     records = (trace.e0, trace.e_post, trace.residual, trace.param_err)
-    if text is None:
+    if text is None:  # formatted a block at a time, as the loop takes it
         text = _trace_text([r[:prefix] for r in records], trace.residual.size, trace.sample_rate_hz)
+    kept = []
     with _rewrite(path) as fh:
         fh.write(_TRACE_HEADER)
         for start, stop, shared in text:
+            kept.append((start, stop, shared))
             fh.write(shared if stop <= prefix else write_rows(start, [r[start:stop] for r in records], window, shared))
+    return kept
 
 
 def _trace_rows(start: int, columns, window, lead=None) -> bytes:
     """:meth:`daglms._kernel.Kernel.trace_rows` in Python, with its contract and its bytes:
     rows ``start``... of the row's ``lead`` (None: its step), a field for each of ``columns``
-    and the step's ``window`` field; only the windows that the block reaches are formatted."""
+    and the step's ``window`` field."""
     values, first, length = window
     steps = np.arange(start, start + len(columns[0]))
     if lead is None:
@@ -460,14 +468,9 @@ def _trace_rows(start: int, columns, window, lead=None) -> bytes:
     else:
         text, ends = str(lead[0], "ascii"), np.asarray(lead[1]).tolist()
         leads = map(text.__getitem__, map(slice, ends[:-1], ends[1:]))
-    k = (steps - first) // length  # negative before the first window
-    reached = k[(k >= 0) & (k < len(values))]
-    lo, hi = (int(reached[0]), int(reached[-1]) + 1) if reached.size else (0, 0)
-    windows = _fields(values[lo:hi]) + [""]
-    return _rows([
-        leads, *map(_fields, columns),
-        map(windows.__getitem__, np.where((lo <= k) & (k < hi), k - lo, -1).tolist()),
-    ]).encode()
+    k = (steps - first) // length
+    k[(k < 0) | (k >= len(values))] = len(values)  # no window: the NaN after the last, an empty field
+    return _rows([leads, *map(_fields, columns), _fields(np.append(values, np.nan)[k])]).encode()
 
 
 def _out_dir(out: str) -> Path:
@@ -497,16 +500,16 @@ def _sweep(scenario, options, out: str) -> int:
     presets = [(preset, make_preset(preset)) for preset in options["presets"]]
     sig = sim._signals(scenario)  # before the output directory: signals that do not fit write nothing
     out = _out_dir(out)
-    text = _sweep_text(scenario, sig)
-    summary_rows = []
+    summary_rows, text = [], None
     # each trace goes to its writer as its run returns, bound to no name here, so it is freed
-    # before the next run starts: one trace is alive at a time
+    # before the next run starts: one trace is alive at a time; the first trace's text serves the rest
     for algorithm in options["algorithms"]:
         for preset, cfg in presets:
-            summary_rows.append(_write_run(
+            row, text = _write_run(
                 sim._run(scenario, sig, options["policies"][algorithm], cfg, options["window_seconds"]),
                 out, algorithm, preset, options["threshold_db"], text,
-            ))
+            )
+            summary_rows.append(row)
     header = ["algorithm", "preset", "diverged", "divergence_step", "spr_ok",
               "final_atten_db", "time_to_threshold_idx", "time_to_threshold_s"]
     _write_csv(out / "summary.csv", header, _columns(summary_rows))
@@ -514,18 +517,11 @@ def _sweep(scenario, options, out: str) -> int:
     return EXIT_DIVERGED if any(row[2] for row in summary_rows) else EXIT_OK  # the diverged column
 
 
-def _sweep_text(scenario, sig) -> list:
-    """The :func:`_trace_text` of every run on ``sig``, whole: before ``sig.prefix`` a run
-    records NaN but for its residual, the measured signal ``sig.desired``."""
-    nan = sig.nan[:sig.prefix]
-    return list(_trace_text([nan, nan, sig.desired[:sig.prefix], nan], sig.desired.size, scenario.noise.sample_rate_hz))
-
-
 def _write_run(trace: sim.RunTrace, out: Path, algorithm: str, preset: str, threshold_db: float, text) -> tuple:
-    """Write one run's trace into ``out``, with the sweep's shared ``text``, and print its
-    line; returns its summary row."""
+    """Write one run's trace into ``out`` with ``text`` (None: its own), as :func:`_write_trace`
+    does, and print its line; returns its summary row and the text."""
     path = out / f"trace_{algorithm}_{preset}.csv"
-    _write_trace(path, trace, text)
+    text = _write_trace(path, trace, text)
     final = tt_idx = tt_s = None
     if trace.atten_db is not None and trace.atten_db.size:
         final = float(trace.atten_db[-1])
@@ -536,7 +532,7 @@ def _write_run(trace: sim.RunTrace, out: Path, algorithm: str, preset: str, thre
         f"final_atten={final:.2f} dB, t20_idx={tt_idx}" if final is not None else "done"
     )
     print(f"{algorithm}+{preset}: {status} ({trace.wall_time_s:.2f}s wall) -> {path}")
-    return algorithm, preset, trace.diverged, trace.divergence_step, trace.spr_ok, final, tt_idx, tt_s
+    return (algorithm, preset, trace.diverged, trace.divergence_step, trace.spr_ok, final, tt_idx, tt_s), text
 
 
 def cmd_compare(args) -> int:
@@ -567,8 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", parents=[out], help="verdict table for the named gain-filter presets")
     p.add_argument("--expect", default=None, help="CSV of expected verdicts; mismatch exits 1")
     p.add_argument("--custom", action="append", metavar="C1,C2,D1P")
-    # read "--custom -1.5,0.2,0.5" as a value, as argparse reads "-1.5"
-    p._negative_number_matcher = re.compile(r"^-\.?\d")
     p.set_defaults(func="cmd_check")
 
     p = sub.add_parser("contour", parents=[out], help="SPR/PR flags over a (c1, c2) grid")

@@ -163,7 +163,9 @@ class _Signals:
     ``addresses``. ``spr_ok`` is the secondary-path SPR screen's verdict and ``warning`` the
     warning it calls for, None where it passes. ``open_loop_var`` is the variance of
     ``desired`` before ``prefix``, the open-loop variance of every run's attenuation series
-    (NaN with no prefix).
+    (NaN with no prefix). ``desired``, ``rev``, ``rev_f`` and, where there is a prefix,
+    ``open_loop_var`` must be finite: a scenario scaled beyond the doubles is a ValueError
+    naming the keys that scale it.
     """
 
     desired: np.ndarray
@@ -181,33 +183,41 @@ class _Signals:
     def __post_init__(self):
         read = (self.desired, self.rev, self.rev_f, self.target)
         _kernel._check((*read, self.nan))
+        var = float(self.desired[:self.prefix].var()) if self.prefix else math.nan
+        if not (all(np.isfinite(v).all() for v in read[:3]) and (math.isfinite(var) or not self.prefix)):
+            raise ValueError(
+                "the scenario's signals or their open-loop variance overflow the doubles: lower amplitude, "
+                "measurement_noise_rms or the path coefficients (true_params for sysid)"
+            )
         for v in (*read, self.nan):
             if v is not None:
                 v.flags.writeable = False
         object.__setattr__(self, "addresses", tuple(None if v is None else v.ctypes.data for v in read))
-        object.__setattr__(self, "open_loop_var", float(self.desired[:self.prefix].var()) if self.prefix else math.nan)
+        object.__setattr__(self, "open_loop_var", var)
 
 
 def _build_signals(scn: ScenarioConfig) -> _Signals:
     n, T = scn.n_adaptive_params, scn.duration_samples
     nan = np.full(T, np.nan)
-    if scn.kind == "sysid":
-        # true_params may have been reassigned since construction: coerced and checked as there,
-        # into a copy that only these signals hold
-        params = _target(scn.true_params, n).copy()
-        d = gen_noise(scn.noise, T)
-        x = _measured(scn, np.convolve(params, d)[:T])
-        rev = _delay_line(d, n)
-        return _Signals(x, rev, rev, None, 0, params, None, None, nan)
-    prefix = scn.open_loop_prefix_samples
-    w = gen_noise(scn.noise, T)
-    x = _measured(scn, scn.primary_path.fresh().filter_signal(w))
-    g_model, reg_filter = _models(scn)
-    spr_ok, warning = _screen_path_ratio(scn.secondary_path, g_model)
-    g = scn.secondary_path.fresh()
-    g.filter_signal(np.zeros(prefix))  # silence while the compensator is disconnected
-    w_f = reg_filter.fresh().filter_signal(w)
-    return _Signals(x, _delay_line(w, n), _delay_line(w_f, n), g, prefix, None, spr_ok, warning, nan)
+    # a value beyond the doubles is no warning here: _Signals rejects the signals that hold one
+    with np.errstate(over="ignore", invalid="ignore"):
+        if scn.kind == "sysid":
+            # true_params may have been reassigned since construction: coerced and checked as there,
+            # into a copy that only these signals hold
+            params = _target(scn.true_params, n).copy()
+            d = gen_noise(scn.noise, T)
+            x = _measured(scn, np.convolve(params, d)[:T])
+            rev = _delay_line(d, n)
+            return _Signals(x, rev, rev, None, 0, params, None, None, nan)
+        prefix = scn.open_loop_prefix_samples
+        w = gen_noise(scn.noise, T)
+        x = _measured(scn, scn.primary_path.fresh().filter_signal(w))
+        g_model, reg_filter = _models(scn)
+        spr_ok, warning = _screen_path_ratio(scn.secondary_path, g_model)
+        g = scn.secondary_path.fresh()
+        g.filter_signal(np.zeros(prefix))  # silence while the compensator is disconnected
+        w_f = reg_filter.fresh().filter_signal(w)
+        return _Signals(x, _delay_line(w, n), _delay_line(w_f, n), g, prefix, None, spr_ok, warning, nan)
 
 
 def _models(scn: ScenarioConfig) -> tuple[TransferOperator, TransferOperator]:

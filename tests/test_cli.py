@@ -703,6 +703,18 @@ UNSTABLE_PATHS = {
 }
 
 
+# scenarios whose signals overflow: an infinite sample, or (amplitude 1e200) finite samples
+# whose open-loop variance does
+OVERFLOWING_CONFIGS = {
+    "amplitude-1e308": SMALL_FEEDFORWARD_CONFIG.replace("amplitude = 0.006", "amplitude = 1e308"),
+    "measurement-noise-1e308": SMALL_FEEDFORWARD_CONFIG.replace("[run]", "measurement_noise_rms = 1e308\n\n[run]"),
+    "primary-path-num-1e308": SMALL_FEEDFORWARD_CONFIG.replace(
+        "primary_path = resonant_primary", "primary_path_num = 1e308 1e308"
+    ),
+    "amplitude-1e200": SMALL_FEEDFORWARD_CONFIG.replace("amplitude = 0.006", "amplitude = 1e200"),
+}
+
+
 @pytest.mark.parametrize(
     "argv, config, message",
     [
@@ -747,19 +759,30 @@ UNSTABLE_PATHS = {
             )
             for value in ("nan", "inf")
         ),
+        *(
+            (
+                ["compare"],
+                config,
+                "the scenario's signals or their open-loop variance overflow the doubles: lower amplitude, "
+                "measurement_noise_rms or the path coefficients",
+            )
+            for config in OVERFLOWING_CONFIGS.values()
+        ),
     ],
     ids=["custom-two-values", "custom-four-values", "contour-huge-axis", "ini-no-section-header", "ini-unparsable-line", "ini-no-scenario",
          "ini-unknown-path", "ini-bandpass-rate-1e100", "ini-bandpass-rate-1e200",
          "ini-bandpass-rate-1e6",
          *(f"ini-unstable-{key}" for key in UNSTABLE_PATHS),
-         "ini-true-params-nan", "ini-true-params-inf"],
+         "ini-true-params-nan", "ini-true-params-inf", *(f"ini-overflow-{key}" for key in OVERFLOWING_CONFIGS)],
 )
 def test_input_error_is_named(tmp_path, capsys, argv, config, message):
     """A --custom value that is not three numbers, a contour axis of a 301-digit count (shown
     in scientific notation), a scenario file that cannot be read as one, band-pass noise at a rate where its filter's gain underflows to 0 or its response
     outlasts the warm-up, a path whose denominator has a root on or outside the unit
-    circle, and a NaN or infinite target (which every run would report as a divergence),
-    exit 3 with one config error line naming the fault and make no output directory."""
+    circle, a NaN or infinite target (which every run would report as a divergence), and
+    signals or an open-loop variance beyond the doubles (which a run would report as a
+    divergence, or as an empty attenuation), exit 3 with one config error line naming the
+    fault and make no output directory."""
     out = tmp_path / "out"
     if config is not None:
         argv = [*argv, "--config", str(write_config(tmp_path, config))]
@@ -767,6 +790,34 @@ def test_input_error_is_named(tmp_path, capsys, argv, config, message):
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("config error: ") and message in line
     assert not out.exists()
+
+
+@pytest.mark.parametrize("spelling", ["-5e-1", "-1E-3", "-.5", "-2e0"])
+@pytest.mark.parametrize(
+    "argv",
+    [["contour", "--d1p"], ["contour", "--d1p", "0.5", "--c1-min"], ["contour", "--d1p", "0.5", "--c2-min"],
+     ["bode", "--fs"], ["check", "--custom"]],
+    ids=["contour-d1p", "contour-c1-min", "contour-c2-min", "bode-fs", "check-custom"],
+)
+def test_every_command_reads_a_negative_number_in_any_spelling(tmp_path, capsys, argv, spelling):
+    """A negative value in any float spelling is a value, not an option, in every subcommand:
+    it gives the exit code, error and output bytes of its decimal spelling, which argparse
+    reads by its own rule. A negative --fs is the one-line --fs config error."""
+
+    def run(value, out):
+        value = f"{value},0.2,0.5" if argv[0] == "check" else value
+        code = main([*argv, value, "--out", str(out)])
+        return code, capsys.readouterr().err, tree_bytes(out) if out.exists() else None
+
+    spelled = run(spelling, tmp_path / "spelled")
+    assert spelled == run(repr(float(spelling)), tmp_path / "decimal")
+    code, err, files = spelled
+    if argv[0] == "bode":
+        assert (code, err, files) == (3, f"config error: --fs must be finite and positive, got {float(spelling)!r}\n", None)
+    elif argv[1:] == ["--d1p"] and float(spelling) <= -1.0:
+        assert code == 3 and err.startswith("config error: --d1p must be finite with |d1p| < 1")
+    else:
+        assert code == 0 and files
 
 
 def test_stable_path_coefficients_give_the_named_paths_bytes(tmp_path):
@@ -1440,13 +1491,15 @@ def test_compare_traces_equal_single_runs(tmp_path, algorithms, presets, diverge
         assert (out / name).read_bytes() == (tmp_path / "all" / name).read_bytes(), name
 
 
-# (open_loop_prefix_samples, duration_samples, window_seconds) of sweeps that place the text
-# that their traces share at its edges, in blocks of 64 rows
+# (open_loop_prefix_samples, duration_samples, window_seconds, presets) of sweeps that place
+# the text that their traces share at its edges, in blocks of 64 rows; lms with arima2 diverges
+# at step 3094 of the 6000-sample sweeps with a 1500-sample prefix
 SHARED_TEXT_CASES = {
-    "blocks": (1500, 6000, 0.2),  # both spans cross blocks, neither in whole blocks
-    "one_controlled_row": (1500, 1501, 0.2),
-    "no_prefix": (0, 6000, 0.2),
-    "no_window_fits": (1500, 6000, 1.0),  # 2500 samples, more than the prefix
+    "blocks": (1500, 6000, 0.2, "integral, arima2"),  # both spans cross blocks, neither in whole blocks
+    "first_run_diverges": (1500, 6000, 0.2, "arima2, integral"),  # the text comes from a partial trace
+    "one_controlled_row": (1500, 1501, 0.2, "integral, arima2"),
+    "no_prefix": (0, 6000, 0.2, "integral, arima2"),
+    "no_window_fits": (1500, 6000, 1.0, "integral, arima2"),  # 2500 samples, more than the prefix
 }
 
 
@@ -1454,25 +1507,29 @@ SHARED_TEXT_CASES = {
 @pytest.mark.parametrize("engine", ["kernel", "python"])
 @pytest.mark.parametrize("case", SHARED_TEXT_CASES)
 def test_sweep_traces_from_shared_text(tmp_path, monkeypatch, engine, case):
-    """A sweep of lms with integral and with arima2 (which diverges in the "blocks" case),
-    its traces written from the open-loop rows and the step,time_s leads that they share,
-    writes each trace with the bytes of the row-by-row writer and of ``run`` on its pair
-    alone, through either engine's row writer."""
+    """A sweep of lms with integral and with arima2, its traces written from the open-loop rows
+    and the step,time_s leads that the first trace's write formats and the second's reuses,
+    writes each trace with the bytes of the row-by-row writer, of ``run`` on its pair alone,
+    and of ``_write_trace`` given that trace alone, through either engine's row writer."""
     trace_engine(engine, monkeypatch)
     monkeypatch.setattr(cli, "_TRACE_BLOCK_ROWS", 64)
-    prefix, duration, window = SHARED_TEXT_CASES[case]
+    prefix, duration, window, presets = SHARED_TEXT_CASES[case]
     config = (
         GOLDEN_FEEDFORWARD_CONFIG.replace("lms, nlms, plms", "lms")
+        .replace("integral, arima2", presets)
         .replace("open_loop_prefix_samples = 1500", f"open_loop_prefix_samples = {prefix}")
         .replace("duration_samples = 6000", f"duration_samples = {duration}")
     )
     path = write_config(tmp_path, config + f"window_seconds = {window}\n")
-    traces, write = [], cli._write_trace
-    monkeypatch.setattr(cli, "_write_trace", lambda file, trace, text: traces.append(trace) or write(file, trace, text))
+    traces, texts, write = [], [], cli._write_trace
+    monkeypatch.setattr(
+        cli, "_write_trace", lambda file, trace, text: traces.append(trace) or texts.append(text) or write(file, trace, text)
+    )
     code = main(["compare", "--config", str(path), "--out", str(tmp_path / "all")])
-    swept = dict(zip(["integral", "arima2"], traces))
+    swept = dict(zip(presets.split(", "), traces))
     assert len(traces) == 2 and code == (2 if any(t.diverged for t in traces) else 0)
-    if case == "blocks":
+    assert texts[0] is None and len(texts[1]) == -(-prefix // 64) + -(-(duration - prefix) // 64)
+    if case in ("blocks", "first_run_diverges"):
         assert swept["arima2"].diverged and swept["integral"].atten_db is not None
         assert prefix % 64 and (duration - prefix) % 64
     if case == "no_window_fits":
@@ -1482,8 +1539,10 @@ def test_sweep_traces_from_shared_text(tmp_path, monkeypatch, engine, case):
         row_wise_trace_csv(tmp_path / name, trace)
         argv = ["run", "--config", str(path), "--out", str(tmp_path / preset), "--algorithm", "lms", "--preset", preset]
         assert main(argv) == (2 if trace.diverged else 0)
+        write(tmp_path / f"alone_{name}", trace)
         want = (tmp_path / name).read_bytes()
         assert (tmp_path / "all" / name).read_bytes() == want == (tmp_path / preset / name).read_bytes()
+        assert (tmp_path / f"alone_{name}").read_bytes() == want
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")  # the mismatched model's SPR screen

@@ -950,7 +950,6 @@ def test_sweep_keeps_order_under_fast_switching(monkeypatch, tmp_path):
         written.append(trace.divergence_step)
 
     monkeypatch.setattr(sim, "_signals", lambda scn: None)
-    monkeypatch.setattr(cli, "_sweep_text", lambda scenario, sig: None)
     monkeypatch.setattr(sim, "_run", run)
     monkeypatch.setattr(cli, "_write_trace", write)
     threads, interval = threading.active_count(), sys.getswitchinterval()

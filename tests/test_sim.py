@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from daglms import (
     ScenarioConfig,
     StepSizePolicy,
     TransferOperator,
+    _kernel,
     attenuation_db,
     gen_noise,
     make_preset,
@@ -577,3 +579,38 @@ class TestSignals:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(sig, name, np.zeros(2))
         assert not any(v.flags.writeable for v in (*read, sig.nan))
+
+
+def small_feedforward(**changes):
+    return dataclasses.replace(default_feedforward_scenario(duration_s=1.0, prefix_s=0.2, n_taps=4), **changes)
+
+
+# scenarios whose signals leave the doubles: an infinite sample, or (amplitude 1e200) finite
+# samples whose open-loop variance overflows
+OVERFLOWING = {
+    "amplitude": lambda: small_feedforward(noise=NoiseSpec(amplitude=1e308)),
+    "open-loop-variance": lambda: small_feedforward(noise=NoiseSpec(amplitude=1e200)),
+    "measurement-noise": lambda: small_feedforward(measurement_noise_rms=1e308),
+    "primary-path": lambda: small_feedforward(primary_path=TransferOperator((1e308, 1e308), (1.0,))),
+    "sysid-amplitude": lambda: dataclasses.replace(sysid_scenario([0.5, -0.3]), noise=NoiseSpec(amplitude=1e308)),
+    "sysid-target": lambda: sysid_scenario([1e308, 1e308]),
+}
+
+
+@pytest.mark.parametrize("engine", ["kernel", "python"])
+@pytest.mark.parametrize("case", OVERFLOWING)
+def test_signals_beyond_the_doubles_raise_quietly(monkeypatch, engine, case):
+    """A scenario whose signals overflow raises a ValueError naming the keys that scale them,
+    from either engine, before any run starts and with no warning."""
+    if engine == "python":
+        monkeypatch.setattr(_kernel, "load", lambda: None)
+    elif _kernel.load() is None:
+        pytest.skip("the kernel does not build on this host")
+    monkeypatch.setattr(sim, "_run", lambda *args: pytest.fail("a run started"))
+    scn = OVERFLOWING[case]()
+    run = run_sysid if scn.kind == "sysid" else run_feedforward
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="overflow the doubles: .*amplitude, measurement_noise_rms"):
+            run(scn, StepSizePolicy.nlms(0.01))
+    assert caught == []
