@@ -66,7 +66,8 @@ class StepSizePolicy:
 
 
 def step_size(policy: StepSizePolicy, phi) -> float:
-    """Per-step gain for the given regressor; always finite and positive."""
+    """Per-step gain for the given regressor: positive, or 0.0 where ``phi . phi``
+    overflows, for a normalized or posterior policy."""
     if policy.kind == "constant":
         return policy.mu
     power = float(np.dot(phi, phi))

@@ -73,6 +73,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(value) -> str:
+    # every CSV field written in Python passes through here
     if value is None:
         return ""
     if isinstance(value, str):
@@ -82,23 +83,17 @@ def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     value = float(value)
-    return "" if value != value else repr(value)  # NaN as an empty field, as _fields writes it
+    return "" if value != value else repr(value)  # NaN as an empty field
 
 
 def _fields(column) -> list[str]:
-    # what _fmt writes for each value; a numeric array by repr, NaN as an empty field
-    if not (isinstance(column, np.ndarray) and column.dtype.kind in "fi"):
-        return [_fmt(v) for v in column]
-    return ["" if v != v else repr(v) for v in column.tolist()]
+    # the _fmt field of each value; an array's values as Python floats, ints and bools
+    return list(map(_fmt, column.tolist() if isinstance(column, np.ndarray) else column))
 
 
 def _columns(rows) -> list[list[str]]:
-    """One block of formatted columns from rows of values; a column of floats alone is formatted
-    as an array, in bulk, with the fields _fmt gives its values."""
-    return [
-        _fields(np.array(column) if all(isinstance(v, float) for v in column) else column)
-        for column in zip(*rows)
-    ]
+    """One block of formatted columns from rows of values."""
+    return [_fields(column) for column in zip(*rows)]
 
 
 def _rows(columns) -> str:
@@ -402,59 +397,56 @@ def _row_writer():
     return _trace_rows if kernel is None else kernel.trace_rows
 
 
-def _trace_text(open_loop, size: int, sample_rate_hz: float):
+def _trace_text(open_loop, size: int, sample_rate_hz: float) -> list:
     """The text of a trace of ``size`` rows that its controlled rows' records leave as it is,
-    block by block of at most ``_TRACE_BLOCK_ROWS`` rows, as ``(start, stop, text)`` triples.
+    block by block of at most ``_TRACE_BLOCK_ROWS`` rows, as a list of ``(start, stop, text)``.
 
     ``open_loop`` is the prefix of the records e0, e_post, residual and param_err: before its
     length, each block's text is its rows whole, whose atten_db fields are empty; after it,
-    each block's text is the ``trace_rows`` lead of its rows, their step and time_s. The row
-    writer formats each block as it is taken: whole, the text is about 20 bytes a row, and
-    the ends of a controlled row's lead 8 more."""
-    write_rows, prefix = _row_writer(), len(open_loop[0])
+    each block's text is the ``trace_rows`` lead of its rows, their step and time_s. Whole,
+    the text is about 20 bytes a row, and the ends of a controlled row's lead 8 more."""
+    write_rows, prefix, text = _row_writer(), len(open_loop[0]), []
     for lo, hi in ((0, prefix), (prefix, size)):
         for start in range(lo, hi, _TRACE_BLOCK_ROWS):
             stop = min(start + _TRACE_BLOCK_ROWS, hi)
             time_s = np.arange(start, stop) / sample_rate_hz
             if stop <= prefix:
-                yield start, stop, bytes(write_rows(start, [time_s, *(r[start:stop] for r in open_loop)], _NO_WINDOW))
-                continue
-            # "step,time_s,\r\n" a row: each row's lead is its text before the ",\r\n" that is cut
-            rows = np.frombuffer(write_rows(start, [time_s], _NO_WINDOW), dtype=np.uint8)
-            cut = np.flatnonzero(rows == ord("\r")) + np.array([[-1], [0], [1]])
-            keep = np.ones(rows.size, dtype=bool)
-            keep[cut] = False
-            ends = np.zeros(stop - start + 1, dtype=np.int64)
-            ends[1:] = cut[0] - 3 * np.arange(stop - start)
-            yield start, stop, (rows[keep].tobytes(), ends)
+                block = bytes(write_rows(start, [time_s, *(r[start:stop] for r in open_loop)], _NO_WINDOW))
+            else:
+                # "step,time_s,\r\n" a row: each row's lead ends where its row does, less the 3 bytes
+                # of its own ",\r\n" and of each earlier row's, all of them cut
+                rows = bytes(write_rows(start, [time_s], _NO_WINDOW))
+                ends = np.flatnonzero(np.frombuffer(rows, np.uint8) == ord("\n")) - 2 - 3 * np.arange(stop - start)
+                block = rows.replace(b",\r\n", b""), np.append(0, ends)
+            text.append((start, stop, block))
+    return text
 
 
 def _write_trace(path: Path, trace: sim.RunTrace, text=None) -> list:
-    """Write ``trace`` to ``path``, block by block, and return its :func:`_trace_text`, whole.
+    """Write ``trace`` to ``path``, block by block, and return its :func:`_trace_text`.
 
     ``text`` is that text, as an earlier write returned it; None formats it here from the
-    trace's own records before its prefix. Every run of a sweep records the same values
-    there, with the same length and rate, so a sweep formats the text from its first trace
-    and writes every later one with it. The rows of each controlled block are that block's
-    lead and the trace's records, so nothing of this trace outlives its block of
-    ``_TRACE_BLOCK_ROWS`` rows: memory stays flat in the trace length, beside the text.
-    Where the kernel loads, its :meth:`~daglms._kernel.Kernel.trace_rows` formats each
-    block, else its Python twin :func:`_trace_rows` does, with the same bytes.
+    trace's own records before its prefix, before the file is opened. Every run of a sweep
+    records the same values there, with the same length and rate, so a sweep formats the
+    text from its first trace and writes every later one with it. The rows of each
+    controlled block are that block's lead and the trace's records, so nothing of this
+    trace outlives its block of ``_TRACE_BLOCK_ROWS`` rows: memory stays flat in the trace
+    length, beside the text. Where the kernel loads, its
+    :meth:`~daglms._kernel.Kernel.trace_rows` formats each block, else its Python twin
+    :func:`_trace_rows` does, with the same bytes.
     """
     write_rows, prefix = _row_writer(), trace.open_loop_prefix_samples
     window = _NO_WINDOW
     if trace.atten_db is not None and trace.atten_window_samples is not None:
         window = (trace.atten_db, prefix, trace.atten_window_samples)
     records = (trace.e0, trace.e_post, trace.residual, trace.param_err)
-    if text is None:  # formatted a block at a time, as the loop takes it
+    if text is None:
         text = _trace_text([r[:prefix] for r in records], trace.residual.size, trace.sample_rate_hz)
-    kept = []
     with _rewrite(path) as fh:
         fh.write(_TRACE_HEADER)
         for start, stop, shared in text:
-            kept.append((start, stop, shared))
             fh.write(shared if stop <= prefix else write_rows(start, [r[start:stop] for r in records], window, shared))
-    return kept
+    return text
 
 
 def _trace_rows(start: int, columns, window, lead=None) -> bytes:

@@ -265,9 +265,13 @@ def _signals(scn: ScenarioConfig) -> _Signals:
     return sig
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _adapt_loop(state: AdaptState, sig: _Signals, trace: RunTrace) -> tuple[int, float]:
     """The per-sample loop of one run, in Python: the fallback and the oracle of the
     compiled kernel, whose :meth:`~daglms._kernel.Kernel.adapt` runs the same steps.
+    An overflow, and the NaN it leads to, is taken silently, as the kernel's IEEE
+    arithmetic takes it: an lms run diverges, and a normalized or posterior run whose
+    ``phi . phi`` overflows takes a step of 0.
 
     Records ``e0``, ``e_post`` (posterior rule) and ``param_err`` (with a target)
     into ``trace`` from ``sig.prefix`` on; returns the diverging step, 0 if none,

@@ -4,6 +4,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import io
 import math
 import os
 import re
@@ -14,12 +15,12 @@ import tempfile
 import threading
 import warnings
 import weakref
-from contextlib import nullcontext
+from contextlib import nullcontext, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from daglms import (
@@ -1124,6 +1125,78 @@ def test_empty_override_runs_nothing(tmp_path, flag, value):
     assert read_csv(out / "summary.csv") == []
 
 
+def compare_on_both_engines(text):
+    """``compare`` in this process on the INI ``text``, through the kernel, then through the
+    Python loops: for each, its exit code, its standard error, the categories of the warnings
+    it raised and its files."""
+    if _kernel.load() is None:
+        pytest.skip("the kernel does not build on this host")
+    results = []
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "scenario.ini"
+        config.write_text(text)
+        for engine in ("kernel", "python"):
+            with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(record=True) as caught, \
+                    redirect_stderr(io.StringIO()) as err, redirect_stdout(io.StringIO()):
+                if engine == "python":
+                    mp.setattr(_kernel, "load", lambda: None)
+                warnings.simplefilter("always")
+                code = main(["compare", "--config", str(config), "--out", str(Path(tmp) / engine)])
+            results.append((code, err.getvalue(), {w.category for w in caught}, tree_bytes(Path(tmp) / engine)))
+    return results
+
+
+HARNESS_SCENARIOS = {
+    "sysid": {"kind": "sysid", "noise_kind": "white", "seed": "7", "true_params": "0.5, -0.3, 0.2, 0.1",
+              "duration_samples": "2000"},
+    "feedforward": {"kind": "feedforward", "noise_kind": "white", "seed": "7", "n_adaptive_params": "4",
+                    "duration_samples": "2000", "open_loop_prefix_samples": "500", "primary_path_num": "1.0, 0.2",
+                    "primary_path_den": "1.0, -0.5", "secondary_path": "resonant_secondary"},
+}
+HARNESS_RUN_KEYS = ["mu_lms", "mu_nlms", "mu_plms", "delta_nlms", "window_seconds", "threshold_db"]
+HARNESS_KEYS = [
+    ("sysid", "amplitude"), ("sysid", "measurement_noise_rms"), ("sysid", "true_params"),
+    ("feedforward", "amplitude"), ("feedforward", "primary_path_num"),
+    *((kind, key) for kind in HARNESS_SCENARIOS for key in HARNESS_RUN_KEYS),
+]
+
+
+def harness_ini(kind, key, value, algorithms):
+    """A 2000-sample, 4-tap INI of ``kind`` sweeping ``algorithms`` over 2 presets, with ``key``
+    (of a list, its first value) set to ``value``."""
+    scenario = dict(HARNESS_SCENARIOS[kind])
+    run = {"algorithms": algorithms, "presets": "integral, arima2", "window_seconds": "0.1"}
+    section = run if key in HARNESS_RUN_KEYS else scenario
+    section[key] = ", ".join([repr(value), *section.get(key, "").split(", ")[1:]])
+    return "".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in values.items())
+        for name, values in (("scenario", scenario), ("run", run))
+    )
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    case=st.sampled_from(HARNESS_KEYS),
+    value=st.sampled_from([0, -0.0, 5e-324, 1e-300, 1e150, 1e154, 1e155, 1e200, 1e300, 1.7e308]),
+    algorithms=st.sampled_from(["lms, nlms", "nlms, plms", "plms, lms"]),
+    expected_code=st.none(),
+)
+# a sysid input of amplitude 1e200 overflows phi . phi at the first steps: the lms runs diverge
+@example(case=("sysid", "amplitude"), value=1e200, algorithms="lms, plms", expected_code=2)
+def test_extreme_config_values_run_alike_on_both_engines(case, value, algorithms, expected_code):
+    """An extreme value for one key of a tiny sweep: each engine exits 0, 2 or 3 (an explicit
+    example's ``expected_code``), a 3 with one config error line alone, with no traceback and no
+    warning but the SPR screen's; and both engines give the same exit code, standard error and
+    files."""
+    text = harness_ini(*case, value, algorithms)
+    kernel, python = compare_on_both_engines(text)
+    for code, err, categories, _ in (kernel, python):
+        assert code in (0, 2, 3) and expected_code in (None, code) and "Traceback" not in err
+        assert code != 3 or (err.startswith("config error: ") and err.count("\n") == 1), err
+        assert categories <= {UserWarning}, categories
+    assert kernel == python
+
+
 def row_wise_csv(path, header, rows):
     """The row-by-row ``csv.writer`` + ``_fmt`` writer: the byte oracle."""
     with path.open("w", newline="") as fh:
@@ -1150,8 +1223,9 @@ class TestCsvWriter:
         row_wise_csv(tmp_path / "rows.csv", header, MIXED_ROWS)
         assert (tmp_path / "columnar.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
-    def test_float_columns_match_csv_writer(self, tmp_path, monkeypatch):
-        """A column of floats alone, Python or NumPy, is formatted in bulk with _fmt's fields."""
+    def test_float_columns_match_csv_writer(self, tmp_path):
+        """A column of floats alone, Python or NumPy, NaN, signed zeros, infinities and subnormals
+        included."""
         rows = [
             (0.1, np.float64(-0.0), float("nan"), 1e300),
             (np.float64("nan"), -0.0, 5e-324, np.float64(np.inf)),
@@ -1159,11 +1233,6 @@ class TestCsvWriter:
         ]
         header = ["a", "b", "c", "d"]
         row_wise_csv(tmp_path / "rows.csv", header, rows)
-
-        def no_fmt(value):
-            raise AssertionError(f"{value!r} formatted one by one")
-
-        monkeypatch.setattr(cli, "_fmt", no_fmt)
         cli._write_csv(tmp_path / "columnar.csv", header, cli._columns(rows))
         assert (tmp_path / "columnar.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
@@ -1758,17 +1827,9 @@ def test_trace_into_a_device_or_pipe_exits_0(tmp_path, monkeypatch, engine, targ
     assert tree_bytes(out) == fresh  # which lists regular files alone
 
 
-@pytest.mark.parametrize("engine", ["kernel", "python"])
-def test_failed_trace_write_leaves_the_blocks_written(tmp_path, monkeypatch, engine):
-    """A row writer that raises on the second block, over an old file longer than the new
-    one: the error leaves ``_write_trace``, and the file holds the header and the first
-    block alone."""
-    trace_engine(engine, monkeypatch)
-    trace = synthetic_trace(3 * cli._TRACE_BLOCK_ROWS, 301, window=100)
-    path = tmp_path / "trace.csv"
-    cli._write_trace(path, trace)
-    whole = path.read_bytes()
-    pad(path)
+def fail_second_row_call(monkeypatch):
+    """Make the row writer that ``_write_trace`` takes raise on its second call; returns the
+    list of the blocks it wrote before."""
     kernel = _kernel.load()
     owner, name = (cli, "_trace_rows") if kernel is None else (kernel, "trace_rows")
     write_rows, blocks = getattr(owner, name), []
@@ -1780,10 +1841,43 @@ def test_failed_trace_write_leaves_the_blocks_written(tmp_path, monkeypatch, eng
         return blocks[-1]
 
     monkeypatch.setattr(owner, name, failing)
+    return blocks
+
+
+@pytest.mark.parametrize("engine", ["kernel", "python"])
+def test_failed_trace_write_leaves_the_blocks_written(tmp_path, monkeypatch, engine):
+    """A row writer that raises on the second controlled block it writes, over an old file
+    longer than the new one, with the trace's text given up front: the error leaves
+    ``_write_trace``, and the file holds the header, the open-loop rows and the first
+    controlled block alone."""
+    trace_engine(engine, monkeypatch)
+    trace = synthetic_trace(3 * cli._TRACE_BLOCK_ROWS, 301, window=100)
+    path = tmp_path / "trace.csv"
+    text = cli._write_trace(path, trace)
+    whole = path.read_bytes()
+    pad(path)
+    blocks = fail_second_row_call(monkeypatch)
+    with pytest.raises(RuntimeError, match="row writer failed"):
+        cli._write_trace(path, trace, text)
+    assert text[0][:2] == (0, 301)  # the open-loop block, written from the text alone
+    assert path.read_bytes() == cli._TRACE_HEADER + text[0][2] + blocks[0]
+    assert whole.startswith(path.read_bytes()) and len(blocks[0]) > 0
+
+
+@pytest.mark.parametrize("engine", ["kernel", "python"])
+def test_failed_trace_text_leaves_the_old_file(tmp_path, monkeypatch, engine):
+    """A row writer that raises while the trace's text is formatted, before the file is
+    opened: the error leaves ``_write_trace``, and the old file at the path keeps every byte."""
+    trace_engine(engine, monkeypatch)
+    trace = synthetic_trace(3 * cli._TRACE_BLOCK_ROWS, 301, window=100)
+    path = tmp_path / "trace.csv"
+    cli._write_trace(path, trace)
+    pad(path)
+    old = path.read_bytes()
+    blocks = fail_second_row_call(monkeypatch)
     with pytest.raises(RuntimeError, match="row writer failed"):
         cli._write_trace(path, trace)
-    assert path.read_bytes() == cli._TRACE_HEADER + blocks[0]
-    assert whole.startswith(path.read_bytes()) and len(blocks[0]) > 0
+    assert len(blocks) == 1 and path.read_bytes() == old
 
 
 UNWRITABLE = [
