@@ -426,30 +426,37 @@ static char *write_double(char *p, const uint64_t *g, double v)
     return p + n - e - 1;
 }
 
-/* Rows start...start + rows - 1 (start >= 0) of a trace CSV into out: row i's lead, the
-   bytes lead[ends[i]...ends[i + 1] - 1] (ends increase), or its step where ends is NULL,
-   then each of the ncols (at most MAX_COLS) columns of cols, a (ncols, rows) block, as repr
-   writes it, NaN as an empty field; a field whose bits equal an earlier field of its row is
-   copied from that field. A window column follows (len >= 1): step s reads
-   win[(s - first) / len] where s >= first and that index is below nwin, else an empty field;
-   each window is formatted once and its bytes copied to its rows. Fields are joined by ",",
-   rows end in "\r\n". A row takes its lead (a step at most 20 bytes) and at most
-   2 + 25 * (ncols + 1) bytes more, and the last field's junk at most 16 more, so out holds
-   the leads' bytes and rows * (2 + 25 * (ncols + 1)) + 16. Returns the bytes written. */
+/* Rows start...start + rows - 1 (start >= 0) of a trace CSV into out: row i's lead, or its
+   step where lead is NULL, then each of the ncols (at most MAX_COLS) columns of cols, a
+   (ncols, rows) block, as repr writes it, NaN as an empty field; a field whose bits equal an
+   earlier field of its row is copied from that field. A window column follows (len >= 1):
+   step s reads win[(s - first) / len] where s >= first and that index is below nwin, else an
+   empty field; each window is formatted once and its bytes copied to its rows. Fields are
+   joined by ",", rows end in "\r\n". The lead_len bytes at lead are rows as this writer ends
+   them, one per row: row i's lead is lead row i cut before its ",\r\n". Returns the bytes
+   written, or -1 where a lead row does not end in ",\r\n" or the lead holds another count of
+   rows; nothing past the lead is read. A row takes its lead (a step at most 20 bytes) and at
+   most 2 + 25 * (ncols + 1) bytes more, and the last field's junk 16 more: out holds the
+   leads and rows * (2 + 25 * (ncols + 1)) + 16. */
 #define MAX_COLS 16
 
 int64_t daglms_trace_rows(const uint64_t *g, int64_t start, int64_t rows, int64_t ncols,
                           const double *cols, const double *win, int64_t nwin, int64_t first,
-                          int64_t len, const char *lead, const int64_t *ends, char *out)
+                          int64_t len, const char *lead, int64_t lead_len, char *out)
 {
     char *p = out, *field[MAX_COLS];
     char window[64];  /* the field of window k_shown, and write_double's junk after it */
     int64_t k_shown = -1, shown = 0;
+    const char *const lead_end = lead ? lead + lead_len : NULL;
     for (int64_t i = 0; i < rows; i++) {
         const int64_t step = start + i;
-        if (ends) {
-            memcpy(p, lead + ends[i], (size_t)(ends[i + 1] - ends[i]));
-            p += ends[i + 1] - ends[i];
+        if (lead) {
+            const char *nl = memchr(lead, '\n', (size_t)(lead_end - lead));
+            if (!nl || nl - lead < 2 || nl[-2] != ',' || nl[-1] != '\r')
+                return -1;
+            memcpy(p, lead, (size_t)(nl - 2 - lead));
+            p += nl - 2 - lead;
+            lead = nl + 1;
         } else {
             p = write_uint(p, (uint64_t)step);
         }
@@ -481,7 +488,7 @@ int64_t daglms_trace_rows(const uint64_t *g, int64_t start, int64_t rows, int64_
         *p++ = '\r';
         *p++ = '\n';
     }
-    return p - out;
+    return lead && lead != lead_end ? -1 : p - out;
 }
 
 /* spr_design._real_part_minimum for series of at most RPM_MAX_LEN coefficients, with its bits:

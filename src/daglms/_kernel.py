@@ -225,7 +225,7 @@ class Kernel:
         self._lfilter.restype, self._lfilter.argtypes = None, (i64, ptr, ptr, ptr, i64, ptr, ptr)
         self._sosfilt.restype, self._sosfilt.argtypes = None, (i64, ptr, ptr, i64, ptr, ptr)
         self._trace_rows = lib.daglms_trace_rows
-        rows_args = (ptr, *(i64,) * 3, ptr, ptr, *(i64,) * 3, ptr, ptr, ptr)
+        rows_args = (ptr, *(i64,) * 3, ptr, ptr, *(i64,) * 3, ptr, i64, ptr)
         self._trace_rows.restype, self._trace_rows.argtypes = i64, rows_args
         self._pow10 = _pow10_table()
         self._dot = dot = lib.daglms_dot
@@ -346,10 +346,10 @@ class Kernel:
         double as ``repr`` writes it and NaN as an empty field, then the field of ``window``,
         the fields joined by ``,`` and each row ending in ``\\r\\n``.
 
-        ``lead``, a ``(text, ends)`` pair, gives row ``i`` the bytes ``text[ends[i]:ends[i + 1]]``:
-        ``ends`` holds one more offset than there are rows, increasing, the last within
-        ``text``. None leads each row with its step. The writer copies a lead as it is, so
-        text that many calls share, such as rows of this writer cut short, is formatted once.
+        ``lead``, the bytes of rows that this writer wrote, one per row, starts row ``i`` with
+        lead row ``i`` cut before its ``,\\r\\n``; the entry checks each as it copies it, and a
+        lead of other rows or of another count is a ValueError. None leads each row with its
+        step.
 
         ``window``, a ``(values, first, length)`` triple, holds one value per window of
         ``length`` steps: step ``s`` reads ``values[(s - first) // length]`` where
@@ -364,18 +364,17 @@ class Kernel:
         if not (values.ndim == 1 and first >= 0 and length >= 1):
             raise ValueError("a trace_rows window takes 1-D values, a first step from 0 and a length from 1")
         ncols, rows = block.shape
-        lead_at, lead_bytes = (None, None), 20 * rows  # NULL: each row's step, of at most 20 digits
+        lead_at, lead_bytes = None, 20 * rows  # NULL: each row's step, of at most 20 digits
         if lead is not None:
-            text, ends = np.frombuffer(lead[0], dtype=np.uint8), np.ascontiguousarray(lead[1], dtype=np.int64)
-            if not (ends.shape == (rows + 1,) and ends[0] >= 0 and ends[-1] <= text.size
-                    and np.all(ends[1:] > ends[:-1])):
-                raise ValueError("a trace_rows lead takes increasing ends into its text, one more than there are rows")
-            lead_at, lead_bytes = (text.ctypes.data, ends.ctypes.data), int(ends[-1] - ends[0])
+            text = np.frombuffer(lead, dtype=np.uint8)
+            lead_at, lead_bytes = text.ctypes.data, text.size
         out = np.empty(lead_bytes + rows * (2 + 25 * (ncols + 1)) + 16, dtype=np.uint8)  # daglms_trace_rows' bound
         size = self._trace_rows(
             self._pow10.ctypes.data, start, rows, ncols, block.ctypes.data,
-            values.ctypes.data, values.size, first, length, *lead_at, out.ctypes.data,
+            values.ctypes.data, values.size, first, length, lead_at, lead_bytes, out.ctypes.data,
         )
+        if size < 0:
+            raise ValueError("a trace_rows lead takes one row ending in ',\\r\\n' for each row")
         return out[:size].data
 
 

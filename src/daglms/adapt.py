@@ -64,16 +64,18 @@ class StepSizePolicy:
     def plms(cls, mu: float) -> StepSizePolicy:
         return cls("posterior", mu)
 
+    def _rule(self) -> tuple[float, float]:
+        # (a, b) of the exact gain mu / (a + b * phi.phi); b is 0 for the constant rule alone
+        return {"constant": (1.0, 0.0), "normalized": (self.delta, 1.0), "posterior": (1.0, self.mu)}[self.kind]
 
+
+@np.errstate(over="ignore", invalid="ignore")
 def step_size(policy: StepSizePolicy, phi) -> float:
-    """Per-step gain for the given regressor: positive, or 0.0 where ``phi . phi``
-    overflows, for a normalized or posterior policy."""
-    if policy.kind == "constant":
-        return policy.mu
-    power = float(np.dot(phi, phi))
-    if policy.kind == "normalized":
-        return policy.mu / (policy.delta + power)
-    return policy.mu / (1.0 + policy.mu * power)
+    """Per-step gain ``mu / (a + b * phi.phi)`` for the given regressor and the ``(a, b)`` of
+    the policy's rule: positive, or 0.0, with no warning, where a normalized or posterior
+    policy's ``phi . phi`` overflows. The constant rule never reads the power."""
+    a, b = policy._rule()
+    return policy.mu / (a + b * float(np.dot(phi, phi))) if b else policy.mu
 
 
 @dataclass
@@ -155,9 +157,7 @@ class AdaptState:
         self._hist = np.zeros((depth + len(self.cfg.c), n_params))
         self.theta_hist, self.corr_hist = self._hist[:depth], self._hist[depth:]
         self._weights = np.array((*d, *self.cfg.c))[:, None]
-        # (a, b) of the exact gain mu / (a + b * phi.phi)
-        rules = {"constant": (1.0, 0.0), "normalized": (policy.delta, 1.0), "posterior": (1.0, policy.mu)}
-        self._rule = rules[policy.kind]
+        self._rule = policy._rule()
         self.t = 0
 
     @property
@@ -186,16 +186,20 @@ class AdaptState:
         base = self.effective_estimate()
         return phi, base, float(np.dot(base, phi))
 
+    # the public steps take an overflow without a warning, as the run loop does
+    @np.errstate(over="ignore", invalid="ignore")
     def a_priori_predict(self, phi) -> PredictionPair:
         """Predicted output before seeing the desired value."""
         return PredictionPair(z0_hat=self._predict(phi)[2])
 
+    @np.errstate(over="ignore", invalid="ignore")
     def update(self, phi, x: float) -> PredictionPair:
         """One adaptation step against the desired output ``x``."""
         phi, base, z0 = self._predict(phi)
         e0 = float(x) - z0
         return PredictionPair(z0, e0, self._step(phi, e0, base))
 
+    @np.errstate(over="ignore", invalid="ignore")
     def update_from_error(self, phi, e0: float) -> PredictionPair:
         """One adaptation step driven by an externally measured error.
 

@@ -104,33 +104,27 @@ def _rows(columns) -> str:
 
 @contextmanager
 def _rewrite(path: Path):
-    """Open ``path`` to write its new bytes over its old ones; on leaving, normally or by an
-    exception, a regular file longer than the bytes that reached it is cut to them.
+    """Open ``path``, creating it if it is not there, to write its new bytes over its old ones;
+    on leaving, normally or by an exception, a regular file longer than the bytes that
+    reached it is cut to them.
 
     Unlike ``O_TRUNC``, a rerun that writes the same bytes frees and allocates no disk block,
-    and a file that grew is not cut at all. A new file has no old bytes, so it is created
-    with ``O_EXCL`` and takes no ``fstat``, offset or cut: it costs what ``O_TRUNC`` costs.
-    The inode stays, as with ``O_TRUNC``: a link at the path is written through, and mode
-    and owner are kept. An ``OSError`` from the open, a write or the cut is a config error
-    that names the path.
+    and a file that grew is not cut at all. The inode stays, as with ``O_TRUNC``: a link at
+    the path is written through, and mode and owner are kept. An ``OSError`` from the open,
+    a write or the cut is a config error that names the path.
     """
-    flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
     try:
-        try:
-            fd, old = os.open(path, flags | os.O_EXCL, 0o666), False
-        except FileExistsError:  # a file, a link, a device or a directory is there already
-            fd, old = os.open(path, flags, 0o666), True
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
         with open(fd, "wb") as fh:
             try:
                 yield fh
             finally:
-                if old:
-                    try:
-                        fh.flush()
-                    finally:  # the offset counts the bytes that reached the file, a failed flush's too
-                        st = os.fstat(fd)  # a device or a pipe has no length to cut, nor an offset
-                        if stat.S_ISREG(st.st_mode) and st.st_size > (end := os.lseek(fd, 0, os.SEEK_CUR)):
-                            os.ftruncate(fd, end)
+                try:
+                    fh.flush()
+                finally:  # the offset counts the bytes that reached the file, a failed flush's too
+                    st = os.fstat(fd)  # a device or a pipe has no length to cut, nor an offset
+                    if stat.S_ISREG(st.st_mode) and st.st_size > (end := os.lseek(fd, 0, os.SEEK_CUR)):
+                        os.ftruncate(fd, end)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -403,22 +397,15 @@ def _trace_text(open_loop, size: int, sample_rate_hz: float) -> list:
 
     ``open_loop`` is the prefix of the records e0, e_post, residual and param_err: before its
     length, each block's text is its rows whole, whose atten_db fields are empty; after it,
-    each block's text is the ``trace_rows`` lead of its rows, their step and time_s. Whole,
-    the text is about 20 bytes a row, and the ends of a controlled row's lead 8 more."""
+    each block's text is its rows' ``step,time_s,`` rows, the ``trace_rows`` lead of their
+    controlled rows. Whole, the text is about 22 bytes a row."""
     write_rows, prefix, text = _row_writer(), len(open_loop[0]), []
     for lo, hi in ((0, prefix), (prefix, size)):
         for start in range(lo, hi, _TRACE_BLOCK_ROWS):
             stop = min(start + _TRACE_BLOCK_ROWS, hi)
             time_s = np.arange(start, stop) / sample_rate_hz
-            if stop <= prefix:
-                block = bytes(write_rows(start, [time_s, *(r[start:stop] for r in open_loop)], _NO_WINDOW))
-            else:
-                # "step,time_s,\r\n" a row: each row's lead ends where its row does, less the 3 bytes
-                # of its own ",\r\n" and of each earlier row's, all of them cut
-                rows = bytes(write_rows(start, [time_s], _NO_WINDOW))
-                ends = np.flatnonzero(np.frombuffer(rows, np.uint8) == ord("\n")) - 2 - 3 * np.arange(stop - start)
-                block = rows.replace(b",\r\n", b""), np.append(0, ends)
-            text.append((start, stop, block))
+            records = [r[start:stop] for r in open_loop] if stop <= prefix else []
+            text.append((start, stop, bytes(write_rows(start, [time_s, *records], _NO_WINDOW))))
     return text
 
 
@@ -451,15 +438,17 @@ def _write_trace(path: Path, trace: sim.RunTrace, text=None) -> list:
 
 def _trace_rows(start: int, columns, window, lead=None) -> bytes:
     """:meth:`daglms._kernel.Kernel.trace_rows` in Python, with its contract and its bytes:
-    rows ``start``... of the row's ``lead`` (None: its step), a field for each of ``columns``
-    and the step's ``window`` field."""
+    rows ``start``... of the row's ``lead`` row cut before its ``,\\r\\n`` (None: its step),
+    a field for each of ``columns`` and the step's ``window`` field."""
     values, first, length = window
     steps = np.arange(start, start + len(columns[0]))
     if lead is None:
         leads = map(str, steps.tolist())
     else:
-        text, ends = str(lead[0], "ascii"), np.asarray(lead[1]).tolist()
-        leads = map(text.__getitem__, map(slice, ends[:-1], ends[1:]))
+        *leads, rest = str(lead, "ascii").split("\n")
+        if rest or len(leads) != steps.size or not all(row[-2:] == ",\r" for row in leads):
+            raise ValueError("a trace_rows lead takes one row ending in ',\\r\\n' for each row")
+        leads = [row[:-2] for row in leads]
     k = (steps - first) // length
     k[(k < 0) | (k >= len(values))] = len(values)  # no window: the NaN after the last, an empty field
     return _rows([leads, *map(_fields, columns), _fields(np.append(values, np.nan)[k])]).encode()

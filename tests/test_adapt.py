@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +42,36 @@ class TestStepSize:
             for pol in policies:
                 mu = step_size(pol, phi)
                 assert math.isfinite(mu) and mu > 0
+
+    def test_each_rule_keeps_its_bits(self):
+        # the (a, b) table gives each rule's own formula, bit for bit, on a seeded finite sample
+        rng = np.random.default_rng(38)
+        for _ in range(300):
+            phi = rng.standard_normal(rng.integers(1, 9)) * 10.0 ** rng.integers(-100, 100)
+            power = float(np.dot(phi, phi))
+            for policy, want in [
+                (StepSizePolicy.lms(0.3), 0.3),
+                (StepSizePolicy.nlms(0.1, 1e-6), 0.1 / (1e-6 + power)),
+                (StepSizePolicy.plms(0.22), 0.22 / (1.0 + 0.22 * power)),
+            ]:
+                assert step_size(policy, phi).hex() == want.hex(), (policy, phi)
+
+    def test_overflow_is_taken_without_a_warning(self):
+        """phi . phi that overflows gives a step of 0.0 with no NumPy warning, in step_size
+        and in every public step of AdaptState, as in the run loop."""
+        phi = np.array([1e200])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert step_size(StepSizePolicy.lms(0.1), phi) == 0.1
+            for policy in (StepSizePolicy.nlms(0.1), StepSizePolicy.plms(0.1)):
+                assert step_size(policy, phi) == 0.0
+                s = AdaptState(1, policy)
+                assert s.update(phi, 1.0).e0 == 1.0 and s.update_from_error(phi, 1.0).e0 == 1.0
+                assert s.theta.tolist() == [0.0]
+                s.theta_hist[:] = 1e200  # an estimate . phi that overflows too
+                assert s.a_priori_predict(phi).z0_hat == math.inf
+                with pytest.raises(DivergenceError):  # the correction is 0 * inf: NaN
+                    s.update(phi, 1.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

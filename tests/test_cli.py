@@ -1764,16 +1764,28 @@ def test_rerun_rewrites_each_file_in_place(tmp_path, monkeypatch, command, engin
 
 
 @pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
-def test_new_file_takes_no_stat_offset_or_cut(tmp_path, monkeypatch, command):
-    """A file that is not there yet has no old bytes: the opener creates it and takes no
-    ``fstat``, offset or cut for it, so a run into a fresh directory costs what it did with
-    ``O_TRUNC``."""
-    calls = []
-    for name in ("fstat", "lseek", "ftruncate"):
-        real = getattr(os, name)
-        monkeypatch.setattr(os, name, lambda *args, name=name, real=real: calls.append(name) or real(*args))
+def test_new_file_takes_the_fresh_bytes_uncut(tmp_path, monkeypatch, command):
+    """A file that is not there yet is created with the bytes that a truncating open
+    writes, and is never cut: it has no old bytes."""
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_rewrite", lambda path: path.open("wb"))
+        assert main(rewrite_argv(tmp_path, command, tmp_path / "truncated")) == 0
+    cuts, cut = [], os.ftruncate
+    monkeypatch.setattr(os, "ftruncate", lambda fd, length: cuts.append(length) or cut(fd, length))
     assert main(rewrite_argv(tmp_path, command, tmp_path / "fresh")) == 0
-    assert calls == []
+    assert tree_bytes(tmp_path / "fresh") == tree_bytes(tmp_path / "truncated") and cuts == []
+
+
+@pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+def test_rerun_opens_each_output_once(tmp_path, monkeypatch, command):
+    """A rerun into an existing ``--out`` opens each output path once: no open that fails
+    on the file already there comes before it."""
+    out = tmp_path / "out"
+    assert main(rewrite_argv(tmp_path, command, out)) == 0
+    opened, real = [], os.open
+    monkeypatch.setattr(os, "open", lambda path, *args: opened.append(Path(path)) or real(path, *args))
+    assert main(rewrite_argv(tmp_path, command, out)) == 0
+    assert sorted(opened) == sorted(out / name for name in tree_bytes(out))
 
 
 @pytest.mark.skipif(os.name != "posix", reason="symlinks, hard links and modes as POSIX has them")

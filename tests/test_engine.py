@@ -249,18 +249,18 @@ def test_kernel_filters_reject_bad_shapes():
         kernel.trace_rows(0, [np.ones(4)], (np.ones((2, 2)), 0, 1))
     with pytest.raises(ValueError):
         kernel.trace_rows(0, [np.ones(4)], (np.ones(2), -1, 1))
-    lead = (b"0123", np.arange(5))  # four one-byte leads, each row's step
+    lead = b"0,\r\n1,\r\n2,\r\n3,\r\n"  # four rows of this writer's, each cut to its row's step
     assert bytes(kernel.trace_rows(0, [np.ones(4)], NO_WINDOW, lead)) == repr_rows(np.ones(4))
-    for text, ends in [
-        (b"0123", np.arange(4)),  # three rows' ends for four rows
-        (b"0123", np.arange(6)),  # five rows' ends
-        (b"0123", np.array([0, 2, 1, 3, 4])),  # a row that ends before it starts
-        (b"0123", np.array([0, 1, 1, 3, 4])),  # a row with no lead
-        (b"0123", np.arange(1, 6)),  # the last lead past the text
-        (b"0123", np.arange(-1, 4)),  # the first lead before it
+    for bad in [
+        b"0,\r\n1\r\n2,\r\n3,\r\n",  # a row without ",\r\n"
+        b"0,\r\n\n2,\r\n3,\r\n",  # a bare "\n"
+        lead[:-4],  # one row too few
+        lead + b"4,\r\n",  # one row too many
+        memoryview(lead)[:-1],  # cut mid-row, before the "\n" that the buffer holds next
     ]:
-        with pytest.raises(ValueError, match="lead"):
-            kernel.trace_rows(0, [np.ones(4)], NO_WINDOW, (text, ends))
+        for trace_rows in (kernel.trace_rows, cli._trace_rows):
+            with pytest.raises(ValueError, match="lead"):
+                trace_rows(0, [np.ones(4)], NO_WINDOW, bad)
 
 
 # the window of a trace with no attenuation series: every row ends in an empty field
@@ -377,7 +377,7 @@ def trace_blocks(draw):
     window = (np.array(values, dtype=np.float64), start + draw(st.integers(0, n + 2)), length)
     cuts = sorted(draw(st.lists(st.integers(0, n), max_size=4)))
     columns = [np.array(c, dtype=np.float64) for c in (e0, other, residual)]
-    leads = draw(st.none() | st.lists(st.text("0123456789.e+-,", min_size=1, max_size=30), min_size=n, max_size=n))
+    leads = draw(st.none() | st.lists(st.text("0123456789.e+-,", max_size=30), min_size=n, max_size=n))
     return start, columns, window, [0, *cuts, n], leads
 
 
@@ -385,11 +385,11 @@ def assert_blocks_are_repr(trace_rows, case):
     """Blocks of a trace through ``trace_rows``, its windows split by their boundaries,
     give ``repr``'s rows: each window's value on every row of it, a repeated field with
     the bits of the field it repeats, each row led by its step or by its drawn lead, which
-    each block takes from one text of all the rows' leads."""
+    each block takes as its rows' lead rows, each lead ending in ",\r\n"."""
     start, columns, window, cuts, leads = case
-    text, ends = "".join(leads or ()).encode(), np.cumsum([0, *map(len, leads or ())])
+    rows = [f"{lead},\r\n".encode() for lead in leads or ()]
     got = b"".join(
-        bytes(trace_rows(start + lo, [c[lo:hi] for c in columns], window, leads and (text, ends[lo:hi + 1])))
+        bytes(trace_rows(start + lo, [c[lo:hi] for c in columns], window, leads and b"".join(rows[lo:hi])))
         for lo, hi in zip(cuts, cuts[1:])
     )
     values = [c.tolist() for c in columns]
@@ -413,6 +413,33 @@ def test_trace_rows_with_windows_and_repeats_are_repr(kernel, case):
 def test_python_trace_rows_with_windows_and_repeats_are_repr(case):
     """The same blocks through the kernel's Python twin, ``cli._trace_rows``."""
     assert_blocks_are_repr(cli._trace_rows, case)
+
+
+def test_trace_with_a_prefix_mid_block_is_one_call(tmp_path, monkeypatch):
+    """A trace of several blocks whose prefix ends mid-block gives the same bytes through
+    ``cli._write_trace`` on either engine, block by block with the shared text, as one call
+    of the kernel's row writer and one of its twin over the whole trace, led by the steps."""
+    kernel = compiled()
+    monkeypatch.setattr(cli, "_TRACE_BLOCK_ROWS", 64)
+    n, prefix, window, rng = 3 * 64 + 21, 100, 7, np.random.default_rng(40)
+    e0, e_post, residual, param_err = records = [rng.standard_normal(n) for _ in range(4)]
+    for record in (e0, e_post, param_err):
+        record[:prefix] = np.nan  # the open-loop rows record the measured residual alone
+    atten = rng.uniform(-5.0, 40.0, (n - prefix) // window)
+    trace = sim.RunTrace(2500.0, prefix, *records, atten_db=atten, atten_window_samples=window)
+    columns = [np.arange(n) / 2500.0, *records]
+    whole = [
+        cli._TRACE_HEADER + bytes(rows(0, columns, (atten, prefix, window)))
+        for rows in (kernel.trace_rows, cli._trace_rows)
+    ]
+    written = []
+    for engine in (kernel, None):
+        monkeypatch.setattr(_kernel, "load", lambda engine=engine: engine)
+        text = cli._write_trace(tmp_path / "first.csv", trace)
+        cli._write_trace(tmp_path / "shared.csv", trace, text)
+        written += [(tmp_path / name).read_bytes() for name in ("first.csv", "shared.csv")]
+    assert [start for start, _, _ in text] == [0, 64, 100, 164]
+    assert whole[0] == whole[1] and written == [whole[0]] * 4
 
 
 def window_one_step_late(columns, window):
@@ -1230,9 +1257,7 @@ def test_every_level_gives_the_same_bits(level_kernel, python_outcomes, level, m
         assert bits(kernel.sosfilt(sos, noise)) == bits(baseline.sosfilt(sos, noise)) == bits(sosfilt(sos, noise))
     cases = _kernel._repr_cases()
     columns, window = [cases, cases, -cases], (cases[:cases.size // 5], 3, 5)
-    text = b"".join(b"%d,%d.5," % (i, i) for i in range(cases.size))
-    ends = np.cumsum([0] + [len(b"%d,%d.5," % (i, i)) for i in range(cases.size)])
-    for lead in (None, (text, ends)):
+    for lead in (None, b"".join(b"%d,%d.5,\r\n" % (i, i) for i in range(cases.size))):
         rows = [bytes(entry.trace_rows(0, columns, window, lead)) for entry in (kernel, baseline)]
         assert rows[0] == rows[1] == cli._trace_rows(0, columns, window, lead)
     for num, den in _kernel._design_cases():
